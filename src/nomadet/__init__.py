@@ -23,8 +23,6 @@ from .sigsim import (
 from .wavelet import (
     WaveletSpec,
     WaveletCoeffs,
-    ThresholdRule,
-    ThresholdType,
     dwt_multilevel,
     idwt_multilevel,
     soft_threshold,

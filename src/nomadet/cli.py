@@ -22,12 +22,11 @@ import numpy as np
 
 from . import harness
 from .datapipe import (generate_dataset, load_dataset, save_dataset,
-                       scenario_from_dict, scenario_to_dict, split_dataset,
-                       derive_seed)
+                       scenario_from_dict, split_dataset)
 from .density import write_pgm
 from .errors import DataFormatError, NomadetError, NumericError
 from .harness import (ExperimentConfig, ResultTable, emit_report, evaluate,
-                      diagram_matrix, model_predictor, run_sweep,
+                      diagram_matrix, model_predictor, read_journal, run_sweep,
                       desk_preset, full_preset, METHODS)
 from .neuralnet import (ArchConfig, ModulationNet, TrainConfig, load_model,
                         save_model, train)
@@ -78,7 +77,10 @@ def _cmd_generate(args) -> int:
     base = None
     if args.config:
         cfg = _load_json(args.config)
-        base = scenario_from_dict(cfg.get("scenario", cfg))
+        try:
+            base = scenario_from_dict(cfg.get("scenario", cfg))
+        except TypeError as exc:  # a key that NomaScenario lacks
+            raise ValueError(f"bad scenario in {args.config}: {exc}") from exc
     scenario = _scenario_from_args(args, base)
     samples = generate_dataset(scenario, denoise=not args.no_denoise)
     save_dataset(samples, args.out, scenario)
@@ -139,15 +141,18 @@ def _cmd_eval(args) -> int:
 
 def _experiment_from_config(blob: dict) -> ExperimentConfig:
     kwargs = dict(blob)
-    if "scenario" in kwargs and kwargs["scenario"] is not None:
-        kwargs["scenario"] = scenario_from_dict(kwargs["scenario"])
-    if "train" in kwargs and kwargs["train"] is not None:
-        kwargs["train"] = TrainConfig(**kwargs["train"])
-    kwargs.pop("format", None)
-    for key in ("factor_values", "methods"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    return ExperimentConfig(**kwargs)
+    try:
+        if "scenario" in kwargs and kwargs["scenario"] is not None:
+            kwargs["scenario"] = scenario_from_dict(kwargs["scenario"])
+        if "train" in kwargs and kwargs["train"] is not None:
+            kwargs["train"] = TrainConfig(**kwargs["train"])
+        kwargs.pop("format", None)
+        for key in ("factor_values", "methods"):
+            if key in kwargs and kwargs[key] is not None:
+                kwargs[key] = tuple(kwargs[key])
+        return ExperimentConfig(**kwargs)
+    except TypeError as exc:  # a key that the config classes lack
+        raise ValueError(f"bad experiment config: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -193,16 +198,10 @@ def _cmd_report(args) -> int:
     journal = Path(args.results) / "results.jsonl"
     if not journal.exists():
         raise DataFormatError(f"no results.jsonl under {args.results}")
-    table = ResultTable()
-    with open(journal, encoding="utf-8") as fh:
-        fh.readline()  # digest header
-        for line in fh:
-            line = line.strip()
-            if line:
-                table.rows.append(harness.ResultRow.from_json(json.loads(line)))
-    if not table.rows:
+    _, rows, _ = read_journal(journal)
+    if not rows:
         raise DataFormatError(f"{journal} holds no result rows")
-    paths = emit_report(table, args.out or args.results)
+    paths = emit_report(ResultTable(rows), args.out or args.results)
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TypeError, NomadetError) as exc:
+    except (ValueError, NomadetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

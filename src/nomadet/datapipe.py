@@ -18,11 +18,12 @@ import numpy as np
 from .density import DensityDiagram, density_diagram
 from .errors import BadMagicError, TruncatedFileError, VersionMismatchError
 from .sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
-from .wavelet import WaveletSpec, denoise_frame
+from .wavelet import denoise_frame
 
 __all__ = [
     "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
-    "generate_dataset", "generate_sample", "split_dataset",
+    "scenario_frames", "frame_sample", "generate_dataset", "generate_sample",
+    "split_dataset",
     "save_dataset", "load_dataset", "scenario_to_dict", "scenario_from_dict",
 ]
 
@@ -65,49 +66,55 @@ def derive_seed(master: int, *parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def generate_sample(scenario: NomaScenario, label: int, seed: int,
-                    denoise: bool = True,
-                    wavelet_spec: WaveletSpec | None = None,
-                    keep_frame: bool = False):
-    """One labelled sample: simulate -> (denoise) -> density diagram.
-
-    With ``keep_frame`` the processed frame rides along for classifiers that
-    work on the constellation itself rather than the diagram.
-    """
+def _simulate(scenario: NomaScenario, label: int, seed: int) -> SignalFrame:
     scen = replace(scenario, far_scheme=CLASS_ORDER[label])
-    frame = generate_noma_frame(scen, rng=np.random.default_rng(seed))
-    if denoise:
-        frame = denoise_frame(frame, wavelet_spec or WaveletSpec())
-    diagram = density_diagram(frame, scenario.grid_size,
-                              snr_db=scenario.snr_db_near, seed=seed)
-    sample = LabeledSample(diagram=diagram, label=label, seed=seed,
-                           snr_db=scenario.snr_db_near)
-    return (sample, frame) if keep_frame else sample
+    return generate_noma_frame(scen, rng=np.random.default_rng(seed))
 
 
-def generate_dataset(scenario: NomaScenario, denoise: bool = True,
-                     wavelet_spec: WaveletSpec | None = None,
-                     keep_frames: bool = False):
-    """samples_per_class labelled samples for each of the four far classes.
+def scenario_frames(scenario: NomaScenario):
+    """Yield (label, seed, received frame) for every sample, in dataset order.
 
-    Returns the list of samples, plus the matching frames when
-    ``keep_frames`` is set. Per-sample seeds come from
-    derive_seed(scenario.seed, class, index).
+    Class-major: samples_per_class frames of each far class in CLASS_ORDER.
+    Per-sample seeds come from derive_seed(scenario.seed, class, index).
     """
-    samples = []
-    frames = []
     for label in range(len(CLASS_ORDER)):
         for index in range(scenario.samples_per_class):
             seed = derive_seed(scenario.seed, label, index)
-            out = generate_sample(scenario, label, seed, denoise=denoise,
-                                  wavelet_spec=wavelet_spec,
-                                  keep_frame=keep_frames)
-            if keep_frames:
-                sample, frame = out
-                frames.append(frame)
-            else:
-                sample = out
-            samples.append(sample)
+            yield label, seed, _simulate(scenario, label, seed)
+
+
+def frame_sample(scenario: NomaScenario, label: int, seed: int,
+                 frame: SignalFrame) -> LabeledSample:
+    """The labelled density diagram of one (possibly denoised) frame."""
+    diagram = density_diagram(frame, scenario.grid_size,
+                              snr_db=scenario.snr_db_near, seed=seed)
+    return LabeledSample(diagram=diagram, label=label, seed=seed,
+                         snr_db=scenario.snr_db_near)
+
+
+def generate_sample(scenario: NomaScenario, label: int, seed: int,
+                    denoise: bool = True) -> LabeledSample:
+    """One labelled sample, regenerated from its recorded seed."""
+    frame = _simulate(scenario, label, seed)
+    return frame_sample(scenario, label, seed,
+                        denoise_frame(frame) if denoise else frame)
+
+
+def generate_dataset(scenario: NomaScenario, denoise: bool = True,
+                     keep_frames: bool = False):
+    """samples_per_class labelled samples for each of the four far classes.
+
+    Returns the list of samples, plus the matching (denoised) frames when
+    ``keep_frames`` is set.
+    """
+    samples = []
+    frames = []
+    for label, seed, frame in scenario_frames(scenario):
+        if denoise:
+            frame = denoise_frame(frame)
+        samples.append(frame_sample(scenario, label, seed, frame))
+        if keep_frames:
+            frames.append(frame)
     return (samples, frames) if keep_frames else samples
 
 
@@ -252,8 +259,7 @@ def load_dataset(path):
             (snr,) = struct.unpack("<f", _read_exact(fh, 4, f"record {k} snr"))
             (seed,) = struct.unpack("<Q", _read_exact(fh, 8, f"record {k} seed"))
             blob = _read_exact(fh, 4 * grid_size * grid_size, f"record {k} grid")
-            grid = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-            grid = grid.reshape(grid_size, grid_size)
+            grid = np.frombuffer(blob, dtype="<f4").reshape(grid_size, grid_size)
             samples.append(LabeledSample(
                 diagram=DensityDiagram(grid, snr_db=float(snr), seed=seed),
                 label=int(label), seed=int(seed), snr_db=float(snr)))

@@ -14,23 +14,21 @@ import numpy as np
 
 from .sigsim import SignalFrame
 
-__all__ = ["DensityDiagram", "density_counts", "density_diagram",
-           "batch_densify", "write_pgm"]
+__all__ = ["DensityDiagram", "density_counts", "density_diagram", "write_pgm"]
 
 DEFAULT_GRID = 100
 
 
 @dataclass(frozen=True)
 class DensityDiagram:
-    """N x N grayscale matrix with entries in [0, 1] plus provenance."""
+    """N x N float32 grayscale matrix with entries in [0, 1] plus provenance."""
 
     grid: np.ndarray
-    scenario_id: str | None = None
     snr_db: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
+        grid = np.asarray(self.grid, dtype=np.float32)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ValueError("grid must be a square matrix")
         object.__setattr__(self, "grid", grid)
@@ -64,15 +62,14 @@ def density_counts(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> np.ndar
 
 
 def density_diagram(frame: SignalFrame, grid_size: int = DEFAULT_GRID,
-                    scenario_id: str | None = None, snr_db: float | None = None,
-                    seed: int | None = None) -> DensityDiagram:
+                    snr_db: float | None = None, seed: int | None = None) -> DensityDiagram:
     """Min-max normalised density diagram of a frame.
 
     Degenerate inputs (a frame of identical samples, or a uniform count
     matrix) produce the all-zero diagram so no caller ever divides by zero.
     """
     s = frame.samples
-    meta = dict(scenario_id=scenario_id, snr_db=snr_db, seed=seed)
+    meta = dict(snr_db=snr_db, seed=seed)
     if np.all(s == s[0]):
         return DensityDiagram(np.zeros((grid_size, grid_size)), **meta)
     counts = density_counts(frame, grid_size)
@@ -83,17 +80,13 @@ def density_diagram(frame: SignalFrame, grid_size: int = DEFAULT_GRID,
     return DensityDiagram(grid, **meta)
 
 
-def batch_densify(frames, grid_size: int = DEFAULT_GRID) -> list:
-    """Elementwise density_diagram over a nonempty sequence of frames."""
-    frames = list(frames)
-    if not frames:
-        raise ValueError("batch_densify needs at least one frame")
-    return [density_diagram(f, grid_size) for f in frames]
-
-
 def write_pgm(diagram: DensityDiagram, path) -> None:
-    """Dump a diagram as a binary 8-bit PGM image (row major)."""
-    g = np.clip(np.rint(diagram.grid * 255.0), 0, 255).astype(np.uint8)
+    """Dump a diagram as a binary 8-bit PGM image (row major).
+
+    Pixels are rint(255 * grid) computed in float64; float32 arithmetic
+    rounds about 0.1% of grid values k/m to a different pixel.
+    """
+    g = np.clip(np.rint(diagram.grid.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{g.shape[1]} {g.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

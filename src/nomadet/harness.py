@@ -16,17 +16,20 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import projection_classify
-from .datapipe import (derive_seed, generate_sample, scenario_to_dict,
-                       split_dataset, CLASS_ORDER)
-from .density import density_diagram
-from .errors import NomadetError
+from .datapipe import (derive_seed, frame_sample, scenario_frames,
+                       scenario_to_dict, split_dataset, CLASS_ORDER)
+from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
-from .sigsim import ModScheme, NomaScenario, generate_noma_frame, resolve_allocation
-from .wavelet import WaveletSpec, denoise_frame
+from .sigsim import ModScheme, NomaScenario, resolve_allocation
+from .wavelet import denoise_frame
+# not called here: kept as attributes so that tracing wrappers installed on this
+# module (perfbench/spans.py) find every pipeline stage by the same name
+from .density import density_diagram  # noqa: F401
+from .sigsim import generate_noma_frame  # noqa: F401
 
 __all__ = [
-    "METHODS", "pipeline_stages", "ExperimentConfig", "ResultRow", "ResultTable",
-    "run_sweep", "evaluate", "emit_report", "diagram_matrix", "desk_preset",
+    "METHODS", "ExperimentConfig", "ResultRow", "ResultTable", "run_sweep",
+    "read_journal", "evaluate", "emit_report", "diagram_matrix", "desk_preset",
     "full_preset",
 ]
 
@@ -35,22 +38,8 @@ METHOD_RAW = "resnet_raw"
 METHOD_PROJECTION = "projection_clustering"
 METHODS = (METHOD_RESNET, METHOD_RAW, METHOD_PROJECTION)
 
-_PIPELINES = {
-    METHOD_RESNET: ("simulate", "denoise", "densify", "classify"),
-    METHOD_RAW: ("simulate", "densify", "classify"),
-    METHOD_PROJECTION: ("simulate", "denoise", "project", "classify"),
-}
-
 FACTOR_NONE = "none"
 FACTORS = (FACTOR_NONE, "near_scheme", "user_count", "delta_db", "alpha_fpc")
-
-
-def pipeline_stages(method: str) -> tuple:
-    """Processing stages a method applies to each raw sample."""
-    try:
-        return _PIPELINES[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; available: {METHODS}") from None
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,8 @@ class ExperimentConfig:
         if self.factor_name != FACTOR_NONE and not self.factor_values:
             raise ValueError("factor_values required when a factor axis is set")
         for m in self.methods:
-            pipeline_stages(m)
+            if m not in METHODS:
+                raise ValueError(f"unknown method {m!r}; available: {METHODS}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "factor_values", tuple(self.factor_values))
 
@@ -149,29 +139,12 @@ class ResultRow:
 class ResultTable:
     rows: list = field(default_factory=list)
 
-    def find(self, factor: str, method: str, snr_db: float) -> ResultRow | None:
-        for row in self.rows:
-            if (row.factor == factor and row.method == method
-                    and abs(row.snr_db - snr_db) < 1e-9):
-                return row
-        return None
-
-    def accuracies(self, method: str, factor: str | None = None) -> dict:
-        out = {}
-        for row in self.rows:
-            if row.method != method:
-                continue
-            if factor is not None and row.factor != factor:
-                continue
-            out[row.snr_db] = row.accuracy
-        return out
-
 
 def diagram_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
     """Stack sample diagrams into (N, 1, H, W) float32 plus the label vector."""
     if not samples:
         raise ValueError("no samples")
-    grids = np.stack([s.diagram.grid for s in samples]).astype(np.float32)
+    grids = np.stack([s.diagram.grid for s in samples])
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return grids[:, None, :, :], labels
 
@@ -203,119 +176,101 @@ def model_predictor(model: ModulationNet):
 
 
 class _CellData:
-    """Everything one (factor, SNR) cell can need, built in a single pass."""
+    """Everything one (factor, SNR) cell needs, each frame simulated once.
 
-    def __init__(self, scenario: NomaScenario, wavelet_spec: WaveletSpec,
-                 need_denoised: bool, need_raw: bool, need_frames: bool):
-        from .datapipe import LabeledSample  # local to avoid cycle at import time
+    ``raw`` and ``denoised`` hold the cell's samples in dataset order, and
+    ``frames[i]`` is the denoised frame behind ``denoised[i]``.
+    """
 
-        resolve_allocation(scenario)  # fail fast on invalid power setups
+    def __init__(self, scenario: NomaScenario):
         self.scenario = scenario
-        self.denoised: list = []
         self.raw: list = []
+        self.denoised: list = []
         self.frames: list = []
-        for label in range(len(CLASS_ORDER)):
-            for index in range(scenario.samples_per_class):
-                seed = derive_seed(scenario.seed, label, index)
-                scen = replace(scenario, far_scheme=CLASS_ORDER[label])
-                frame = generate_noma_frame(scen, rng=np.random.default_rng(seed))
-                if need_raw:
-                    diagram = density_diagram(frame, scenario.grid_size,
-                                              snr_db=scenario.snr_db_near, seed=seed)
-                    self.raw.append(LabeledSample(diagram, label, seed,
-                                                  scenario.snr_db_near))
-                if need_denoised or need_frames:
-                    den = denoise_frame(frame, wavelet_spec)
-                    if need_frames:
-                        self.frames.append(den)
-                    if need_denoised:
-                        diagram = density_diagram(den, scenario.grid_size,
-                                                  snr_db=scenario.snr_db_near, seed=seed)
-                        self.denoised.append(LabeledSample(diagram, label, seed,
-                                                           scenario.snr_db_near))
+        for label, seed, frame in scenario_frames(scenario):
+            den = denoise_frame(frame)
+            self.raw.append(frame_sample(scenario, label, seed, frame))
+            self.denoised.append(frame_sample(scenario, label, seed, den))
+            self.frames.append(den)
+        self.split = split_dataset(self.denoised, seed=derive_seed(scenario.seed, 1))
+
+    def samples(self, method: str) -> list:
+        return self.raw if method == METHOD_RAW else self.denoised
 
 
-def _train_and_score(samples, split, arch, train_cfg, model_seed):
-    x, y = diagram_matrix(samples)
-    model = ModulationNet(arch, seed=model_seed)
-    idx_tr = np.array(split.train, dtype=np.int64)
-    idx_va = np.array(split.validation, dtype=np.int64)
-    history = train(model, (x[idx_tr], y[idx_tr]), (x[idx_va], y[idx_va]), train_cfg)
-    return model, history
+def _train_model(cfg: ExperimentConfig, parts, model_seed: int,
+                 train_seed: int) -> ModulationNet:
+    """A fresh net trained on the train/validation indices of (samples, split) parts."""
+    xs, ys, xv, yv = [], [], [], []
+    for samples, split in parts:
+        x, y = diagram_matrix(samples)
+        tr = np.array(split.train, dtype=np.int64)
+        va = np.array(split.validation, dtype=np.int64)
+        xs.append(x[tr]); ys.append(y[tr])
+        xv.append(x[va]); yv.append(y[va])
+    model = ModulationNet(ArchConfig(input_size=cfg.scenario.grid_size), seed=model_seed)
+    train(model, (np.concatenate(xs), np.concatenate(ys)),
+          (np.concatenate(xv), np.concatenate(yv)), replace(cfg.train, seed=train_seed))
+    return model
 
 
-def _projection_predictor(cell: _CellData):
+def _projection_predictor(cell: _CellData, indices):
+    """Classifies the cell's frames at ``indices``: those of the evaluated samples."""
     scenario = cell.scenario
     alloc = resolve_allocation(scenario)
 
     def predict(samples):
-        seed_to_frame = {s.seed: f for s, f in zip(cell.denoised, cell.frames)}
-        labels = []
-        for s in samples:
-            frame = seed_to_frame[s.seed]
-            scheme = projection_classify(frame, alloc, scenario.near_schemes)
-            labels.append(CLASS_ORDER.index(scheme))
-        return np.array(labels, dtype=np.int64)
+        return [CLASS_ORDER.index(projection_classify(cell.frames[i], alloc,
+                                                      scenario.near_schemes))
+                for i in indices]
     return predict
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None,
-              wavelet_spec: WaveletSpec | None = None,
-              progress=None) -> ResultTable:
+def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable:
     """Full factor x SNR x method sweep.
 
-    With ``out_dir`` each finished cell is appended to results.jsonl; a rerun
-    with the same config digest skips cells already on disk.
+    With ``out_dir`` each finished row is appended to results.jsonl; a rerun
+    with the same config digest skips rows already on disk.
     """
-    wavelet_spec = wavelet_spec or WaveletSpec()
     digest = json.dumps(cfg.digest_source(), sort_keys=True)
     table = ResultTable()
-    done = set()
     journal = None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         journal_path = out_dir / "results.jsonl"
-        if journal_path.exists():
-            rows, matched = _read_journal(journal_path, digest)
-            if matched:
-                for row in rows:
-                    table.rows.append(row)
-                    done.add((row.factor, row.method, row.snr_db))
-        journal = open(journal_path, "w" if not done else "a", encoding="utf-8")
-        if not done:
+        found, rows, kept = (read_journal(journal_path) if journal_path.exists()
+                             else (None, [], 0))
+        if found != digest:
+            rows, kept = [], 0
+        table.rows.extend(rows)
+        journal = open(journal_path, "a", encoding="utf-8")
+        journal.truncate(kept)
+        if not kept:
             journal.write(json.dumps({"config_digest": digest}) + "\n")
             journal.flush()
-
-    need_denoised = any(m in (METHOD_RESNET, METHOD_PROJECTION) for m in cfg.methods)
-    need_raw = METHOD_RAW in cfg.methods
-    need_frames = METHOD_PROJECTION in cfg.methods
+    done = {(row.factor, row.method, row.snr_db) for row in table.rows}
 
     try:
         for fi, (factor_label, scen_factor) in enumerate(cfg.factor_cells()):
-            pooled_models: dict[str, ModulationNet] = {}
-            cells: list[tuple[float, _CellData, object]] = []
-            for si, snr in enumerate(cfg.snr_points):
-                cell_done = all((factor_label, m, snr) in done for m in cfg.methods)
-                if cell_done and not cfg.pooled_training:
-                    continue
-                cell_seed = derive_seed(cfg.seed, fi, si)
-                scen_cell = replace(scen_factor, snr_db_near=snr, seed=cell_seed)
-                cell = _CellData(scen_cell, wavelet_spec,
-                                 need_denoised, need_raw, need_frames)
-                ref_samples = cell.denoised if need_denoised else cell.raw
-                split = split_dataset(ref_samples, seed=derive_seed(cell_seed, 1))
-                cells.append((snr, cell, split))
-
+            pending = [si for si, snr in enumerate(cfg.snr_points)
+                       if any((factor_label, m, snr) not in done for m in cfg.methods)]
+            if not pending:
+                continue
             if cfg.pooled_training:
-                pooled_models = _train_pooled(cfg, fi, cells)
-
-            for snr, cell, split in cells:
+                # a pooled model learns from every SNR of its factor value
+                cells = [_build_cell(cfg, fi, si, scen_factor)
+                         for si in range(len(cfg.snr_points))]
+                models = _train_pooled(cfg, fi, cells)
+            else:
+                cells = (_build_cell(cfg, fi, si, scen_factor) for si in pending)
+                models = None
+            for cell in cells:
+                snr = cell.scenario.snr_db_near
                 for mi, method in enumerate(cfg.methods):
                     if (factor_label, method, snr) in done:
                         continue
-                    row = _score_cell(cfg, factor_label, snr, cell, split,
-                                      method, mi, pooled_models)
+                    row = _score_cell(cfg, factor_label, cell, method, mi, models)
                     table.rows.append(row)
                     done.add((factor_label, method, snr))
                     if journal is not None:
@@ -329,23 +284,27 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None,
     return table
 
 
-def _score_cell(cfg, factor_label, snr, cell, split, method, method_index,
+def _build_cell(cfg, factor_index, snr_index, scen_factor) -> _CellData:
+    cell_seed = derive_seed(cfg.seed, factor_index, snr_index)
+    return _CellData(replace(scen_factor, snr_db_near=cfg.snr_points[snr_index],
+                             seed=cell_seed))
+
+
+def _score_cell(cfg, factor_label, cell, method, method_index,
                 pooled_models) -> ResultRow:
-    cell_samples = cell.raw if method == METHOD_RAW else cell.denoised
-    test_samples = [cell_samples[i] for i in split.test]
+    test_samples = [cell.samples(method)[i] for i in cell.split.test]
     if method == METHOD_PROJECTION:
-        predictor = _projection_predictor(cell)
-    elif cfg.pooled_training and method in pooled_models:
+        predictor = _projection_predictor(cell, cell.split.test)
+    elif pooled_models is not None:
         predictor = model_predictor(pooled_models[method])
     else:
-        model_seed = derive_seed(cell.scenario.seed, 1000 + method_index)
-        train_cfg = replace(cfg.train,
-                            seed=derive_seed(cell.scenario.seed, 2000 + method_index))
-        model, _ = _train_and_score(cell_samples, split, _arch_for(cfg),
-                                    train_cfg, model_seed)
+        cell_seed = cell.scenario.seed
+        model = _train_model(cfg, [(cell.samples(method), cell.split)],
+                             model_seed=derive_seed(cell_seed, 1000 + method_index),
+                             train_seed=derive_seed(cell_seed, 2000 + method_index))
         predictor = model_predictor(model)
     accuracy, confusion = evaluate(predictor, test_samples)
-    return ResultRow(snr_db=snr, factor=factor_label, method=method,
+    return ResultRow(snr_db=cell.scenario.snr_db_near, factor=factor_label, method=method,
                      accuracy=accuracy,
                      confusion=tuple(tuple(int(c) for c in r) for r in confusion),
                      n_test=len(test_samples))
@@ -356,46 +315,30 @@ def _train_pooled(cfg, factor_index: int, cells) -> dict:
     for mi, method in enumerate(cfg.methods):
         if method == METHOD_PROJECTION:
             continue
-        xs, ys, xv, yv = [], [], [], []
-        for _, cell, split in cells:
-            samples = cell.raw if method == METHOD_RAW else cell.denoised
-            x, y = diagram_matrix(samples)
-            tr = np.array(split.train, dtype=np.int64)
-            va = np.array(split.validation, dtype=np.int64)
-            xs.append(x[tr]); ys.append(y[tr])
-            xv.append(x[va]); yv.append(y[va])
-        if not xs:
-            continue
         seed = derive_seed(cfg.seed, factor_index, 3000 + mi)
-        model = ModulationNet(_arch_for(cfg), seed=seed)
-        train_cfg = replace(cfg.train, seed=derive_seed(seed, 1))
-        train(model, (np.concatenate(xs), np.concatenate(ys)),
-              (np.concatenate(xv), np.concatenate(yv)), train_cfg)
-        models[method] = model
+        models[method] = _train_model(cfg, [(c.samples(method), c.split) for c in cells],
+                                      model_seed=seed, train_seed=derive_seed(seed, 1))
     return models
 
 
-def _arch_for(cfg: ExperimentConfig) -> ArchConfig:
-    return ArchConfig(input_size=cfg.scenario.grid_size)
+def read_journal(path):
+    """Config digest, result rows and intact byte length of a results.jsonl journal.
 
-
-def _read_journal(path: Path, digest: str):
-    rows = []
-    matched = False
+    Rows are written and flushed one whole line at a time, so an interrupted
+    sweep can tear only the final line: bytes after the last newline are
+    dropped. Damage anywhere else raises DataFormatError.
+    """
+    blob = Path(path).read_bytes()
+    kept = blob.rfind(b"\n") + 1
+    lines = blob[:kept].decode("utf-8").splitlines()
+    if not lines:
+        return None, [], 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if header:
-                head = json.loads(header)
-                matched = head.get("config_digest") == digest
-            if matched:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rows.append(ResultRow.from_json(json.loads(line)))
-    except (json.JSONDecodeError, KeyError, ValueError):
-        return [], False
-    return rows, matched
+        digest = json.loads(lines[0])["config_digest"]
+        rows = [ResultRow.from_json(json.loads(line)) for line in lines[1:] if line.strip()]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path} is damaged: {exc}") from exc
+    return digest, rows, kept
 
 
 def emit_report(table: ResultTable, out_dir) -> list:

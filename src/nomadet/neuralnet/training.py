@@ -84,8 +84,10 @@ def train(model: ModulationNet, train_split, val_split,
     ``train_split``/``val_split`` are (inputs, labels) pairs with inputs of
     shape (N, 1, H, W). The minibatch partition is drawn once from the seed
     and reused every epoch, which keeps per-epoch losses comparable and the
-    whole run bit-reproducible. The model is left holding the weights of the
-    best validation epoch; the per-epoch history is returned.
+    whole run bit-reproducible. A final minibatch of one sample joins the
+    one before it, since batch normalisation needs two samples. The model
+    is left holding the weights of the best validation epoch; the per-epoch
+    history is returned.
     """
     x_train, y_train = train_split
     x_val, y_val = val_split
@@ -99,6 +101,8 @@ def train(model: ModulationNet, train_split, val_split,
     order = rng.permutation(x_train.shape[0])
     batches = [order[i:i + cfg.batch_size]
                for i in range(0, order.size, cfg.batch_size)]
+    if len(batches) > 1 and batches[-1].size == 1:
+        batches[-2:] = [np.concatenate(batches[-2:])]
 
     optimiser = Adam(model, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
     history: list[EpochStats] = []

@@ -127,15 +127,13 @@ class ChannelConfig:
     """Channel seen by the near user terminal.
 
     ``snr_db_near`` is the near-user SNR; ``math.inf`` disables noise.
-    ``delta_db`` is the SNR headroom of the near user over the far user and
-    only drives power allocation, noise is injected once at the near receiver.
+    Noise is injected once, at the near receiver.
     With ``equalize`` the received frame is divided by the fading coefficient
     (perfect CSI), which keeps constellation clusters axis aligned.
     """
 
     fading: str = "rayleigh"        # "rayleigh" (block) or "none"
     snr_db_near: float = 16.0
-    delta_db: float = 6.0
     equalize: bool = True
     seed: int = 0
 
@@ -144,8 +142,6 @@ class ChannelConfig:
             raise ValueError("fading must be 'rayleigh' or 'none'")
         if np.isnan(self.snr_db_near):
             raise ValueError("snr_db_near must not be NaN")
-        if self.delta_db < 0.0:
-            raise ValueError("delta_db must be >= 0")
 
 
 def constellation(scheme: ModScheme) -> np.ndarray:
@@ -367,7 +363,7 @@ class NomaScenario:
 
     def channel_config(self, seed: int = 0) -> ChannelConfig:
         return ChannelConfig(fading=self.fading, snr_db_near=self.snr_db_near,
-                             delta_db=self.delta_db, equalize=self.equalize, seed=seed)
+                             equalize=self.equalize, seed=seed)
 
 
 def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:

@@ -6,28 +6,24 @@ is the transpose. Signals whose length is not a multiple of 2**level are
 zero padded and trimmed back after reconstruction.
 
 Denoising splits a complex frame into real and imaginary parts, soft
-thresholds the detail coefficients per level (heursure rule by default) and
+thresholds the detail coefficients per level with the heursure rule and
 reconstructs from the untouched approximation plus the shrunk details.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .sigsim import SignalFrame
 
 __all__ = [
-    "ThresholdRule",
-    "ThresholdType",
     "WaveletSpec",
     "WaveletCoeffs",
     "dwt_multilevel",
     "idwt_multilevel",
     "soft_threshold",
-    "hard_threshold",
     "sure_threshold",
     "universal_threshold",
     "heursure_threshold",
@@ -48,20 +44,7 @@ SYM8_DEC_LO = np.array([
     0.0018899503327594609,
 ])
 
-_FILTER_BANK = {"sym8": SYM8_DEC_LO}
-
 _MAD_TO_SIGMA = 0.6745  # median(|N(0,1)|)
-
-
-class ThresholdRule(Enum):
-    HEURSURE = "heursure"
-    UNIVERSAL = "universal"
-    SURE = "sure"
-
-
-class ThresholdType(Enum):
-    SOFT = "soft"
-    HARD = "hard"
 
 
 def _validate_filter(h: np.ndarray, tol: float = 1e-10) -> None:
@@ -80,35 +63,27 @@ def _qmf(h: np.ndarray) -> np.ndarray:
     return g
 
 
-for _h in _FILTER_BANK.values():
-    _validate_filter(_h)
+_validate_filter(SYM8_DEC_LO)
+_SYM8_DEC_HI = _qmf(SYM8_DEC_LO)
 
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Wavelet family plus denoising configuration."""
+    """Decomposition depth of the sym8 transform."""
 
-    family: str = "sym8"
     level: int = 2
-    threshold_rule: ThresholdRule = ThresholdRule.HEURSURE
-    threshold_type: ThresholdType = ThresholdType.SOFT
 
     def __post_init__(self):
-        if self.family not in _FILTER_BANK:
-            raise ValueError(
-                f"unknown wavelet family {self.family!r}; available: "
-                f"{sorted(_FILTER_BANK)}"
-            )
         if self.level < 1:
             raise ValueError("decomposition level must be >= 1")
 
     @property
     def dec_lo(self) -> np.ndarray:
-        return _FILTER_BANK[self.family]
+        return SYM8_DEC_LO
 
     @property
     def dec_hi(self) -> np.ndarray:
-        return _qmf(self.dec_lo)
+        return _SYM8_DEC_HI
 
 
 @dataclass(frozen=True)
@@ -132,10 +107,6 @@ class WaveletCoeffs:
         for d in self.details:
             total += float(np.dot(d, d))
         return total
-
-    def map_details(self, fn) -> "WaveletCoeffs":
-        return WaveletCoeffs(self.approx.copy(), tuple(fn(d) for d in self.details),
-                             self.original_length)
 
 
 def _padded_length(n: int, level: int) -> int:
@@ -216,14 +187,6 @@ def soft_threshold(c, t: float) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
-def hard_threshold(c, t: float) -> np.ndarray:
-    """Zero out entries with magnitude below t, keep the rest untouched."""
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    c = np.asarray(c, dtype=np.float64)
-    return np.where(np.abs(c) >= t, c, 0.0)
-
-
 def universal_threshold(n: int, sigma: float) -> float:
     return float(sigma * np.sqrt(2.0 * np.log(n)))
 
@@ -273,23 +236,12 @@ def estimate_sigma(detail) -> float:
     return float(np.median(np.abs(detail)) / _MAD_TO_SIGMA)
 
 
-def _threshold_for(rule: ThresholdRule, d: np.ndarray, sigma: float) -> float:
-    if not np.any(d) or sigma <= 0:
-        return 0.0
-    if rule is ThresholdRule.UNIVERSAL:
-        return universal_threshold(d.size, sigma)
-    if rule is ThresholdRule.SURE:
-        return min(sure_threshold(d, sigma), universal_threshold(d.size, sigma))
-    return heursure_threshold(d, sigma)
-
-
 def _denoise_part(x: np.ndarray, spec: WaveletSpec, sigma: float | None) -> np.ndarray:
     coeffs = dwt_multilevel(x, spec)
     if sigma is None:
         sigma = estimate_sigma(coeffs.details[-1])
-    shrink = soft_threshold if spec.threshold_type is ThresholdType.SOFT else hard_threshold
     new_details = tuple(
-        shrink(d, _threshold_for(spec.threshold_rule, d, sigma))
+        soft_threshold(d, 0.0 if sigma <= 0 or not np.any(d) else heursure_threshold(d, sigma))
         for d in coeffs.details
     )
     return idwt_multilevel(
@@ -297,20 +249,18 @@ def _denoise_part(x: np.ndarray, spec: WaveletSpec, sigma: float | None) -> np.n
     )
 
 
-def denoise_frame(frame: SignalFrame, spec: WaveletSpec | None = None,
-                  noise_scale: float | None = None) -> SignalFrame:
+def denoise_frame(frame: SignalFrame, spec: WaveletSpec | None = None) -> SignalFrame:
     """Wavelet denoise a complex frame, real and imaginary parts separately.
 
-    ``noise_scale`` is the complex noise standard deviation when the caller
-    knows it (the simulation records it per frame); each axis then uses
-    noise_scale/sqrt(2). Without it the scale is estimated per axis from the
-    finest detail coefficients via median(|d|)/0.6745. The same scale is
-    reused for every level; approximation coefficients pass through unchanged.
+    When the frame records its complex noise standard deviation
+    ``noise_scale`` (the simulation does), each axis uses noise_scale/sqrt(2).
+    Without it the scale is estimated per axis from the finest detail
+    coefficients via median(|d|)/0.6745. The same scale is reused for every
+    level; approximation coefficients pass through unchanged.
     """
     spec = spec or WaveletSpec()
-    if noise_scale is None:
-        noise_scale = frame.noise_scale
-    axis_sigma = None if noise_scale is None else float(noise_scale) / np.sqrt(2.0)
+    noise_scale = frame.noise_scale
+    axis_sigma = None if noise_scale is None else noise_scale / np.sqrt(2.0)
     real = _denoise_part(frame.samples.real, spec, axis_sigma)
     imag = _denoise_part(frame.samples.imag, spec, axis_sigma)
     return frame.with_samples(real + 1j * imag)

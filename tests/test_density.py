@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nomadet.density import (DensityDiagram, batch_densify, density_counts,
-                             density_diagram, write_pgm)
+from nomadet.density import (DensityDiagram, density_counts, density_diagram,
+                             write_pgm)
 from nomadet.sigsim import SignalFrame
 
 
@@ -90,28 +90,6 @@ class TestDensityDiagram:
         assert counts[:, 0].sum() == 4
 
 
-class TestBatchDensify:
-    def test_single_frame_matches_direct_call(self):
-        rng = np.random.default_rng(5)
-        frame = random_frame(rng)
-        direct = density_diagram(frame, 32)
-        batched = batch_densify([frame], 32)
-        assert len(batched) == 1
-        np.testing.assert_array_equal(batched[0].grid, direct.grid)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            batch_densify([], 32)
-
-    def test_outputs_independent_and_ordered(self):
-        rng = np.random.default_rng(6)
-        frames = [random_frame(rng) for _ in range(4)]
-        diagrams = batch_densify(frames, 32)
-        singles = [density_diagram(f, 32) for f in frames]
-        for got, want in zip(diagrams, singles):
-            np.testing.assert_array_equal(got.grid, want.grid)
-
-
 class TestPgmExport:
     def test_header_and_payload(self, tmp_path):
         grid = np.linspace(0, 1, 16).reshape(4, 4)
@@ -123,3 +101,10 @@ class TestPgmExport:
         payload = blob[len(b"P5\n4 4\n255\n"):]
         assert len(payload) == 16
         assert payload[0] == 0 and payload[-1] == 255
+
+    def test_pixels_scale_float32_values_in_float64(self, tmp_path):
+        # float32(1/6) * 255 is 42.5000012 in float64 but exactly 42.5 in
+        # float32, which rounds to even: scaling must happen in float64
+        path = tmp_path / "d.pgm"
+        write_pgm(DensityDiagram(np.full((2, 2), 1 / 6)), path)
+        assert path.read_bytes()[-4:] == bytes([43] * 4)

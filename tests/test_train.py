@@ -61,6 +61,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(model, (x[:0], y[:0]), (x[:4], y[:4]), TrainConfig())
 
+    def test_one_sample_tail_joins_the_last_minibatch(self):
+        # 18 samples at batch 17 would leave a minibatch that batch
+        # normalisation cannot train on
+        x, y = small_data()
+        model = ModulationNet(SMALL_ARCH, seed=4)
+        history = train(model, (x[:18], y[:18]), (x[18:], y[18:]),
+                        TrainConfig(batch_size=17, max_epochs=1, seed=2))
+        assert len(history) == 1 and np.isfinite(history[0].train_loss)
+
     def test_best_validation_weights_returned(self):
         x, y = small_data(seed=5)
         model = ModulationNet(SMALL_ARCH, seed=8)
