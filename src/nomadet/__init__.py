@@ -13,7 +13,6 @@ from .sigsim import (
     ChannelConfig,
     NomaScenario,
     modulate,
-    demodulate,
     fractional_power_allocation,
     superpose,
     apply_channel,

@@ -64,12 +64,11 @@ def _scenario_from_args(args, base: NomaScenario | None = None) -> NomaScenario:
                              ("alpha_fpc", "alpha_fpc"),
                              ("samples_per_class", "samples_per_class"),
                              ("symbols", "symbols_per_frame"),
-                             ("grid", "grid_size"), ("seed", "seed")):
+                             ("grid", "grid_size"), ("fading", "fading"),
+                             ("seed", "seed")):
         value = getattr(args, flag, None)
         if value is not None:
             updates[field_name] = value
-    if getattr(args, "fading", None):
-        updates["fading"] = args.fading
     return replace(scen, **updates) if updates else scen
 
 
@@ -219,6 +218,18 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _add_scenario_flags(p) -> None:
+    """The scenario flags that generate and sweep share."""
+    p.add_argument("--near-scheme", action="append",
+                   help="near-user scheme (repeatable): pi2bpsk|qpsk|qam16|qam64")
+    p.add_argument("--delta", type=float, help="near-to-far SNR gap in dB")
+    p.add_argument("--alpha-fpc", dest="alpha_fpc", type=float)
+    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
+    p.add_argument("--symbols", type=int, help="symbols per frame")
+    p.add_argument("--grid", type=int, help="density grid size")
+    p.add_argument("--fading", choices=["rayleigh", "none"])
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nomadet",
                      description="NOMA far-user modulation detection toolkit")
@@ -227,15 +238,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="simulate a labelled dataset")
     p.add_argument("--out", required=True, help="output .nmd path")
     p.add_argument("--config", help="JSON file with a scenario section")
-    p.add_argument("--near-scheme", action="append",
-                   help="near-user scheme (repeatable): pi2bpsk|qpsk|qam16|qam64")
+    _add_scenario_flags(p)
     p.add_argument("--snr", type=float, help="near-user SNR in dB")
-    p.add_argument("--delta", type=float, help="near-to-far SNR gap in dB")
-    p.add_argument("--alpha-fpc", dest="alpha_fpc", type=float)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--symbols", type=int, help="symbols per frame")
-    p.add_argument("--grid", type=int, help="density grid size")
-    p.add_argument("--fading", choices=["rayleigh", "none"])
     p.add_argument("--seed", type=int)
     p.add_argument("--no-denoise", action="store_true",
                    help="skip wavelet denoising before the density diagram")
@@ -274,13 +278,7 @@ def build_parser() -> _Parser:
                    help="comma list of factor values")
     p.add_argument("--pooled", action="store_true",
                    help="train one model across all SNRs per factor value")
-    p.add_argument("--near-scheme", action="append")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha-fpc", dest="alpha_fpc", type=float)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--symbols", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--fading", choices=["rayleigh", "none"])
+    _add_scenario_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("report", help="re-emit CSV from sweep results")

@@ -3,7 +3,8 @@
 Every sample is produced from a seed derived from (master seed, class,
 index), so any sample can be regenerated in isolation. The container format
 ("NMD1") stores label, SNR, seed and the density grid per record, with a
-human-readable JSON manifest sidecar describing the generating scenario.
+human-readable JSON manifest sidecar describing the generating scenario,
+whose sha256 the header holds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import DensityDiagram, density_diagram
-from .errors import BadMagicError, TruncatedFileError, VersionMismatchError
+from .errors import (BadMagicError, DataFormatError, TruncatedFileError,
+                     VersionMismatchError)
+from .fileio import atomic_write, read_exact
 from .sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
 from .wavelet import denoise_frame
 
@@ -53,9 +56,6 @@ class DatasetSplit:
     validation: tuple
     test: tuple
 
-    def all_indices(self):
-        return tuple(self.train) + tuple(self.validation) + tuple(self.test)
-
 
 def derive_seed(master: int, *parts: int) -> int:
     """Stable 64-bit seed from a master seed and integer coordinates."""
@@ -86,18 +86,15 @@ def scenario_frames(scenario: NomaScenario):
 def frame_sample(scenario: NomaScenario, label: int, seed: int,
                  frame: SignalFrame) -> LabeledSample:
     """The labelled density diagram of one (possibly denoised) frame."""
-    diagram = density_diagram(frame, scenario.grid_size,
-                              snr_db=scenario.snr_db_near, seed=seed)
+    diagram = density_diagram(frame, scenario.grid_size)
     return LabeledSample(diagram=diagram, label=label, seed=seed,
                          snr_db=scenario.snr_db_near)
 
 
-def generate_sample(scenario: NomaScenario, label: int, seed: int,
-                    denoise: bool = True) -> LabeledSample:
-    """One labelled sample, regenerated from its recorded seed."""
-    frame = _simulate(scenario, label, seed)
-    return frame_sample(scenario, label, seed,
-                        denoise_frame(frame) if denoise else frame)
+def generate_sample(scenario: NomaScenario, label: int, seed: int) -> LabeledSample:
+    """One denoised labelled sample, regenerated from its recorded seed."""
+    frame = denoise_frame(_simulate(scenario, label, seed))
+    return frame_sample(scenario, label, seed, frame)
 
 
 def generate_dataset(scenario: NomaScenario, denoise: bool = True,
@@ -118,8 +115,8 @@ def generate_dataset(scenario: NomaScenario, denoise: bool = True,
     return (samples, frames) if keep_frames else samples
 
 
-def split_dataset(samples, ratios=(6, 2, 2), seed: int = 0) -> DatasetSplit:
-    """Stratified shuffle split with per-class proportions within one sample.
+def split_dataset(samples, seed: int = 0) -> DatasetSplit:
+    """Stratified 6:2:2 train/validation/test split, per class within one sample.
 
     Remainder slots left over after per-class flooring go to whichever split
     is globally most underfull, so totals track the requested ratios even on
@@ -128,10 +125,7 @@ def split_dataset(samples, ratios=(6, 2, 2), seed: int = 0) -> DatasetSplit:
     n = len(samples)
     if n < 10:
         raise ValueError(f"need at least 10 samples to split, got {n}")
-    quota = np.asarray(ratios, dtype=np.float64)
-    if quota.size != 3 or np.any(quota <= 0):
-        raise ValueError("ratios must be three positive numbers")
-    quota = quota / quota.sum()
+    quota = np.array([0.6, 0.2, 0.2])  # train : validation : test
 
     rng = np.random.default_rng(seed)
     by_class: dict[int, list[int]] = {}
@@ -173,13 +167,7 @@ def scenario_to_dict(scenario: NomaScenario) -> dict:
         "snr_db_near": scenario.snr_db_near,
         "delta_db": scenario.delta_db,
         "alpha_fpc": scenario.alpha_fpc,
-        "ratios": list(scenario.ratios) if scenario.ratios is not None else None,
-        "fpa_gains": list(scenario.fpa_gains) if scenario.fpa_gains is not None else None,
-        "fpa_noise": list(scenario.fpa_noise) if scenario.fpa_noise is not None else None,
-        "near_step_db": scenario.near_step_db,
         "fading": scenario.fading,
-        "equalize": scenario.equalize,
-        "total_power": scenario.total_power,
         "symbols_per_frame": scenario.symbols_per_frame,
         "samples_per_class": scenario.samples_per_class,
         "grid_size": scenario.grid_size,
@@ -190,9 +178,6 @@ def scenario_to_dict(scenario: NomaScenario) -> dict:
 def scenario_from_dict(d: dict) -> NomaScenario:
     d = dict(d)
     d["near_schemes"] = tuple(d.get("near_schemes", ()))
-    for key in ("ratios", "fpa_gains", "fpa_noise"):
-        if d.get(key) is not None:
-            d[key] = tuple(d[key])
     return NomaScenario(**d)
 
 
@@ -201,7 +186,11 @@ def _scenario_digest(manifest_blob: bytes) -> bytes:
 
 
 def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
-    """Write the NMD1 container plus a JSON manifest sidecar."""
+    """Write the NMD1 container plus a JSON manifest sidecar.
+
+    Each file is replaced atomically, data file first, so a crash between
+    the two leaves a pair whose digests disagree.
+    """
     samples = list(samples)
     if not samples:
         raise ValueError("refusing to write an empty dataset")
@@ -215,7 +204,7 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
     }
     manifest_blob = json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
     path = str(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(samples)))
@@ -228,47 +217,44 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
             fh.write(struct.pack("<f", sample.snr_db))
             fh.write(struct.pack("<Q", sample.seed & 0xFFFFFFFFFFFFFFFF))
             fh.write(np.ascontiguousarray(sample.diagram.grid, dtype="<f4").tobytes())
-    with open(path + ".manifest.json", "wb") as fh:
+    with atomic_write(path + ".manifest.json") as fh:
         fh.write(manifest_blob)
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    blob = fh.read(size)
-    if len(blob) != size:
-        raise TruncatedFileError(f"dataset truncated while reading {what}")
-    return blob
-
-
 def load_dataset(path):
-    """Read an NMD1 container; returns (samples, manifest dict or None)."""
+    """Read an NMD1 container; returns (samples, manifest dict or None).
+
+    A manifest whose sha256 differs from the header digest is rejected.
+    """
     path = str(path)
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise BadMagicError(f"not a dataset file: magic {magic!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+        (version,) = struct.unpack("<H", read_exact(fh, 2, "version"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(
                 f"dataset version {version} unsupported (expected {FORMAT_VERSION})")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "sample count"))
-        (grid_size,) = struct.unpack("<H", _read_exact(fh, 2, "grid size"))
-        _read_exact(fh, 32, "scenario digest")
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "sample count"))
+        (grid_size,) = struct.unpack("<H", read_exact(fh, 2, "grid size"))
+        digest = read_exact(fh, 32, "scenario digest")
         samples = []
         for k in range(count):
-            (label,) = struct.unpack("<B", _read_exact(fh, 1, f"record {k} label"))
-            (snr,) = struct.unpack("<f", _read_exact(fh, 4, f"record {k} snr"))
-            (seed,) = struct.unpack("<Q", _read_exact(fh, 8, f"record {k} seed"))
-            blob = _read_exact(fh, 4 * grid_size * grid_size, f"record {k} grid")
+            (label,) = struct.unpack("<B", read_exact(fh, 1, f"record {k} label"))
+            (snr,) = struct.unpack("<f", read_exact(fh, 4, f"record {k} snr"))
+            (seed,) = struct.unpack("<Q", read_exact(fh, 8, f"record {k} seed"))
+            blob = read_exact(fh, 4 * grid_size * grid_size, f"record {k} grid")
             grid = np.frombuffer(blob, dtype="<f4").reshape(grid_size, grid_size)
             samples.append(LabeledSample(
-                diagram=DensityDiagram(grid, snr_db=float(snr), seed=seed),
+                diagram=DensityDiagram(grid),
                 label=int(label), seed=int(seed), snr_db=float(snr)))
         if fh.read(1):
             raise TruncatedFileError("trailing bytes after final record")
-    manifest = None
     try:
         with open(path + ".manifest.json", "rb") as fh:
-            manifest = json.loads(fh.read().decode("utf-8"))
+            manifest_blob = fh.read()
     except FileNotFoundError:
-        pass
-    return samples, manifest
+        return samples, None
+    if _scenario_digest(manifest_blob) != digest:
+        raise DataFormatError(f"{path}.manifest.json does not match its data file")
+    return samples, json.loads(manifest_blob.decode("utf-8"))

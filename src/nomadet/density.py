@@ -21,11 +21,9 @@ DEFAULT_GRID = 100
 
 @dataclass(frozen=True)
 class DensityDiagram:
-    """N x N float32 grayscale matrix with entries in [0, 1] plus provenance."""
+    """N x N float32 grayscale matrix with entries in [0, 1]."""
 
     grid: np.ndarray
-    snr_db: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float32)
@@ -61,23 +59,21 @@ def density_counts(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> np.ndar
     return counts
 
 
-def density_diagram(frame: SignalFrame, grid_size: int = DEFAULT_GRID,
-                    snr_db: float | None = None, seed: int | None = None) -> DensityDiagram:
+def density_diagram(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> DensityDiagram:
     """Min-max normalised density diagram of a frame.
 
     Degenerate inputs (a frame of identical samples, or a uniform count
     matrix) produce the all-zero diagram so no caller ever divides by zero.
     """
     s = frame.samples
-    meta = dict(snr_db=snr_db, seed=seed)
     if np.all(s == s[0]):
-        return DensityDiagram(np.zeros((grid_size, grid_size)), **meta)
+        return DensityDiagram(np.zeros((grid_size, grid_size)))
     counts = density_counts(frame, grid_size)
     lo, hi = counts.min(), counts.max()
     if hi == lo:
-        return DensityDiagram(np.zeros((grid_size, grid_size)), **meta)
+        return DensityDiagram(np.zeros((grid_size, grid_size)))
     grid = (counts - lo) / float(hi - lo)
-    return DensityDiagram(grid, **meta)
+    return DensityDiagram(grid)
 
 
 def write_pgm(diagram: DensityDiagram, path) -> None:

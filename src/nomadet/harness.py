@@ -230,7 +230,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
     """Full factor x SNR x method sweep.
 
     With ``out_dir`` each finished row is appended to results.jsonl; a rerun
-    with the same config digest skips rows already on disk.
+    with the same config digest skips rows already on disk; rows of another
+    config raise DataFormatError and stay untouched.
     """
     digest = json.dumps(cfg.digest_source(), sort_keys=True)
     table = ResultTable()
@@ -242,7 +243,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
         found, rows, kept = (read_journal(journal_path) if journal_path.exists()
                              else (None, [], 0))
         if found != digest:
-            rows, kept = [], 0
+            if rows:
+                raise DataFormatError(f"{out_dir} holds rows of another sweep config")
+            kept = 0
         table.rows.extend(rows)
         journal = open(journal_path, "a", encoding="utf-8")
         journal.truncate(kept)
@@ -369,20 +372,17 @@ def emit_report(table: ResultTable, out_dir) -> list:
     return [csv_path, conf_path]
 
 
-def desk_preset(scenario: NomaScenario | None = None, seed: int = 0,
-                methods: tuple = (METHOD_RESNET,)) -> ExperimentConfig:
+def desk_preset(seed: int = 0) -> ExperimentConfig:
     """Small sweep for desk runs: 50 samples/class, 6 SNR points."""
-    scenario = scenario or NomaScenario(near_schemes=(ModScheme.QPSK,),
-                                        delta_db=6.0, samples_per_class=50)
-    scenario = replace(scenario, samples_per_class=min(scenario.samples_per_class, 50))
+    scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), delta_db=6.0,
+                            samples_per_class=50)
     return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
-                            snr_step=6.0, methods=methods, seed=seed)
+                            snr_step=6.0, seed=seed)
 
 
-def full_preset(scenario: NomaScenario | None = None, seed: int = 0,
-                methods: tuple = METHODS) -> ExperimentConfig:
+def full_preset(seed: int = 0) -> ExperimentConfig:
     """The full evaluation grid: 250 samples/class, -10..20 dB step 2."""
-    scenario = scenario or NomaScenario(near_schemes=(ModScheme.QPSK,),
-                                        delta_db=6.0, samples_per_class=250)
+    scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), delta_db=6.0,
+                            samples_per_class=250)
     return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
-                            snr_step=2.0, methods=methods, seed=seed)
+                            snr_step=2.0, methods=METHODS, seed=seed)

@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from ..errors import BadMagicError, TruncatedFileError, VersionMismatchError
+from ..fileio import atomic_write, read_exact
 from .model import ArchConfig, ModulationNet
 
 __all__ = ["save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
@@ -24,9 +25,10 @@ FORMAT_VERSION = 1
 
 
 def save_model(model: ModulationNet, path) -> None:
+    """Write the checkpoint; a failed save leaves any previous file intact."""
     config_blob = json.dumps(model.arch.to_dict(), sort_keys=True).encode("utf-8")
     tensors = [value for _, _, _, value in model.state_tensors()]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))
@@ -38,41 +40,34 @@ def save_model(model: ModulationNet, path) -> None:
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    blob = fh.read(size)
-    if len(blob) != size:
-        raise TruncatedFileError(f"checkpoint truncated while reading {what}")
-    return blob
-
-
 def load_model(path) -> ModulationNet:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise BadMagicError(f"not a model checkpoint: magic {magic!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+        (version,) = struct.unpack("<H", read_exact(fh, 2, "version"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(
                 f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})")
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
+        (config_len,) = struct.unpack("<I", read_exact(fh, 4, "config length"))
         try:
-            config = json.loads(_read_exact(fh, config_len, "config").decode("utf-8"))
+            config = json.loads(read_exact(fh, config_len, "config").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TruncatedFileError(f"unreadable checkpoint config: {exc}") from exc
         arch = ArchConfig.from_dict(config)
         model = ModulationNet(arch, seed=0)
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "tensor count"))
         slots = list(model.state_tensors())
         if count != len(slots):
             raise TruncatedFileError(
                 f"checkpoint holds {count} tensors, model expects {len(slots)}")
         for name, _, _, value in slots:
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
+            (rank,) = struct.unpack("<B", read_exact(fh, 1, f"{name} rank"))
+            dims = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, f"{name} dims"))
             if tuple(dims) != value.shape:
                 raise TruncatedFileError(
                     f"tensor {name} has shape {dims}, expected {value.shape}")
-            blob = _read_exact(fh, 4 * int(np.prod(dims, dtype=np.int64)),
+            blob = read_exact(fh, 4 * int(np.prod(dims, dtype=np.int64)),
                                f"{name} data")
             data = np.frombuffer(blob, dtype="<f4").reshape(dims)
             value[...] = data.astype(value.dtype)

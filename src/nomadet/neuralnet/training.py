@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,10 +14,11 @@ __all__ = ["Adam", "TrainConfig", "EpochStats", "train", "accuracy"]
 
 
 class Adam:
-    def __init__(self, model: ModulationNet, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: ModulationNet, lr: float = 1e-3):
         self.model = model
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {name: np.zeros_like(value)
                   for name, _, _, value in model.parameters()}
@@ -43,9 +44,6 @@ class Adam:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
@@ -104,7 +102,7 @@ def train(model: ModulationNet, train_split, val_split,
     if len(batches) > 1 and batches[-1].size == 1:
         batches[-2:] = [np.concatenate(batches[-2:])]
 
-    optimiser = Adam(model, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    optimiser = Adam(model, cfg.learning_rate)
     history: list[EpochStats] = []
     best_acc = -1.0
     best_epoch = -1

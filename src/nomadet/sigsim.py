@@ -8,7 +8,7 @@ channel as seen by the near user terminal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "ChannelConfig",
     "NomaScenario",
     "modulate",
-    "demodulate",
     "constellation",
     "fractional_power_allocation",
     "superpose",
@@ -30,6 +29,8 @@ __all__ = [
 ]
 
 RATIO_SUM_TOL = 1e-12
+# SNR gap between successive near users on the allocation ladder
+NEAR_STEP_DB = 2.0
 
 
 class ModScheme(Enum):
@@ -76,13 +77,11 @@ _QAM64_NORM = np.sqrt(42.0)
 class SignalFrame:
     """A frame of complex baseband samples, one sample per transmitted symbol.
 
-    ``far_scheme`` carries the far-user modulation label once known and
-    ``noise_scale`` the realised post-equalization noise standard deviation
+    ``noise_scale`` is the realised post-equalization noise standard deviation
     (complex, total over both axes) so downstream denoising can use it.
     """
 
     samples: np.ndarray
-    far_scheme: ModScheme | None = None
     noise_scale: float | None = None
 
     def __post_init__(self):
@@ -100,10 +99,9 @@ class SignalFrame:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user power ratios summing to one, plus the total transmit power."""
+    """Per-user power ratios summing to one (unit total transmit power)."""
 
     ratios: np.ndarray
-    total_power: float = 1.0
 
     def __post_init__(self):
         ratios = np.asarray(self.ratios, dtype=np.float64)
@@ -113,8 +111,6 @@ class PowerAllocation:
             raise ValueError("all power ratios must be positive finite numbers")
         if abs(float(ratios.sum()) - 1.0) > RATIO_SUM_TOL:
             raise ValueError(f"power ratios must sum to 1, got {ratios.sum()!r}")
-        if self.total_power <= 0.0:
-            raise ValueError("total_power must be positive")
         object.__setattr__(self, "ratios", ratios)
 
     @property
@@ -127,15 +123,13 @@ class ChannelConfig:
     """Channel seen by the near user terminal.
 
     ``snr_db_near`` is the near-user SNR; ``math.inf`` disables noise.
-    Noise is injected once, at the near receiver.
-    With ``equalize`` the received frame is divided by the fading coefficient
-    (perfect CSI), which keeps constellation clusters axis aligned.
+    Noise is injected once, at the near receiver. The received frame is
+    divided by the fading coefficient (perfect CSI), which keeps
+    constellation clusters axis aligned.
     """
 
     fading: str = "rayleigh"        # "rayleigh" (block) or "none"
     snr_db_near: float = 16.0
-    equalize: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.fading not in ("rayleigh", "none"):
@@ -202,40 +196,7 @@ def modulate(bits, scheme: ModScheme) -> SignalFrame:
     return SignalFrame(symbols)
 
 
-def _gray_slice_axis(values: np.ndarray, width: int) -> np.ndarray:
-    """Nearest-level decision on one PAM axis, returning the Gray bit groups."""
-    table = _PAM4 if width == 2 else _PAM8
-    order = np.argsort(table)                       # levels ascending
-    sorted_levels = table[order]
-    edges = (sorted_levels[:-1] + sorted_levels[1:]) / 2.0
-    pos = np.searchsorted(edges, values)
-    idx = order[pos]                                # Gray integer per sample
-    out = ((idx[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-    return out
-
-
-def demodulate(frame: SignalFrame, scheme: ModScheme) -> np.ndarray:
-    """Hard decision to the nearest constellation point, returning bits."""
-    s = frame.samples
-    if scheme is ModScheme.PI_HALF_BPSK:
-        rot = np.where(np.arange(s.size) % 2 == 0, 1.0 + 0.0j, -1.0j)
-        derot = s * rot
-        return (derot.real < 0).astype(np.uint8)
-    if scheme is ModScheme.QPSK:
-        i = (s.real < 0).astype(np.uint8)
-        q = (s.imag < 0).astype(np.uint8)
-        return np.stack([i, q], axis=1).reshape(-1)
-    if scheme is ModScheme.QAM16:
-        i = _gray_slice_axis(s.real * _QAM16_NORM, 2)
-        q = _gray_slice_axis(s.imag * _QAM16_NORM, 2)
-        return np.concatenate([i, q], axis=1).reshape(-1)
-    i = _gray_slice_axis(s.real * _QAM64_NORM, 3)
-    q = _gray_slice_axis(s.imag * _QAM64_NORM, 3)
-    return np.concatenate([i, q], axis=1).reshape(-1)
-
-
-def fractional_power_allocation(gains, noise_powers, alpha_fpc: float,
-                                total_power: float = 1.0) -> PowerAllocation:
+def fractional_power_allocation(gains, noise_powers, alpha_fpc: float) -> PowerAllocation:
     """Fractional transmit power allocation.
 
     Each user's share is proportional to (gain/noise)**(-alpha_fpc) and the
@@ -257,11 +218,11 @@ def fractional_power_allocation(gains, noise_powers, alpha_fpc: float,
     ratios = w / w.sum()
     # renormalise exactly so the sum-to-one invariant holds to 1e-12
     ratios = ratios / ratios.sum()
-    return PowerAllocation(ratios=ratios, total_power=total_power)
+    return PowerAllocation(ratios=ratios)
 
 
 def superpose(streams, alloc: PowerAllocation) -> SignalFrame:
-    """Sum per-user streams weighted by sqrt(ratio * total power)."""
+    """Sum per-user streams weighted by sqrt(ratio)."""
     if len(streams) != alloc.num_users:
         raise ValueError(
             f"stream count {len(streams)} does not match ratio count {alloc.num_users}"
@@ -272,7 +233,7 @@ def superpose(streams, alloc: PowerAllocation) -> SignalFrame:
         raise ValueError(f"stream lengths differ: {a} vs {b}")
     out = np.zeros(lengths.pop(), dtype=np.complex128)
     for stream, ratio in zip(streams, alloc.ratios):
-        out += np.sqrt(ratio * alloc.total_power) * stream.samples
+        out += np.sqrt(ratio) * stream.samples
     return SignalFrame(out)
 
 
@@ -282,15 +243,15 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def apply_channel(frame: SignalFrame, cfg: ChannelConfig, rng=None) -> SignalFrame:
-    """Block fading plus AWGN at the near receiver.
+def apply_channel(frame: SignalFrame, cfg: ChannelConfig, rng) -> SignalFrame:
+    """Block fading plus AWGN at the near receiver, then equalisation.
 
     One complex Gaussian CN(0,1) coefficient h is drawn per frame; the noise
     variance is the measured faded-signal power divided by the linear SNR.
-    With ``equalize`` the output (and therefore the noise) is divided by h.
-    The returned frame records the realised complex noise standard deviation.
+    The output (and therefore the noise) is divided by h. The returned frame
+    records the realised complex noise standard deviation.
     """
-    rng = _as_rng(cfg.seed if rng is None else rng)
+    rng = _as_rng(rng)
     s = frame.samples
     if cfg.fading == "rayleigh":
         h = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
@@ -307,12 +268,7 @@ def apply_channel(frame: SignalFrame, cfg: ChannelConfig, rng=None) -> SignalFra
             rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size)
         )
         noisy = faded + noise
-    if cfg.equalize:
-        noisy = noisy / h
-        noise_scale = float(np.sqrt(sigma2) / abs(h))
-    else:
-        noise_scale = float(np.sqrt(sigma2))
-    return SignalFrame(noisy, far_scheme=frame.far_scheme, noise_scale=noise_scale)
+    return SignalFrame(noisy / h, noise_scale=float(np.sqrt(sigma2) / abs(h)))
 
 
 @dataclass(frozen=True)
@@ -320,9 +276,8 @@ class NomaScenario:
     """Generative description of one NOMA transmission setup.
 
     Users are ordered near-first, far-last everywhere (schemes, gains,
-    power ratios). Power comes either from explicit ``ratios``, explicit
-    FPA inputs (``fpa_gains``/``fpa_noise``), or is derived from the SNR
-    ladder: near user j sits at ``snr_db_near - j*near_step_db`` and the far
+    power ratios). Power follows fractional power allocation over the SNR
+    ladder: near user j sits at ``snr_db_near - j*NEAR_STEP_DB`` and the far
     user at ``snr_db_near - delta_db``.
     """
 
@@ -331,13 +286,7 @@ class NomaScenario:
     snr_db_near: float = 16.0
     delta_db: float = 6.0
     alpha_fpc: float = 1.0
-    ratios: tuple | None = None
-    fpa_gains: tuple | None = None
-    fpa_noise: tuple | None = None
-    near_step_db: float = 2.0
     fading: str = "rayleigh"
-    equalize: bool = True
-    total_power: float = 1.0
     symbols_per_frame: int = 2000
     samples_per_class: int = 250
     grid_size: int = 100
@@ -361,34 +310,19 @@ class NomaScenario:
     def num_users(self) -> int:
         return len(self.near_schemes) + 1
 
-    def channel_config(self, seed: int = 0) -> ChannelConfig:
-        return ChannelConfig(fading=self.fading, snr_db_near=self.snr_db_near,
-                             equalize=self.equalize, seed=seed)
+    def channel_config(self) -> ChannelConfig:
+        return ChannelConfig(fading=self.fading, snr_db_near=self.snr_db_near)
 
 
 def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:
-    """Power ratios for a scenario, far user last and strictly largest."""
-    n_users = scenario.num_users
-    if scenario.ratios is not None:
-        alloc = PowerAllocation(np.asarray(scenario.ratios, dtype=np.float64),
-                                total_power=scenario.total_power)
-        if alloc.num_users != n_users:
-            raise ValueError(
-                f"scenario has {n_users} users but {alloc.num_users} ratios"
-            )
-    elif scenario.fpa_gains is not None:
-        noise = scenario.fpa_noise if scenario.fpa_noise is not None else (1.0,) * n_users
-        alloc = fractional_power_allocation(scenario.fpa_gains, noise,
-                                            scenario.alpha_fpc, scenario.total_power)
-    else:
-        # SNR ladder relative to the near user; only gain ratios matter for
-        # the FPA weights, so this stays finite even for noise-free setups
-        offsets = [j * scenario.near_step_db
-                   for j in range(len(scenario.near_schemes))]
-        offsets.append(scenario.delta_db)
-        gains = [10.0 ** (-off / 10.0) for off in offsets]
-        alloc = fractional_power_allocation(gains, [1.0] * n_users,
-                                            scenario.alpha_fpc, scenario.total_power)
+    """FPA ratios over the scenario's SNR ladder, far user last and strictly largest."""
+    # SNR ladder relative to the near user; only gain ratios matter for the
+    # FPA weights, so this stays finite even for noise-free setups
+    offsets = [j * NEAR_STEP_DB for j in range(len(scenario.near_schemes))]
+    offsets.append(scenario.delta_db)
+    gains = [10.0 ** (-off / 10.0) for off in offsets]
+    alloc = fractional_power_allocation(gains, [1.0] * scenario.num_users,
+                                        scenario.alpha_fpc)
     far_ratio = alloc.ratios[-1]
     if np.any(alloc.ratios[:-1] >= far_ratio):
         raise ValueError(
@@ -399,10 +333,7 @@ def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:
 
 
 def generate_noma_frame(scenario: NomaScenario, rng=None) -> SignalFrame:
-    """Draw random bits for every user, superpose, and run the channel.
-
-    The returned frame is labelled with the far user's modulation scheme.
-    """
+    """Draw random bits for every user, superpose, and run the channel."""
     if scenario.far_scheme is None:
         raise ValueError("scenario.far_scheme must be set to generate a frame")
     rng = _as_rng(scenario.seed if rng is None else rng)
@@ -413,6 +344,4 @@ def generate_noma_frame(scenario: NomaScenario, rng=None) -> SignalFrame:
     for scheme in schemes:
         bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.uint8)
         streams.append(modulate(bits, scheme))
-    mixed = superpose(streams, alloc)
-    mixed = replace(mixed, far_scheme=scenario.far_scheme)
-    return apply_channel(mixed, scenario.channel_config(), rng=rng)
+    return apply_channel(superpose(streams, alloc), scenario.channel_config(), rng=rng)

@@ -35,11 +35,16 @@ def test_bad_flag_is_a_usage_error(capsys):
     assert cli.main(["train", "--no-such-flag"]) == cli.EXIT_USAGE
 
 
-def test_unknown_config_key_is_a_usage_error(tmp_path):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"no_such_key": 1}))
-    assert cli.main(["sweep", "--out", str(tmp_path / "s"), "--seed", "0",
-                     "--config", str(config)]) == cli.EXIT_USAGE
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    # a key that never existed, and one that older versions accepted
+    for key, blob in (("no_such_key", {"no_such_key": 1}),
+                      ("ratios", {"scenario": {"ratios": [0.2, 0.8]}})):
+        config.write_text(json.dumps(blob))
+        for argv in (["sweep", "--out", str(tmp_path / "s"), "--seed", "0"],
+                     ["generate", "--out", str(tmp_path / "d.nmd")]):
+            assert cli.main([*argv, "--config", str(config)]) == cli.EXIT_USAGE
+            assert key in capsys.readouterr().err
 
 
 def test_missing_dataset_is_a_data_error(tmp_path):

@@ -1,5 +1,8 @@
 """Dataset generation, splitting, seeding, and the NMD1 container."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from nomadet.datapipe import (CLASS_ORDER, derive_seed, generate_dataset,
                               generate_sample, load_dataset, save_dataset,
                               scenario_from_dict, scenario_to_dict,
                               split_dataset)
-from nomadet.errors import (BadMagicError, TruncatedFileError,
+from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
 from nomadet.sigsim import ModScheme, NomaScenario
 
@@ -76,7 +79,7 @@ class TestSplitDataset:
     def test_disjoint_and_exhaustive(self):
         samples = generate_dataset(quick_scenario(samples_per_class=7))
         split = split_dataset(samples, seed=1)
-        merged = sorted(split.all_indices())
+        merged = sorted(split.train + split.validation + split.test)
         assert merged == list(range(len(samples)))
 
     def test_ten_samples_land_on_622(self):
@@ -161,6 +164,30 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(TruncatedFileError):
             load_dataset(path)
+
+    def test_manifest_must_match_header_digest(self, tmp_path):
+        scenario = quick_scenario(1)
+        path = tmp_path / "data.nmd"
+        save_dataset(generate_dataset(scenario), path, scenario)
+        sidecar = tmp_path / "data.nmd.manifest.json"
+        manifest = json.loads(sidecar.read_text())
+        manifest["scenario"]["snr_db_near"] = 99
+        sidecar.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        with pytest.raises(DataFormatError, match="manifest"):
+            load_dataset(path)
+        sidecar.unlink()
+        assert load_dataset(path)[1] is None
+
+    def test_failed_save_keeps_previous_files(self, tmp_path):
+        scenario = quick_scenario(1)
+        path = tmp_path / "data.nmd"
+        save_dataset(generate_dataset(scenario), path, scenario)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        mixed = generate_dataset(scenario) + generate_dataset(replace(scenario, grid_size=16))
+        with pytest.raises(ValueError, match="one grid size"):
+            save_dataset(mixed, path, scenario)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        load_dataset(path)
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):

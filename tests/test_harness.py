@@ -1,5 +1,7 @@
 """Sweep engine: one simulation per sample, reproducible journals, resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,22 @@ def test_damaged_journal_is_rejected(tmp_path):
     journal.write_bytes(lines[0] + b"{oops\n" + b"".join(lines[1:]))
     with pytest.raises(DataFormatError, match="damaged"):
         run_sweep(cfg, tmp_path)
+
+
+def test_journal_of_another_config_is_kept(tmp_path):
+    cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
+    sweep(cfg, tmp_path)
+    journal = tmp_path / "results.jsonl"
+    whole = journal.read_bytes()
+    with pytest.raises(DataFormatError, match="another sweep config"):
+        run_sweep(replace(cfg, seed=3), tmp_path)
+    assert journal.read_bytes() == whole
+
+
+def test_journal_without_rows_is_replaced(tmp_path):
+    (tmp_path / "results.jsonl").write_text('{"config_digest": "another"}\n')
+    _, computed = sweep(tiny_config(methods=(harness.METHOD_PROJECTION,)), tmp_path)
+    assert computed == 2
 
 
 def test_pooled_resume_does_not_retrain(tmp_path, monkeypatch):

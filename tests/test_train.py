@@ -98,6 +98,22 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b, err_msg=name)
         np.testing.assert_array_equal(model.classify(x), loaded.classify(x))
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        model, x = self._trained_model()
+        path = tmp_path / "model.nmdl"
+        save_model(model, path)
+        before = path.read_bytes()
+        # the second tensor cannot be converted to float32, so the save
+        # fails after the header and the first tensor are written
+        tensors = list(model.state_tensors())[:1]
+        tensors.append(("bad", None, None, np.array(["x"], dtype=object)))
+        monkeypatch.setattr(model, "state_tensors", lambda: tensors)
+        with pytest.raises(ValueError):
+            save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.nmdl"]
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_model(path).classify(x), model.classify(x))
+
     def test_bad_magic_rejected(self, tmp_path):
         model, _ = self._trained_model()
         path = tmp_path / "model.nmdl"

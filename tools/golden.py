@@ -1,0 +1,114 @@
+"""Fixed-seed golden artifacts of nomadet, printed as sha256 prefixes.
+
+Usage: python3 tools/golden.py
+
+Builds, in a temporary directory and from the checkout's own ``src/``:
+  - a three-method ``run_sweep`` over SNR {0, 10} x user_count {2, 3}
+    (10 samples per class, 24x24 grid, 400 symbols, 2 epochs), unpooled and
+    pooled, plus its report files;
+  - ``nomadet generate`` datasets, denoised and raw;
+  - a ``nomadet train`` checkpoint on the denoised dataset;
+  - ``nomadet inspect`` PGM images of the denoised dataset.
+
+Each artifact prints as one line: a name and the first 16 hex digits of its
+sha256. Artifacts that carry numbers (result rows, reports, NMD1 records,
+checkpoint, images) print in the first group; metadata that names the config
+(the journal's digest line, the NMD1 header digest, the manifest) prints in
+the second. A change that only simplifies the code keeps the first group
+byte-identical. The script uses only API that has existed since the sample
+pipeline was unified, so it runs unchanged on older commits for comparison.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nomadet import cli, harness  # noqa: E402
+from nomadet.neuralnet import TrainConfig  # noqa: E402
+from nomadet.sigsim import ModScheme, NomaScenario  # noqa: E402
+
+NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
+
+
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _sweep(out: Path, pooled: bool) -> tuple[list, list]:
+    scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), delta_db=6.0,
+                            symbols_per_frame=400, samples_per_class=10,
+                            grid_size=24, seed=11)
+    cfg = harness.ExperimentConfig(
+        scenario=scenario, snr_start=0.0, snr_stop=10.0, snr_step=10.0,
+        factor_name="user_count", factor_values=(2, 3), methods=harness.METHODS,
+        pooled_training=pooled, train=TrainConfig(max_epochs=2, patience=2, seed=3),
+        seed=5)
+    harness.emit_report(harness.run_sweep(cfg, out_dir=out), out)
+    first, _, rows = (out / "results.jsonl").read_bytes().partition(b"\n")
+    tag = "pooled" if pooled else "unpooled"
+    numbers = [(f"sweep.{tag}.journal_rows", _sha(rows)),
+               (f"sweep.{tag}.accuracy_vs_snr.csv",
+                _sha((out / "accuracy_vs_snr.csv").read_bytes())),
+               (f"sweep.{tag}.confusion_matrices.txt",
+                _sha((out / "confusion_matrices.txt").read_bytes()))]
+    return numbers, [(f"sweep.{tag}.journal_digest_line", _sha(first))]
+
+
+def _cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"nomadet {' '.join(argv)} exited {code}")
+
+
+def _dataset(path: Path, tag: str) -> tuple[list, list]:
+    blob = path.read_bytes()
+    manifest = Path(str(path) + ".manifest.json").read_bytes()
+    return ([(f"generate.{tag}.records", _sha(blob[NMD1_HEADER:]))],
+            [(f"generate.{tag}.header", _sha(blob[:NMD1_HEADER])),
+             (f"generate.{tag}.manifest", _sha(manifest))])
+
+
+def main() -> int:
+    numbers, meta = [], []
+    with tempfile.TemporaryDirectory(prefix="nomadet-golden-") as tmp:
+        root = Path(tmp)
+        for pooled in (False, True):
+            n, m = _sweep(root / f"sweep-{int(pooled)}", pooled)
+            numbers += n
+            meta += m
+        flags = ["--samples-per-class", "10", "--snr", "10", "--grid", "24",
+                 "--symbols", "400", "--seed", "7"]
+        den, raw = root / "den.nmd", root / "raw.nmd"
+        _cli("generate", "--out", str(den), *flags)
+        _cli("generate", "--out", str(raw), "--no-denoise", *flags)
+        for path, tag in ((den, "denoised"), (raw, "raw")):
+            n, m = _dataset(path, tag)
+            numbers += n
+            meta += m
+        ckpt = root / "model.nmdl"
+        _cli("train", "--dataset", str(den), "--out", str(ckpt), "--epochs", "2",
+             "--seed", "1")
+        numbers.append(("train.checkpoint", _sha(ckpt.read_bytes())))
+        pgm = root / "pgm"
+        _cli("inspect", "--dataset", str(den), "--out", str(pgm))
+        images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
+        numbers.append(("inspect.pgm", _sha(images)))
+    print("# number-carrying artifacts")
+    for name, digest in numbers:
+        print(f"{name} {digest}")
+    print("# metadata")
+    for name, digest in meta:
+        print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
