@@ -3,8 +3,11 @@
 Subcommands: generate (dataset -> .nmd), train (dataset -> .nmdl checkpoint),
 eval (checkpoint + dataset -> metrics), sweep (experiment config -> report
 directory), report (re-emit CSV from sweep results), inspect (dump diagrams
-as PGM images). A JSON config mirrors ExperimentConfig field by field and
-every flag overrides its config key.
+as PGM images). A config file is the JSON form of a config class,
+``json.dumps(dataclasses.asdict(cfg))``: for sweep an ExperimentConfig, and
+sweep writes the config it ran as sweep_config.json, which ``--config`` reads
+back; for generate a NomaScenario, alone or as the "scenario" section. Each
+flag's dest is the name of the field it overrides.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -15,18 +18,17 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .datapipe import (generate_dataset, load_dataset, save_dataset,
-                       scenario_from_dict, split_dataset)
+from .datapipe import generate_dataset, load_dataset, save_dataset, split_dataset
 from .density import write_pgm
 from .errors import DataFormatError, NomadetError, NumericError
 from .harness import (ExperimentConfig, ResultTable, emit_report, evaluate,
-                      diagram_matrix, model_predictor, read_journal, run_sweep,
+                      diagram_matrix, read_journal, run_sweep,
                       desk_preset, full_preset, METHODS)
 from .neuralnet import (ArchConfig, ModulationNet, TrainConfig, load_model,
                         save_model, train)
@@ -45,58 +47,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_json(path) -> dict:
+def _load_config(path, cls, section: str | None = None):
+    """``cls(**fields)`` from a JSON file, or from its ``section`` if it has one."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            blob = json.load(fh)
     except FileNotFoundError as exc:
         raise DataFormatError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    try:
+        return cls(**(blob.get(section, blob) if section else blob))
+    except (AttributeError, TypeError) as exc:  # not an object, or a key cls lacks
+        raise ValueError(f"bad config in {path}: {exc}") from exc
 
 
-def _scenario_from_args(args, base: NomaScenario | None = None) -> NomaScenario:
-    scen = base or NomaScenario(near_schemes=("qpsk",), delta_db=6.0)
-    updates = {}
-    if getattr(args, "near_scheme", None):
-        updates["near_schemes"] = tuple(args.near_scheme)
-    for flag, field_name in (("snr", "snr_db_near"), ("delta", "delta_db"),
-                             ("alpha_fpc", "alpha_fpc"),
-                             ("samples_per_class", "samples_per_class"),
-                             ("symbols", "symbols_per_frame"),
-                             ("grid", "grid_size"), ("fading", "fading"),
-                             ("seed", "seed")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
-    return replace(scen, **updates) if updates else scen
+def _overrides(obj, args):
+    """``obj`` with every field that a given flag names (by its dest) replaced."""
+    given = {f.name: getattr(args, f.name) for f in fields(obj)
+             if getattr(args, f.name, None) is not None}
+    return replace(obj, **given)
 
 
 def _cmd_generate(args) -> int:
-    base = None
     if args.config:
-        cfg = _load_json(args.config)
-        try:
-            base = scenario_from_dict(cfg.get("scenario", cfg))
-        except TypeError as exc:  # a key that NomaScenario lacks
-            raise ValueError(f"bad scenario in {args.config}: {exc}") from exc
-    scenario = _scenario_from_args(args, base)
+        scenario = _load_config(args.config, NomaScenario, "scenario")
+    else:
+        scenario = NomaScenario(near_schemes=("qpsk",))
+    scenario = _overrides(scenario, args)
     samples = generate_dataset(scenario, denoise=not args.no_denoise)
     save_dataset(samples, args.out, scenario)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
-
-
-def _train_config_from_args(args) -> TrainConfig:
-    cfg = TrainConfig()
-    updates = {}
-    for flag, field_name in (("epochs", "max_epochs"), ("batch", "batch_size"),
-                             ("lr", "learning_rate"), ("seed", "seed"),
-                             ("patience", "patience")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
-    return replace(cfg, **updates) if updates else cfg
 
 
 def _cmd_train(args) -> int:
@@ -106,9 +88,8 @@ def _cmd_train(args) -> int:
     tr = np.array(split.train, dtype=np.int64)
     va = np.array(split.validation, dtype=np.int64)
     grid = samples[0].diagram.grid_size
-    model = ModulationNet(ArchConfig(input_size=grid), seed=args.seed or 0)
-    cfg = _train_config_from_args(args)
-    history = train(model, (x[tr], y[tr]), (x[va], y[va]), cfg)
+    model = ModulationNet(ArchConfig(input_size=grid), seed=args.seed)
+    history = train(model, (x[tr], y[tr]), (x[va], y[va]), _overrides(TrainConfig(), args))
     save_model(model, args.out)
     if args.history:
         with open(args.history, "w", encoding="utf-8", newline="") as fh:
@@ -129,7 +110,8 @@ def _cmd_eval(args) -> int:
     if args.split == "test":
         split = split_dataset(samples, seed=args.split_seed)
         samples = [samples[i] for i in split.test]
-    accuracy, confusion = evaluate(model_predictor(model), samples)
+    x, labels = diagram_matrix(samples)
+    accuracy, confusion = evaluate(model.classify(x), labels)
     print(f"samples: {len(samples)}")
     print(f"accuracy: {accuracy:.6f}")
     print("confusion (rows true, cols predicted):")
@@ -138,47 +120,14 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _experiment_from_config(blob: dict) -> ExperimentConfig:
-    kwargs = dict(blob)
-    try:
-        if "scenario" in kwargs and kwargs["scenario"] is not None:
-            kwargs["scenario"] = scenario_from_dict(kwargs["scenario"])
-        if "train" in kwargs and kwargs["train"] is not None:
-            kwargs["train"] = TrainConfig(**kwargs["train"])
-        kwargs.pop("format", None)
-        for key in ("factor_values", "methods"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:  # a key that the config classes lack
-        raise ValueError(f"bad experiment config: {exc}") from exc
-
-
 def _cmd_sweep(args) -> int:
-    if args.preset == "desk":
-        cfg = desk_preset(seed=args.seed)
-    elif args.preset == "full":
-        cfg = full_preset(seed=args.seed)
-    else:
-        cfg = ExperimentConfig(seed=args.seed)
     if args.config:
-        blob = _load_json(args.config)
-        blob.setdefault("seed", args.seed)
-        cfg = _experiment_from_config(blob)
-    updates = {"seed": args.seed}
-    if args.methods:
-        updates["methods"] = tuple(args.methods.split(","))
-    for flag, field_name in (("snr_start", "snr_start"), ("snr_stop", "snr_stop"),
-                             ("snr_step", "snr_step"), ("factor", "factor_name")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
-    if args.factor_values:
-        updates["factor_values"] = tuple(args.factor_values.split(","))
-    if args.pooled:
-        updates["pooled_training"] = True
-    scenario = _scenario_from_args(args, cfg.scenario)
-    cfg = replace(cfg, scenario=scenario, **updates)
+        cfg = _load_config(args.config, ExperimentConfig)
+    elif args.preset:
+        cfg = (desk_preset if args.preset == "desk" else full_preset)()
+    else:
+        cfg = ExperimentConfig()
+    cfg = _overrides(replace(cfg, scenario=_overrides(cfg.scenario, args)), args)
 
     def progress(row):
         print(f"[sweep] factor={row.factor} method={row.method} "
@@ -187,7 +136,7 @@ def _cmd_sweep(args) -> int:
     table = run_sweep(cfg, out_dir=args.out, progress=progress)
     paths = emit_report(table, args.out)
     with open(Path(args.out) / "sweep_config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.digest_source(), fh, sort_keys=True, indent=2)
+        json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
@@ -218,15 +167,21 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _comma_list(text: str) -> tuple:
+    return tuple(text.split(","))
+
+
 def _add_scenario_flags(p) -> None:
     """The scenario flags that generate and sweep share."""
-    p.add_argument("--near-scheme", action="append",
+    p.add_argument("--near-scheme", dest="near_schemes", action="append",
                    help="near-user scheme (repeatable): pi2bpsk|qpsk|qam16|qam64")
-    p.add_argument("--delta", type=float, help="near-to-far SNR gap in dB")
+    p.add_argument("--delta", dest="delta_db", type=float,
+                   help="near-to-far SNR gap in dB")
     p.add_argument("--alpha-fpc", dest="alpha_fpc", type=float)
     p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--symbols", type=int, help="symbols per frame")
-    p.add_argument("--grid", type=int, help="density grid size")
+    p.add_argument("--symbols", dest="symbols_per_frame", type=int,
+                   help="symbols per frame")
+    p.add_argument("--grid", dest="grid_size", type=int, help="density grid size")
     p.add_argument("--fading", choices=["rayleigh", "none"])
 
 
@@ -237,9 +192,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="simulate a labelled dataset")
     p.add_argument("--out", required=True, help="output .nmd path")
-    p.add_argument("--config", help="JSON file with a scenario section")
+    p.add_argument("--config", help="JSON form of a scenario, alone or as a scenario section")
     _add_scenario_flags(p)
-    p.add_argument("--snr", type=float, help="near-user SNR in dB")
+    p.add_argument("--snr", dest="snr_db_near", type=float, help="near-user SNR in dB")
     p.add_argument("--seed", type=int)
     p.add_argument("--no-denoise", action="store_true",
                    help="skip wavelet denoising before the density diagram")
@@ -249,9 +204,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output .nmdl checkpoint")
     p.add_argument("--history", help="optional per-epoch CSV")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", dest="max_epochs", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
@@ -267,16 +222,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run an SNR/factor sweep experiment")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--config", help="JSON mirroring the experiment config")
-    p.add_argument("--preset", choices=["desk", "full"])
-    p.add_argument("--methods", help="comma list: " + ",".join(METHODS))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON form of an experiment config, "
+                        "such as the sweep_config.json a sweep writes")
+    source.add_argument("--preset", choices=["desk", "full"])
+    p.add_argument("--methods", type=_comma_list, help="comma list: " + ",".join(METHODS))
     p.add_argument("--snr-start", dest="snr_start", type=float)
     p.add_argument("--snr-stop", dest="snr_stop", type=float)
     p.add_argument("--snr-step", dest="snr_step", type=float)
-    p.add_argument("--factor", choices=list(harness.FACTORS))
-    p.add_argument("--factor-values", dest="factor_values",
+    p.add_argument("--factor", dest="factor_name", choices=list(harness.FACTORS))
+    p.add_argument("--factor-values", dest="factor_values", type=_comma_list,
                    help="comma list of factor values")
-    p.add_argument("--pooled", action="store_true",
+    p.add_argument("--pooled", dest="pooled_training", action="store_true", default=None,
                    help="train one model across all SNRs per factor value")
     _add_scenario_flags(p)
     p.set_defaults(func=_cmd_sweep)

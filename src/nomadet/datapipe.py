@@ -3,8 +3,9 @@
 Every sample is produced from a seed derived from (master seed, class,
 index), so any sample can be regenerated in isolation. The container format
 ("NMD1") stores label, SNR, seed and the density grid per record, with a
-human-readable JSON manifest sidecar describing the generating scenario,
-whose sha256 the header holds.
+human-readable JSON manifest sidecar describing the generating scenario
+(``NomaScenario(**manifest["scenario"])`` rebuilds it), whose sha256 the
+header holds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .wavelet import denoise_frame
 __all__ = [
     "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
     "scenario_frames", "frame_sample", "generate_dataset", "generate_sample",
-    "split_dataset",
-    "save_dataset", "load_dataset", "scenario_to_dict", "scenario_from_dict",
+    "split_dataset", "save_dataset", "load_dataset",
 ]
 
 MAGIC = b"NMD1"
@@ -160,27 +160,6 @@ def split_dataset(samples, seed: int = 0) -> DatasetSplit:
                         test=tuple(sorted(buckets[2])))
 
 
-def scenario_to_dict(scenario: NomaScenario) -> dict:
-    return {
-        "near_schemes": [s.value for s in scenario.near_schemes],
-        "far_scheme": scenario.far_scheme.value if scenario.far_scheme else None,
-        "snr_db_near": scenario.snr_db_near,
-        "delta_db": scenario.delta_db,
-        "alpha_fpc": scenario.alpha_fpc,
-        "fading": scenario.fading,
-        "symbols_per_frame": scenario.symbols_per_frame,
-        "samples_per_class": scenario.samples_per_class,
-        "grid_size": scenario.grid_size,
-        "seed": scenario.seed,
-    }
-
-
-def scenario_from_dict(d: dict) -> NomaScenario:
-    d = dict(d)
-    d["near_schemes"] = tuple(d.get("near_schemes", ()))
-    return NomaScenario(**d)
-
-
 def _scenario_digest(manifest_blob: bytes) -> bytes:
     return hashlib.sha256(manifest_blob).digest()
 
@@ -200,7 +179,7 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
         "version": FORMAT_VERSION,
         "sample_count": len(samples),
         "grid_size": grid_size,
-        "scenario": scenario_to_dict(scenario) if scenario else None,
+        "scenario": asdict(scenario) if scenario else None,
     }
     manifest_blob = json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
     path = str(path)

@@ -10,14 +10,14 @@ sweep runs, so an interrupted sweep resumes from where it stopped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baseline import projection_classify
 from .datapipe import (derive_seed, frame_sample, scenario_frames,
-                       scenario_to_dict, split_dataset, CLASS_ORDER)
+                       split_dataset, CLASS_ORDER)
 from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
@@ -44,6 +44,14 @@ FACTORS = (FACTOR_NONE, "near_scheme", "user_count", "delta_db", "alpha_fpc")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One factor x SNR x method sweep.
+
+    ``json.dumps(asdict(cfg), sort_keys=True)`` is both its JSON form and the
+    journal's config digest; ``ExperimentConfig(**d)`` reads it back, taking
+    ``scenario`` and ``train`` as dicts. Cells draw their seeds from ``seed``,
+    so it also replaces the scenario's seed, which nothing reads.
+    """
+
     scenario: NomaScenario = field(default_factory=NomaScenario)
     snr_start: float = -10.0
     snr_stop: float = 20.0
@@ -69,6 +77,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; available: {METHODS}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "factor_values", tuple(self.factor_values))
+        scenario = self.scenario
+        if isinstance(scenario, dict):
+            scenario = NomaScenario(**scenario)
+        object.__setattr__(self, "scenario", replace(scenario, seed=self.seed))
+        if isinstance(self.train, dict):
+            object.__setattr__(self, "train", TrainConfig(**self.train))
 
     @property
     def snr_points(self) -> tuple:
@@ -82,18 +96,6 @@ class ExperimentConfig:
         for value in self.factor_values:
             cells.append((str(value), _apply_factor(self.scenario, self.factor_name, value)))
         return tuple(cells)
-
-    def digest_source(self) -> dict:
-        return {
-            "scenario": scenario_to_dict(self.scenario),
-            "snr_start": self.snr_start, "snr_stop": self.snr_stop,
-            "snr_step": self.snr_step, "factor_name": self.factor_name,
-            "factor_values": [str(v) for v in self.factor_values],
-            "methods": list(self.methods),
-            "pooled_training": self.pooled_training,
-            "train": self.train.__dict__ | {},
-            "seed": self.seed,
-        }
 
 
 def _apply_factor(scenario: NomaScenario, name: str, value) -> NomaScenario:
@@ -121,12 +123,6 @@ class ResultRow:
     confusion: tuple           # 4x4 counts, true class by row
     n_test: int
 
-    def to_json(self) -> dict:
-        return {"snr_db": self.snr_db, "factor": self.factor, "method": self.method,
-                "accuracy": self.accuracy,
-                "confusion": [list(r) for r in self.confusion],
-                "n_test": self.n_test}
-
     @classmethod
     def from_json(cls, d: dict) -> "ResultRow":
         return cls(snr_db=float(d["snr_db"]), factor=str(d["factor"]),
@@ -149,30 +145,19 @@ def diagram_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
     return grids[:, None, :, :], labels
 
 
-def evaluate(predictor, samples) -> tuple[float, np.ndarray]:
-    """Accuracy and 4x4 confusion matrix of a predictor on labelled samples.
-
-    ``predictor`` maps a list of samples to an integer label array.
-    """
-    samples = list(samples)
-    if not samples:
+def evaluate(predicted, labels) -> tuple[float, np.ndarray]:
+    """Accuracy and 4x4 confusion matrix of predicted against true labels."""
+    pred = np.asarray(predicted, dtype=np.int64)
+    truth = np.asarray(labels, dtype=np.int64)
+    if truth.size == 0:
         raise ValueError("cannot evaluate on an empty sample set")
-    pred = np.asarray(predictor(samples), dtype=np.int64)
-    truth = np.array([s.label for s in samples], dtype=np.int64)
     if pred.shape != truth.shape:
-        raise ValueError(f"predictor returned {pred.shape}, expected {truth.shape}")
+        raise ValueError(f"{pred.shape} predictions for {truth.shape} labels")
     k = len(CLASS_ORDER)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth, pred), 1)
     accuracy = float(np.trace(confusion) / truth.size)
     return accuracy, confusion
-
-
-def model_predictor(model: ModulationNet):
-    def predict(samples):
-        x, _ = diagram_matrix(samples)
-        return model.classify(x)
-    return predict
 
 
 class _CellData:
@@ -214,18 +199,6 @@ def _train_model(cfg: ExperimentConfig, parts, model_seed: int,
     return model
 
 
-def _projection_predictor(cell: _CellData, indices):
-    """Classifies the cell's frames at ``indices``: those of the evaluated samples."""
-    scenario = cell.scenario
-    alloc = resolve_allocation(scenario)
-
-    def predict(samples):
-        return [CLASS_ORDER.index(projection_classify(cell.frames[i], alloc,
-                                                      scenario.near_schemes))
-                for i in indices]
-    return predict
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable:
     """Full factor x SNR x method sweep.
 
@@ -233,7 +206,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
     with the same config digest skips rows already on disk; rows of another
     config raise DataFormatError and stay untouched.
     """
-    digest = json.dumps(cfg.digest_source(), sort_keys=True)
+    digest = json.dumps(asdict(cfg), sort_keys=True)
     table = ResultTable()
     journal = None
     if out_dir is not None:
@@ -277,7 +250,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
                     table.rows.append(row)
                     done.add((factor_label, method, snr))
                     if journal is not None:
-                        journal.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+                        journal.write(json.dumps(asdict(row), sort_keys=True) + "\n")
                         journal.flush()
                     if progress is not None:
                         progress(row)
@@ -295,18 +268,22 @@ def _build_cell(cfg, factor_index, snr_index, scen_factor) -> _CellData:
 
 def _score_cell(cfg, factor_label, cell, method, method_index,
                 pooled_models) -> ResultRow:
+    scenario = cell.scenario
     test_samples = [cell.samples(method)[i] for i in cell.split.test]
     if method == METHOD_PROJECTION:
-        predictor = _projection_predictor(cell, cell.split.test)
-    elif pooled_models is not None:
-        predictor = model_predictor(pooled_models[method])
+        alloc = resolve_allocation(scenario)
+        predicted = [CLASS_ORDER.index(projection_classify(cell.frames[i], alloc,
+                                                           scenario.near_schemes))
+                     for i in cell.split.test]
     else:
-        cell_seed = cell.scenario.seed
-        model = _train_model(cfg, [(cell.samples(method), cell.split)],
-                             model_seed=derive_seed(cell_seed, 1000 + method_index),
-                             train_seed=derive_seed(cell_seed, 2000 + method_index))
-        predictor = model_predictor(model)
-    accuracy, confusion = evaluate(predictor, test_samples)
+        if pooled_models is not None:
+            model = pooled_models[method]
+        else:
+            model = _train_model(cfg, [(cell.samples(method), cell.split)],
+                                 model_seed=derive_seed(scenario.seed, 1000 + method_index),
+                                 train_seed=derive_seed(scenario.seed, 2000 + method_index))
+        predicted = model.classify(diagram_matrix(test_samples)[0])
+    accuracy, confusion = evaluate(predicted, [s.label for s in test_samples])
     return ResultRow(snr_db=cell.scenario.snr_db_near, factor=factor_label, method=method,
                      accuracy=accuracy,
                      confusion=tuple(tuple(int(c) for c in r) for r in confusion),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,7 @@ FORMAT_VERSION = 1
 
 def save_model(model: ModulationNet, path) -> None:
     """Write the checkpoint; a failed save leaves any previous file intact."""
-    config_blob = json.dumps(model.arch.to_dict(), sort_keys=True).encode("utf-8")
+    config_blob = json.dumps(asdict(model.arch), sort_keys=True).encode("utf-8")
     tensors = [value for _, _, _, value in model.state_tensors()]
     with atomic_write(path) as fh:
         fh.write(MAGIC)
@@ -50,11 +51,11 @@ def load_model(path) -> ModulationNet:
             raise VersionMismatchError(
                 f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})")
         (config_len,) = struct.unpack("<I", read_exact(fh, 4, "config length"))
+        config = read_exact(fh, config_len, "config")
         try:
-            config = json.loads(read_exact(fh, config_len, "config").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TruncatedFileError(f"unreadable checkpoint config: {exc}") from exc
-        arch = ArchConfig.from_dict(config)
+            arch = ArchConfig(**json.loads(config.decode("utf-8")))
+        except (TypeError, ValueError) as exc:  # unreadable, or not an ArchConfig
+            raise TruncatedFileError(f"{path}: bad checkpoint config: {exc}") from exc
         model = ModulationNet(arch, seed=0)
         (count,) = struct.unpack("<I", read_exact(fh, 4, "tensor count"))
         slots = list(model.state_tensors())

@@ -8,7 +8,7 @@ pooling into a dense layer with one logit per modulation class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,10 @@ BLOCK_CONV = "conv"
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Static description of the network; shapes are inferable without weights."""
+    """Static description of the network; shapes are inferable without weights.
+
+    ``blocks`` may be given as lists, as JSON reads them back.
+    """
 
     input_size: int = 100
     base_kernel: int = 5
@@ -67,21 +70,6 @@ class ArchConfig:
         shapes.append(("global_avg_pool", (final_ch,)))
         shapes.append(("dense", (self.num_classes,)))
         return shapes
-
-    def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size, "base_kernel": self.base_kernel,
-            "base_channels": self.base_channels,
-            "blocks": [list(b) for b in self.blocks],
-            "num_classes": self.num_classes, "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum, "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
-        d = dict(d)
-        d["blocks"] = tuple(tuple(b) for b in d.get("blocks", ()))
-        return cls(**d)
 
 
 DEFAULT_ARCH = ArchConfig()

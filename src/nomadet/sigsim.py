@@ -33,8 +33,11 @@ RATIO_SUM_TOL = 1e-12
 NEAR_STEP_DB = 2.0
 
 
-class ModScheme(Enum):
-    """Modulation schemes supported for both near and far user terminals."""
+class ModScheme(str, Enum):
+    """Modulation schemes supported for both near and far user terminals.
+
+    A str subclass, so JSON writes a scheme as its value.
+    """
 
     PI_HALF_BPSK = "pi2bpsk"
     QPSK = "qpsk"
@@ -293,13 +296,13 @@ class NomaScenario:
     seed: int = 0
 
     def __post_init__(self):
-        near = tuple(ModScheme.from_name(s) if isinstance(s, str) else s
+        near = tuple(s if isinstance(s, ModScheme) else ModScheme.from_name(s)
                      for s in self.near_schemes)
         if not 1 <= len(near) <= 3:
             raise ValueError("need 1 to 3 near user terminals")
         object.__setattr__(self, "near_schemes", near)
         far = self.far_scheme
-        if isinstance(far, str):
+        if far is not None and not isinstance(far, ModScheme):
             object.__setattr__(self, "far_scheme", ModScheme.from_name(far))
         if self.symbols_per_frame < 1:
             raise ValueError("symbols_per_frame must be >= 1")

@@ -1,8 +1,13 @@
-"""Shared test helpers: gradient checking and signal fixtures."""
+"""Shared test helpers: gradient checking, signal fixtures, foreign checkpoints."""
+
+import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from nomadet.neuralnet import TINY_ARCH, checkpoint
 from nomadet.sigsim import (ModScheme, NomaScenario, modulate, superpose,
                             apply_channel, resolve_allocation)
 
@@ -88,3 +93,15 @@ def synthetic_diagram_set(per_class: int, seed: int, size: int = 100):
             labels.append(label)
     x = np.stack(grids).astype(np.float32)[:, None, :, :]
     return x, np.array(labels, dtype=np.int64)
+
+
+# an ArchConfig JSON with a key ArchConfig lacks, and one ArchConfig rejects
+FOREIGN_ARCHS = [{**asdict(TINY_ARCH), "activation": "gelu"},
+                 {**asdict(TINY_ARCH), "blocks": [["id", 99]]}]
+
+
+def write_checkpoint_header(path, config: dict) -> None:
+    """A checkpoint holding ``config`` and no tensors, as another program might write."""
+    blob = json.dumps(config).encode("utf-8")
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<HI", checkpoint.FORMAT_VERSION, len(blob))
+                     + blob + struct.pack("<I", 0))

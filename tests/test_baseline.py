@@ -68,7 +68,7 @@ class TestSubtractiveClustering:
 
 
 class TestProjectionClassify:
-    @pytest.mark.parametrize("scheme", list(ModScheme))
+    @pytest.mark.parametrize("scheme", list(ModScheme), ids=str)
     def test_single_user_noiseless_recovery(self, scheme):
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=2000 * scheme.bits_per_symbol, dtype=np.uint8)

@@ -6,6 +6,7 @@ import pytest
 
 from nomadet import cli
 from nomadet.errors import NumericError
+from conftest import FOREIGN_ARCHS, write_checkpoint_header
 
 TINY = ["--samples-per-class", "5", "--symbols", "256", "--grid", "16"]
 
@@ -45,6 +46,47 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
                      ["generate", "--out", str(tmp_path / "d.nmd")]):
             assert cli.main([*argv, "--config", str(config)]) == cli.EXIT_USAGE
             assert key in capsys.readouterr().err
+
+
+def test_partial_scenario_section_keeps_the_defaults(tmp_path):
+    config, data = tmp_path / "config.json", tmp_path / "d.nmd"
+    config.write_text(json.dumps({"scenario": {"delta_db": 3}}))
+    assert cli.main(["generate", "--out", str(data), "--config", str(config), *TINY]) == 0
+    scenario = json.loads((tmp_path / "d.nmd.manifest.json").read_text())["scenario"]
+    assert scenario["delta_db"] == 3
+    assert scenario["near_schemes"] == ["qam16"]  # NomaScenario's default
+
+
+def test_preset_and_config_together_are_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"max_epochs": 1}}))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--out", str(out), "--seed", "0", "--preset", "desk",
+                     "--config", str(config)]) == cli.EXIT_USAGE
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_written_sweep_config_resumes_its_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--out", str(out), "--seed", "2"]
+    assert cli.main([*argv, "--methods", "projection_clustering", "--pooled",
+                     "--snr-start", "0", "--snr-stop", "10", "--snr-step", "10",
+                     "--factor", "user_count", "--factor-values", "2,3", "--delta", "5",
+                     *TINY]) == 0
+    assert capsys.readouterr().out.count("[sweep]") == 4
+    journal = (out / "results.jsonl").read_bytes()
+    assert cli.main([*argv, "--config", str(out / "sweep_config.json")]) == 0
+    assert "[sweep]" not in capsys.readouterr().out
+    assert (out / "results.jsonl").read_bytes() == journal
+
+
+@pytest.mark.parametrize("config", FOREIGN_ARCHS)
+def test_foreign_checkpoint_config_is_a_data_error(tmp_path, capsys, config):
+    model = tmp_path / "m.nmdl"
+    write_checkpoint_header(model, config)
+    assert cli.main(["eval", "--model", str(model), "--dataset", "unused.nmd"]) == cli.EXIT_DATA
+    assert "m.nmdl" in capsys.readouterr().err
 
 
 def test_missing_dataset_is_a_data_error(tmp_path):

@@ -1,14 +1,13 @@
 """Dataset generation, splitting, seeding, and the NMD1 container."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from nomadet.datapipe import (CLASS_ORDER, derive_seed, generate_dataset,
                               generate_sample, load_dataset, save_dataset,
-                              scenario_from_dict, scenario_to_dict,
                               split_dataset)
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
@@ -125,12 +124,13 @@ class TestContainer:
             assert a.snr_db == pytest.approx(b.snr_db, abs=1e-6)
             np.testing.assert_allclose(a.diagram.grid, b.diagram.grid, atol=1e-7)
         assert manifest["sample_count"] == len(samples)
-        rebuilt = scenario_from_dict(manifest["scenario"])
-        assert rebuilt == scenario
+        assert NomaScenario(**manifest["scenario"]) == scenario
 
     def test_scenario_dict_round_trip(self):
         scenario = quick_scenario()
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        blob = json.dumps(asdict(scenario))
+        assert json.loads(blob)["near_schemes"] == ["qpsk"]
+        assert NomaScenario(**json.loads(blob)) == scenario
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.nmd"

@@ -116,6 +116,20 @@ def test_journal_of_another_config_is_kept(tmp_path):
     assert journal.read_bytes() == whole
 
 
+def test_scenario_seed_does_not_split_the_digest(tmp_path):
+    cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
+    sweep(cfg, tmp_path)
+    _, computed = sweep(replace(cfg, scenario=replace(SCENARIO, seed=999)), tmp_path)
+    assert computed == 0
+
+
+def test_evaluate_counts_predictions_by_true_class():
+    accuracy, confusion = harness.evaluate([0, 1, 1, 3], [0, 1, 2, 3])
+    assert accuracy == 0.75
+    assert confusion[2, 1] == 1
+    assert np.trace(confusion) == 3
+
+
 def test_journal_without_rows_is_replaced(tmp_path):
     (tmp_path / "results.jsonl").write_text('{"config_digest": "another"}\n')
     _, computed = sweep(tiny_config(methods=(harness.METHOD_PROJECTION,)), tmp_path)

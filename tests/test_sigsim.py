@@ -10,6 +10,7 @@ from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario,
                             generate_noma_frame, modulate, resolve_allocation,
                             superpose)
 
+# ids=str names each case ModScheme.X; pytest would name a str-valued enum by its value
 ALL_SCHEMES = list(ModScheme)
 
 
@@ -22,7 +23,7 @@ class TestModulate:
         frame = modulate([0, 1], ModScheme.PI_HALF_BPSK)
         np.testing.assert_allclose(frame.samples, [1.0 + 0.0j, -1.0j], atol=1e-15)
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_unit_average_energy_closed_form(self, scheme):
         points = constellation(scheme)
         assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -32,14 +33,14 @@ class TestModulate:
         frame = modulate(bits.astype(np.uint8), ModScheme.QAM16)
         assert np.mean(np.abs(frame.samples) ** 2) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_length_not_divisible_raises(self, scheme):
         bad = np.zeros(scheme.bits_per_symbol + 1, dtype=np.uint8) if \
             scheme.bits_per_symbol > 1 else np.zeros(0, dtype=np.uint8)
         with pytest.raises(ValueError, match=scheme.name):
             modulate(bad, scheme)
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_bit_groups_map_to_distinct_gray_points(self, scheme):
         k = scheme.bits_per_symbol
         groups = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)

@@ -7,7 +7,7 @@ from nomadet.errors import (BadMagicError, TruncatedFileError,
                             VersionMismatchError)
 from nomadet.neuralnet import (ArchConfig, ModulationNet, TrainConfig,
                                accuracy, load_model, save_model, train)
-from conftest import synthetic_diagram_set
+from conftest import FOREIGN_ARCHS, synthetic_diagram_set, write_checkpoint_header
 
 SMALL_ARCH = ArchConfig(input_size=20, base_kernel=3, base_channels=4,
                         blocks=(("conv", 8), ("id", 8)), num_classes=4)
@@ -132,6 +132,13 @@ class TestCheckpoint:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatchError):
+            load_model(path)
+
+    @pytest.mark.parametrize("config", FOREIGN_ARCHS)
+    def test_foreign_config_rejected(self, tmp_path, config):
+        path = tmp_path / "model.nmdl"
+        write_checkpoint_header(path, config)
+        with pytest.raises(TruncatedFileError, match="model.nmdl"):
             load_model(path)
 
     def test_truncation_rejected(self, tmp_path):
