@@ -70,10 +70,8 @@ def _overrides(obj, args):
 
 
 def _cmd_generate(args) -> int:
-    if args.config:
-        scenario = _load_config(args.config, NomaScenario, "scenario")
-    else:
-        scenario = NomaScenario(near_schemes=("qpsk",))
+    scenario = (_load_config(args.config, NomaScenario, "scenario") if args.config
+                else NomaScenario())
     scenario = _overrides(scenario, args)
     samples = generate_dataset(scenario, denoise=not args.no_denoise)
     save_dataset(samples, args.out, scenario)

@@ -351,15 +351,13 @@ def emit_report(table: ResultTable, out_dir) -> list:
 
 def desk_preset(seed: int = 0) -> ExperimentConfig:
     """Small sweep for desk runs: 50 samples/class, 6 SNR points."""
-    scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), delta_db=6.0,
-                            samples_per_class=50)
+    scenario = NomaScenario(samples_per_class=50)
     return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
                             snr_step=6.0, seed=seed)
 
 
 def full_preset(seed: int = 0) -> ExperimentConfig:
     """The full evaluation grid: 250 samples/class, -10..20 dB step 2."""
-    scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), delta_db=6.0,
-                            samples_per_class=250)
+    scenario = NomaScenario(samples_per_class=250)
     return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
                             snr_step=2.0, methods=METHODS, seed=seed)

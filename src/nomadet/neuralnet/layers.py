@@ -1,9 +1,17 @@
 """Neural network layers with exact analytic backprop, numpy only.
 
-Tensors are C-contiguous numpy arrays in NCHW layout. Every layer caches
-what its backward pass needs during forward; backward raises if called
-without a cached forward. Layers are single-writer: one forward/backward
-pair at a time per instance.
+Tensors are C-contiguous numpy arrays in NCHW layout: every forward and
+backward result is one, in its input's dtype. Every layer caches what its
+backward pass needs during forward; backward raises if called without a
+cached forward. Layers are single-writer: one forward/backward pair at a
+time per instance.
+
+Conv2D lowers convolution to GEMMs over im2col patch matrices (Chellapilla
+et al. 2006). At stride 1 its input gradient is the transposed convolution
+of the output gradient (Dumoulin & Visin, "A guide to convolution
+arithmetic", 2016), and a first layer can skip that gradient altogether.
+The memory-bound layers (BatchNorm2D, ReLU, MaxPool2) work in place where
+they can, to keep their full-size temporaries few.
 """
 
 from __future__ import annotations
@@ -40,8 +48,47 @@ class Layer:
         yield from self.buffers.items()
 
 
+def _im2col(x: np.ndarray, k: int, s: int, p: int):
+    """(B*OH*OW, C*k*k) patch matrix of ``x`` zero-padded by ``p``, plus (OH, OW).
+
+    Row (b, oh, ow) holds the k*k window at (oh*s, ow*s) of every channel,
+    gathered by one ``np.take`` of flat offsets into each padded sample.
+    """
+    if p:
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    B, C, Hp, Wp = x.shape
+    if Hp < k or Wp < k:
+        raise ValueError(f"spatial size {Hp}x{Wp} smaller than kernel {k}")
+    OH, OW = (Hp - k) // s + 1, (Wp - k) // s + 1
+    pixels = (np.arange(OH)[:, None] * (s * Wp) + np.arange(OW) * s).reshape(-1, 1)
+    taps = ((np.arange(C)[:, None, None] * Hp + np.arange(k)[:, None]) * Wp
+            + np.arange(k)).reshape(1, -1)
+    cols = np.take(x.reshape(B, -1), pixels + taps, axis=1)
+    return cols.reshape(B * OH * OW, C * k * k), (OH, OW)
+
+
+def _correlate(x: np.ndarray, w2: np.ndarray, k: int, s: int, p: int):
+    """NCHW cross-correlation of ``x`` with the (O, C*k*k) kernel matrix
+    ``w2``, plus the patch matrix it multiplied."""
+    cols, (OH, OW) = _im2col(x, k, s, p)
+    B = x.shape[0]
+    out = w2 @ cols.reshape(B, OH * OW, -1).transpose(0, 2, 1)
+    return out.reshape(B, w2.shape[0], OH, OW), cols
+
+
 class Conv2D(Layer):
-    """Cross-correlation with stride and 'same'/'valid' padding (im2col)."""
+    """Cross-correlation with stride and 'same'/'valid' padding (im2col).
+
+    Forward is one GEMM of the kernel matrix with the patch rows. Backward
+    gets the weight gradient from a second GEMM. At stride 1 the input
+    gradient is the transposed convolution of ``grad_out``: a forward
+    correlation of ``grad_out``, zero-padded by ``k-1-p``, with the kernel
+    flipped in both spatial axes and its in/out channels swapped, so one
+    more im2col and GEMM. Strided convs, and stride-1 convs that widen the
+    channels, scatter the patch gradients back with k*k strided adds.
+    ``backward(..., input_grad=False)`` skips the input gradient for a
+    first layer, whose input needs none.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
                  padding: str = "same", rng: np.random.Generator | None = None,
@@ -61,49 +108,40 @@ class Conv2D(Layer):
         k, s, p = self.kernel, self.stride, self.pad
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
-    def _im2col(self, x: np.ndarray):
-        k, s, p = self.kernel, self.stride, self.pad
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        B, C, Hp, Wp = x.shape
-        if Hp < k or Wp < k:
-            raise ValueError(f"spatial size {Hp}x{Wp} smaller than kernel {k}")
-        OH, OW = (Hp - k) // s + 1, (Wp - k) // s + 1
-        s0, s1, s2, s3 = x.strides
-        patches = np.lib.stride_tricks.as_strided(
-            x, (B, OH, OW, C, k, k), (s0, s2 * s, s3 * s, s1, s2, s3),
-            writeable=False)
-        cols = patches.reshape(B * OH * OW, C * k * k)
-        return np.ascontiguousarray(cols), (B, C, Hp, Wp), (OH, OW)
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ValueError(
                 f"expected NCHW input with {self.in_ch} channels, got {x.shape}"
             )
-        cols, padded_shape, (OH, OW) = self._im2col(x)
-        w2 = self.params["w"].reshape(self.out_ch, -1)
-        out = cols @ w2.T + self.params["b"]
-        B = x.shape[0]
-        self._cache = (cols, padded_shape, (OH, OW), x.shape)
-        return out.reshape(B, OH, OW, self.out_ch).transpose(0, 3, 1, 2)
+        out, cols = _correlate(x, self.params["w"].reshape(self.out_ch, -1),
+                               self.kernel, self.stride, self.pad)
+        out += self.params["b"][:, None, None]
+        self._cache = (cols, x.shape)
+        return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        cols, (B, C, Hp, Wp), (OH, OW), x_shape = self._need_cache()
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        cols, (B, C, H, W) = self._need_cache()
         k, s, p = self.kernel, self.stride, self.pad
-        g2 = grad_out.transpose(0, 2, 3, 1).reshape(B * OH * OW, self.out_ch)
-        self.grads["w"] = (g2.T @ cols).reshape(self.params["w"].shape)
-        self.grads["b"] = g2.sum(axis=0)
-        gcols = (g2 @ self.params["w"].reshape(self.out_ch, -1))
-        gcols = gcols.reshape(B, OH, OW, C, k, k)
-        gx = np.zeros((B, C, Hp, Wp), dtype=grad_out.dtype)
+        O, OH, OW = grad_out.shape[1:]
+        w = self.params["w"]
+        g3 = grad_out.reshape(B, O, OH * OW)
+        self.grads["w"] = np.tensordot(g3, cols.reshape(B, OH * OW, -1),
+                                       axes=([0, 2], [0, 1])).reshape(w.shape)
+        self.grads["b"] = g3.sum(axis=(0, 2))
+        if not input_grad:
+            return None
+        # the transposed convolution gathers O*k*k values per input pixel and
+        # the scatter C*k*k per output pixel: take it unless it is the larger
+        if s == 1 and O <= C:
+            flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, -1)
+            return _correlate(grad_out, flipped, k, 1, k - 1 - p)[0]
+        # (B, C, k, k, OH, OW): patch gradients, scattered back tap by tap
+        gpatch = (w.reshape(O, -1).T @ g3).reshape(B, C, k, k, OH, OW)
+        gx = np.zeros((B, C, H + 2 * p, W + 2 * p), dtype=grad_out.dtype)
         for i in range(k):
             for j in range(k):
-                gx[:, :, i:i + s * OH:s, j:j + s * OW:s] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        if p:
-            gx = gx[:, :, p:Hp - p, p:Wp - p]
-        return np.ascontiguousarray(gx.reshape(x_shape))
+                gx[:, :, i:i + s * OH:s, j:j + s * OW:s] += gpatch[:, :, i, j]
+        return np.ascontiguousarray(gx[:, :, p:p + H, p:p + W])
 
 
 class BatchNorm2D(Layer):
@@ -132,9 +170,11 @@ class BatchNorm2D(Layer):
             if x.shape[0] < 2:
                 raise ValueError("batch normalisation needs batch size >= 2 in training mode")
             mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
+            xhat = x - mu
+            out = np.square(xhat)
+            var = out.mean(axis=(0, 2, 3), keepdims=True)
             invstd = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu) * invstd
+            xhat *= invstd
             m = self.momentum if self._stats_seen else 0.0
             self._stats_seen = True
             self.buffers["running_mean"][...] = (
@@ -142,58 +182,75 @@ class BatchNorm2D(Layer):
             self.buffers["running_var"][...] = (
                 m * self.buffers["running_var"] + (1.0 - m) * var.reshape(-1))
             self._cache = (xhat, invstd)
-            return gamma * xhat + beta
-        rm = self.buffers["running_mean"].reshape(1, -1, 1, 1)
-        rv = self.buffers["running_var"].reshape(1, -1, 1, 1)
-        self._cache = None
-        return gamma * (x - rm) / np.sqrt(rv + self.eps) + beta
+            np.multiply(gamma, xhat, out=out)
+        else:
+            self._cache = None
+            out = x - self.buffers["running_mean"].reshape(1, -1, 1, 1)
+            out *= gamma
+            out /= np.sqrt(self.buffers["running_var"].reshape(1, -1, 1, 1) + self.eps)
+        out += beta
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, invstd = self._need_cache()
-        gamma = self.params["gamma"].reshape(1, -1, 1, 1)
-        self.grads["gamma"] = (grad_out * xhat).sum(axis=(0, 2, 3))
+        n = grad_out.size // self.channels
+        gx = grad_out * xhat
+        self.grads["gamma"] = gx.sum(axis=(0, 2, 3))
         self.grads["beta"] = grad_out.sum(axis=(0, 2, 3))
-        dxhat = grad_out * gamma
-        mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        return invstd * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        # gamma*invstd * (g - mean(g) - xhat*mean(g*xhat)), built in place in gx
+        np.multiply(xhat, (self.grads["gamma"] / n).reshape(1, -1, 1, 1), out=gx)
+        gx += (self.grads["beta"] / n).reshape(1, -1, 1, 1)
+        np.subtract(grad_out, gx, out=gx)
+        gx *= self.params["gamma"].reshape(1, -1, 1, 1) * invstd
+        return gx
 
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x > 0
-        return np.where(self._cache, x, 0)
+        return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        mask = self._need_cache()
-        return np.where(mask, grad_out, 0)
+        return grad_out * self._need_cache()
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling with stride 2; ties route the gradient to the first max."""
+    """2x2 max pooling with stride 2; ties route the gradient to the first max.
+
+    Window positions are taken in row-major order: top-left, top-right,
+    bottom-left, bottom-right. An odd trailing row or column is cropped and
+    gets zero gradient.
+    """
+
+    @staticmethod
+    def _taps(x: np.ndarray):
+        """The four window positions of ``x`` as strided views, in tie order."""
+        h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+        return [x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         B, C, H, W = x.shape
-        H2, W2 = H // 2, W // 2
-        if H2 < 1 or W2 < 1:
+        if H < 2 or W < 2:
             raise ValueError(f"input {H}x{W} too small for 2x2 pooling")
-        xc = x[:, :, : 2 * H2, : 2 * W2]
-        xw = xc.reshape(B, C, H2, 2, W2, 2).transpose(0, 1, 2, 4, 3, 5)
-        xw = xw.reshape(B, C, H2, W2, 4)
-        idx = xw.argmax(axis=-1)
-        out = np.take_along_axis(xw, idx[..., None], axis=-1)[..., 0]
-        self._cache = (idx, x.shape)
+        taps = self._taps(x)
+        out = np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
+        # route each window to its first maximum: a tap wins where it equals
+        # the max and no earlier tap has won
+        free = np.ones(out.shape, dtype=bool)
+        masks = []
+        for tap in taps:
+            won = tap == out
+            won &= free
+            free ^= won
+            masks.append(won)
+        self._cache = (masks, x.shape)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        idx, (B, C, H, W) = self._need_cache()
-        H2, W2 = H // 2, W // 2
-        gw = np.zeros((B, C, H2, W2, 4), dtype=grad_out.dtype)
-        np.put_along_axis(gw, idx[..., None], grad_out[..., None], axis=-1)
-        gx = np.zeros((B, C, H, W), dtype=grad_out.dtype)
-        gx[:, :, : 2 * H2, : 2 * W2] = (
-            gw.reshape(B, C, H2, W2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-            .reshape(B, C, 2 * H2, 2 * W2))
+        masks, shape = self._need_cache()
+        gx = np.zeros(shape, dtype=grad_out.dtype)
+        for view, won in zip(self._taps(gx), masks):
+            np.multiply(grad_out, won, out=view)
         return gx
 
 

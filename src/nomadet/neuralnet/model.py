@@ -23,7 +23,7 @@ BLOCK_CONV = "conv"
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Static description of the network; shapes are inferable without weights.
+    """Static description of the network.
 
     ``blocks`` may be given as lists, as JSON reads them back.
     """
@@ -54,22 +54,6 @@ class ArchConfig:
     @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
-
-    def infer_shapes(self) -> list:
-        """(stage name, (C, H, W)) after every stage, input included."""
-        size = self.input_size
-        shapes = [("input", (1, size, size))]
-        shapes.append(("base_conv", (self.base_channels, size, size)))
-        size = size // 2
-        shapes.append(("max_pool", (self.base_channels, size, size)))
-        for i, (kind, ch) in enumerate(self.blocks):
-            if kind == BLOCK_CONV:
-                size = (size + 1) // 2
-            shapes.append((f"block{i}_{kind}{ch}", (ch, size, size)))
-        final_ch = self.blocks[-1][1] if self.blocks else self.base_channels
-        shapes.append(("global_avg_pool", (final_ch,)))
-        shapes.append(("dense", (self.num_classes,)))
-        return shapes
 
 
 DEFAULT_ARCH = ArchConfig()
@@ -203,7 +187,12 @@ class ModulationNet:
         out = self.gap.forward(out, training)
         return self.dense.forward(out, training)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Fill every layer's ``grads`` from the loss gradient wrt the logits.
+
+        The input diagrams are data, not parameters, so the first conv skips
+        its input gradient and nothing is returned.
+        """
         g = self.dense.backward(grad_logits)
         g = self.gap.backward(g)
         for block in reversed(self.blocks):
@@ -211,7 +200,7 @@ class ModulationNet:
         g = self.pool.backward(g)
         g = self.base_relu.backward(g)
         g = self.base_bn.backward(g)
-        return self.base_conv.backward(g)
+        self.base_conv.backward(g, input_grad=False)
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Class distribution per input row (softmax over logits)."""

@@ -284,7 +284,7 @@ class NomaScenario:
     user at ``snr_db_near - delta_db``.
     """
 
-    near_schemes: tuple = (ModScheme.QAM16,)
+    near_schemes: tuple = (ModScheme.QPSK,)
     far_scheme: ModScheme | None = ModScheme.PI_HALF_BPSK
     snr_db_near: float = 16.0
     delta_db: float = 6.0

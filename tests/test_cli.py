@@ -54,7 +54,18 @@ def test_partial_scenario_section_keeps_the_defaults(tmp_path):
     assert cli.main(["generate", "--out", str(data), "--config", str(config), *TINY]) == 0
     scenario = json.loads((tmp_path / "d.nmd.manifest.json").read_text())["scenario"]
     assert scenario["delta_db"] == 3
-    assert scenario["near_schemes"] == ["qam16"]  # NomaScenario's default
+    assert scenario["near_schemes"] == ["qpsk"]  # NomaScenario's default
+
+
+def test_generate_has_one_default_near_user(tmp_path):
+    config, data = tmp_path / "config.json", tmp_path / "d.nmd"
+    config.write_text(json.dumps({"scenario": {}}))
+    manifests = []
+    for extra in ([], ["--config", str(config)]):
+        assert cli.main(["generate", "--out", str(data), *extra, *TINY]) == 0
+        manifests.append((tmp_path / "d.nmd.manifest.json").read_text())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["scenario"]["near_schemes"] == ["qpsk"]
 
 
 def test_preset_and_config_together_are_a_usage_error(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Layer semantics, gradients, and model contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nomadet.neuralnet import (ArchConfig, BatchNorm2D, Conv2D, Dense,
                                GlobalAvgPool, MaxPool2, ModulationNet, ReLU,
                                softmax, softmax_cross_entropy)
+from nomadet.neuralnet.layers import Layer
 from nomadet.neuralnet.model import DEFAULT_ARCH, TINY_ARCH, ResidualBlock
 from conftest import max_rel_error, numeric_gradient
 
@@ -113,6 +116,46 @@ class TestConv2D:
             num = numeric_gradient(loss, conv.params[key])
             assert max_rel_error(conv.grads[key], num) <= 1e-6
 
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride, padding, size", [
+        (3, 2, 3, 1, "same", 6),    # transposed-convolution input gradient
+        (3, 3, 5, 1, "same", 7),
+        (3, 2, 3, 1, "valid", 6),
+        (2, 3, 3, 1, "same", 6),    # widening: scattered input gradient
+        (2, 3, 1, 2, "valid", 7),   # the conv blocks' strided 1x1 shortcut
+    ])
+    def test_gradient_paths_match_finite_differences(self, in_ch, out_ch, kernel,
+                                                      stride, padding, size):
+        rng = RNG(kernel + 10 * stride + size + in_ch)
+        conv = Conv2D(in_ch, out_ch, kernel, stride=stride, padding=padding, rng=rng,
+                      dtype=np.float64)
+        conv.params["b"][...] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((2, in_ch, size, size))
+        probe = rng.standard_normal((2, out_ch, *conv.out_hw(size, size)))
+
+        def loss():
+            return float((conv.forward(x) * probe).sum())
+
+        loss()
+        gx = conv.backward(probe)
+        assert gx.shape == x.shape
+        assert max_rel_error(gx, numeric_gradient(loss, x)) <= 1e-6
+        for key in ("w", "b"):
+            num = numeric_gradient(loss, conv.params[key])
+            assert max_rel_error(conv.grads[key], num) <= 1e-6
+
+    def test_input_grad_false_fills_only_parameter_grads(self):
+        rng = RNG(24)
+        conv = Conv2D(1, 2, 5, rng=rng, dtype=np.float64)
+        x = rng.standard_normal((2, 1, 6, 6))
+        probe = rng.standard_normal((2, 2, 6, 6))
+        conv.forward(x)
+        full = conv.backward(probe)
+        grads = {key: value.copy() for key, value in conv.grads.items()}
+        assert full.shape == x.shape
+        assert conv.backward(probe, input_grad=False) is None
+        for key, value in grads.items():
+            np.testing.assert_array_equal(conv.grads[key], value)
+
 
 class TestBatchNorm:
     def test_training_mode_normalises(self):
@@ -180,10 +223,29 @@ class TestSimpleLayers:
 
     def test_maxpool_tie_routes_once(self):
         pool = MaxPool2()
-        x = np.ones((1, 1, 2, 2))
-        pool.forward(x)
+        pool.forward(np.ones((1, 1, 2, 2)))
         gx = pool.backward(np.array([[[[1.0]]]]))
-        assert gx.sum() == 1.0
+        # the first window position in row-major order takes the whole gradient
+        np.testing.assert_array_equal(gx, np.array([[[[1.0, 0.0], [0.0, 0.0]]]]))
+        pool.forward(np.array([[[[0.0, 2.0], [1.0, 2.0]]]]))
+        gx = pool.backward(np.array([[[[1.0]]]]))
+        np.testing.assert_array_equal(gx, np.array([[[[0.0, 1.0], [0.0, 0.0]]]]))
+
+    def test_maxpool_odd_input_gradients(self):
+        rng = RNG(25)
+        pool = MaxPool2()
+        # distinct values, so no finite-difference step crosses a tie
+        x = rng.permutation(2 * 3 * 5 * 5).reshape(2, 3, 5, 5).astype(np.float64)
+        probe = rng.standard_normal((2, 3, 2, 2))
+
+        def loss():
+            return float((pool.forward(x) * probe).sum())
+
+        loss()
+        gx = pool.backward(probe)
+        assert gx.shape == x.shape
+        assert not np.any(gx[:, :, 4, :]) and not np.any(gx[:, :, :, 4])
+        assert max_rel_error(gx, numeric_gradient(loss, x)) <= 1e-7
 
     def test_global_avg_pool(self):
         gap = GlobalAvgPool()
@@ -316,19 +378,76 @@ class TestResidualBlock:
         assert max_rel_error(gx, numeric_gradient(loss, x)) <= 1e-4
 
 
+def stage_shapes(model: ModulationNet) -> list:
+    """(stage name, per-sample shape) after every stage, on a zero batch."""
+    n = model.arch.input_size
+    out = np.zeros((1, 1, n, n), dtype=model.arch.np_dtype)
+    stages = [("base_conv", model.base_conv), ("base_bn", model.base_bn),
+              ("base_relu", model.base_relu), ("max_pool", model.pool),
+              *[(f"block{i}", block) for i, block in enumerate(model.blocks)],
+              ("global_avg_pool", model.gap), ("dense", model.dense)]
+    shapes = [("input", out.shape[1:])]
+    for name, stage in stages:
+        out = stage.forward(out, training=False)
+        shapes.append((name, out.shape[1:]))
+    return shapes
+
+
+def every_layer(model: ModulationNet):
+    """(name, layer) for every layer object, parameter-free ones included."""
+    owners = [("", model)] + [(f"block{i}.", block) for i, block in enumerate(model.blocks)]
+    for prefix, owner in owners:
+        for name, value in vars(owner).items():
+            if isinstance(value, Layer):
+                yield prefix + name, value
+
+
 class TestModel:
     def test_default_shape_contract(self):
-        shapes = dict(DEFAULT_ARCH.infer_shapes())
+        shapes = dict(stage_shapes(ModulationNet(DEFAULT_ARCH, seed=0)))
         assert shapes["input"] == (1, 100, 100)
         assert shapes["max_pool"] == (16, 50, 50)
-        assert shapes["block5_id128"] == (128, 7, 7)
+        assert shapes["block5"] == (128, 7, 7)
         assert shapes["dense"] == (4,)
         assert len(DEFAULT_ARCH.blocks) == 6
 
     def test_conv_blocks_halve_with_ceil(self):
-        sizes = [shape[-1] for name, shape in DEFAULT_ARCH.infer_shapes()
+        sizes = [shape[-1] for name, shape in stage_shapes(ModulationNet(DEFAULT_ARCH, seed=0))
                  if name.startswith("block")]
         assert sizes == [25, 25, 13, 13, 7, 7]
+
+    @pytest.mark.parametrize("arch", [TINY_ARCH, replace(DEFAULT_ARCH, input_size=24)],
+                             ids=["tiny", "default_blocks"])
+    def test_every_layer_output_is_contiguous_nchw(self, arch):
+        """The module's layout contract: every forward (train and eval) and
+        backward result is C-contiguous in the model's dtype."""
+        model = ModulationNet(arch, seed=3)
+        seen = []
+
+        def recording(fn, tag):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.append((tag, out))
+                return out
+            return call
+
+        layers = dict(every_layer(model))
+        for name, layer in layers.items():
+            for method in ("forward", "backward"):
+                setattr(layer, method, recording(getattr(layer, method), (name, method)))
+        n = arch.input_size
+        x = RNG(26).random((3, 1, n, n))
+        model.forward(x, training=False)
+        logits = model.forward(x, training=True)
+        model.backward(np.full_like(logits, 0.1))
+        for tag, out in seen:
+            if tag == ("base_conv", "backward"):
+                assert out is None  # the input diagrams need no gradient
+                continue
+            assert out.flags.c_contiguous, tag
+            assert out.dtype == arch.np_dtype, tag
+        calls = {tag for tag, _ in seen}
+        assert calls == {(name, m) for name in layers for m in ("forward", "backward")}
 
     def test_parameter_count_pinned(self):
         model = ModulationNet(DEFAULT_ARCH, seed=0)

@@ -8,14 +8,20 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
     pooled, plus its report files;
   - ``nomadet generate`` datasets, denoised and raw;
   - a ``nomadet train`` checkpoint on the denoised dataset;
-  - ``nomadet inspect`` PGM images of the denoised dataset.
+  - ``nomadet inspect`` PGM images of the denoised dataset;
+  - the per-step training loss of a fixed-seed default-architecture network
+    on the denoised dataset's diagrams, 3 epochs, in float64 and in float32.
 
 Each artifact prints as one line: a name and the first 16 hex digits of its
 sha256. Artifacts that carry numbers (result rows, reports, NMD1 records,
 checkpoint, images) print in the first group; metadata that names the config
 (the journal's digest line, the NMD1 header digest, the manifest) prints in
 the second. A change that only simplifies the code keeps the first group
-byte-identical. The script uses only API that has existed since the sample
+byte-identical. The loss curves print last, one full-precision value per
+step: a change that only reorders the network's arithmetic keeps the float64
+curve within 1e-9 relative of its parent's at every step, while float32
+rounding differences grow over the steps and are reported, not held to a
+tolerance. The script uses only API that has existed since the sample
 pipeline was unified, so it runs unchanged on older commits for comparison.
 """
 
@@ -30,8 +36,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nomadet import cli, harness  # noqa: E402
-from nomadet.neuralnet import TrainConfig  # noqa: E402
+import numpy as np  # noqa: E402
+
+from nomadet import cli, datapipe, harness  # noqa: E402
+from nomadet.neuralnet import (Adam, ArchConfig, ModulationNet, TrainConfig,  # noqa: E402
+                               softmax_cross_entropy)
 from nomadet.sigsim import ModScheme, NomaScenario  # noqa: E402
 
 NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
@@ -76,6 +85,27 @@ def _dataset(path: Path, tag: str) -> tuple[list, list]:
              (f"generate.{tag}.manifest", _sha(manifest))])
 
 
+def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> list:
+    """Loss of every Adam step on the dataset's diagrams, in a fixed batch order."""
+    samples, _ = datapipe.load_dataset(dataset)
+    x, y = harness.diagram_matrix(samples)
+    model = ModulationNet(ArchConfig(input_size=x.shape[-1], dtype=dtype), seed=2)
+    x = x.astype(model.arch.np_dtype)
+    targets = np.eye(model.arch.num_classes, dtype=x.dtype)[y]
+    optimiser = Adam(model)
+    order = np.random.default_rng(4).permutation(len(y))
+    losses = []
+    for _ in range(epochs):
+        for start in range(0, len(y), batch):
+            rows = order[start:start + batch]
+            loss, grad = softmax_cross_entropy(model.forward(x[rows], training=True),
+                                               targets[rows])
+            model.backward(grad)
+            optimiser.step()
+            losses.append(loss)
+    return losses
+
+
 def main() -> int:
     numbers, meta = [], []
     with tempfile.TemporaryDirectory(prefix="nomadet-golden-") as tmp:
@@ -101,12 +131,17 @@ def main() -> int:
         _cli("inspect", "--dataset", str(den), "--out", str(pgm))
         images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
         numbers.append(("inspect.pgm", _sha(images)))
+        curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     print("# number-carrying artifacts")
     for name, digest in numbers:
         print(f"{name} {digest}")
     print("# metadata")
     for name, digest in meta:
         print(f"{name} {digest}")
+    for dtype, losses in curves.items():
+        print(f"# loss curve, {dtype}, per step")
+        for step, loss in enumerate(losses):
+            print(f"loss.{dtype}.{step:02d} {loss!r}")
     return 0
 
 
