@@ -84,8 +84,8 @@ class Conv2D(Layer):
     gradient is the transposed convolution of ``grad_out``: a forward
     correlation of ``grad_out``, zero-padded by ``k-1-p``, with the kernel
     flipped in both spatial axes and its in/out channels swapped, so one
-    more im2col and GEMM. Strided convs, and stride-1 convs that widen the
-    channels, scatter the patch gradients back with k*k strided adds.
+    more im2col and GEMM. Strided convs scatter the patch gradients back
+    with k*k strided adds.
     ``backward(..., input_grad=False)`` skips the input gradient for a
     first layer, whose input needs none.
     """
@@ -130,9 +130,7 @@ class Conv2D(Layer):
         self.grads["b"] = g3.sum(axis=(0, 2))
         if not input_grad:
             return None
-        # the transposed convolution gathers O*k*k values per input pixel and
-        # the scatter C*k*k per output pixel: take it unless it is the larger
-        if s == 1 and O <= C:
+        if s == 1:
             flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, -1)
             return _correlate(grad_out, flipped, k, 1, k - 1 - p)[0]
         # (B, C, k, k, OH, OW): patch gradients, scattered back tap by tap

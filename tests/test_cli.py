@@ -6,6 +6,8 @@ import pytest
 
 from nomadet import cli
 from nomadet.errors import NumericError
+from nomadet.harness import ExperimentConfig
+from nomadet.sigsim import ModScheme
 from conftest import FOREIGN_ARCHS, write_checkpoint_header
 
 TINY = ["--samples-per-class", "5", "--symbols", "256", "--grid", "16"]
@@ -66,6 +68,12 @@ def test_generate_has_one_default_near_user(tmp_path):
         manifests.append((tmp_path / "d.nmd.manifest.json").read_text())
     assert manifests[0] == manifests[1]
     assert json.loads(manifests[0])["scenario"]["near_schemes"] == ["qpsk"]
+
+
+def test_configless_sweep_has_a_qpsk_near_user():
+    # `nomadet sweep` without --config or --preset runs ExperimentConfig();
+    # its near user moved from QAM16 to QPSK with the scenario default
+    assert ExperimentConfig().scenario.near_schemes == (ModScheme.QPSK,)
 
 
 def test_preset_and_config_together_are_a_usage_error(tmp_path, capsys):

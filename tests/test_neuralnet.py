@@ -120,7 +120,7 @@ class TestConv2D:
         (3, 2, 3, 1, "same", 6),    # transposed-convolution input gradient
         (3, 3, 5, 1, "same", 7),
         (3, 2, 3, 1, "valid", 6),
-        (2, 3, 3, 1, "same", 6),    # widening: scattered input gradient
+        (2, 3, 3, 1, "same", 6),    # more output than input channels
         (2, 3, 1, 2, "valid", 7),   # the conv blocks' strided 1x1 shortcut
     ])
     def test_gradient_paths_match_finite_differences(self, in_ch, out_ch, kernel,
