@@ -5,6 +5,9 @@ cluster centres per axis is estimated with Chiu's subtractive clustering
 (range-relative radii), the known near-user level pattern is divided out
 and the remaining per-axis level counts are matched to the closest far-user
 modulation signature.
+
+Clustering n points costs O(n^2) time but only a fixed ~1 MB block of working
+memory: the potentials are summed a block of whole rows at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +42,26 @@ class ClusterParams:
             raise ValueError("need 0 < reject_ratio < accept_ratio <= 1")
 
 
+# Working block of the potentials: 2**17 float64 (1 MB, stays in L2 cache).
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _potentials(x: np.ndarray, alpha: float) -> np.ndarray:
+    """sum_j exp(-alpha * (x_i - x_j)^2) for each i, a block of whole rows at a time."""
+    n = x.size
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    block = np.empty((min(rows, n), n))
+    potential = np.empty(n)
+    for start in range(0, n, rows):
+        b = block[:min(rows, n - start)]
+        np.subtract(x[start:start + len(b), None], x, out=b)
+        np.square(b, out=b)
+        b *= -alpha
+        np.exp(b, out=b)
+        b.sum(axis=1, out=potential[start:start + len(b)])
+    return potential
+
+
 def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -> int:
     """Number of cluster centres in a 1-D point set.
 
@@ -47,6 +70,10 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
     r_b = squash_factor * r_a is subtracted. Candidates between the accept
     and reject ratios are kept only if they are far enough from existing
     centres (Chiu's grey-zone rule).
+
+    Cost: O(n^2) time, a fixed ~1 MB block plus O(n) memory. The block keeps
+    whole rows, so each potential is the same full-row sum as in the n x n
+    form, bit for bit; splitting rows or exploiting symmetry would reorder it.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
     if pts.size < 2:
@@ -59,8 +86,7 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
     rb = params.squash_factor * ra
     alpha = 4.0 / ra ** 2
     beta = 4.0 / rb ** 2
-    diff2 = (x[:, None] - x[None, :]) ** 2
-    potential = np.exp(-alpha * diff2).sum(axis=1)
+    potential = _potentials(x, alpha)
 
     first_potential = potential.max()
     centers: list[float] = []

@@ -26,8 +26,8 @@ from .wavelet import denoise_frame
 
 __all__ = [
     "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
-    "scenario_frames", "frame_sample", "generate_dataset", "generate_sample",
-    "split_dataset", "save_dataset", "load_dataset",
+    "scenario_frames", "frame_sample", "generate_dataset", "split_dataset",
+    "save_dataset", "load_dataset",
 ]
 
 MAGIC = b"NMD1"
@@ -89,12 +89,6 @@ def frame_sample(scenario: NomaScenario, label: int, seed: int,
     diagram = density_diagram(frame, scenario.grid_size)
     return LabeledSample(diagram=diagram, label=label, seed=seed,
                          snr_db=scenario.snr_db_near)
-
-
-def generate_sample(scenario: NomaScenario, label: int, seed: int) -> LabeledSample:
-    """One denoised labelled sample, regenerated from its recorded seed."""
-    frame = denoise_frame(_simulate(scenario, label, seed))
-    return frame_sample(scenario, label, seed, frame)
 
 
 def generate_dataset(scenario: NomaScenario, denoise: bool = True,

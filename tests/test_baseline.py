@@ -1,8 +1,11 @@
 """Subtractive clustering and the projection classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nomadet import baseline
 from nomadet.baseline import (ClusterParams, axis_level_counts,
                               projection_classify, subtractive_cluster_count)
 from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,
@@ -65,6 +68,40 @@ class TestSubtractiveClustering:
             ClusterParams(squash_factor=0.9)
         with pytest.raises(ValueError):
             ClusterParams(accept_ratio=0.1, reject_ratio=0.5)
+
+
+def full_matrix_potentials(x, alpha):
+    """The n x n form that the blocked potentials must reproduce bit for bit."""
+    diff2 = (x[:, None] - x[None, :]) ** 2
+    return np.exp(-alpha * diff2).sum(axis=1)
+
+
+class TestBlockedPotentials:
+    ALPHA = 4.0 / FINE.neighborhood_radius ** 2
+
+    @pytest.mark.parametrize("n", [2, 7, 2000, 3000])
+    def test_bit_identical_to_full_matrix(self, n):
+        # 2000 and 3000 rows leave a ragged last block
+        x = np.random.default_rng(n).random(n)
+        np.testing.assert_array_equal(baseline._potentials(x, self.ALPHA),
+                                      full_matrix_potentials(x, self.ALPHA))
+
+    def test_one_row_per_block(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_BLOCK_ELEMENTS", 1)
+        x = np.random.default_rng(5).random(300)
+        np.testing.assert_array_equal(baseline._potentials(x, self.ALPHA),
+                                      full_matrix_potentials(x, self.ALPHA))
+
+    def test_working_memory_stays_linear(self):
+        # an n x n float64 temporary at 3000 points alone is 72 MB
+        pts = np.random.default_rng(6).random(3000)
+        tracemalloc.start()
+        try:
+            subtractive_cluster_count(pts, FINE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestProjectionClassify:

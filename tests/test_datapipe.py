@@ -6,12 +6,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from nomadet.datapipe import (CLASS_ORDER, derive_seed, generate_dataset,
-                              generate_sample, load_dataset, save_dataset,
+from nomadet.datapipe import (CLASS_ORDER, derive_seed, frame_sample,
+                              generate_dataset, load_dataset, save_dataset,
                               split_dataset)
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
-from nomadet.sigsim import ModScheme, NomaScenario
+from nomadet.sigsim import ModScheme, NomaScenario, generate_noma_frame
+from nomadet.wavelet import denoise_frame
 
 
 def quick_scenario(samples_per_class=3, seed=0):
@@ -57,7 +58,10 @@ class TestGenerateDataset:
         scenario = quick_scenario(seed=9)
         samples = generate_dataset(scenario)
         probe = samples[7]
-        regen = generate_sample(scenario, probe.label, probe.seed)
+        frame = generate_noma_frame(
+            replace(scenario, far_scheme=CLASS_ORDER[probe.label]),
+            rng=np.random.default_rng(probe.seed))
+        regen = frame_sample(scenario, probe.label, probe.seed, denoise_frame(frame))
         np.testing.assert_array_equal(regen.diagram.grid, probe.diagram.grid)
 
     def test_raw_mode_differs_from_denoised(self):

@@ -9,6 +9,9 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
   - ``nomadet generate`` datasets, denoised and raw;
   - a ``nomadet train`` checkpoint on the denoised dataset;
   - ``nomadet inspect`` PGM images of the denoised dataset;
+  - the projection baseline's per-axis cluster counts on 12 fixed-seed
+    3000-symbol frames (SNR -10, 0, 10, 20 dB x 1-3 QPSK near users), long
+    enough that the clustering potentials span several working blocks;
   - the per-step training loss of a fixed-seed default-architecture network
     on the denoised dataset's diagrams, 3 epochs, in float64 and in float32.
 
@@ -38,10 +41,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from nomadet import cli, datapipe, harness  # noqa: E402
+from nomadet import baseline, cli, datapipe, harness  # noqa: E402
 from nomadet.neuralnet import (Adam, ArchConfig, ModulationNet, TrainConfig,  # noqa: E402
                                softmax_cross_entropy)
-from nomadet.sigsim import ModScheme, NomaScenario  # noqa: E402
+from nomadet.sigsim import ModScheme, NomaScenario, generate_noma_frame  # noqa: E402
 
 NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
 
@@ -83,6 +86,19 @@ def _dataset(path: Path, tag: str) -> tuple[list, list]:
     return ([(f"generate.{tag}.records", _sha(blob[NMD1_HEADER:]))],
             [(f"generate.{tag}.header", _sha(blob[:NMD1_HEADER])),
              (f"generate.{tag}.manifest", _sha(manifest))])
+
+
+def _axis_counts() -> str:
+    """sha256 prefix of axis_level_counts over 12 fixed-seed 3000-symbol frames."""
+    cells = [(snr, users) for snr in (-10.0, 0.0, 10.0, 20.0) for users in (1, 2, 3)]
+    counts = []
+    for index, (snr, users) in enumerate(cells):
+        scenario = NomaScenario(near_schemes=(ModScheme.QPSK,) * users,
+                                far_scheme=datapipe.CLASS_ORDER[index % 4],
+                                snr_db_near=snr, symbols_per_frame=3000)
+        frame = generate_noma_frame(scenario, rng=np.random.default_rng(100 + index))
+        counts.append(baseline.axis_level_counts(frame))
+    return _sha(repr(counts).encode())
 
 
 def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> list:
@@ -131,6 +147,7 @@ def main() -> int:
         _cli("inspect", "--dataset", str(den), "--out", str(pgm))
         images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
         numbers.append(("inspect.pgm", _sha(images)))
+        numbers.append(("projection.axis_counts", _axis_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     print("# number-carrying artifacts")
     for name, digest in numbers:
