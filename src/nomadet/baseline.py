@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sigsim import ModScheme, PowerAllocation, SignalFrame
+from .sigsim import ModScheme, PowerAllocation, SignalFrame, axis_levels
 
 __all__ = ["ClusterParams", "subtractive_cluster_count", "projection_classify",
            "axis_level_counts"]
@@ -24,22 +24,21 @@ __all__ = ["ClusterParams", "subtractive_cluster_count", "projection_classify",
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Chiu subtractive clustering constants; radii are fractions of the
-    data range."""
+    """Chiu subtractive clustering radius, a fraction of the data range."""
 
     neighborhood_radius: float = 0.15
-    squash_factor: float = 1.5
-    accept_ratio: float = 0.5
-    reject_ratio: float = 0.15
-    max_centers: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.neighborhood_radius < 1.0:
             raise ValueError("neighborhood_radius must lie in (0, 1)")
-        if self.squash_factor <= 1.0:
-            raise ValueError("squash_factor must exceed 1")
-        if not 0.0 < self.reject_ratio < self.accept_ratio <= 1.0:
-            raise ValueError("need 0 < reject_ratio < accept_ratio <= 1")
+
+
+# Chiu's remaining constants: squash radius r_b = _SQUASH_FACTOR * r_a, the
+# accept and reject potential ratios, and a cap on the centre count.
+_SQUASH_FACTOR = 1.5
+_ACCEPT_RATIO = 0.5
+_REJECT_RATIO = 0.15
+_MAX_CENTERS = 64
 
 
 # Working block of the potentials: 2**17 float64 (1 MB, stays in L2 cache).
@@ -67,7 +66,7 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
 
     Potentials use exp(-||p_i - p_j||^2 / (r_a/2)^2) on range-normalised
     points; after each accepted centre the squash term with radius
-    r_b = squash_factor * r_a is subtracted. Candidates between the accept
+    r_b = _SQUASH_FACTOR * r_a is subtracted. Candidates between the accept
     and reject ratios are kept only if they are far enough from existing
     centres (Chiu's grey-zone rule).
 
@@ -83,7 +82,7 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
         return 1
     x = (pts - pts.min()) / span
     ra = params.neighborhood_radius
-    rb = params.squash_factor * ra
+    rb = _SQUASH_FACTOR * ra
     alpha = 4.0 / ra ** 2
     beta = 4.0 / rb ** 2
     potential = _potentials(x, alpha)
@@ -91,15 +90,15 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
     first_potential = potential.max()
     centers: list[float] = []
     dead = np.zeros(x.size, dtype=bool)
-    while len(centers) < params.max_centers:
+    while len(centers) < _MAX_CENTERS:
         potential_masked = np.where(dead, -np.inf, potential)
         k = int(np.argmax(potential_masked))
         p_star = potential_masked[k]
         if not np.isfinite(p_star):
             break
-        if centers and p_star <= params.reject_ratio * first_potential:
+        if centers and p_star <= _REJECT_RATIO * first_potential:
             break
-        accept = not centers or p_star > params.accept_ratio * first_potential
+        accept = not centers or p_star > _ACCEPT_RATIO * first_potential
         if not accept:
             d_min = min(abs(x[k] - c) for c in centers)
             if d_min / ra + p_star / first_potential >= 1.0:
@@ -115,12 +114,8 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
 # Per-axis level counts (I, Q) after folding odd-index samples back by -pi/2.
 # The fold maps pi/2-BPSK onto a plain 2-level BPSK on the I axis while
 # leaving the square constellations' level sets unchanged.
-_AXIS_SIGNATURE = {
-    ModScheme.PI_HALF_BPSK: (2, 1),
-    ModScheme.QPSK: (2, 2),
-    ModScheme.QAM16: (4, 4),
-    ModScheme.QAM64: (8, 8),
-}
+_AXIS_SIGNATURE = {scheme: tuple(len(levels) for levels in axis_levels(scheme))
+                   for scheme in ModScheme}
 
 # finer radius than the generic default: the projections must resolve up to
 # 8 x near-levels per axis
@@ -133,18 +128,16 @@ def _fold_quarter_rotation(samples: np.ndarray) -> np.ndarray:
     return folded
 
 
-def axis_level_counts(frame: SignalFrame,
-                      params: ClusterParams = _PROJECTION_PARAMS) -> tuple[int, int]:
+def axis_level_counts(frame: SignalFrame) -> tuple[int, int]:
     """Cluster-centre counts on the folded I and Q projections."""
     folded = _fold_quarter_rotation(frame.samples)
-    return (subtractive_cluster_count(folded.real, params),
-            subtractive_cluster_count(folded.imag, params))
+    return (subtractive_cluster_count(folded.real, _PROJECTION_PARAMS),
+            subtractive_cluster_count(folded.imag, _PROJECTION_PARAMS))
 
 
 def projection_classify(frame: SignalFrame,
                         alloc: PowerAllocation | None = None,
-                        near_schemes=(),
-                        params: ClusterParams = _PROJECTION_PARAMS) -> ModScheme:
+                        near_schemes=()) -> ModScheme:
     """Far-user scheme from per-axis cluster counts.
 
     The joint per-axis level count is (near levels) x (far levels); dividing
@@ -153,7 +146,7 @@ def projection_classify(frame: SignalFrame,
     nearest admissible signature in log space. Total function: any frame
     yields some scheme.
     """
-    count_i, count_q = axis_level_counts(frame, params)
+    count_i, count_q = axis_level_counts(frame)
     near_i = near_q = 1
     for scheme in near_schemes:
         si, sq = _AXIS_SIGNATURE[scheme]

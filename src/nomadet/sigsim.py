@@ -4,6 +4,14 @@ Generates per-user symbol streams (pi/2-BPSK, QPSK, QAM16, QAM64), allocates
 power with the fractional transmit power allocation rule, superposes the
 streams into one NOMA signal and runs it through a block-Rayleigh + AWGN
 channel as seen by the near user terminal.
+
+Every scheme is a product of I and Q alphabets, stated once in the table
+``_AXES``: Gray-ordered integer I levels, Q levels and a normaliser giving
+unit average energy. A bit group's I bits (first) and Q bits index the
+levels and the symbol is ``(I + 1j*Q) / normaliser``; pi/2-BPSK is listed
+unrotated (I = 1, -1; Q = 0) and its odd symbols are turned by pi/2. Bits
+per symbol, ``axis_levels`` and the projection baseline's per-axis
+signatures derive from the table.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ __all__ = [
     "ChannelConfig",
     "NomaScenario",
     "modulate",
-    "constellation",
+    "axis_levels",
     "fractional_power_allocation",
     "superpose",
     "apply_channel",
@@ -46,34 +54,32 @@ class ModScheme(str, Enum):
 
     @property
     def bits_per_symbol(self) -> int:
-        return _BITS_PER_SYMBOL[self]
+        i_levels, q_levels, _ = _AXES[self]
+        return (i_levels.size * q_levels.size).bit_length() - 1
 
     @classmethod
     def from_name(cls, name: str) -> "ModScheme":
         key = name.strip().lower().replace("/", "").replace("-", "").replace("_", "")
-        for scheme in cls:
-            if scheme.value.replace("_", "") == key:
-                return scheme
-        aliases = {"pihalfbpsk": cls.PI_HALF_BPSK, "pi2bpsk": cls.PI_HALF_BPSK,
-                   "bpsk": cls.PI_HALF_BPSK, "16qam": cls.QAM16, "64qam": cls.QAM64}
-        if key in aliases:
-            return aliases[key]
-        raise ValueError(f"unknown modulation scheme {name!r}")
+        if key not in _SCHEME_NAMES:
+            raise ValueError(f"unknown modulation scheme {name!r}")
+        return _SCHEME_NAMES[key]
 
 
-_BITS_PER_SYMBOL = {
-    ModScheme.PI_HALF_BPSK: 1,
-    ModScheme.QPSK: 2,
-    ModScheme.QAM16: 4,
-    ModScheme.QAM64: 6,
+_SCHEME_NAMES = {**{scheme.value: scheme for scheme in ModScheme},
+                 "pihalfbpsk": ModScheme.PI_HALF_BPSK, "bpsk": ModScheme.PI_HALF_BPSK,
+                 "16qam": ModScheme.QAM16, "64qam": ModScheme.QAM64}
+
+# scheme -> (I levels, Q levels, normaliser); a level's index is the integer
+# value of its axis's bit group
+_AXES = {
+    ModScheme.PI_HALF_BPSK: (np.array([1.0, -1.0]), np.array([0.0]), 1.0),
+    ModScheme.QPSK: (np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.sqrt(2.0)),
+    ModScheme.QAM16: (np.array([-3.0, -1.0, 3.0, 1.0]),
+                      np.array([-3.0, -1.0, 3.0, 1.0]), np.sqrt(10.0)),
+    ModScheme.QAM64: (np.array([-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0]),
+                      np.array([-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0]),
+                      np.sqrt(42.0)),
 }
-
-# Gray-coded PAM amplitudes, index = integer value of the bit group for one axis.
-# Normalisers give every constellation unit average symbol energy.
-_PAM4 = np.array([-3.0, -1.0, 3.0, 1.0])            # bits b0b1 -> level
-_PAM8 = np.array([-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0])
-_QAM16_NORM = np.sqrt(10.0)
-_QAM64_NORM = np.sqrt(42.0)
 
 
 @dataclass(frozen=True)
@@ -141,33 +147,22 @@ class ChannelConfig:
             raise ValueError("snr_db_near must not be NaN")
 
 
-def constellation(scheme: ModScheme) -> np.ndarray:
-    """All constellation points of a scheme (unit average energy).
+def axis_levels(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised I and Q levels of a scheme, in Gray order.
 
-    For pi/2-BPSK this is the even-symbol (unrotated) alphabet.
+    Every constellation point is one I level plus 1j times one Q level; for
+    pi/2-BPSK these are the even-symbol (unrotated) levels.
     """
-    if scheme is ModScheme.PI_HALF_BPSK:
-        return np.array([1.0 + 0.0j, -1.0 + 0.0j])
-    bps = scheme.bits_per_symbol
-    count = 1 << bps
-    bits = ((np.arange(count)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8)
-    return modulate(bits.reshape(-1), scheme).samples
-
-
-def _gray_axis_levels(bits: np.ndarray, width: int) -> np.ndarray:
-    """Map bit groups of `width` per axis to Gray-coded PAM levels."""
-    idx = np.zeros(bits.shape[0], dtype=np.int64)
-    for b in range(width):
-        idx = (idx << 1) | bits[:, b]
-    table = _PAM4 if width == 2 else _PAM8
-    return table[idx]
+    i_levels, q_levels, norm = _AXES[scheme]
+    return i_levels / norm, q_levels / norm
 
 
 def modulate(bits, scheme: ModScheme) -> SignalFrame:
     """Map a bit sequence to one complex symbol per bits-per-symbol group.
 
-    pi/2-BPSK alternates the BPSK axis: even-index symbols stay on the real
-    axis, odd-index symbols are rotated by pi/2. QAM uses per-axis Gray maps.
+    Each group's I bits (first) and Q bits index the scheme's Gray-ordered
+    axis levels. pi/2-BPSK alternates the BPSK axis: even-index symbols stay
+    on the real axis, odd-index symbols are rotated by pi/2.
     """
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
     if np.any(bits > 1):
@@ -178,24 +173,12 @@ def modulate(bits, scheme: ModScheme) -> SignalFrame:
             f"bit count {bits.size} is not a positive multiple of {bps} "
             f"required by {scheme.name}"
         )
-    groups = bits.reshape(-1, bps)
-    n = groups.shape[0]
+    i_levels, q_levels, norm = _AXES[scheme]
+    # I bits come first, so a group's integer value indexes the I-major points
+    points = ((i_levels[:, None] + 1j * q_levels) / norm).reshape(-1)
+    symbols = points[bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))]
     if scheme is ModScheme.PI_HALF_BPSK:
-        base = 1.0 - 2.0 * groups[:, 0].astype(np.float64)
-        rot = np.where(np.arange(n) % 2 == 0, 1.0 + 0.0j, 1.0j)
-        symbols = base * rot
-    elif scheme is ModScheme.QPSK:
-        i = 1.0 - 2.0 * groups[:, 0].astype(np.float64)
-        q = 1.0 - 2.0 * groups[:, 1].astype(np.float64)
-        symbols = (i + 1j * q) / np.sqrt(2.0)
-    elif scheme is ModScheme.QAM16:
-        i = _gray_axis_levels(groups[:, :2], 2)
-        q = _gray_axis_levels(groups[:, 2:], 2)
-        symbols = (i + 1j * q) / _QAM16_NORM
-    else:
-        i = _gray_axis_levels(groups[:, :3], 3)
-        q = _gray_axis_levels(groups[:, 3:], 3)
-        symbols = (i + 1j * q) / _QAM64_NORM
+        symbols[1::2] *= 1j
     return SignalFrame(symbols)
 
 
@@ -335,11 +318,11 @@ def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:
     return alloc
 
 
-def generate_noma_frame(scenario: NomaScenario, rng=None) -> SignalFrame:
+def generate_noma_frame(scenario: NomaScenario, rng) -> SignalFrame:
     """Draw random bits for every user, superpose, and run the channel."""
     if scenario.far_scheme is None:
         raise ValueError("scenario.far_scheme must be set to generate a frame")
-    rng = _as_rng(scenario.seed if rng is None else rng)
+    rng = _as_rng(rng)
     schemes = list(scenario.near_schemes) + [scenario.far_scheme]
     alloc = resolve_allocation(scenario)
     n_sym = scenario.symbols_per_frame

@@ -64,10 +64,6 @@ class TestSubtractiveClustering:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ClusterParams(neighborhood_radius=0.0)
-        with pytest.raises(ValueError):
-            ClusterParams(squash_factor=0.9)
-        with pytest.raises(ValueError):
-            ClusterParams(accept_ratio=0.1, reject_ratio=0.5)
 
 
 def full_matrix_potentials(x, alpha):

@@ -6,12 +6,42 @@ from hypothesis import given, settings, strategies as st
 
 from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario,
                             PowerAllocation, SignalFrame, apply_channel,
-                            constellation, fractional_power_allocation,
+                            axis_levels, fractional_power_allocation,
                             generate_noma_frame, modulate, resolve_allocation,
                             superpose)
 
 # ids=str names each case ModScheme.X; pytest would name a str-valued enum by its value
 ALL_SCHEMES = list(ModScheme)
+
+R2, R10, R42 = np.sqrt(2.0), np.sqrt(10.0), np.sqrt(42.0)
+# The expected symbol of every bit group, in bit-group order 0...0 to 1...1,
+# written out by hand: I bits first, then Q bits, each axis Gray coded.
+GRAY_MAPS = {
+    ModScheme.PI_HALF_BPSK: [1, -1],
+    ModScheme.QPSK: np.array([1+1j, 1-1j, -1+1j, -1-1j]) / R2,
+    ModScheme.QAM16: np.array([
+        -3-3j, -3-1j, -3+3j, -3+1j,
+        -1-3j, -1-1j, -1+3j, -1+1j,
+        3-3j, 3-1j, 3+3j, 3+1j,
+        1-3j, 1-1j, 1+3j, 1+1j,
+    ]) / R10,
+    ModScheme.QAM64: np.array([
+        -7-7j, -7-5j, -7-1j, -7-3j, -7+7j, -7+5j, -7+1j, -7+3j,
+        -5-7j, -5-5j, -5-1j, -5-3j, -5+7j, -5+5j, -5+1j, -5+3j,
+        -1-7j, -1-5j, -1-1j, -1-3j, -1+7j, -1+5j, -1+1j, -1+3j,
+        -3-7j, -3-5j, -3-1j, -3-3j, -3+7j, -3+5j, -3+1j, -3+3j,
+        7-7j, 7-5j, 7-1j, 7-3j, 7+7j, 7+5j, 7+1j, 7+3j,
+        5-7j, 5-5j, 5-1j, 5-3j, 5+7j, 5+5j, 5+1j, 5+3j,
+        1-7j, 1-5j, 1-1j, 1-3j, 1+7j, 1+5j, 1+1j, 1+3j,
+        3-7j, 3-5j, 3-1j, 3-3j, 3+7j, 3+5j, 3+1j, 3+3j,
+    ]) / R42,
+}
+
+
+def all_bit_groups(scheme):
+    """Every bit group of a scheme, MSB first, in order of integer value."""
+    k = scheme.bits_per_symbol
+    return ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 class TestModulate:
@@ -25,13 +55,21 @@ class TestModulate:
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_unit_average_energy_closed_form(self, scheme):
-        points = constellation(scheme)
-        assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_qam16_energy_over_all_points(self):
-        bits = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).reshape(-1)
-        frame = modulate(bits.astype(np.uint8), ModScheme.QAM16)
+        # closed form over the I x Q product, and over every modulated bit group
+        i_levels, q_levels = axis_levels(scheme)
+        assert np.mean(i_levels ** 2) + np.mean(q_levels ** 2) == \
+            pytest.approx(1.0, abs=1e-12)
+        frame = modulate(all_bit_groups(scheme).reshape(-1), scheme)
         assert np.mean(np.abs(frame.samples) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+    def test_exact_gray_map(self, scheme):
+        # every bit group in one stream; pi/2-BPSK turns its odd symbols
+        expected = np.array(GRAY_MAPS[scheme], dtype=complex)
+        if scheme is ModScheme.PI_HALF_BPSK:
+            expected[1::2] *= 1j
+        frame = modulate(all_bit_groups(scheme).reshape(-1), scheme)
+        np.testing.assert_allclose(frame.samples, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_length_not_divisible_raises(self, scheme):
@@ -43,7 +81,7 @@ class TestModulate:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_bit_groups_map_to_distinct_gray_points(self, scheme):
         k = scheme.bits_per_symbol
-        groups = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+        groups = all_bit_groups(scheme)
         # each group as the first (unrotated) symbol of its own frame
         points = np.array([modulate(g, scheme).samples[0] for g in groups])
         dist = np.abs(points[:, None] - points[None, :])
@@ -52,6 +90,20 @@ class TestModulate:
         nearest = np.isclose(dist, dist[off_diagonal].min()) & off_diagonal
         for i, j in zip(*np.nonzero(nearest)):
             assert bin(int(i) ^ int(j)).count("1") == 1, (groups[i], groups[j])
+
+
+class TestSchemeNames:
+    @pytest.mark.parametrize("name, scheme", [
+        ("QPSK", ModScheme.QPSK), (" 16-QAM ", ModScheme.QAM16),
+        ("qam_64", ModScheme.QAM64), ("pi/2-BPSK", ModScheme.PI_HALF_BPSK),
+        ("bpsk", ModScheme.PI_HALF_BPSK), ("pihalfbpsk", ModScheme.PI_HALF_BPSK),
+    ])
+    def test_accepted_spellings(self, name, scheme):
+        assert ModScheme.from_name(name) is scheme
+
+    def test_unknown_name_is_named(self):
+        with pytest.raises(ValueError, match="'8psk'"):
+            ModScheme.from_name("8psk")
 
 
 class TestPowerAllocation:
@@ -179,9 +231,9 @@ class TestGenerateFrame:
         assert scen.num_users == 4
 
     def test_determinism(self):
-        scen = NomaScenario(symbols_per_frame=256, seed=21)
-        a = generate_noma_frame(scen)
-        b = generate_noma_frame(scen)
+        scen = NomaScenario(symbols_per_frame=256)
+        a = generate_noma_frame(scen, rng=21)
+        b = generate_noma_frame(scen, rng=21)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_far_scheme_required(self):

@@ -9,6 +9,9 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
   - ``nomadet generate`` datasets, denoised and raw;
   - a ``nomadet train`` checkpoint on the denoised dataset;
   - ``nomadet inspect`` PGM images of the denoised dataset;
+  - the raw samples of one fixed-seed 600-symbol ``generate_noma_frame`` frame
+    per (near scheme, far scheme) pair, so a last-bit change in modulation
+    shows even where density binning would hide it;
   - the projection baseline's per-axis cluster counts on 12 fixed-seed
     3000-symbol frames (SNR -10, 0, 10, 20 dB x 1-3 QPSK near users), long
     enough that the clustering potentials span several working blocks;
@@ -33,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -86,6 +90,16 @@ def _dataset(path: Path, tag: str) -> tuple[list, list]:
     return ([(f"generate.{tag}.records", _sha(blob[NMD1_HEADER:]))],
             [(f"generate.{tag}.header", _sha(blob[:NMD1_HEADER])),
              (f"generate.{tag}.manifest", _sha(manifest))])
+
+
+def _frames() -> str:
+    """sha256 prefix of the samples of one fixed-seed frame per scheme pair."""
+    blob = b""
+    for index, (near, far) in enumerate(itertools.product(ModScheme, repeat=2)):
+        scenario = NomaScenario(near_schemes=(near,), far_scheme=far, symbols_per_frame=600)
+        frame = generate_noma_frame(scenario, rng=np.random.default_rng(200 + index))
+        blob += frame.samples.tobytes()
+    return _sha(blob)
 
 
 def _axis_counts() -> str:
@@ -147,6 +161,7 @@ def main() -> int:
         _cli("inspect", "--dataset", str(den), "--out", str(pgm))
         images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
         numbers.append(("inspect.pgm", _sha(images)))
+        numbers.append(("sigsim.frames", _frames()))
         numbers.append(("projection.axis_counts", _axis_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     print("# number-carrying artifacts")
