@@ -62,6 +62,10 @@ class TestModulate:
         frame = modulate(all_bit_groups(scheme).reshape(-1), scheme)
         assert np.mean(np.abs(frame.samples) ** 2) == pytest.approx(1.0, abs=1e-12)
 
+    def test_qam16_energy_over_all_points(self):
+        frame = modulate(all_bit_groups(ModScheme.QAM16).reshape(-1), ModScheme.QAM16)
+        assert np.mean(np.abs(frame.samples) ** 2) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_exact_gray_map(self, scheme):
         # every bit group in one stream; pi/2-BPSK turns its odd symbols
