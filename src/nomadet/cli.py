@@ -21,17 +21,14 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .datapipe import generate_dataset, load_dataset, save_dataset, split_dataset
 from .density import write_pgm
 from .errors import DataFormatError, NomadetError, NumericError
 from .harness import (ExperimentConfig, ResultTable, emit_report, evaluate,
-                      diagram_matrix, read_journal, run_sweep,
+                      diagram_matrix, read_journal, run_sweep, train_model,
                       desk_preset, full_preset, METHODS)
-from .neuralnet import (ArchConfig, ModulationNet, TrainConfig, load_model,
-                        save_model, train)
+from .neuralnet import TrainConfig, load_model, save_model
 from .sigsim import NomaScenario
 
 EXIT_OK = 0
@@ -80,14 +77,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples, manifest = load_dataset(args.dataset)
+    samples, _ = load_dataset(args.dataset)
     split = split_dataset(samples, seed=args.split_seed)
-    x, y = diagram_matrix(samples)
-    tr = np.array(split.train, dtype=np.int64)
-    va = np.array(split.validation, dtype=np.int64)
-    grid = samples[0].diagram.grid_size
-    model = ModulationNet(ArchConfig(input_size=grid), seed=args.seed)
-    history = train(model, (x[tr], y[tr]), (x[va], y[va]), _overrides(TrainConfig(), args))
+    model, history = train_model([(samples, split)], samples[0].diagram.grid_size,
+                                 _overrides(TrainConfig(), args), model_seed=args.seed)
     save_model(model, args.out)
     if args.history:
         with open(args.history, "w", encoding="utf-8", newline="") as fh:

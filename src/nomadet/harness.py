@@ -29,8 +29,8 @@ from .sigsim import generate_noma_frame  # noqa: F401
 
 __all__ = [
     "METHODS", "ExperimentConfig", "ResultRow", "ResultTable", "run_sweep",
-    "read_journal", "evaluate", "emit_report", "diagram_matrix", "desk_preset",
-    "full_preset",
+    "read_journal", "evaluate", "emit_report", "diagram_matrix", "train_model",
+    "desk_preset", "full_preset",
 ]
 
 METHOD_RESNET = "resnet_denoised"
@@ -183,9 +183,9 @@ class _CellData:
         return self.raw if method == METHOD_RAW else self.denoised
 
 
-def _train_model(cfg: ExperimentConfig, parts, model_seed: int,
-                 train_seed: int) -> ModulationNet:
-    """A fresh net trained on the train/validation indices of (samples, split) parts."""
+def train_model(parts, grid_size: int, train_cfg: TrainConfig, model_seed: int):
+    """A fresh net trained on the train/validation indices of (samples, split)
+    parts, and its per-epoch history."""
     xs, ys, xv, yv = [], [], [], []
     for samples, split in parts:
         x, y = diagram_matrix(samples)
@@ -193,10 +193,10 @@ def _train_model(cfg: ExperimentConfig, parts, model_seed: int,
         va = np.array(split.validation, dtype=np.int64)
         xs.append(x[tr]); ys.append(y[tr])
         xv.append(x[va]); yv.append(y[va])
-    model = ModulationNet(ArchConfig(input_size=cfg.scenario.grid_size), seed=model_seed)
-    train(model, (np.concatenate(xs), np.concatenate(ys)),
-          (np.concatenate(xv), np.concatenate(yv)), replace(cfg.train, seed=train_seed))
-    return model
+    model = ModulationNet(ArchConfig(input_size=grid_size), seed=model_seed)
+    history = train(model, (np.concatenate(xs), np.concatenate(ys)),
+                    (np.concatenate(xv), np.concatenate(yv)), train_cfg)
+    return model, history
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable:
@@ -279,9 +279,10 @@ def _score_cell(cfg, factor_label, cell, method, method_index,
         if pooled_models is not None:
             model = pooled_models[method]
         else:
-            model = _train_model(cfg, [(cell.samples(method), cell.split)],
-                                 model_seed=derive_seed(scenario.seed, 1000 + method_index),
-                                 train_seed=derive_seed(scenario.seed, 2000 + method_index))
+            model, _ = train_model(
+                [(cell.samples(method), cell.split)], cfg.scenario.grid_size,
+                replace(cfg.train, seed=derive_seed(scenario.seed, 2000 + method_index)),
+                model_seed=derive_seed(scenario.seed, 1000 + method_index))
         predicted = model.classify(diagram_matrix(test_samples)[0])
     accuracy, confusion = evaluate(predicted, [s.label for s in test_samples])
     return ResultRow(snr_db=cell.scenario.snr_db_near, factor=factor_label, method=method,
@@ -296,8 +297,9 @@ def _train_pooled(cfg, factor_index: int, cells) -> dict:
         if method == METHOD_PROJECTION:
             continue
         seed = derive_seed(cfg.seed, factor_index, 3000 + mi)
-        models[method] = _train_model(cfg, [(c.samples(method), c.split) for c in cells],
-                                      model_seed=seed, train_seed=derive_seed(seed, 1))
+        models[method], _ = train_model(
+            [(c.samples(method), c.split) for c in cells], cfg.scenario.grid_size,
+            replace(cfg.train, seed=derive_seed(seed, 1)), model_seed=seed)
     return models
 
 

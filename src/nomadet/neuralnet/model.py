@@ -4,6 +4,13 @@ Stage 1 is a baseline convolution (BN + ReLU + 2x2 max pool), stage 2 a
 string of residual blocks (identity blocks keep shapes, conv blocks halve
 the spatial extent with a strided 1x1 shortcut), stage 3 global average
 pooling into a dense layer with one logit per modulation class.
+
+Each stage is one list of (name, layer) pairs in forward order, and these
+lists are the one statement of layer order: ``ModulationNet.layers`` for the
+network, ``main`` and ``shortcut`` for each residual block. Forward is a fold
+over the lists, backward a fold over them in reverse, and ``parameters`` and
+``state_tensors`` (which the optimiser and the checkpoint read) walk them,
+naming each tensor by its dotted path, such as ``block0.conv1.w``.
 """
 
 from __future__ import annotations
@@ -40,12 +47,11 @@ class ArchConfig:
 
     def __post_init__(self):
         blocks = tuple((str(kind), int(ch)) for kind, ch in self.blocks)
-        for kind, _ in blocks:
-            if kind not in (BLOCK_ID, BLOCK_CONV):
-                raise ValueError(f"unknown block kind {kind!r}")
         object.__setattr__(self, "blocks", blocks)
         in_ch = self.base_channels
         for kind, ch in blocks:
+            if kind not in (BLOCK_ID, BLOCK_CONV):
+                raise ValueError(f"unknown block kind {kind!r}")
             if kind == BLOCK_ID and ch != in_ch:
                 raise ValueError(
                     f"identity block requires matching channels, {in_ch} -> {ch}")
@@ -62,11 +68,24 @@ TINY_ARCH = ArchConfig(input_size=12, base_kernel=3, base_channels=4,
                        blocks=((BLOCK_ID, 4),), num_classes=4, dtype="float64")
 
 
+def _forward(layers, x: np.ndarray, training: bool) -> np.ndarray:
+    for _, layer in layers:
+        x = layer.forward(x, training)
+    return x
+
+
+def _backward(layers, grad: np.ndarray) -> np.ndarray:
+    for _, layer in reversed(layers):
+        grad = layer.backward(grad)
+    return grad
+
+
 class ResidualBlock:
     """ReLU(main(x) + shortcut(x)); main is conv3-BN-ReLU-conv3-BN.
 
-    Identity blocks keep shape; conv blocks stride the first conv by 2 and
-    carry a 1x1 stride-2 conv (+BN) on the shortcut, halving H and W.
+    Identity blocks keep shape and have an empty shortcut; conv blocks stride
+    the first conv by 2 and carry a 1x1 stride-2 conv (+BN) on the shortcut,
+    halving H and W.
     """
 
     def __init__(self, kind: str, in_ch: int, out_ch: int, rng, dtype,
@@ -75,40 +94,26 @@ class ResidualBlock:
             raise ValueError(f"unknown block kind {kind!r}")
         if kind == BLOCK_ID and in_ch != out_ch:
             raise ValueError("identity block needs equal input/output channels")
-        self.kind = kind
         stride = 2 if kind == BLOCK_CONV else 1
-        self.conv1 = Conv2D(in_ch, out_ch, 3, stride=stride, padding="same",
-                            rng=rng, dtype=dtype)
-        self.bn1 = BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)
-        self.relu1 = ReLU()
-        self.conv2 = Conv2D(out_ch, out_ch, 3, stride=1, padding="same",
-                            rng=rng, dtype=dtype)
-        self.bn2 = BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)
-        if kind == BLOCK_CONV:
-            self.sc_conv = Conv2D(in_ch, out_ch, 1, stride=2, padding="valid",
-                                  rng=rng, dtype=dtype)
-            self.sc_bn = BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)
+        self.main = [
+            ("conv1", Conv2D(in_ch, out_ch, 3, stride=stride, padding="same",
+                             rng=rng, dtype=dtype)),
+            ("bn1", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
+            ("relu1", ReLU()),
+            ("conv2", Conv2D(out_ch, out_ch, 3, stride=1, padding="same",
+                             rng=rng, dtype=dtype)),
+            ("bn2", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
+        ]
+        self.shortcut = [] if kind == BLOCK_ID else [
+            ("sc_conv", Conv2D(in_ch, out_ch, 1, stride=2, padding="valid",
+                               rng=rng, dtype=dtype)),
+            ("sc_bn", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
+        ]
         self.relu_out = ReLU()
 
-    def sublayers(self):
-        yield "conv1", self.conv1
-        yield "bn1", self.bn1
-        yield "conv2", self.conv2
-        yield "bn2", self.bn2
-        if self.kind == BLOCK_CONV:
-            yield "sc_conv", self.sc_conv
-            yield "sc_bn", self.sc_bn
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        main = self.conv1.forward(x, training)
-        main = self.bn1.forward(main, training)
-        main = self.relu1.forward(main, training)
-        main = self.conv2.forward(main, training)
-        main = self.bn2.forward(main, training)
-        if self.kind == BLOCK_CONV:
-            short = self.sc_bn.forward(self.sc_conv.forward(x, training), training)
-        else:
-            short = x
+        main = _forward(self.main, x, training)
+        short = _forward(self.shortcut, x, training)
         if main.shape != short.shape:
             raise ValueError(
                 f"residual shapes diverge: main {main.shape} vs shortcut {short.shape}")
@@ -116,16 +121,7 @@ class ResidualBlock:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.relu_out.backward(grad_out)
-        gmain = self.bn2.backward(g)
-        gmain = self.conv2.backward(gmain)
-        gmain = self.relu1.backward(gmain)
-        gmain = self.bn1.backward(gmain)
-        gmain = self.conv1.backward(gmain)
-        if self.kind == BLOCK_CONV:
-            gshort = self.sc_conv.backward(self.sc_bn.backward(g))
-        else:
-            gshort = g
-        return gmain + gshort
+        return _backward(self.main, g) + _backward(self.shortcut, g)
 
 
 class ModulationNet:
@@ -137,37 +133,35 @@ class ModulationNet:
         dtype = arch.np_dtype
         self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel,
                                 stride=1, padding="same", rng=rng, dtype=dtype)
-        self.base_bn = BatchNorm2D(arch.base_channels, arch.bn_eps,
-                                   arch.bn_momentum, dtype)
-        self.base_relu = ReLU()
-        self.pool = MaxPool2()
-        self.blocks = []
-        in_ch = arch.base_channels
-        for kind, ch in arch.blocks:
-            self.blocks.append(ResidualBlock(kind, in_ch, ch, rng, dtype,
-                                             arch.bn_eps, arch.bn_momentum))
-            in_ch = ch
-        self.gap = GlobalAvgPool()
-        self.dense = Dense(in_ch, arch.num_classes, rng=rng, dtype=dtype)
-
-    def named_layers(self):
-        yield "base_conv", self.base_conv
-        yield "base_bn", self.base_bn
-        for i, block in enumerate(self.blocks):
-            for sub_name, layer in block.sublayers():
-                yield f"block{i}.{sub_name}", layer
-        yield "dense", self.dense
-
-    def parameters(self):
-        for prefix, layer in self.named_layers():
-            for key, value in layer.params.items():
-                yield f"{prefix}.{key}", layer, key, value
+        widths = [arch.base_channels] + [ch for _, ch in arch.blocks]
+        self.blocks = [ResidualBlock(kind, in_ch, ch, rng, dtype, arch.bn_eps,
+                                     arch.bn_momentum)
+                       for (kind, ch), in_ch in zip(arch.blocks, widths)]
+        self.layers = [
+            ("base_conv", self.base_conv),
+            ("base_bn", BatchNorm2D(arch.base_channels, arch.bn_eps,
+                                    arch.bn_momentum, dtype)),
+            ("base_relu", ReLU()),
+            ("pool", MaxPool2()),
+            *((f"block{i}", block) for i, block in enumerate(self.blocks)),
+            ("gap", GlobalAvgPool()),
+            ("dense", Dense(widths[-1], arch.num_classes, rng=rng, dtype=dtype)),
+        ]
 
     def state_tensors(self):
-        """All weights and batch-norm running statistics, declaration order."""
-        for prefix, layer in self.named_layers():
-            for key, value in layer.state_tensors():
-                yield f"{prefix}.{key}", layer, key, value
+        """All weights and batch-norm running statistics, in forward order."""
+        for name, layer in self.layers:
+            named = ([(f"{name}.{sub}", leaf) for sub, leaf in layer.main + layer.shortcut]
+                     if isinstance(layer, ResidualBlock) else [(name, layer)])
+            for prefix, leaf in named:
+                for key, value in leaf.state_tensors():
+                    yield f"{prefix}.{key}", leaf, key, value
+
+    def parameters(self):
+        """The trainable entries of ``state_tensors``."""
+        for name, layer, key, value in self.state_tensors():
+            if key in layer.params:
+                yield name, layer, key, value
 
     def num_parameters(self) -> int:
         return sum(v.size for _, _, _, v in self.parameters())
@@ -175,17 +169,9 @@ class ModulationNet:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=self.arch.np_dtype)
         n = self.arch.input_size
-        if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != n or x.shape[3] != n:
-            raise ValueError(
-                f"expected input of shape (B, 1, {n}, {n}), got {x.shape}")
-        out = self.base_conv.forward(x, training)
-        out = self.base_bn.forward(out, training)
-        out = self.base_relu.forward(out, training)
-        out = self.pool.forward(out, training)
-        for block in self.blocks:
-            out = block.forward(out, training)
-        out = self.gap.forward(out, training)
-        return self.dense.forward(out, training)
+        if x.ndim != 4 or x.shape[1:] != (1, n, n):
+            raise ValueError(f"expected input of shape (B, 1, {n}, {n}), got {x.shape}")
+        return _forward(self.layers, x, training)
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Fill every layer's ``grads`` from the loss gradient wrt the logits.
@@ -193,23 +179,14 @@ class ModulationNet:
         The input diagrams are data, not parameters, so the first conv skips
         its input gradient and nothing is returned.
         """
-        g = self.dense.backward(grad_logits)
-        g = self.gap.backward(g)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        g = self.pool.backward(g)
-        g = self.base_relu.backward(g)
-        g = self.base_bn.backward(g)
+        g = _backward(self.layers[1:], grad_logits)
         self.base_conv.backward(g, input_grad=False)
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Class distribution per input row (softmax over logits)."""
         x = np.asarray(x)
-        probs = []
-        for start in range(0, x.shape[0], batch_size):
-            logits = self.forward(x[start:start + batch_size], training=False)
-            probs.append(softmax(logits))
-        return np.concatenate(probs, axis=0)
+        return np.concatenate([softmax(self.forward(x[i:i + batch_size], training=False))
+                               for i in range(0, x.shape[0], batch_size)], axis=0)
 
     def classify(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         return self.predict(x, batch_size).argmax(axis=1)

@@ -49,6 +49,12 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("batch_size", "max_epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass(frozen=True)
 class EpochStats:

@@ -59,7 +59,8 @@ class ModScheme(str, Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "ModScheme":
-        key = name.strip().lower().replace("/", "").replace("-", "").replace("_", "")
+        key = (name.strip().lower().replace("/", "").replace("-", "").replace("_", "")
+               if isinstance(name, str) else None)
         if key not in _SCHEME_NAMES:
             raise ValueError(f"unknown modulation scheme {name!r}")
         return _SCHEME_NAMES[key]

@@ -34,6 +34,16 @@ def test_round_trip(tmp_path, capsys):
         assert (report_dir / name).read_bytes() == (sweep_dir / name).read_bytes()
 
 
+@pytest.mark.parametrize("flag, field", [("--epochs", "max_epochs"), ("--batch", "batch_size")])
+def test_training_size_below_one_is_a_usage_error(tmp_path, capsys, flag, field):
+    data, model = tmp_path / "d.nmd", tmp_path / "m.nmdl"
+    assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
+    assert cli.main(["train", "--dataset", str(data), "--out", str(model),
+                     flag, "0"]) == cli.EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_bad_flag_is_a_usage_error(capsys):
     assert cli.main(["train", "--no-such-flag"]) == cli.EXIT_USAGE
 

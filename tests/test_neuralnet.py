@@ -339,10 +339,11 @@ class TestResidualBlock:
     def test_identity_block_with_zero_branch(self):
         rng = RNG(16)
         block = ResidualBlock("id", 3, 3, rng, np.float64, 1e-5, 0.9)
-        for layer in (block.conv1, block.conv2):
+        main = dict(block.main)
+        for layer in (main["conv1"], main["conv2"]):
             layer.params["w"][...] = 0.0
             layer.params["b"][...] = 0.0
-        for bn in (block.bn1, block.bn2):
+        for bn in (main["bn1"], main["bn2"]):
             bn.params["beta"][...] = 0.0
         x = np.abs(rng.standard_normal((2, 3, 6, 6)))
         out = block.forward(x, training=False)
@@ -382,31 +383,29 @@ def stage_shapes(model: ModulationNet) -> list:
     """(stage name, per-sample shape) after every stage, on a zero batch."""
     n = model.arch.input_size
     out = np.zeros((1, 1, n, n), dtype=model.arch.np_dtype)
-    stages = [("base_conv", model.base_conv), ("base_bn", model.base_bn),
-              ("base_relu", model.base_relu), ("max_pool", model.pool),
-              *[(f"block{i}", block) for i, block in enumerate(model.blocks)],
-              ("global_avg_pool", model.gap), ("dense", model.dense)]
     shapes = [("input", out.shape[1:])]
-    for name, stage in stages:
+    for name, stage in model.layers:
         out = stage.forward(out, training=False)
         shapes.append((name, out.shape[1:]))
     return shapes
 
 
 def every_layer(model: ModulationNet):
-    """(name, layer) for every layer object, parameter-free ones included."""
-    owners = [("", model)] + [(f"block{i}.", block) for i, block in enumerate(model.blocks)]
-    for prefix, owner in owners:
-        for name, value in vars(owner).items():
-            if isinstance(value, Layer):
-                yield prefix + name, value
+    """(name, layer) for every layer object, parameter-free ones included,
+    walking ``model.layers`` and each block's lists."""
+    for name, stage in model.layers:
+        if isinstance(stage, ResidualBlock):
+            for sub, layer in stage.main + stage.shortcut + [("relu_out", stage.relu_out)]:
+                yield f"{name}.{sub}", layer
+        else:
+            yield name, stage
 
 
 class TestModel:
     def test_default_shape_contract(self):
         shapes = dict(stage_shapes(ModulationNet(DEFAULT_ARCH, seed=0)))
         assert shapes["input"] == (1, 100, 100)
-        assert shapes["max_pool"] == (16, 50, 50)
+        assert shapes["pool"] == (16, 50, 50)
         assert shapes["block5"] == (128, 7, 7)
         assert shapes["dense"] == (4,)
         assert len(DEFAULT_ARCH.blocks) == 6
@@ -416,9 +415,10 @@ class TestModel:
                  if name.startswith("block")]
         assert sizes == [25, 25, 13, 13, 7, 7]
 
-    @pytest.mark.parametrize("arch", [TINY_ARCH, replace(DEFAULT_ARCH, input_size=24)],
+    @pytest.mark.parametrize("arch, count",
+                             [(TINY_ARCH, 12), (replace(DEFAULT_ARCH, input_size=24), 48)],
                              ids=["tiny", "default_blocks"])
-    def test_every_layer_output_is_contiguous_nchw(self, arch):
+    def test_every_layer_output_is_contiguous_nchw(self, arch, count):
         """The module's layout contract: every forward (train and eval) and
         backward result is C-contiguous in the model's dtype."""
         model = ModulationNet(arch, seed=3)
@@ -432,6 +432,8 @@ class TestModel:
             return call
 
         layers = dict(every_layer(model))
+        assert len(layers) == count
+        assert all(isinstance(layer, Layer) for layer in layers.values())
         for name, layer in layers.items():
             for method in ("forward", "backward"):
                 setattr(layer, method, recording(getattr(layer, method), (name, method)))

@@ -106,8 +106,10 @@ class TestSchemeNames:
         assert ModScheme.from_name(name) is scheme
 
     def test_unknown_name_is_named(self):
-        with pytest.raises(ValueError, match="'8psk'"):
-            ModScheme.from_name("8psk")
+        # a config may hold any JSON value where a scheme name belongs
+        for name, shown in (("8psk", "'8psk'"), (1, "scheme 1$")):
+            with pytest.raises(ValueError, match=shown):
+                ModScheme.from_name(name)
 
 
 class TestPowerAllocation:

@@ -5,7 +5,7 @@ import pytest
 
 from nomadet.errors import (BadMagicError, TruncatedFileError,
                             VersionMismatchError)
-from nomadet.neuralnet import (ArchConfig, ModulationNet, TrainConfig,
+from nomadet.neuralnet import (DEFAULT_ARCH, ArchConfig, ModulationNet, TrainConfig,
                                accuracy, load_model, save_model, train)
 from conftest import FOREIGN_ARCHS, synthetic_diagram_set, write_checkpoint_header
 
@@ -80,6 +80,26 @@ class TestTrainLoop:
 
 
 class TestCheckpoint:
+    def test_tensor_names_and_order_pinned(self):
+        # checkpoint slots follow this order, and load errors print these names
+        expected = [
+            "base_conv.w", "base_conv.b", "base_bn.gamma", "base_bn.beta",
+            "base_bn.running_mean", "base_bn.running_var", "block0.conv1.w",
+            "block0.conv1.b", "block0.bn1.gamma", "block0.bn1.beta",
+            "block0.bn1.running_mean", "block0.bn1.running_var", "block0.conv2.w",
+            "block0.conv2.b", "block0.bn2.gamma", "block0.bn2.beta",
+            "block0.bn2.running_mean", "block0.bn2.running_var", "block0.sc_conv.w",
+            "block0.sc_conv.b", "block0.sc_bn.gamma", "block0.sc_bn.beta",
+            "block0.sc_bn.running_mean", "block0.sc_bn.running_var", "block1.conv1.w",
+            "block1.conv1.b", "block1.bn1.gamma", "block1.bn1.beta",
+            "block1.bn1.running_mean", "block1.bn1.running_var", "block1.conv2.w",
+            "block1.conv2.b", "block1.bn2.gamma", "block1.bn2.beta",
+            "block1.bn2.running_mean", "block1.bn2.running_var", "dense.w", "dense.b",
+        ]
+        assert len(expected) == 38
+        assert [n for n, *_ in ModulationNet(SMALL_ARCH).state_tensors()] == expected
+        assert len(list(ModulationNet(DEFAULT_ARCH).state_tensors())) == 98
+
     def _trained_model(self):
         x, y = small_data(seed=1, per_class=3)
         model = ModulationNet(SMALL_ARCH, seed=2)
