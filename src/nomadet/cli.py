@@ -55,7 +55,8 @@ def _load_config(path, cls, section: str | None = None):
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         return cls(**(blob.get(section, blob) if section else blob))
-    except (AttributeError, TypeError) as exc:  # not an object, or a key cls lacks
+    except (AttributeError, TypeError, ValueError) as exc:
+        # not an object, a key cls lacks, or a value cls rejects
         raise ValueError(f"bad config in {path}: {exc}") from exc
 
 

@@ -54,9 +54,8 @@ def density_counts(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> np.ndar
         raise ValueError("cannot bin an empty frame")
     rows = _bin_indices(s.real, grid_size)
     cols = _bin_indices(s.imag, grid_size)
-    counts = np.zeros((grid_size, grid_size), dtype=np.int64)
-    np.add.at(counts, (rows, cols), 1)
-    return counts
+    counts = np.bincount(rows * grid_size + cols, minlength=grid_size * grid_size)
+    return counts.reshape(grid_size, grid_size)
 
 
 def density_diagram(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> DensityDiagram:

@@ -16,6 +16,8 @@ they can, to keep their full-size temporaries few.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -48,6 +50,19 @@ class Layer:
         yield from self.buffers.items()
 
 
+@lru_cache(maxsize=64)
+def _patch_offsets(C: int, Hp: int, Wp: int, k: int, s: int) -> np.ndarray:
+    """Read-only (OH*OW, C*k*k) flat offsets of every patch tap into one
+    padded (C, Hp, Wp) sample, built once per shape."""
+    OH, OW = (Hp - k) // s + 1, (Wp - k) // s + 1
+    pixels = (np.arange(OH)[:, None] * (s * Wp) + np.arange(OW) * s).reshape(-1, 1)
+    taps = ((np.arange(C)[:, None, None] * Hp + np.arange(k)[:, None]) * Wp
+            + np.arange(k)).reshape(1, -1)
+    offsets = pixels + taps
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _im2col(x: np.ndarray, k: int, s: int, p: int):
     """(B*OH*OW, C*k*k) patch matrix of ``x`` zero-padded by ``p``, plus (OH, OW).
 
@@ -60,10 +75,7 @@ def _im2col(x: np.ndarray, k: int, s: int, p: int):
     if Hp < k or Wp < k:
         raise ValueError(f"spatial size {Hp}x{Wp} smaller than kernel {k}")
     OH, OW = (Hp - k) // s + 1, (Wp - k) // s + 1
-    pixels = (np.arange(OH)[:, None] * (s * Wp) + np.arange(OW) * s).reshape(-1, 1)
-    taps = ((np.arange(C)[:, None, None] * Hp + np.arange(k)[:, None]) * Wp
-            + np.arange(k)).reshape(1, -1)
-    cols = np.take(x.reshape(B, -1), pixels + taps, axis=1)
+    cols = np.take(x.reshape(B, -1), _patch_offsets(C, Hp, Wp, k, s), axis=1)
     return cols.reshape(B * OH * OW, C * k * k), (OH, OW)
 
 

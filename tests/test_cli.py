@@ -60,6 +60,18 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
             assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, blob", [
+    (["generate"], {"scenario": {"near_schemes": ["qpsk7"]}}),
+    (["sweep", "--seed", "0"], {"train": {"max_epochs": 0}}),
+])
+def test_rejected_config_value_names_the_file(tmp_path, capsys, argv, blob):
+    config, out = tmp_path / "bad.json", tmp_path / "out"
+    config.write_text(json.dumps(blob))
+    assert cli.main([*argv, "--out", str(out), "--config", str(config)]) == cli.EXIT_USAGE
+    assert f"bad config in {config}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partial_scenario_section_keeps_the_defaults(tmp_path):
     config, data = tmp_path / "config.json", tmp_path / "d.nmd"
     config.write_text(json.dumps({"scenario": {"delta_db": 3}}))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nomadet import density
 from nomadet.density import (DensityDiagram, density_counts, density_diagram,
                              write_pgm)
 from nomadet.sigsim import SignalFrame
@@ -10,6 +11,15 @@ from nomadet.sigsim import SignalFrame
 
 def random_frame(rng, n=500):
     return SignalFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def add_at_counts(frame, grid_size):
+    """The per-cell counts as an np.add.at scatter over the same bins."""
+    rows = density._bin_indices(frame.samples.real, grid_size)
+    cols = density._bin_indices(frame.samples.imag, grid_size)
+    counts = np.zeros((grid_size, grid_size), dtype=np.int64)
+    np.add.at(counts, (rows, cols), 1)
+    return counts
 
 
 class TestDensityDiagram:
@@ -88,6 +98,36 @@ class TestDensityDiagram:
         counts = density_counts(frame, 4)
         assert counts.sum() == 4
         assert counts[:, 0].sum() == 4
+
+
+class TestCountsMatchAddAt:
+    @pytest.mark.parametrize("grid_size", [2, 7, 100])
+    def test_samples_at_the_axis_maxima(self, grid_size):
+        # a sample at an axis maximum bins to grid_size before the clip
+        rng = np.random.default_rng(grid_size)
+        samples = rng.integers(-4, 5, 300) + 1j * rng.integers(-4, 5, 300)
+        samples[:5] = 4 + 4j
+        frame = SignalFrame(samples)
+        counts = density_counts(frame, grid_size)
+        assert counts.dtype == np.int64 and counts.shape == (grid_size, grid_size)
+        np.testing.assert_array_equal(counts, add_at_counts(frame, grid_size))
+        assert counts[-1, -1] >= 5
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 2000, 3000):
+            frame = random_frame(rng, n)
+            np.testing.assert_array_equal(density_counts(frame, 100),
+                                          add_at_counts(frame, 100))
+
+    @pytest.mark.parametrize("samples", [
+        np.arange(10) + 2.5j,                # constant imaginary part
+        2.5 + 1j * np.arange(10),            # constant real part
+        np.full(10, 1 - 1j),                 # both axes constant
+    ])
+    def test_degenerate_axis(self, samples):
+        frame = SignalFrame(samples)
+        np.testing.assert_array_equal(density_counts(frame, 8), add_at_counts(frame, 8))
 
 
 class TestPgmExport:

@@ -7,7 +7,10 @@ Independent oracles used here:
   * the multilevel transform is cross-checked against an explicit
     orthogonal-matrix implementation of the same periodized convention;
   * heursure thresholds are compared against a straightforward
-    sort-and-scan implementation.
+    sort-and-scan implementation;
+  * the transform steps are compared byte for byte against their
+    ``np.add.at`` forms, which sum each synthesis output in the order the
+    cached gather tables must reproduce.
 """
 
 import math
@@ -17,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nomadet import wavelet
+from nomadet.neuralnet import layers
 from nomadet.sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
 from nomadet.wavelet import (SYM8_DEC_LO, WaveletCoeffs, WaveletSpec, denoise_frame,
                              dwt_multilevel, estimate_sigma, heursure_threshold,
@@ -134,6 +139,37 @@ def heursure_reference(d, sigma):
     return sigma * min(math.sqrt(best_t2), universal)
 
 
+def add_at_dwt_step(x, lo, hi):
+    """One analysis step with its window table built on the spot."""
+    idx = (2 * np.arange(x.size // 2)[:, None] + np.arange(lo.size)) % x.size
+    windows = x[idx]
+    return windows @ lo, windows @ hi
+
+
+def add_at_idwt_step(approx, detail, lo, hi):
+    """One synthesis step as the transpose of analysis: an ``np.add.at`` scatter."""
+    n = 2 * approx.size
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(lo.size)) % n
+    out = np.zeros(n)
+    np.add.at(out, idx, approx[:, None] * lo[None, :] + detail[:, None] * hi[None, :])
+    return out
+
+
+@pytest.fixture
+def add_at_reference(monkeypatch):
+    """Call a function with the wavelet transform steps in their np.add.at form."""
+    def run(fn, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(wavelet, "_dwt_step", add_at_dwt_step)
+            patched.setattr(wavelet, "_idwt_step", add_at_idwt_step)
+            return fn(*args)
+    return run
+
+
+def coeff_bytes(coeffs):
+    return b"".join(c.tobytes() for c in (coeffs.approx, *coeffs.details))
+
+
 # ------------------------------------------------------------ filter bank --
 
 class TestSym8Filter:
@@ -238,6 +274,69 @@ class TestTransform:
                                coeffs.original_length)
         with pytest.raises(ValueError, match="level 2"):
             idwt_multilevel(broken, spec)
+
+
+class TestCachedTablesAreBitIdentical:
+    LENGTHS = (16, 37, 1999, 2000, 3000)
+    LEVELS = (1, 2, 4)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_transform_matches_add_at(self, add_at_reference, n, level):
+        # at level 4 the coarse steps of short signals are shorter than the
+        # 16-tap filter, so their windows wrap around more than once
+        spec = WaveletSpec(level=level)
+        x = np.random.default_rng(n + level).standard_normal(n)
+        coeffs = dwt_multilevel(x, spec)
+        assert coeff_bytes(coeffs) == coeff_bytes(add_at_reference(dwt_multilevel, x, spec))
+        assert (idwt_multilevel(coeffs, spec).tobytes()
+                == add_at_reference(idwt_multilevel, coeffs, spec).tobytes())
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("n", [n for n in LENGTHS if n > 16])
+    def test_denoise_matches_add_at(self, add_at_reference, n, level):
+        # 16 samples at level 4 leave one coarsest detail: too few to threshold
+        rng = np.random.default_rng(10 * n + level)
+        frame = SignalFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                            noise_scale=0.8)
+        spec = WaveletSpec(level=level)
+        assert (denoise_frame(frame, spec).samples.tobytes()
+                == add_at_reference(denoise_frame, frame, spec).samples.tobytes())
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
+    def test_simulated_frames_match_add_at(self, add_at_reference, snr_db):
+        scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr_db,
+                                symbols_per_frame=3000)
+        frame = generate_noma_frame(scenario, rng=int(snr_db) + 50)
+        bare = SignalFrame(frame.samples)  # no noise_scale: the MAD estimate path
+        for f in (frame, bare):
+            assert (denoise_frame(f).samples.tobytes()
+                    == add_at_reference(denoise_frame, f).samples.tobytes())
+
+    def test_signed_zeros_match_add_at(self, add_at_reference):
+        # every contribution to output 0 is -0.0; np.add.at starts from +0.0,
+        # so the sum is +0.0, which a sum started from the first term loses
+        spec, n = WaveletSpec(level=1), 64
+        lo, hi = spec.dec_lo, spec.dec_hi
+        rng = np.random.default_rng(3)
+        approx, detail = rng.standard_normal(n // 2), rng.standard_normal(n // 2)
+        for k in range(n // 2):
+            m = (-2 * k) % n
+            if m < lo.size:
+                approx[k] = math.copysign(0.0, -lo[m])
+                detail[k] = math.copysign(0.0, -hi[m])
+        coeffs = WaveletCoeffs(approx, (detail,), n)
+        ref = add_at_reference(idwt_multilevel, coeffs, spec)
+        assert ref[0] == 0.0 and math.copysign(1.0, ref[0]) == 1.0
+        assert idwt_multilevel(coeffs, spec).tobytes() == ref.tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        tables = (wavelet._analysis_index(64, 16), wavelet._synthesis_index(64, 16),
+                  layers._patch_offsets(3, 10, 10, 3, 1))
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
 
 # -------------------------------------------------------------- thresholds --

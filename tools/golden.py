@@ -12,6 +12,11 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
   - the raw samples of one fixed-seed 600-symbol ``generate_noma_frame`` frame
     per (near scheme, far scheme) pair, so a last-bit change in modulation
     shows even where density binning would hide it;
+  - the wavelet-denoised samples, and the density counts of the raw and
+    denoised samples, of 9 fixed-seed frames (1999, 2000 and 3000 symbols x
+    SNR -10, 10, 30 dB) plus one frame without a recorded noise scale, so a
+    last-bit change in denoising shows even where density binning would
+    hide it;
   - the projection baseline's per-axis cluster counts on 12 fixed-seed
     3000-symbol frames (SNR -10, 0, 10, 20 dB x 1-3 QPSK near users), long
     enough that the clustering potentials span several working blocks;
@@ -48,7 +53,10 @@ import numpy as np  # noqa: E402
 from nomadet import baseline, cli, datapipe, harness  # noqa: E402
 from nomadet.neuralnet import (Adam, ArchConfig, ModulationNet, TrainConfig,  # noqa: E402
                                softmax_cross_entropy)
-from nomadet.sigsim import ModScheme, NomaScenario, generate_noma_frame  # noqa: E402
+from nomadet.density import density_counts  # noqa: E402
+from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,  # noqa: E402
+                            generate_noma_frame)
+from nomadet.wavelet import denoise_frame  # noqa: E402
 
 NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
 
@@ -100,6 +108,22 @@ def _frames() -> str:
         frame = generate_noma_frame(scenario, rng=np.random.default_rng(200 + index))
         blob += frame.samples.tobytes()
     return _sha(blob)
+
+
+def _denoised() -> tuple[str, str]:
+    """sha256 prefixes of denoised samples and of density counts of 10 frames."""
+    cells = [(n, snr) for n in (1999, 2000, 3000) for snr in (-10.0, 10.0, 30.0)]
+    frames = []
+    for index, (n, snr) in enumerate(cells):
+        scenario = NomaScenario(near_schemes=(ModScheme.QPSK,),
+                                far_scheme=datapipe.CLASS_ORDER[index % 4],
+                                snr_db_near=snr, symbols_per_frame=n)
+        frames.append(generate_noma_frame(scenario, rng=np.random.default_rng(300 + index)))
+    frames.append(SignalFrame(frames[-1].samples))  # noise scale from the MAD estimate
+    denoised = [denoise_frame(f) for f in frames]
+    counts = [density_counts(f) for f in frames + denoised]
+    return (_sha(b"".join(f.samples.tobytes() for f in denoised)),
+            _sha(b"".join(c.tobytes() for c in counts)))
 
 
 def _axis_counts() -> str:
@@ -162,6 +186,7 @@ def main() -> int:
         images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
         numbers.append(("inspect.pgm", _sha(images)))
         numbers.append(("sigsim.frames", _frames()))
+        numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
         numbers.append(("projection.axis_counts", _axis_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     print("# number-carrying artifacts")
