@@ -7,18 +7,20 @@ cached forward. Layers are single-writer: one forward/backward pair at a
 time per instance.
 
 Conv2D lowers convolution to GEMMs over im2col patch matrices (Chellapilla
-et al. 2006). At stride 1 its input gradient is the transposed convolution
-of the output gradient (Dumoulin & Visin, "A guide to convolution
-arithmetic", 2016), and a first layer can skip that gradient altogether.
+et al. 2006), gathered channels-last so that each kernel row of a patch is
+one contiguous run and each product is one 2-D GEMM; only a one-channel
+stem gathers tap-major instead. At stride 1 its input gradient is the
+transposed convolution of the output gradient (Dumoulin & Visin, "A guide
+to convolution arithmetic", 2016), and a first layer can skip that gradient
+altogether.
 The memory-bound layers (BatchNorm2D, ReLU, MaxPool2) work in place where
 they can, to keep their full-size temporaries few.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense",
@@ -50,54 +52,43 @@ class Layer:
         yield from self.buffers.items()
 
 
-@lru_cache(maxsize=64)
-def _patch_offsets(C: int, Hp: int, Wp: int, k: int, s: int) -> np.ndarray:
-    """Read-only (OH*OW, C*k*k) flat offsets of every patch tap into one
-    padded (C, Hp, Wp) sample, built once per shape."""
-    OH, OW = (Hp - k) // s + 1, (Wp - k) // s + 1
-    pixels = (np.arange(OH)[:, None] * (s * Wp) + np.arange(OW) * s).reshape(-1, 1)
-    taps = ((np.arange(C)[:, None, None] * Hp + np.arange(k)[:, None]) * Wp
-            + np.arange(k)).reshape(1, -1)
-    offsets = pixels + taps
-    offsets.flags.writeable = False
-    return offsets
+# the stride-1 input gradient lowers and multiplies a few samples at a time,
+# about this many bytes of patch rows, so each chunk is multiplied from cache
+_CHUNK_BYTES = 1 << 20
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int):
-    """(B*OH*OW, C*k*k) patch matrix of ``x`` zero-padded by ``p``, plus (OH, OW).
-
-    Row (b, oh, ow) holds the k*k window at (oh*s, ow*s) of every channel,
-    gathered by one ``np.take`` of flat offsets into each padded sample.
-    """
+def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """(B, OH, OW, k, k, C) view of the k*k windows, at stride ``s``, of the
+    channels-last (B, H, W, C) ``x`` zero-padded by ``p`` (into a new buffer
+    if ``p`` > 0); each kernel row of a window is k*C contiguous values."""
+    B, H, W, C = x.shape
+    if H + 2 * p < k or W + 2 * p < k:
+        raise ValueError(f"spatial size {H + 2 * p}x{W + 2 * p} smaller than kernel {k}")
     if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    B, C, Hp, Wp = x.shape
-    if Hp < k or Wp < k:
-        raise ValueError(f"spatial size {Hp}x{Wp} smaller than kernel {k}")
-    OH, OW = (Hp - k) // s + 1, (Wp - k) // s + 1
-    cols = np.take(x.reshape(B, -1), _patch_offsets(C, Hp, Wp, k, s), axis=1)
-    return cols.reshape(B * OH * OW, C * k * k), (OH, OW)
-
-
-def _correlate(x: np.ndarray, w2: np.ndarray, k: int, s: int, p: int):
-    """NCHW cross-correlation of ``x`` with the (O, C*k*k) kernel matrix
-    ``w2``, plus the patch matrix it multiplied."""
-    cols, (OH, OW) = _im2col(x, k, s, p)
-    B = x.shape[0]
-    out = w2 @ cols.reshape(B, OH * OW, -1).transpose(0, 2, 1)
-    return out.reshape(B, w2.shape[0], OH, OW), cols
+        padded = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=x.dtype)
+        padded[:, p:p + H, p:p + W] = x
+        x = padded
+    return sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3)
 
 
 class Conv2D(Layer):
     """Cross-correlation with stride and 'same'/'valid' padding (im2col).
 
-    Forward is one GEMM of the kernel matrix with the patch rows. Backward
-    gets the weight gradient from a second GEMM. At stride 1 the input
-    gradient is the transposed convolution of ``grad_out``: a forward
-    correlation of ``grad_out``, zero-padded by ``k-1-p``, with the kernel
-    flipped in both spatial axes and its in/out channels swapped, so one
-    more im2col and GEMM. Strided convs scatter the patch gradients back
-    with k*k strided adds.
+    Forward copies the windows of the input, padded once channels-last, into
+    (B*OH*OW, k*k*C) patch rows and multiplies them by the kernel as one
+    (k*k*C, O) matrix; the weight gradient is one more GEMM, ``rows.T @
+    grad_rows``. At stride 1 the input gradient is the transposed convolution
+    of ``grad_out``: the same lowering of the channels-last ``grad_out``,
+    padded by ``k-1-p``, times the kernel flipped in both spatial axes with
+    its in/out channels swapped, taken in chunks of ``_CHUNK_BYTES`` of patch
+    rows since they are not kept. Strided convs turn ``grad_rows`` into patch
+    gradients with one GEMM and add them back with k*k strided adds into a
+    channels-last buffer. Results become contiguous NCHW only at the end.
+
+    A one-channel stride-1 conv (the stem) would gather runs of only k values
+    that way, so it copies its windows tap-major, as (B, k*k, OH*OW) in runs
+    of OW values, and takes forward and weight gradient per sample. Either
+    way the cached patch matrix is 2-D with B*OH*OW*C*k*k elements.
     ``backward(..., input_grad=False)`` skips the input gradient for a
     first layer, whose input needs none.
     """
@@ -111,6 +102,7 @@ class Conv2D(Layer):
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride = kernel, stride
         self.pad = (kernel - 1) // 2 if padding == "same" else 0
+        self.tap_major = in_ch == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
         self.params["w"] = he_uniform((out_ch, in_ch, kernel, kernel),
                                       in_ch * kernel * kernel, rng, dtype)
@@ -125,33 +117,55 @@ class Conv2D(Layer):
             raise ValueError(
                 f"expected NCHW input with {self.in_ch} channels, got {x.shape}"
             )
-        out, cols = _correlate(x, self.params["w"].reshape(self.out_ch, -1),
-                               self.kernel, self.stride, self.pad)
-        out += self.params["b"][:, None, None]
-        self._cache = (cols, x.shape)
+        k, O, w = self.kernel, self.out_ch, self.params["w"]
+        win = _windows(x.transpose(0, 2, 3, 1), k, self.stride, self.pad)
+        B, OH, OW = win.shape[:3]
+        if self.tap_major:
+            rows = win.transpose(0, 3, 4, 5, 1, 2).copy().reshape(B * k * k, OH * OW)
+            out = (w.reshape(O, -1) @ rows.reshape(B, k * k, -1)).reshape(B, O, OH, OW)
+            out += self.params["b"][:, None, None]
+        else:
+            rows = win.copy().reshape(B * OH * OW, -1)
+            out = rows @ w.transpose(2, 3, 1, 0).reshape(-1, O)
+            out += self.params["b"]
+            out = np.ascontiguousarray(out.reshape(B, OH, OW, O).transpose(0, 3, 1, 2))
+        self._cache = (rows, x.shape)
         return out
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        cols, (B, C, H, W) = self._need_cache()
+        rows, (B, C, H, W) = self._need_cache()
         k, s, p = self.kernel, self.stride, self.pad
         O, OH, OW = grad_out.shape[1:]
         w = self.params["w"]
-        g3 = grad_out.reshape(B, O, OH * OW)
-        self.grads["w"] = np.tensordot(g3, cols.reshape(B, OH * OW, -1),
-                                       axes=([0, 2], [0, 1])).reshape(w.shape)
-        self.grads["b"] = g3.sum(axis=(0, 2))
+        g_cl = grad_out.transpose(0, 2, 3, 1)
+        if self.tap_major:
+            g3 = grad_out.reshape(B, O, -1)
+            gw = (rows.reshape(B, k * k, -1) @ g3.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            g_cl = np.ascontiguousarray(g_cl)
+            gw = rows.T @ g_cl.reshape(-1, O)
+        # gw is (k*k*C, O) in patch-row order
+        self.grads["w"] = np.ascontiguousarray(gw.reshape(k, k, C, O).transpose(3, 2, 0, 1))
+        self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
         if s == 1:
-            flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, -1)
-            return _correlate(grad_out, flipped, k, 1, k - 1 - p)[0]
-        # (B, C, k, k, OH, OW): patch gradients, scattered back tap by tap
-        gpatch = (w.reshape(O, -1).T @ g3).reshape(B, C, k, k, OH, OW)
-        gx = np.zeros((B, C, H + 2 * p, W + 2 * p), dtype=grad_out.dtype)
+            flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, C)
+            win = _windows(g_cl, k, 1, k - 1 - p)
+            gx = np.empty((B, H, W, C), dtype=grad_out.dtype)
+            step = max(1, _CHUNK_BYTES // (win[0].size * win.itemsize))
+            for b in range(0, B, step):
+                np.matmul(win[b:b + step].reshape(-1, k * k * O), flipped,
+                          out=gx[b:b + step].reshape(-1, C))
+            return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+        # (B, OH, OW, k, k, C): patch gradients, added back tap by tap
+        gpatch = (g_cl.reshape(-1, O) @ w.transpose(0, 2, 3, 1).reshape(O, -1)
+                  ).reshape(B, OH, OW, k, k, C)
+        gx = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=grad_out.dtype)
         for i in range(k):
             for j in range(k):
-                gx[:, :, i:i + s * OH:s, j:j + s * OW:s] += gpatch[:, :, i, j]
-        return np.ascontiguousarray(gx[:, :, p:p + H, p:p + W])
+                gx[:, i:i + s * OH:s, j:j + s * OW:s] += gpatch[:, :, :, i, j]
+        return np.ascontiguousarray(gx[:, p:p + H, p:p + W].transpose(0, 3, 1, 2))
 
 
 class BatchNorm2D(Layer):

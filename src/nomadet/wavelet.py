@@ -283,9 +283,16 @@ def denoise_frame(frame: SignalFrame, spec: WaveletSpec | None = None) -> Signal
     ``noise_scale`` (the simulation does), each axis uses noise_scale/sqrt(2).
     Without it the scale is estimated per axis from the finest detail
     coefficients via median(|d|)/0.6745. The same scale is reused for every
-    level; approximation coefficients pass through unchanged.
+    level; approximation coefficients pass through unchanged. A frame of at
+    most 2**level samples leaves one coarsest detail coefficient, too few to
+    threshold, and is rejected up front with the level and the frame length.
     """
     spec = spec or WaveletSpec()
+    if frame.samples.size <= 1 << spec.level:
+        raise ValueError(
+            f"level {spec.level} leaves one coarsest detail coefficient for a "
+            f"{frame.samples.size}-sample frame; thresholding needs at least 2"
+        )
     noise_scale = frame.noise_scale
     axis_sigma = None if noise_scale is None else noise_scale / np.sqrt(2.0)
     real = _denoise_part(frame.samples.real, spec, axis_sigma)

@@ -1,0 +1,58 @@
+"""The golden script's comparison of a run with a saved run's output."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "golden", Path(__file__).resolve().parents[1] / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
+
+
+def printed(numbers: dict, meta: dict, float64: list, float32: list) -> str:
+    """A run's output in the script's own format."""
+    lines = [golden.NUMBERS_HEADER, *(f"{k} {v}" for k, v in numbers.items()),
+             "# metadata", *(f"{k} {v}" for k, v in meta.items())]
+    for dtype, losses in (("float64", float64), ("float32", float32)):
+        lines.append(f"# loss curve, {dtype}, per step")
+        lines += [f"loss.{dtype}.{step:02d} {loss!r}" for step, loss in enumerate(losses)]
+    return "\n".join(lines) + "\n"
+
+
+SAVED = printed({"sweep.rows": "aaaa", "train.checkpoint": "bbbb", "inspect.pgm": "cccc"},
+                {"generate.header": "dddd"},
+                [1.3862943611198906, 1.25, 0.5], [1.3862944, 1.25, 0.5])
+
+
+def test_identical_runs_pass():
+    report, ok = golden.compare(SAVED, SAVED)
+    assert ok
+    assert report == ["no number-carrying artifact changed",
+                      "loss.float64 largest relative deviation 0 (limit 1e-09)",
+                      "loss.float32 largest relative deviation 0 (reported only)"]
+
+
+def test_changed_artifacts_listed_and_float32_only_reported():
+    current = printed({"sweep.rows": "aaaa", "train.checkpoint": "eeee", "inspect.pgm": "ffff"},
+                      {"generate.header": "0000"},  # metadata is not compared
+                      [1.3862943611198906 * (1 + 2e-14), 1.25, 0.5], [1.3862944, 1.26, 0.5])
+    report, ok = golden.compare(current, SAVED)
+    assert ok
+    assert report[:2] == ["changed train.checkpoint", "changed inspect.pgm"]
+    assert report[2].startswith("loss.float64 largest relative deviation 2e-14")
+    assert report[3] == "loss.float32 largest relative deviation 0.008 (reported only)"
+
+
+@pytest.mark.parametrize("float64, shown", [
+    ([1.3862943611198906, 1.25, 0.5 * (1 + 2e-9)], "2e-09"),
+    ([1.3862943611198906, 1.25], "inf"),
+], ids=["deviates", "fewer_steps"])
+def test_float64_deviation_beyond_limit_fails(float64, shown):
+    current = printed({"sweep.rows": "aaaa", "train.checkpoint": "bbbb", "inspect.pgm": "cccc",
+                       "sigsim.frames": "9999"}, {}, float64, [1.3862944, 1.25, 0.5])
+    report, ok = golden.compare(current, SAVED)
+    assert not ok
+    assert report[0] == "changed sigsim.frames"
+    assert report[1] == f"loss.float64 largest relative deviation {shown} (limit 1e-09)"

@@ -122,6 +122,8 @@ class TestConv2D:
         (3, 2, 3, 1, "valid", 6),
         (2, 3, 3, 1, "same", 6),    # more output than input channels
         (2, 3, 1, 2, "valid", 7),   # the conv blocks' strided 1x1 shortcut
+        (1, 4, 5, 1, "same", 8),    # one-channel stem, tap-major, with input gradient
+        (4, 3, 3, 2, "same", 7),    # strided 3x3 on an odd size
     ])
     def test_gradient_paths_match_finite_differences(self, in_ch, out_ch, kernel,
                                                       stride, padding, size):
@@ -155,6 +157,51 @@ class TestConv2D:
         assert conv.backward(probe, input_grad=False) is None
         for key, value in grads.items():
             np.testing.assert_array_equal(conv.grads[key], value)
+
+    def test_default_arch_convs_in_float32_match_float64(self):
+        """Every conv shape of DEFAULT_ARCH at batch 2: the float32 layer's
+        output and gradients agree with the float64 layer's to 1e-5 of the
+        largest float64 value, and its weight gradient is C-contiguous."""
+        model = ModulationNet(DEFAULT_ARCH, seed=0)
+        shapes = {}
+
+        def recording(fn, name):
+            def call(x, training=False):
+                shapes[name] = x.shape[1:]
+                return fn(x, training)
+            return call
+
+        convs = {name: layer for name, layer in every_layer(model) if isinstance(layer, Conv2D)}
+        for name, conv in convs.items():
+            conv.forward = recording(conv.forward, name)
+        n = DEFAULT_ARCH.input_size
+        model.forward(np.zeros((1, 1, n, n), dtype=np.float32))
+        assert len(shapes) == len(convs) == 16
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+        rng = RNG(27)
+        for name, conv in convs.items():
+            c32 = Conv2D(conv.in_ch, conv.out_ch, conv.kernel, conv.stride,
+                         "same" if conv.pad else "valid", rng=rng, dtype=np.float32)
+            c32.params["b"][...] = rng.standard_normal(conv.out_ch)
+            c64 = Conv2D(conv.in_ch, conv.out_ch, conv.kernel, conv.stride,
+                         "same" if conv.pad else "valid", dtype=np.float64)
+            for key, value in c32.params.items():
+                c64.params[key][...] = value
+            x = rng.standard_normal((2, *shapes[name])).astype(np.float32)
+            out = c32.forward(x, training=True)
+            ref = c64.forward(x.astype(np.float64), training=True)
+            assert out.dtype == np.float32 and close(out, ref), name
+            probe = rng.standard_normal(out.shape).astype(np.float32)
+            gx = c32.backward(probe)
+            gx_ref = c64.backward(probe.astype(np.float64))
+            assert gx.dtype == np.float32 and close(gx, gx_ref), name
+            for key in ("w", "b"):
+                assert c32.grads[key].dtype == np.float32, (name, key)
+                assert close(c32.grads[key], c64.grads[key]), (name, key)
+            assert c32.grads["w"].flags.c_contiguous, name
 
 
 class TestBatchNorm:

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nomadet import wavelet
-from nomadet.neuralnet import layers
 from nomadet.sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
 from nomadet.wavelet import (SYM8_DEC_LO, WaveletCoeffs, WaveletSpec, denoise_frame,
                              dwt_multilevel, estimate_sigma, heursure_threshold,
@@ -331,8 +330,7 @@ class TestCachedTablesAreBitIdentical:
         assert idwt_multilevel(coeffs, spec).tobytes() == ref.tobytes()
 
     def test_cached_tables_are_read_only(self):
-        tables = (wavelet._analysis_index(64, 16), wavelet._synthesis_index(64, 16),
-                  layers._patch_offsets(3, 10, 10, 3, 1))
+        tables = (wavelet._analysis_index(64, 16), wavelet._synthesis_index(64, 16))
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -423,6 +421,17 @@ class TestSigmaEstimate:
 # ----------------------------------------------------------------- denoise --
 
 class TestDenoiseFrame:
+    def test_level_too_deep_for_frame_is_named(self):
+        rng = np.random.default_rng(9)
+        noisy = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+        with pytest.raises(ValueError, match="level 4 .* 16-sample frame"):
+            denoise_frame(SignalFrame(noisy[:16], noise_scale=0.8), WaveletSpec(level=4))
+        with pytest.raises(ValueError, match="level 3 .* 8-sample frame"):
+            denoise_frame(SignalFrame(np.zeros(8, dtype=complex)), WaveletSpec(level=3))
+        # 17 samples pad to 32, which leaves the 2 coarsest coefficients needed
+        out = denoise_frame(SignalFrame(noisy, noise_scale=0.8), WaveletSpec(level=4))
+        assert out.samples.shape == (17,)
+
     def test_zero_frame_stays_zero(self):
         frame = SignalFrame(np.zeros(256, dtype=complex))
         out = denoise_frame(frame)

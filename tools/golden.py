@@ -1,6 +1,6 @@
 """Fixed-seed golden artifacts of nomadet, printed as sha256 prefixes.
 
-Usage: python3 tools/golden.py
+Usage: python3 tools/golden.py [--against FILE]
 
 Builds, in a temporary directory and from the checkout's own ``src/``:
   - a three-method ``run_sweep`` over SNR {0, 10} x user_count {2, 3}
@@ -34,14 +34,23 @@ curve within 1e-9 relative of its parent's at every step, while float32
 rounding differences grow over the steps and are reported, not held to a
 tolerance. The script uses only API that has existed since the sample
 pipeline was unified, so it runs unchanged on older commits for comparison.
+
+With ``--against FILE``, where FILE holds the saved output of another
+commit's run, the output is followed by a comparison: each first-group
+artifact whose digest changed, and the largest relative deviation of each
+loss curve from the saved one. The exit code is 1 when the float64 curve
+deviates by more than 1e-9 at some step (or has another number of steps);
+the float32 deviation is printed only.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -59,6 +68,8 @@ from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,  # noqa: E402
 from nomadet.wavelet import denoise_frame  # noqa: E402
 
 NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
+NUMBERS_HEADER = "# number-carrying artifacts"
+FLOAT64_LOSS_LIMIT = 1e-9  # largest relative deviation per step
 
 
 def _sha(blob: bytes) -> str:
@@ -160,7 +171,53 @@ def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> 
     return losses
 
 
+def _parse(text: str) -> tuple[dict, dict]:
+    """First-group digests by name, and loss curves by dtype, of a printed run."""
+    numbers, curves, header = {}, {}, None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            header = line
+        elif line.startswith("loss."):
+            name, value = line.split()
+            curves.setdefault(name.split(".")[1], []).append(float(value))
+        elif line and header == NUMBERS_HEADER:
+            name, digest = line.split()
+            numbers[name] = digest
+    return numbers, curves
+
+
+def _deviation(now: list, then: list) -> float:
+    """Largest relative deviation of ``now`` from ``then``, step by step."""
+    if len(now) != len(then) or not then:
+        return math.inf
+    return max(0.0 if a == b else abs(a - b) / abs(b) if b else math.inf
+               for a, b in zip(now, then))
+
+
+def compare(current: str, saved: str) -> tuple[list, bool]:
+    """Report lines comparing one printed run with a saved one, and whether
+    the float64 loss curve stays within ``FLOAT64_LOSS_LIMIT``."""
+    numbers, curves = _parse(current)
+    saved_numbers, saved_curves = _parse(saved)
+    names = list(numbers) + [name for name in saved_numbers if name not in numbers]
+    report = [f"changed {name}" for name in names
+              if numbers.get(name) != saved_numbers.get(name)]
+    if not report:
+        report.append("no number-carrying artifact changed")
+    float64 = _deviation(curves.get("float64", []), saved_curves.get("float64", []))
+    float32 = _deviation(curves.get("float32", []), saved_curves.get("float32", []))
+    report.append(f"loss.float64 largest relative deviation {float64:.3g} "
+                  f"(limit {FLOAT64_LOSS_LIMIT:g})")
+    report.append(f"loss.float32 largest relative deviation {float32:.3g} (reported only)")
+    return report, float64 <= FLOAT64_LOSS_LIMIT
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="saved output of another run to compare with")
+    args = parser.parse_args()
+    saved = args.against.read_text() if args.against else None
     numbers, meta = [], []
     with tempfile.TemporaryDirectory(prefix="nomadet-golden-") as tmp:
         root = Path(tmp)
@@ -189,17 +246,18 @@ def main() -> int:
         numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
         numbers.append(("projection.axis_counts", _axis_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
-    print("# number-carrying artifacts")
-    for name, digest in numbers:
-        print(f"{name} {digest}")
-    print("# metadata")
-    for name, digest in meta:
-        print(f"{name} {digest}")
+    lines = [NUMBERS_HEADER, *(f"{name} {digest}" for name, digest in numbers),
+             "# metadata", *(f"{name} {digest}" for name, digest in meta)]
     for dtype, losses in curves.items():
-        print(f"# loss curve, {dtype}, per step")
-        for step, loss in enumerate(losses):
-            print(f"loss.{dtype}.{step:02d} {loss!r}")
-    return 0
+        lines.append(f"# loss curve, {dtype}, per step")
+        lines += [f"loss.{dtype}.{step:02d} {loss!r}" for step, loss in enumerate(losses)]
+    print("\n".join(lines))
+    if saved is None:
+        return 0
+    report, ok = compare("\n".join(lines), saved)
+    print(f"# against {args.against}")
+    print("\n".join(report))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
