@@ -1,9 +1,11 @@
 """Experiment engine: SNR sweeps over scenario factors and method comparison.
 
-One model is trained per (factor value, SNR) cell by default; a pooled mode
-trains one model per factor value on all SNRs together. Results land in a
+Every CNN model trains on a group of cells: by default each (factor value,
+SNR) cell is its own group; a pooled mode groups every SNR of a factor value.
+A method's model trains at its first row left to score in the group, so a
+resumed sweep trains only models that still have rows. Results land in a
 ResultTable and are emitted as a CSV of accuracy curves plus per-point
-confusion matrices. Completed cells are flushed to ``results.jsonl`` as the
+confusion matrices. Completed rows are flushed to ``results.jsonl`` as the
 sweep runs, so an interrupted sweep resumes from where it stopped.
 """
 
@@ -49,7 +51,12 @@ class ExperimentConfig:
     ``json.dumps(asdict(cfg), sort_keys=True)`` is both its JSON form and the
     journal's config digest; ``ExperimentConfig(**d)`` reads it back, taking
     ``scenario`` and ``train`` as dicts. Cells draw their seeds from ``seed``,
-    so it also replaces the scenario's seed, which nothing reads.
+    so it also replaces the scenario's seed, which nothing reads. A model
+    trains on one cell, with weights and batch order seeded by
+    ``derive_seed(cell_seed, 1000 + mi)`` and ``2000 + mi`` for the method at
+    index ``mi``, or with ``pooled_training`` on every SNR cell of factor
+    index ``fi``, seeded by ``s = derive_seed(seed, fi, 3000 + mi)`` and
+    ``derive_seed(s, 1)``.
     """
 
     scenario: NomaScenario = field(default_factory=NomaScenario)
@@ -72,9 +79,15 @@ class ExperimentConfig:
             raise ValueError(f"factor must be one of {FACTORS}")
         if self.factor_name != FACTOR_NONE and not self.factor_values:
             raise ValueError("factor_values required when a factor axis is set")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; available: {METHODS}")
+        for name, labels in (("methods", self.methods),
+                             ("factor_values", [str(v) for v in self.factor_values])):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"{name} repeat an entry: {list(labels)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "factor_values", tuple(self.factor_values))
         scenario = self.scenario
@@ -231,76 +244,64 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
         for fi, (factor_label, scen_factor) in enumerate(cfg.factor_cells()):
             pending = [si for si, snr in enumerate(cfg.snr_points)
                        if any((factor_label, m, snr) not in done for m in cfg.methods)]
-            if not pending:
-                continue
-            if cfg.pooled_training:
-                # a pooled model learns from every SNR of its factor value
-                cells = [_build_cell(cfg, fi, si, scen_factor)
-                         for si in range(len(cfg.snr_points))]
-                models = _train_pooled(cfg, fi, cells)
-            else:
-                cells = (_build_cell(cfg, fi, si, scen_factor) for si in pending)
-                models = None
-            for cell in cells:
-                snr = cell.scenario.snr_db_near
-                for mi, method in enumerate(cfg.methods):
-                    if (factor_label, method, snr) in done:
-                        continue
-                    row = _score_cell(cfg, factor_label, cell, method, mi, models)
-                    table.rows.append(row)
-                    done.add((factor_label, method, snr))
-                    if journal is not None:
-                        journal.write(json.dumps(asdict(row), sort_keys=True) + "\n")
-                        journal.flush()
-                    if progress is not None:
-                        progress(row)
+            groups = ([range(len(cfg.snr_points))] if cfg.pooled_training and pending
+                      else [[si] for si in pending])
+            for group in groups:
+                cells = [_CellData(replace(scen_factor, snr_db_near=cfg.snr_points[si],
+                                           seed=derive_seed(cfg.seed, fi, si)))
+                         for si in group]
+                models = {}
+                for cell in cells:
+                    snr = cell.scenario.snr_db_near
+                    for mi, method in enumerate(cfg.methods):
+                        if (factor_label, method, snr) in done:
+                            continue
+                        if method != METHOD_PROJECTION and method not in models:
+                            models[method] = _train_on_group(cfg, fi, mi, method, cells)
+                        row = _score_cell(factor_label, cell, method, models.get(method))
+                        table.rows.append(row)
+                        done.add((factor_label, method, snr))
+                        if journal is not None:
+                            journal.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+                            journal.flush()
+                        if progress is not None:
+                            progress(row)
     finally:
         if journal is not None:
             journal.close()
     return table
 
 
-def _build_cell(cfg, factor_index, snr_index, scen_factor) -> _CellData:
-    cell_seed = derive_seed(cfg.seed, factor_index, snr_index)
-    return _CellData(replace(scen_factor, snr_db_near=cfg.snr_points[snr_index],
-                             seed=cell_seed))
+def _train_on_group(cfg, factor_index, method_index, method, cells) -> ModulationNet:
+    """``method``'s model trained on a group of cells, seeded as ExperimentConfig says."""
+    if cfg.pooled_training:
+        model_seed = derive_seed(cfg.seed, factor_index, 3000 + method_index)
+        train_seed = derive_seed(model_seed, 1)
+    else:
+        model_seed = derive_seed(cells[0].scenario.seed, 1000 + method_index)
+        train_seed = derive_seed(cells[0].scenario.seed, 2000 + method_index)
+    model, _ = train_model([(c.samples(method), c.split) for c in cells], cfg.scenario.grid_size,
+                           replace(cfg.train, seed=train_seed), model_seed)
+    return model
 
 
-def _score_cell(cfg, factor_label, cell, method, method_index,
-                pooled_models) -> ResultRow:
+def _score_cell(factor_label, cell, method, model) -> ResultRow:
+    """The result row of ``method`` on the cell's test split; ``model`` is
+    the trained net of a CNN method, None for the projection baseline."""
     scenario = cell.scenario
     test_samples = [cell.samples(method)[i] for i in cell.split.test]
-    if method == METHOD_PROJECTION:
+    if model is None:
         alloc = resolve_allocation(scenario)
         predicted = [CLASS_ORDER.index(projection_classify(cell.frames[i], alloc,
                                                            scenario.near_schemes))
                      for i in cell.split.test]
     else:
-        if pooled_models is not None:
-            model = pooled_models[method]
-        else:
-            model, _ = train_model(
-                [(cell.samples(method), cell.split)], cfg.scenario.grid_size,
-                replace(cfg.train, seed=derive_seed(scenario.seed, 2000 + method_index)),
-                model_seed=derive_seed(scenario.seed, 1000 + method_index))
         predicted = model.classify(diagram_matrix(test_samples)[0])
     accuracy, confusion = evaluate(predicted, [s.label for s in test_samples])
-    return ResultRow(snr_db=cell.scenario.snr_db_near, factor=factor_label, method=method,
+    return ResultRow(snr_db=scenario.snr_db_near, factor=factor_label, method=method,
                      accuracy=accuracy,
                      confusion=tuple(tuple(int(c) for c in r) for r in confusion),
                      n_test=len(test_samples))
-
-
-def _train_pooled(cfg, factor_index: int, cells) -> dict:
-    models = {}
-    for mi, method in enumerate(cfg.methods):
-        if method == METHOD_PROJECTION:
-            continue
-        seed = derive_seed(cfg.seed, factor_index, 3000 + mi)
-        models[method], _ = train_model(
-            [(c.samples(method), c.split) for c in cells], cfg.scenario.grid_size,
-            replace(cfg.train, seed=derive_seed(seed, 1)), model_seed=seed)
-    return models
 
 
 def read_journal(path):

@@ -1,9 +1,10 @@
 """Neural network layers with exact analytic backprop, numpy only.
 
 Tensors are C-contiguous numpy arrays in NCHW layout: every forward and
-backward result is one, in its input's dtype. Every layer caches what its
-backward pass needs during forward; backward raises if called without a
-cached forward. Layers are single-writer: one forward/backward pair at a
+backward result is one, in its input's dtype. Every layer keeps what its
+backward pass needs only from a ``training=True`` forward; an eval forward
+drops it, so an inference model holds no activations, and backward needs a
+training forward. Layers are single-writer: one forward/backward pair at a
 time per instance.
 
 Conv2D lowers convolution to GEMMs over im2col patch matrices (Chellapilla
@@ -44,7 +45,8 @@ class Layer:
 
     def _need_cache(self):
         if self._cache is None:
-            raise RuntimeError(f"{type(self).__name__}.backward called before forward")
+            raise RuntimeError(
+                f"{type(self).__name__}.backward called before forward(training=True)")
         return self._cache
 
     def state_tensors(self):
@@ -129,7 +131,7 @@ class Conv2D(Layer):
             out = rows @ w.transpose(2, 3, 1, 0).reshape(-1, O)
             out += self.params["b"]
             out = np.ascontiguousarray(out.reshape(B, OH, OW, O).transpose(0, 3, 1, 2))
-        self._cache = (rows, x.shape)
+        self._cache = (rows, x.shape) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -231,7 +233,7 @@ class BatchNorm2D(Layer):
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._cache = x > 0
+        self._cache = x > 0 if training else None
         return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -258,6 +260,9 @@ class MaxPool2(Layer):
             raise ValueError(f"input {H}x{W} too small for 2x2 pooling")
         taps = self._taps(x)
         out = np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
+        self._cache = None
+        if not training:
+            return out
         # route each window to its first maximum: a tap wins where it equals
         # the max and no earlier tap has won
         free = np.ones(out.shape, dtype=bool)
@@ -280,13 +285,13 @@ class MaxPool2(Layer):
 
 class GlobalAvgPool(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._cache = x.shape
+        self._cache = x.shape if training else None
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         B, C, H, W = self._need_cache()
         return np.broadcast_to(
-            grad_out[:, :, None, None] / (H * W), (B, C, H, W)).astype(grad_out.dtype).copy()
+            grad_out[:, :, None, None] / (H * W), (B, C, H, W)).astype(grad_out.dtype)
 
 
 class Dense(Layer):
@@ -301,7 +306,7 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
             raise ValueError(
                 f"expected (B, {self.params['w'].shape[0]}) input, got {x.shape}")
-        self._cache = x
+        self._cache = x if training else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

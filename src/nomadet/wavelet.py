@@ -87,14 +87,6 @@ class WaveletSpec:
         if self.level < 1:
             raise ValueError("decomposition level must be >= 1")
 
-    @property
-    def dec_lo(self) -> np.ndarray:
-        return SYM8_DEC_LO
-
-    @property
-    def dec_hi(self) -> np.ndarray:
-        return _SYM8_DEC_HI
-
 
 @dataclass(frozen=True)
 class WaveletCoeffs:
@@ -169,7 +161,7 @@ def dwt_multilevel(x, spec: WaveletSpec) -> WaveletCoeffs:
     undone by :func:`idwt_multilevel`. Energy is preserved exactly.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    lo, hi = spec.dec_lo, spec.dec_hi
+    lo, hi = SYM8_DEC_LO, _SYM8_DEC_HI
     if x.size < lo.size:
         raise ValueError(
             f"signal length {x.size} is below the filter length {lo.size}"
@@ -188,7 +180,7 @@ def dwt_multilevel(x, spec: WaveletSpec) -> WaveletCoeffs:
 
 def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
     """Exact inverse of :func:`dwt_multilevel` (transpose of the cascade)."""
-    lo, hi = spec.dec_lo, spec.dec_hi
+    lo, hi = SYM8_DEC_LO, _SYM8_DEC_HI
     if coeffs.level != spec.level:
         raise ValueError(
             f"coefficients hold {coeffs.level} levels but spec expects {spec.level}"

@@ -72,6 +72,22 @@ def test_rejected_config_value_names_the_file(tmp_path, capsys, argv, blob):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, blob", [
+    ("methods", {"methods": []}),
+    ("methods", {"methods": ["projection_clustering", "projection_clustering"]}),
+    ("factor_values", {"methods": ["projection_clustering"], "factor_name": "user_count",
+                       "factor_values": [2, 2]}),
+], ids=["no_method", "repeated_method", "repeated_factor_value"])
+def test_sweep_config_asking_for_nothing_or_twice_is_rejected(tmp_path, capsys, field, blob):
+    config, out = tmp_path / "sweep.json", tmp_path / "out"
+    config.write_text(json.dumps(blob))
+    assert cli.main(["sweep", "--out", str(out), "--seed", "0", "--config", str(config),
+                     "--snr-start", "0", "--snr-stop", "0", *TINY]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"bad config in {config}" in err and field in err
+    assert not out.exists()
+
+
 def test_partial_scenario_section_keeps_the_defaults(tmp_path):
     config, data = tmp_path / "config.json", tmp_path / "d.nmd"
     config.write_text(json.dumps({"scenario": {"delta_db": 3}}))

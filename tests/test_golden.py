@@ -22,7 +22,7 @@ def printed(numbers: dict, meta: dict, float64: list, float32: list) -> str:
 
 
 SAVED = printed({"sweep.rows": "aaaa", "train.checkpoint": "bbbb", "inspect.pgm": "cccc"},
-                {"generate.header": "dddd"},
+                {"generate.header": "dddd", "src.lines": "2595"},
                 [1.3862943611198906, 1.25, 0.5], [1.3862944, 1.25, 0.5])
 
 
@@ -36,7 +36,7 @@ def test_identical_runs_pass():
 
 def test_changed_artifacts_listed_and_float32_only_reported():
     current = printed({"sweep.rows": "aaaa", "train.checkpoint": "eeee", "inspect.pgm": "ffff"},
-                      {"generate.header": "0000"},  # metadata is not compared
+                      {"generate.header": "0000", "src.lines": "2593"},  # not compared
                       [1.3862943611198906 * (1 + 2e-14), 1.25, 0.5], [1.3862944, 1.26, 0.5])
     report, ok = golden.compare(current, SAVED)
     assert ok

@@ -29,20 +29,22 @@ def sweep(cfg, out_dir):
     return table, len(computed)
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
+def count_calls(monkeypatch, owner, name, calls=None):
+    """Wraps ``owner.<name>`` to append its name to ``calls`` at every call."""
+    calls = [] if calls is None else calls
     inner = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(name)
         return inner(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def test_each_sample_is_simulated_once(monkeypatch):
+@pytest.mark.parametrize("pooled", [False, True], ids=["per_cell", "pooled"])
+def test_each_sample_is_simulated_once(monkeypatch, pooled):
     calls = count_calls(monkeypatch, datapipe, "generate_noma_frame")
-    cfg = tiny_config()
+    cfg = tiny_config(pooled=pooled)
     table = run_sweep(cfg)
     assert len(table.rows) == 2 * len(METHODS)
     assert len(calls) == 2 * 4 * SCENARIO.samples_per_class
@@ -148,3 +150,29 @@ def test_pooled_resume_does_not_retrain(tmp_path, monkeypatch):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         tiny_config(methods=("nearest_neighbour",))
+
+
+@pytest.mark.parametrize("method, trained", [(harness.METHOD_RAW, 1),
+                                             (harness.METHOD_PROJECTION, 0)])
+def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
+                                                         method, trained):
+    cfg = tiny_config(pooled=True)
+    table, _ = sweep(cfg, tmp_path)
+    journal = tmp_path / "results.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    dropped = next(i for i, line in enumerate(lines) if f'"method": "{method}"' in line)
+    journal.write_text("".join(lines[:dropped] + lines[dropped + 1:]))
+    calls = count_calls(monkeypatch, harness, "train")
+    resumed, computed = sweep(cfg, tmp_path)
+    assert computed == 1
+    assert len(calls) == trained
+    assert len(resumed.rows) == len(table.rows)
+    assert set(resumed.rows) == set(table.rows)
+
+
+def test_per_cell_sweep_trains_each_model_before_its_row(monkeypatch):
+    calls = count_calls(monkeypatch, harness, "train")
+    count_calls(monkeypatch, harness, "evaluate", calls)
+    run_sweep(tiny_config())
+    assert calls == ["train", "evaluate", "train", "evaluate", "evaluate"] * 2
+

@@ -73,7 +73,7 @@ class TestConv2D:
         rng = RNG(3)
         conv = Conv2D(2, 2, 3, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 2, 6, 6))
-        out = conv.forward(x)
+        out = conv.forward(x, training=True)
         gx = conv.backward(np.zeros_like(out))
         assert not np.any(gx)
         assert not np.any(conv.grads["w"])
@@ -83,7 +83,7 @@ class TestConv2D:
         rng = RNG(4)
         conv = Conv2D(1, 1, 3, stride=1, padding="valid", rng=rng, dtype=np.float64)
         x = rng.standard_normal((1, 1, 5, 5))
-        out = conv.forward(x)
+        out = conv.forward(x, training=True)
         grad_out = np.zeros_like(out)
         grad_out[0, 0, 1, 2] = 2.5
         conv.backward(grad_out)
@@ -107,7 +107,7 @@ class TestConv2D:
         probe = rng.standard_normal((2, 3, 4, 4))
 
         def loss():
-            return float((conv.forward(x) * probe).sum())
+            return float((conv.forward(x, training=True) * probe).sum())
 
         loss()
         gx = conv.backward(probe)
@@ -135,7 +135,7 @@ class TestConv2D:
         probe = rng.standard_normal((2, out_ch, *conv.out_hw(size, size)))
 
         def loss():
-            return float((conv.forward(x) * probe).sum())
+            return float((conv.forward(x, training=True) * probe).sum())
 
         loss()
         gx = conv.backward(probe)
@@ -150,7 +150,7 @@ class TestConv2D:
         conv = Conv2D(1, 2, 5, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 1, 6, 6))
         probe = rng.standard_normal((2, 2, 6, 6))
-        conv.forward(x)
+        conv.forward(x, training=True)
         full = conv.backward(probe)
         grads = {key: value.copy() for key, value in conv.grads.items()}
         assert full.shape == x.shape
@@ -263,18 +263,18 @@ class TestSimpleLayers:
     def test_maxpool_example_and_routing(self):
         pool = MaxPool2()
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = pool.forward(x)
+        out = pool.forward(x, training=True)
         np.testing.assert_array_equal(out, np.array([[[[4.0]]]]))
         gx = pool.backward(np.array([[[[1.0]]]]))
         np.testing.assert_array_equal(gx, np.array([[[[0.0, 0.0], [0.0, 1.0]]]]))
 
     def test_maxpool_tie_routes_once(self):
         pool = MaxPool2()
-        pool.forward(np.ones((1, 1, 2, 2)))
+        pool.forward(np.ones((1, 1, 2, 2)), training=True)
         gx = pool.backward(np.array([[[[1.0]]]]))
         # the first window position in row-major order takes the whole gradient
         np.testing.assert_array_equal(gx, np.array([[[[1.0, 0.0], [0.0, 0.0]]]]))
-        pool.forward(np.array([[[[0.0, 2.0], [1.0, 2.0]]]]))
+        pool.forward(np.array([[[[0.0, 2.0], [1.0, 2.0]]]]), training=True)
         gx = pool.backward(np.array([[[[1.0]]]]))
         np.testing.assert_array_equal(gx, np.array([[[[0.0, 1.0], [0.0, 0.0]]]]))
 
@@ -286,7 +286,7 @@ class TestSimpleLayers:
         probe = rng.standard_normal((2, 3, 2, 2))
 
         def loss():
-            return float((pool.forward(x) * probe).sum())
+            return float((pool.forward(x, training=True) * probe).sum())
 
         loss()
         gx = pool.backward(probe)
@@ -297,7 +297,7 @@ class TestSimpleLayers:
     def test_global_avg_pool(self):
         gap = GlobalAvgPool()
         x = RNG(11).standard_normal((2, 3, 4, 4))
-        np.testing.assert_allclose(gap.forward(x), x.mean(axis=(2, 3)), atol=1e-12)
+        np.testing.assert_allclose(gap.forward(x, training=True), x.mean(axis=(2, 3)), atol=1e-12)
         gx = gap.backward(np.ones((2, 3)))
         np.testing.assert_allclose(gx, np.full_like(x, 1 / 16), atol=1e-15)
 
@@ -308,7 +308,7 @@ class TestSimpleLayers:
         probe = rng.standard_normal((4, 3))
 
         def loss():
-            return float((dense.forward(x) * probe).sum())
+            return float((dense.forward(x, training=True) * probe).sum())
 
         loss()
         gx = dense.backward(probe)
@@ -497,6 +497,29 @@ class TestModel:
             assert out.dtype == arch.np_dtype, tag
         calls = {tag for tag, _ in seen}
         assert calls == {(name, m) for name in layers for m in ("forward", "backward")}
+
+    def test_predict_leaves_no_layer_cache(self):
+        model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=3)
+        x = RNG(27).random((4, 1, 24, 24))
+        model.forward(x, training=True)
+        assert all(layer._cache is not None for _, layer in every_layer(model))
+        model.predict(x)
+        assert [name for name, layer in every_layer(model) if layer._cache is not None] == []
+
+    @pytest.mark.parametrize("layer, shape", [
+        (Conv2D(2, 2, 3, dtype=np.float64), (2, 2, 5, 5)),
+        (BatchNorm2D(2, dtype=np.float64), (2, 2, 5, 5)),
+        (ReLU(), (2, 2, 4, 4)),
+        (MaxPool2(), (2, 2, 4, 4)),
+        (GlobalAvgPool(), (2, 2, 4, 4)),
+        (Dense(5, 3, dtype=np.float64), (2, 5)),
+    ], ids=["Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense"])
+    def test_backward_after_eval_forward_raises(self, layer, shape):
+        x = RNG(28).standard_normal(shape)
+        layer.forward(x, training=True)
+        out = layer.forward(x)
+        with pytest.raises(RuntimeError, match=r"forward\(training=True\)"):
+            layer.backward(np.ones_like(out))
 
     def test_parameter_count_pinned(self):
         model = ModulationNet(DEFAULT_ARCH, seed=0)

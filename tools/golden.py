@@ -27,13 +27,15 @@ Each artifact prints as one line: a name and the first 16 hex digits of its
 sha256. Artifacts that carry numbers (result rows, reports, NMD1 records,
 checkpoint, images) print in the first group; metadata that names the config
 (the journal's digest line, the NMD1 header digest, the manifest) prints in
-the second. A change that only simplifies the code keeps the first group
-byte-identical. The loss curves print last, one full-precision value per
-step: a change that only reorders the network's arithmetic keeps the float64
-curve within 1e-9 relative of its parent's at every step, while float32
-rounding differences grow over the steps and are reported, not held to a
-tolerance. The script uses only API that has existed since the sample
-pipeline was unified, so it runs unchanged on older commits for comparison.
+the second, which ends with ``src.lines``, the package's line count as
+``cat src/nomadet/*.py src/nomadet/neuralnet/*.py | wc -l`` gives it. A
+change that only simplifies the code keeps the first group byte-identical.
+The loss curves print last, one full-precision value per step: a change
+that only reorders the network's arithmetic keeps the float64 curve within
+1e-9 relative of its parent's at every step, while float32 rounding
+differences grow over the steps and are reported, not held to a tolerance.
+The script uses only API that has existed since the sample pipeline was
+unified, so it runs unchanged on older commits for comparison.
 
 With ``--against FILE``, where FILE holds the saved output of another
 commit's run, the output is followed by a comparison: each first-group
@@ -55,7 +57,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
@@ -171,6 +174,12 @@ def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> 
     return losses
 
 
+def _src_lines() -> int:
+    return sum(path.read_bytes().count(b"\n")
+               for pattern in ("*.py", "neuralnet/*.py")
+               for path in (SRC / "nomadet").glob(pattern))
+
+
 def _parse(text: str) -> tuple[dict, dict]:
     """First-group digests by name, and loss curves by dtype, of a printed run."""
     numbers, curves, header = {}, {}, None
@@ -246,6 +255,7 @@ def main() -> int:
         numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
         numbers.append(("projection.axis_counts", _axis_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
+    meta.append(("src.lines", str(_src_lines())))
     lines = [NUMBERS_HEADER, *(f"{name} {digest}" for name, digest in numbers),
              "# metadata", *(f"{name} {digest}" for name, digest in meta)]
     for dtype, losses in curves.items():
