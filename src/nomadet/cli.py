@@ -99,6 +99,11 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     samples, _ = load_dataset(args.dataset)
+    size = model.arch.input_size
+    if samples and len(samples[0].diagram.grid) != size:
+        grid = len(samples[0].diagram.grid)
+        raise DataFormatError(f"{args.dataset} holds {grid}x{grid} diagrams, but "
+                              f"{args.model} takes {size}x{size}")
     if args.split == "test":
         split = split_dataset(samples, seed=args.split_seed)
         samples = [samples[i] for i in split.test]

@@ -244,8 +244,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
         for fi, (factor_label, scen_factor) in enumerate(cfg.factor_cells()):
             pending = [si for si, snr in enumerate(cfg.snr_points)
                        if any((factor_label, m, snr) not in done for m in cfg.methods)]
-            groups = ([range(len(cfg.snr_points))] if cfg.pooled_training and pending
-                      else [[si] for si in pending])
+            # a pooled model trains on every SNR cell, so all are built only
+            # when some CNN method of this factor value still has a row left
+            pool = cfg.pooled_training and any(
+                (factor_label, m, snr) not in done
+                for m in cfg.methods if m != METHOD_PROJECTION for snr in cfg.snr_points)
+            groups = [range(len(cfg.snr_points))] if pool else [[si] for si in pending]
             for group in groups:
                 cells = [_CellData(replace(scen_factor, snr_db_near=cfg.snr_points[si],
                                            seed=derive_seed(cfg.seed, fi, si)))

@@ -10,10 +10,11 @@ time per instance.
 Conv2D lowers convolution to GEMMs over im2col patch matrices (Chellapilla
 et al. 2006), gathered channels-last so that each kernel row of a patch is
 one contiguous run and each product is one 2-D GEMM; only a one-channel
-stem gathers tap-major instead. At stride 1 its input gradient is the
-transposed convolution of the output gradient (Dumoulin & Visin, "A guide
-to convolution arithmetic", 2016), and a first layer can skip that gradient
-altogether.
+stem gathers tap-major instead. The kernel is kept as the GEMM's
+(k*k*C, O) matrix, so no product copies it. At stride 1 its input gradient
+is the transposed convolution of the output gradient (Dumoulin & Visin, "A
+guide to convolution arithmetic", 2016), and a first layer can skip that
+gradient altogether.
 The memory-bound layers (BatchNorm2D, ReLU, MaxPool2) work in place where
 they can, to keep their full-size temporaries few.
 """
@@ -21,7 +22,6 @@ they can, to keep their full-size temporaries few.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense",
@@ -60,9 +60,10 @@ _CHUNK_BYTES = 1 << 20
 
 
 def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
-    """(B, OH, OW, k, k, C) view of the k*k windows, at stride ``s``, of the
-    channels-last (B, H, W, C) ``x`` zero-padded by ``p`` (into a new buffer
-    if ``p`` > 0); each kernel row of a window is k*C contiguous values."""
+    """One read-only (B, OH, OW, k, k, C) strided view of the k*k windows, at
+    stride ``s``, of the channels-last (B, H, W, C) ``x`` zero-padded by ``p``
+    (into a new buffer if ``p`` > 0); each kernel row of a window is k*C
+    contiguous values."""
     B, H, W, C = x.shape
     if H + 2 * p < k or W + 2 * p < k:
         raise ValueError(f"spatial size {H + 2 * p}x{W + 2 * p} smaller than kernel {k}")
@@ -70,7 +71,10 @@ def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
         padded = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=x.dtype)
         padded[:, p:p + H, p:p + W] = x
         x = padded
-    return sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3)
+    sb, sh, sw, sc = x.strides
+    shape = (B, (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1, k, k, C)
+    return np.lib.stride_tricks.as_strided(
+        x, shape, (sb, s * sh, s * sw, sh, sw, sc), writeable=False)
 
 
 class Conv2D(Layer):
@@ -93,6 +97,12 @@ class Conv2D(Layer):
     way the cached patch matrix is 2-D with B*OH*OW*C*k*k elements.
     ``backward(..., input_grad=False)`` skips the input gradient for a
     first layer, whose input needs none.
+
+    The kernel is a C-contiguous (k, k, C, O) buffer, the (k*k*C, O) matrix,
+    and ``params["w"]`` is its (O, C, k, k) view: every product reads it, or
+    its transpose, without a copy, and ``grads["w"]`` is laid out the same.
+    A 1x1 kernel keeps an (O, C) buffer, since BLAS rounds its forward over a
+    few patch rows differently in the other operand order.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
@@ -106,8 +116,9 @@ class Conv2D(Layer):
         self.pad = (kernel - 1) // 2 if padding == "same" else 0
         self.tap_major = in_ch == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
-        self.params["w"] = he_uniform((out_ch, in_ch, kernel, kernel),
-                                      in_ch * kernel * kernel, rng, dtype)
+        w = he_uniform((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, rng, dtype)
+        self.params["w"] = (w if kernel == 1 else
+                            np.ascontiguousarray(w.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1))
         self.params["b"] = np.zeros(out_ch, dtype=dtype)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
@@ -146,8 +157,10 @@ class Conv2D(Layer):
         else:
             g_cl = np.ascontiguousarray(g_cl)
             gw = rows.T @ g_cl.reshape(-1, O)
-        # gw is (k*k*C, O) in patch-row order
-        self.grads["w"] = np.ascontiguousarray(gw.reshape(k, k, C, O).transpose(3, 2, 0, 1))
+        # gw is (k*k*C, O) in patch-row order, the layout of every kernel
+        # buffer but a 1x1 kernel's (O, C)
+        self.grads["w"] = (gw.reshape(k, k, C, O).transpose(3, 2, 0, 1) if k > 1
+                           else np.ascontiguousarray(gw.T).reshape(O, C, 1, 1))
         self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
         if not input_grad:
             return None

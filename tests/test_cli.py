@@ -7,6 +7,7 @@ import pytest
 from nomadet import cli
 from nomadet.errors import NumericError
 from nomadet.harness import ExperimentConfig
+from nomadet.neuralnet import ArchConfig, ModulationNet, save_model
 from nomadet.sigsim import ModScheme
 from conftest import FOREIGN_ARCHS, write_checkpoint_header
 
@@ -144,6 +145,16 @@ def test_foreign_checkpoint_config_is_a_data_error(tmp_path, capsys, config):
     write_checkpoint_header(model, config)
     assert cli.main(["eval", "--model", str(model), "--dataset", "unused.nmd"]) == cli.EXIT_DATA
     assert "m.nmdl" in capsys.readouterr().err
+
+
+def test_eval_grid_mismatch_is_a_data_error(tmp_path, capsys):
+    data, model = tmp_path / "d16.nmd", tmp_path / "m24.nmdl"
+    assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
+    save_model(ModulationNet(ArchConfig(input_size=24)), model)
+    assert cli.main(["eval", "--model", str(model), "--dataset", str(data)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "16x16" in err and "24x24" in err
+    assert "d16.nmd" in err and "m24.nmdl" in err
 
 
 def test_missing_dataset_is_a_data_error(tmp_path):

@@ -156,6 +156,8 @@ def test_unknown_method_rejected():
                                              (harness.METHOD_PROJECTION, 0)])
 def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
                                                          method, trained):
+    """A pooled model needs every SNR cell; the projection baseline needs only
+    the cell of its own row."""
     cfg = tiny_config(pooled=True)
     table, _ = sweep(cfg, tmp_path)
     journal = tmp_path / "results.jsonl"
@@ -163,9 +165,12 @@ def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
     dropped = next(i for i, line in enumerate(lines) if f'"method": "{method}"' in line)
     journal.write_text("".join(lines[:dropped] + lines[dropped + 1:]))
     calls = count_calls(monkeypatch, harness, "train")
+    frames = count_calls(monkeypatch, datapipe, "generate_noma_frame")
     resumed, computed = sweep(cfg, tmp_path)
     assert computed == 1
     assert len(calls) == trained
+    cells = len(cfg.snr_points) if trained else 1
+    assert len(frames) == cells * 4 * SCENARIO.samples_per_class
     assert len(resumed.rows) == len(table.rows)
     assert set(resumed.rows) == set(table.rows)
 

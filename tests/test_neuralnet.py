@@ -1,13 +1,14 @@
 """Layer semantics, gradients, and model contracts."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nomadet.neuralnet import (ArchConfig, BatchNorm2D, Conv2D, Dense,
+from nomadet.neuralnet import (Adam, ArchConfig, BatchNorm2D, Conv2D, Dense,
                                GlobalAvgPool, MaxPool2, ModulationNet, ReLU,
-                               softmax, softmax_cross_entropy)
+                               save_model, softmax, softmax_cross_entropy)
 from nomadet.neuralnet.layers import Layer
 from nomadet.neuralnet.model import DEFAULT_ARCH, TINY_ARCH, ResidualBlock
 from conftest import max_rel_error, numeric_gradient
@@ -161,7 +162,7 @@ class TestConv2D:
     def test_default_arch_convs_in_float32_match_float64(self):
         """Every conv shape of DEFAULT_ARCH at batch 2: the float32 layer's
         output and gradients agree with the float64 layer's to 1e-5 of the
-        largest float64 value, and its weight gradient is C-contiguous."""
+        largest float64 value, and its weight gradient is laid out as its kernel."""
         model = ModulationNet(DEFAULT_ARCH, seed=0)
         shapes = {}
 
@@ -201,7 +202,95 @@ class TestConv2D:
             for key in ("w", "b"):
                 assert c32.grads[key].dtype == np.float32, (name, key)
                 assert close(c32.grads[key], c64.grads[key]), (name, key)
-            assert c32.grads["w"].flags.c_contiguous, name
+            assert c32.grads["w"].strides == c32.params["w"].strides, name
+
+
+def einsum_correlation(x, w, b, stride, pad):
+    """Cross-correlation as one einsum over strided windows, no im2col."""
+    k = w.shape[-1]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return (np.einsum("bchwij,ocij->bohw", win[:, :, ::stride, ::stride], w)
+            + b[None, :, None, None])
+
+
+def einsum_input_gradient(probe, w, stride, pad, shape):
+    """Gradient of sum(correlation * probe) wrt its input, tap by tap."""
+    B, C, H, W = shape
+    k, (OH, OW) = w.shape[-1], probe.shape[2:]
+    gx = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * OH:stride, j:j + stride * OW:stride] += np.einsum(
+                "boyx,oc->bcyx", probe, w[:, :, i, j])
+    return gx[:, :, pad:pad + H, pad:pad + W]
+
+
+class TestKernelLayout:
+    """``params["w"]`` is an (O, C, k, k) view of the kernel buffer that the
+    GEMMs read; everything that reads or writes it sees one array."""
+
+    def test_every_conv_kernel_is_out_in_k_k(self):
+        convs = [layer for _, layer in every_layer(ModulationNet(DEFAULT_ARCH, seed=0))
+                 if isinstance(layer, Conv2D)]
+        assert len(convs) == 16
+        for conv in convs:
+            assert conv.params["w"].shape == (conv.out_ch, conv.in_ch, conv.kernel, conv.kernel)
+
+    def test_weight_gradient_and_adam_moments_share_the_kernel_layout(self):
+        model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=1)
+        logits = model.forward(RNG(28).random((2, 1, 24, 24)), training=True)
+        model.backward(np.ones_like(logits))
+        optimiser = Adam(model)
+
+        def memory_order(a):  # strides of a size-1 axis are arbitrary
+            return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
+
+        for name, layer in every_layer(model):
+            if isinstance(layer, Conv2D):
+                w = layer.params["w"]
+                assert layer.grads["w"].strides == w.strides, name
+                for moments in (optimiser.m, optimiser.v):
+                    assert memory_order(moments[f"{name}.w"]) == memory_order(w), name
+
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride, padding", [
+        (1, 4, 5, 1, "same"),      # tap-major stem
+        (3, 4, 3, 1, "same"),
+        (3, 4, 3, 2, "same"),
+        (3, 4, 1, 2, "valid"),     # strided 1x1 shortcut
+    ])
+    def test_in_place_kernel_write_reaches_forward_and_backward(
+            self, in_ch, out_ch, kernel, stride, padding):
+        """Adam, ``restore`` and ``load_model`` all write ``params["w"][...]``."""
+        rng = RNG(29 + kernel + stride)
+        conv = Conv2D(in_ch, out_ch, kernel, stride, padding, rng=rng, dtype=np.float64)
+        x = rng.standard_normal((2, in_ch, 7, 7))
+        conv.forward(x, training=True)
+        new = rng.standard_normal(conv.params["w"].shape)
+        conv.params["w"][...] = new
+        out = conv.forward(x, training=True)
+        np.testing.assert_allclose(
+            out, einsum_correlation(x, new, conv.params["b"], stride, conv.pad), atol=1e-12)
+        probe = rng.standard_normal(out.shape)
+        np.testing.assert_allclose(
+            conv.backward(probe), einsum_input_gradient(probe, new, stride, conv.pad, x.shape),
+            atol=1e-12)
+
+    def test_checkpoint_holds_each_kernel_in_out_in_k_k_order(self, tmp_path):
+        model = ModulationNet(TINY_ARCH, seed=3)
+        path = tmp_path / "m.nmdl"
+        save_model(model, path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 6)
+        offset = 10 + config_len + 4
+        for name, layer, key, value in model.state_tensors():
+            (rank,) = struct.unpack_from("<B", blob, offset)
+            offset += 1 + 4 * rank
+            data = blob[offset:offset + 4 * value.size]
+            offset += len(data)
+            if isinstance(layer, Conv2D) and key == "w":
+                assert data == np.ascontiguousarray(value, "<f4").tobytes(), name
+        assert offset == len(blob)
 
 
 class TestBatchNorm:

@@ -9,6 +9,9 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
   - ``nomadet generate`` datasets, denoised and raw;
   - a ``nomadet train`` checkpoint on the denoised dataset;
   - ``nomadet inspect`` PGM images of the denoised dataset;
+  - the float32 eval-mode logits of a fixed-seed default-architecture
+    network on the denoised dataset's diagrams, at batch sizes 1 and 64, so
+    a last-bit change in inference shows even where argmax would hide it;
   - the raw samples of one fixed-seed 600-symbol ``generate_noma_frame`` frame
     per (near scheme, far scheme) pair, so a last-bit change in modulation
     shows even where density binning would hide it;
@@ -174,6 +177,16 @@ def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> 
     return losses
 
 
+def _logits(dataset: Path) -> str:
+    """sha256 prefix of a fixed-seed float32 default-architecture net's eval
+    logits on the dataset's diagrams, taken at batch sizes 1 and 64."""
+    samples, _ = datapipe.load_dataset(dataset)
+    x = harness.diagram_matrix(samples)[0]
+    model = ModulationNet(ArchConfig(input_size=x.shape[-1]), seed=6)
+    return _sha(b"".join(model.forward(x[i:i + batch], training=False).tobytes()
+                         for batch in (1, 64) for i in range(0, len(x), batch)))
+
+
 def _src_lines() -> int:
     return sum(path.read_bytes().count(b"\n")
                for pattern in ("*.py", "neuralnet/*.py")
@@ -251,6 +264,7 @@ def main() -> int:
         _cli("inspect", "--dataset", str(den), "--out", str(pgm))
         images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
         numbers.append(("inspect.pgm", _sha(images)))
+        numbers.append(("model.logits", _logits(den)))
         numbers.append(("sigsim.frames", _frames()))
         numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
         numbers.append(("projection.axis_counts", _axis_counts()))
