@@ -153,6 +153,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     samples, _ = load_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -71,6 +71,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("snr_start", "snr_stop", "snr_step"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.snr_step <= 0:
             raise ValueError("snr_step must be > 0")
         if self.snr_start > self.snr_stop:

@@ -101,8 +101,6 @@ class Conv2D(Layer):
     The kernel is a C-contiguous (k, k, C, O) buffer, the (k*k*C, O) matrix,
     and ``params["w"]`` is its (O, C, k, k) view: every product reads it, or
     its transpose, without a copy, and ``grads["w"]`` is laid out the same.
-    A 1x1 kernel keeps an (O, C) buffer, since BLAS rounds its forward over a
-    few patch rows differently in the other operand order.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
@@ -117,8 +115,7 @@ class Conv2D(Layer):
         self.tap_major = in_ch == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
         w = he_uniform((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, rng, dtype)
-        self.params["w"] = (w if kernel == 1 else
-                            np.ascontiguousarray(w.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1))
+        self.params["w"] = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
         self.params["b"] = np.zeros(out_ch, dtype=dtype)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
@@ -157,10 +154,8 @@ class Conv2D(Layer):
         else:
             g_cl = np.ascontiguousarray(g_cl)
             gw = rows.T @ g_cl.reshape(-1, O)
-        # gw is (k*k*C, O) in patch-row order, the layout of every kernel
-        # buffer but a 1x1 kernel's (O, C)
-        self.grads["w"] = (gw.reshape(k, k, C, O).transpose(3, 2, 0, 1) if k > 1
-                           else np.ascontiguousarray(gw.T).reshape(O, C, 1, 1))
+        # gw is (k*k*C, O) in patch-row order, the layout of the kernel buffer
+        self.grads["w"] = gw.reshape(k, k, C, O).transpose(3, 2, 0, 1)
         self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
@@ -222,12 +217,14 @@ class BatchNorm2D(Layer):
                 m * self.buffers["running_var"] + (1.0 - m) * var.reshape(-1))
             self._cache = (xhat, invstd)
             np.multiply(gamma, xhat, out=out)
+            shift = beta
         else:
+            # one pass: gamma * (x - mean) / std + beta as x * scale + shift
             self._cache = None
-            out = x - self.buffers["running_mean"].reshape(1, -1, 1, 1)
-            out *= gamma
-            out /= np.sqrt(self.buffers["running_var"].reshape(1, -1, 1, 1) + self.eps)
-        out += beta
+            scale = gamma / np.sqrt(self.buffers["running_var"].reshape(1, -1, 1, 1) + self.eps)
+            shift = beta - self.buffers["running_mean"].reshape(1, -1, 1, 1) * scale
+            out = x * scale
+        out += shift
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

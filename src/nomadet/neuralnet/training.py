@@ -54,6 +54,10 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be at least 0, got {self.patience}")
 
 
 @dataclass(frozen=True)

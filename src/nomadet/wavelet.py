@@ -9,14 +9,13 @@ Denoising splits a complex frame into real and imaginary parts, soft
 thresholds the detail coefficients per level with the heursure rule and
 reconstructs from the untouched approximation plus the shrunk details.
 
-Each step is O(n * taps) work on tables of indices that depend only on the
-length, so they are built once per length and cached read-only: analysis
+Each step is O(n * taps) work on one table of window indices that depends
+only on the length, built once per length and cached read-only: analysis
 gathers the windows and takes two matrix-vector products, and synthesis
-gathers each output's taps/2 contributions and sums them in turn. That sum
-runs in the order an ``np.add.at`` scatter would use, from +0.0, so the
-output is bit-identical to the scatter's, signed zeros included. A
-3000-symbol frame denoises in about 1.3 ms on one core, against 4.5 ms
-with a scatter and tables rebuilt on every call.
+scatters the per-window terms back through the same table with
+``np.bincount``, which adds them in table order from +0.0 just as an
+``np.add.at`` scatter would, so the output is bit-identical to the
+scatter's, signed zeros included.
 """
 
 from __future__ import annotations
@@ -125,20 +124,6 @@ def _analysis_index(n: int, taps: int) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=64)
-def _synthesis_index(n: int, taps: int) -> np.ndarray:
-    """Read-only (taps/2, n) table: column j lists the flat positions in the
-    (taps, n/2) synthesis terms ``lo[m] * approx[k] + hi[m] * detail[k]``
-    of the taps/2 terms that land on output j = (2k + m) % n, in ascending
-    k * taps + m: the order of a stable argsort of the analysis table, in
-    which ``np.add.at`` over that table would add them."""
-    order = np.argsort(_analysis_index(n, taps).reshape(-1), kind="stable")
-    k, m = np.divmod(order.reshape(n, taps // 2).T, taps)
-    table = np.ascontiguousarray(m * (n // 2) + k)
-    table.flags.writeable = False
-    return table
-
-
 def _dwt_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     windows = x[_analysis_index(x.size, lo.size)]
     return windows @ lo, windows @ hi
@@ -147,11 +132,9 @@ def _dwt_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def _idwt_step(approx: np.ndarray, detail: np.ndarray,
                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     n = 2 * approx.size
-    terms = (lo[:, None] * approx + hi[:, None] * detail).reshape(-1)
-    out = np.zeros(n)
-    for positions in _synthesis_index(n, lo.size):
-        out += terms[positions]
-    return out
+    terms = lo * approx[:, None] + hi * detail[:, None]
+    return np.bincount(_analysis_index(n, lo.size).reshape(-1),
+                       weights=terms.reshape(-1), minlength=n)
 
 
 def dwt_multilevel(x, spec: WaveletSpec) -> WaveletCoeffs:
@@ -260,7 +243,7 @@ def _denoise_part(x: np.ndarray, spec: WaveletSpec, sigma: float | None) -> np.n
     if sigma is None:
         sigma = estimate_sigma(coeffs.details[-1])
     new_details = tuple(
-        soft_threshold(d, 0.0 if sigma <= 0 or not np.any(d) else heursure_threshold(d, sigma))
+        soft_threshold(d, 0.0 if sigma <= 0 else heursure_threshold(d, sigma))
         for d in coeffs.details
     )
     return idwt_multilevel(

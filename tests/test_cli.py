@@ -35,14 +35,50 @@ def test_round_trip(tmp_path, capsys):
         assert (report_dir / name).read_bytes() == (sweep_dir / name).read_bytes()
 
 
-@pytest.mark.parametrize("flag, field", [("--epochs", "max_epochs"), ("--batch", "batch_size")])
-def test_training_size_below_one_is_a_usage_error(tmp_path, capsys, flag, field):
+def assert_train_rejects(tmp_path, capsys, flag, value, field):
     data, model = tmp_path / "d.nmd", tmp_path / "m.nmdl"
     assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
     assert cli.main(["train", "--dataset", str(data), "--out", str(model),
-                     flag, "0"]) == cli.EXIT_USAGE
+                     flag, value]) == cli.EXIT_USAGE
     assert field in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--epochs", "max_epochs"), ("--batch", "batch_size")])
+def test_training_size_below_one_is_a_usage_error(tmp_path, capsys, flag, field):
+    assert_train_rejects(tmp_path, capsys, flag, "0", field)
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "0", "learning_rate"),
+    ("--lr", "nan", "learning_rate"),
+    ("--patience", "-1", "patience"),
+])
+def test_bad_learning_rate_or_patience_is_a_usage_error(tmp_path, capsys, flag, value, field):
+    assert_train_rejects(tmp_path, capsys, flag, value, field)
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--snr-stop", "inf", "snr_stop"),
+    ("--snr-start", "-inf", "snr_start"),
+    ("--snr-step", "nan", "snr_step"),
+])
+def test_non_finite_snr_is_a_usage_error(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--out", str(out), "--seed", "0",
+                     "--methods", "projection_clustering", f"{flag}={value}",
+                     *TINY]) == cli.EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_inspect_limit_is_a_usage_error(tmp_path, capsys):
+    data, out = tmp_path / "d.nmd", tmp_path / "pgm"
+    assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
+    assert cli.main(["inspect", "--dataset", str(data), "--out", str(out),
+                     "--limit", "-1"]) == cli.EXIT_USAGE
+    assert "--limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_flag_is_a_usage_error(capsys):

@@ -308,6 +308,30 @@ class TestBatchNorm:
         out = bn.forward(x, training=False)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_inference_matches_the_formula_and_keeps_running_stats(self, dtype, rtol):
+        rng = RNG(11)
+        bn = BatchNorm2D(3, dtype=dtype)
+        bn.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
+        bn.params["beta"][...] = rng.standard_normal(3)
+        bn.buffers["running_mean"][...] = rng.standard_normal(3)
+        bn.buffers["running_var"][...] = rng.uniform(0.2, 3.0, 3)
+        stats = {key: value.copy() for key, value in bn.buffers.items()}
+        x = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
+        out = bn.forward(x, training=False)
+
+        def channels(a):
+            return a.astype(np.float64).reshape(1, -1, 1, 1)
+
+        expected = (channels(bn.params["gamma"]) * (x.astype(np.float64)
+                    - channels(stats["running_mean"]))
+                    / np.sqrt(channels(stats["running_var"]) + bn.eps)
+                    + channels(bn.params["beta"]))
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, expected, rtol=rtol)
+        for key, value in bn.buffers.items():
+            assert value.tobytes() == stats[key].tobytes(), key
+
     def test_batch_of_one_rejected_in_training(self):
         bn = BatchNorm2D(2)
         with pytest.raises(ValueError, match="batch size"):

@@ -5,8 +5,8 @@ import pytest
 
 from nomadet.errors import (BadMagicError, TruncatedFileError,
                             VersionMismatchError)
-from nomadet.neuralnet import (DEFAULT_ARCH, ArchConfig, ModulationNet, TrainConfig,
-                               accuracy, load_model, save_model, train)
+from nomadet.neuralnet import (DEFAULT_ARCH, Adam, ArchConfig, ModulationNet, TrainConfig,
+                               accuracy, load_model, save_model, train, training)
 from conftest import FOREIGN_ARCHS, synthetic_diagram_set, write_checkpoint_header
 
 SMALL_ARCH = ArchConfig(input_size=20, base_kernel=3, base_channels=4,
@@ -19,11 +19,14 @@ def small_data(seed=0, per_class=6):
 
 
 class TestTrainLoop:
-    def test_zero_learning_rate_flat_history(self):
+    def test_zero_learning_rate_flat_history(self, monkeypatch):
+        # TrainConfig takes only a positive rate, so the optimiser is handed 0
+        # directly: only its steps may move the weights
+        monkeypatch.setattr(training, "Adam", lambda model, lr: Adam(model, 0.0))
         x, y = small_data()
         model = ModulationNet(SMALL_ARCH, seed=4)
         before = model.snapshot()
-        cfg = TrainConfig(learning_rate=0.0, max_epochs=10, patience=3, seed=9)
+        cfg = TrainConfig(max_epochs=10, patience=3, seed=9)
         history = train(model, (x, y), (x[:8], y[:8]), cfg)
         losses = {h.train_loss for h in history}
         assert len(losses) == 1
