@@ -3,10 +3,10 @@
 Every CNN model trains on a group of cells: by default each (factor value,
 SNR) cell is its own group; a pooled mode groups every SNR of a factor value.
 A method's model trains at its first row left to score in the group, so a
-resumed sweep trains only models that still have rows. Results land in a
-ResultTable and are emitted as a CSV of accuracy curves plus per-point
-confusion matrices. Completed rows are flushed to ``results.jsonl`` as the
-sweep runs, so an interrupted sweep resumes from where it stopped.
+resumed sweep trains only models that still have rows. Completed rows are
+flushed to the ``results.jsonl`` journal in the sweep's output directory as
+it runs, so an interrupted sweep resumes from where it stopped. Results land
+in a ResultTable and are emitted as CSV accuracy curves plus confusion matrices.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ class ExperimentConfig:
     ``json.dumps(asdict(cfg), sort_keys=True)`` is both its JSON form and the
     journal's config digest; ``ExperimentConfig(**d)`` reads it back, taking
     ``scenario`` and ``train`` as dicts. Cells draw their seeds from ``seed``,
-    so it also replaces the scenario's seed, which nothing reads. A model
+    so it replaces the scenario's seed; ``scenario.snr_db_near``,
+    ``scenario.far_scheme`` and ``train.seed``, which the sweep sets per cell
+    or model, are reset to their defaults. Construction also checks each
+    factor cell's power allocation and channel. A model
     trains on one cell, with weights and batch order seeded by
     ``derive_seed(cell_seed, 1000 + mi)`` and ``2000 + mi`` for the method at
     index ``mi``, or with ``pooled_training`` on every SNR cell of factor
@@ -97,9 +100,14 @@ class ExperimentConfig:
         scenario = self.scenario
         if isinstance(scenario, dict):
             scenario = NomaScenario(**scenario)
-        object.__setattr__(self, "scenario", replace(scenario, seed=self.seed))
-        if isinstance(self.train, dict):
-            object.__setattr__(self, "train", TrainConfig(**self.train))
+        object.__setattr__(self, "scenario", replace(
+            scenario, seed=self.seed, snr_db_near=NomaScenario.snr_db_near,
+            far_scheme=NomaScenario.far_scheme))
+        train = TrainConfig(**self.train) if isinstance(self.train, dict) else self.train
+        object.__setattr__(self, "train", replace(train, seed=TrainConfig.seed))
+        for _, cell in self.factor_cells():
+            resolve_allocation(cell)
+            cell.channel_config()
 
     @property
     def snr_points(self) -> tuple:
@@ -216,35 +224,31 @@ def train_model(parts, grid_size: int, train_cfg: TrainConfig, model_seed: int):
     return model, history
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable:
-    """Full factor x SNR x method sweep.
+def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
+    """Full factor x SNR x method sweep, journaled to ``out_dir/results.jsonl``.
 
-    With ``out_dir`` each finished row is appended to results.jsonl; a rerun
-    with the same config digest skips rows already on disk; rows of another
-    config raise DataFormatError and stay untouched.
+    Each finished row is appended to the journal and passed to ``progress``;
+    a rerun with the same config digest skips rows already on disk; rows of
+    another config raise DataFormatError and stay untouched.
     """
     digest = json.dumps(asdict(cfg), sort_keys=True)
-    table = ResultTable()
-    journal = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        journal_path = out_dir / "results.jsonl"
-        found, rows, kept = (read_journal(journal_path) if journal_path.exists()
-                             else (None, [], 0))
-        if found != digest:
-            if rows:
-                raise DataFormatError(f"{out_dir} holds rows of another sweep config")
-            kept = 0
-        table.rows.extend(rows)
-        journal = open(journal_path, "a", encoding="utf-8")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    journal_path = out_dir / "results.jsonl"
+    found, rows, kept = (read_journal(journal_path) if journal_path.exists()
+                         else (None, [], 0))
+    if found != digest:
+        if rows:
+            raise DataFormatError(f"{out_dir} holds rows of another sweep config")
+        kept = 0
+    table = ResultTable(rows)
+    done = {(row.factor, row.method, row.snr_db) for row in table.rows}
+
+    with open(journal_path, "a", encoding="utf-8") as journal:
         journal.truncate(kept)
         if not kept:
             journal.write(json.dumps({"config_digest": digest}) + "\n")
             journal.flush()
-    done = {(row.factor, row.method, row.snr_db) for row in table.rows}
-
-    try:
         for fi, (factor_label, scen_factor) in enumerate(cfg.factor_cells()):
             pending = [si for si, snr in enumerate(cfg.snr_points)
                        if any((factor_label, m, snr) not in done for m in cfg.methods)]
@@ -269,14 +273,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, progress=None) -> ResultTable
                         row = _score_cell(factor_label, cell, method, models.get(method))
                         table.rows.append(row)
                         done.add((factor_label, method, snr))
-                        if journal is not None:
-                            journal.write(json.dumps(asdict(row), sort_keys=True) + "\n")
-                            journal.flush()
+                        journal.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+                        journal.flush()
                         if progress is not None:
                             progress(row)
-    finally:
-        if journal is not None:
-            journal.close()
     return table
 
 
@@ -299,9 +299,8 @@ def _score_cell(factor_label, cell, method, model) -> ResultRow:
     scenario = cell.scenario
     test_samples = [cell.samples(method)[i] for i in cell.split.test]
     if model is None:
-        alloc = resolve_allocation(scenario)
-        predicted = [CLASS_ORDER.index(projection_classify(cell.frames[i], alloc,
-                                                           scenario.near_schemes))
+        predicted = [CLASS_ORDER.index(projection_classify(
+                         cell.frames[i], near_schemes=scenario.near_schemes))
                      for i in cell.split.test]
     else:
         predicted = model.classify(diagram_matrix(test_samples)[0])

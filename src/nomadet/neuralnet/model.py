@@ -85,15 +85,11 @@ class ResidualBlock:
 
     Identity blocks keep shape and have an empty shortcut; conv blocks stride
     the first conv by 2 and carry a 1x1 stride-2 conv (+BN) on the shortcut,
-    halving H and W.
+    halving H and W. ``ArchConfig`` has checked the kind and the channels.
     """
 
     def __init__(self, kind: str, in_ch: int, out_ch: int, rng, dtype,
                  bn_eps: float, bn_momentum: float):
-        if kind not in (BLOCK_ID, BLOCK_CONV):
-            raise ValueError(f"unknown block kind {kind!r}")
-        if kind == BLOCK_ID and in_ch != out_ch:
-            raise ValueError("identity block needs equal input/output channels")
         stride = 2 if kind == BLOCK_CONV else 1
         self.main = [
             ("conv1", Conv2D(in_ch, out_ch, 3, stride=stride, padding="same",
@@ -114,9 +110,6 @@ class ResidualBlock:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         main = _forward(self.main, x, training)
         short = _forward(self.shortcut, x, training)
-        if main.shape != short.shape:
-            raise ValueError(
-                f"residual shapes diverge: main {main.shape} vs shortcut {short.shape}")
         return self.relu_out.forward(main + short, training)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -162,9 +155,6 @@ class ModulationNet:
         for name, layer, key, value in self.state_tensors():
             if key in layer.params:
                 yield name, layer, key, value
-
-    def num_parameters(self) -> int:
-        return sum(v.size for _, _, _, v in self.parameters())
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=self.arch.np_dtype)

@@ -50,10 +50,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs"):
+        # batch normalisation needs two samples per batch
+        for name, least in (("batch_size", 2), ("max_epochs", 1)):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.patience < 0:

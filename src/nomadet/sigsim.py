@@ -3,7 +3,8 @@
 Generates per-user symbol streams (pi/2-BPSK, QPSK, QAM16, QAM64), allocates
 power with the fractional transmit power allocation rule, superposes the
 streams into one NOMA signal and runs it through a block-Rayleigh + AWGN
-channel as seen by the near user terminal.
+channel as seen by the near user terminal, drawing every random number from
+the ``np.random.Generator`` that the caller passes as ``rng``.
 
 Every scheme is a product of I and Q alphabets, stated once in the table
 ``_AXES``: Gray-ordered integer I levels, Q levels and a normaliser giving
@@ -16,7 +17,7 @@ signatures derive from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -103,9 +104,6 @@ class SignalFrame:
     def __len__(self) -> int:
         return self.samples.size
 
-    def with_samples(self, samples: np.ndarray) -> "SignalFrame":
-        return replace(self, samples=samples)
-
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -183,23 +181,23 @@ def modulate(bits, scheme: ModScheme) -> SignalFrame:
     return SignalFrame(symbols)
 
 
-def fractional_power_allocation(gains, noise_powers, alpha_fpc: float) -> PowerAllocation:
+def fractional_power_allocation(gains, alpha_fpc: float) -> PowerAllocation:
     """Fractional transmit power allocation.
 
-    Each user's share is proportional to (gain/noise)**(-alpha_fpc) and the
-    shares are normalised to sum to one, so users with worse channels receive
-    more power as alpha_fpc grows.
+    Each user's share is proportional to gain**(-alpha_fpc), with the gain
+    taken relative to a noise power common to all users, and the shares are
+    normalised to sum to one, so users with worse channels receive more
+    power as alpha_fpc grows.
     """
     g = np.asarray(gains, dtype=np.float64)
-    n = np.asarray(noise_powers, dtype=np.float64)
-    if g.shape != n.shape or g.ndim != 1 or g.size < 2:
-        raise ValueError("gains and noise_powers must be matching 1-D sequences of >= 2 users")
-    if np.any(g <= 0.0) or np.any(n <= 0.0):
-        raise ValueError("gains and noise powers must be strictly positive")
+    if g.ndim != 1 or g.size < 2:
+        raise ValueError("gains must be a 1-D sequence of >= 2 users")
+    if np.any(g <= 0.0):
+        raise ValueError("gains must be strictly positive")
     if not (0.0 < alpha_fpc <= 1.0):
         raise ValueError(f"alpha_fpc must lie in (0, 1], got {alpha_fpc}")
     # log-domain weights avoid overflow for extreme gain spreads
-    logw = -alpha_fpc * (np.log(g) - np.log(n))
+    logw = -alpha_fpc * np.log(g)
     logw -= logw.max()
     w = np.exp(logw)
     ratios = w / w.sum()
@@ -224,13 +222,8 @@ def superpose(streams, alloc: PowerAllocation) -> SignalFrame:
     return SignalFrame(out)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def apply_channel(frame: SignalFrame, cfg: ChannelConfig, rng) -> SignalFrame:
+def apply_channel(frame: SignalFrame, cfg: ChannelConfig,
+                  rng: np.random.Generator) -> SignalFrame:
     """Block fading plus AWGN at the near receiver, then equalisation.
 
     One complex Gaussian CN(0,1) coefficient h is drawn per frame; the noise
@@ -238,7 +231,6 @@ def apply_channel(frame: SignalFrame, cfg: ChannelConfig, rng) -> SignalFrame:
     The output (and therefore the noise) is divided by h. The returned frame
     records the realised complex noise standard deviation.
     """
-    rng = _as_rng(rng)
     s = frame.samples
     if cfg.fading == "rayleigh":
         h = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
@@ -269,7 +261,7 @@ class NomaScenario:
     """
 
     near_schemes: tuple = (ModScheme.QPSK,)
-    far_scheme: ModScheme | None = ModScheme.PI_HALF_BPSK
+    far_scheme: ModScheme = ModScheme.PI_HALF_BPSK
     snr_db_near: float = 16.0
     delta_db: float = 6.0
     alpha_fpc: float = 1.0
@@ -285,17 +277,12 @@ class NomaScenario:
         if not 1 <= len(near) <= 3:
             raise ValueError("need 1 to 3 near user terminals")
         object.__setattr__(self, "near_schemes", near)
-        far = self.far_scheme
-        if far is not None and not isinstance(far, ModScheme):
-            object.__setattr__(self, "far_scheme", ModScheme.from_name(far))
-        if self.symbols_per_frame < 1:
-            raise ValueError("symbols_per_frame must be >= 1")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
-
-    @property
-    def num_users(self) -> int:
-        return len(self.near_schemes) + 1
+        if not isinstance(self.far_scheme, ModScheme):
+            object.__setattr__(self, "far_scheme", ModScheme.from_name(self.far_scheme))
+        for name, least in (("symbols_per_frame", 1), ("samples_per_class", 1),
+                            ("grid_size", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def channel_config(self) -> ChannelConfig:
         return ChannelConfig(fading=self.fading, snr_db_near=self.snr_db_near)
@@ -308,8 +295,7 @@ def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:
     offsets = [j * NEAR_STEP_DB for j in range(len(scenario.near_schemes))]
     offsets.append(scenario.delta_db)
     gains = [10.0 ** (-off / 10.0) for off in offsets]
-    alloc = fractional_power_allocation(gains, [1.0] * scenario.num_users,
-                                        scenario.alpha_fpc)
+    alloc = fractional_power_allocation(gains, scenario.alpha_fpc)
     far_ratio = alloc.ratios[-1]
     if np.any(alloc.ratios[:-1] >= far_ratio):
         raise ValueError(
@@ -319,11 +305,8 @@ def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:
     return alloc
 
 
-def generate_noma_frame(scenario: NomaScenario, rng) -> SignalFrame:
+def generate_noma_frame(scenario: NomaScenario, rng: np.random.Generator) -> SignalFrame:
     """Draw random bits for every user, superpose, and run the channel."""
-    if scenario.far_scheme is None:
-        raise ValueError("scenario.far_scheme must be set to generate a frame")
-    rng = _as_rng(rng)
     schemes = list(scenario.near_schemes) + [scenario.far_scheme]
     alloc = resolve_allocation(scenario)
     n_sym = scenario.symbols_per_frame

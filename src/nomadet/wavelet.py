@@ -20,7 +20,7 @@ scatter's, signed zeros included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -272,4 +272,4 @@ def denoise_frame(frame: SignalFrame, spec: WaveletSpec | None = None) -> Signal
     axis_sigma = None if noise_scale is None else noise_scale / np.sqrt(2.0)
     real = _denoise_part(frame.samples.real, spec, axis_sigma)
     imag = _denoise_part(frame.samples.imag, spec, axis_sigma)
-    return frame.with_samples(real + 1j * imag)
+    return replace(frame, samples=real + 1j * imag)

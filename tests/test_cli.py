@@ -49,6 +49,11 @@ def test_training_size_below_one_is_a_usage_error(tmp_path, capsys, flag, field)
     assert_train_rejects(tmp_path, capsys, flag, "0", field)
 
 
+def test_batch_of_one_is_a_usage_error(tmp_path, capsys):
+    # batch normalisation needs two samples per batch
+    assert_train_rejects(tmp_path, capsys, "--batch", "1", "batch_size")
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--lr", "0", "learning_rate"),
     ("--lr", "nan", "learning_rate"),
@@ -69,6 +74,21 @@ def test_non_finite_snr_is_a_usage_error(tmp_path, capsys, flag, value, field):
                      "--methods", "projection_clustering", f"{flag}={value}",
                      *TINY]) == cli.EXIT_USAGE
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "0"], "largest power ratio"),
+    (["--alpha-fpc", "2"], "alpha_fpc"),
+    (["--grid", "1"], "grid_size"),
+    (["--factor", "user_count", "--factor-values", "2,9"], "user_count"),
+    (["--factor", "near_scheme", "--factor-values", "qpsk7"], "qpsk7"),
+], ids=["delta", "alpha_fpc", "grid", "user_count", "near_scheme"])
+def test_sweep_that_cannot_run_is_rejected_before_out_exists(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--out", str(out), "--seed", "0",
+                     "--methods", "projection_clustering", *TINY, *flags]) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -100,6 +120,7 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, blob", [
     (["generate"], {"scenario": {"near_schemes": ["qpsk7"]}}),
     (["sweep", "--seed", "0"], {"train": {"max_epochs": 0}}),
+    (["sweep", "--seed", "0"], {"train": {"batch_size": 1}}),
 ])
 def test_rejected_config_value_names_the_file(tmp_path, capsys, argv, blob):
     config, out = tmp_path / "bad.json", tmp_path / "out"

@@ -55,7 +55,7 @@ class TestDensityDiagram:
             frame = random_frame(rng)
             offset = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
             base = density_diagram(frame, 40)
-            shifted = density_diagram(frame.with_samples(frame.samples + offset), 40)
+            shifted = density_diagram(SignalFrame(frame.samples + offset), 40)
             np.testing.assert_array_equal(base.grid, shifted.grid)
 
     def test_positive_scale_invariance_bit_exact(self):
@@ -64,7 +64,7 @@ class TestDensityDiagram:
             frame = random_frame(rng)
             scale = float(np.exp(rng.uniform(-6, 6)))
             base = density_diagram(frame, 40)
-            scaled = density_diagram(frame.with_samples(frame.samples * scale), 40)
+            scaled = density_diagram(SignalFrame(frame.samples * scale), 40)
             np.testing.assert_array_equal(base.grid, scaled.grid)
 
     def test_permutation_invariance_bit_exact(self):
@@ -73,7 +73,7 @@ class TestDensityDiagram:
             frame = random_frame(rng)
             perm = rng.permutation(len(frame))
             base = density_diagram(frame, 40)
-            shuffled = density_diagram(frame.with_samples(frame.samples[perm]), 40)
+            shuffled = density_diagram(SignalFrame(frame.samples[perm]), 40)
             np.testing.assert_array_equal(base.grid, shuffled.grid)
 
     def test_empty_frame_rejected(self):

@@ -42,10 +42,10 @@ def count_calls(monkeypatch, owner, name, calls=None):
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["per_cell", "pooled"])
-def test_each_sample_is_simulated_once(monkeypatch, pooled):
+def test_each_sample_is_simulated_once(tmp_path, monkeypatch, pooled):
     calls = count_calls(monkeypatch, datapipe, "generate_noma_frame")
     cfg = tiny_config(pooled=pooled)
-    table = run_sweep(cfg)
+    table = run_sweep(cfg, tmp_path)
     assert len(table.rows) == 2 * len(METHODS)
     assert len(calls) == 2 * 4 * SCENARIO.samples_per_class
 
@@ -118,10 +118,19 @@ def test_journal_of_another_config_is_kept(tmp_path):
     assert journal.read_bytes() == whole
 
 
-def test_scenario_seed_does_not_split_the_digest(tmp_path):
+@pytest.mark.parametrize("section, name, value", [
+    ("scenario", "seed", 999),
+    ("train", "seed", 7),
+    ("scenario", "snr_db_near", -3.0),
+    ("scenario", "far_scheme", ModScheme.QAM64),
+], ids=["scenario.seed", "train.seed", "scenario.snr_db_near", "scenario.far_scheme"])
+def test_scenario_seed_does_not_split_the_digest(tmp_path, section, name, value):
+    """Fields the sweep sets for itself, per cell or per model, stay out of
+    the config digest."""
     cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
     sweep(cfg, tmp_path)
-    _, computed = sweep(replace(cfg, scenario=replace(SCENARIO, seed=999)), tmp_path)
+    changed = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+    _, computed = sweep(changed, tmp_path)
     assert computed == 0
 
 
@@ -175,9 +184,9 @@ def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
     assert set(resumed.rows) == set(table.rows)
 
 
-def test_per_cell_sweep_trains_each_model_before_its_row(monkeypatch):
+def test_per_cell_sweep_trains_each_model_before_its_row(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, harness, "train")
     count_calls(monkeypatch, harness, "evaluate", calls)
-    run_sweep(tiny_config())
+    run_sweep(tiny_config(), tmp_path)
     assert calls == ["train", "evaluate", "train", "evaluate", "evaluate"] * 2
 

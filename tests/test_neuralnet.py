@@ -495,6 +495,16 @@ class TestSoftmaxCrossEntropy:
         assert max_rel_error(grad, numeric_gradient(loss, logits)) <= 1e-6
 
 
+class TestArchConfig:
+    def test_identity_block_requires_matching_channels(self):
+        with pytest.raises(ValueError, match="channels, 4 -> 8"):
+            ArchConfig(base_channels=4, blocks=(("id", 8),))
+
+    def test_unknown_block_kind_is_named(self):
+        with pytest.raises(ValueError, match="'dense'"):
+            ArchConfig(blocks=(("dense", 16),))
+
+
 class TestResidualBlock:
     def test_identity_block_with_zero_branch(self):
         rng = RNG(16)
@@ -520,10 +530,6 @@ class TestResidualBlock:
         block = ResidualBlock("conv", 2, 4, rng, np.float64, 1e-5, 0.9)
         out = block.forward(rng.standard_normal((2, 2, 13, 13)), training=True)
         assert out.shape == (2, 4, 7, 7)
-
-    def test_identity_block_requires_matching_channels(self):
-        with pytest.raises(ValueError, match="channels"):
-            ResidualBlock("id", 4, 8, RNG(0), np.float64, 1e-5, 0.9)
 
     def test_block_gradient_check(self):
         rng = RNG(19)
@@ -636,7 +642,7 @@ class TestModel:
 
     def test_parameter_count_pinned(self):
         model = ModulationNet(DEFAULT_ARCH, seed=0)
-        assert model.num_parameters() == 692452
+        assert sum(v.size for _, _, _, v in model.parameters()) == 692452
 
     def test_forward_shape_and_probabilities(self):
         model = ModulationNet(DEFAULT_ARCH, seed=1)

@@ -124,53 +124,48 @@ class TestPowerAllocation:
             PowerAllocation(np.array([np.nan, 1.0]))
 
     def test_symmetric_inputs_split_evenly(self):
-        alloc = fractional_power_allocation([1, 1], [1, 1], 0.5)
+        alloc = fractional_power_allocation([1, 1], 0.5)
         np.testing.assert_allclose(alloc.ratios, [0.5, 0.5], atol=1e-15)
 
     def test_direct_evaluation_of_weights(self):
         # weights (4)^-1 and (1)^-1 normalised -> [0.2, 0.8]
-        alloc = fractional_power_allocation([4, 1], [1, 1], 1.0)
+        alloc = fractional_power_allocation([4, 1], 1.0)
         np.testing.assert_allclose(alloc.ratios, [0.2, 0.8], atol=1e-12)
 
     def test_small_decay_factor_equalises(self):
-        alloc = fractional_power_allocation([4, 1], [1, 1], 1e-9)
+        alloc = fractional_power_allocation([4, 1], 1e-9)
         np.testing.assert_allclose(alloc.ratios, [0.5, 0.5], atol=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            fractional_power_allocation([1, -1], [1, 1], 0.5)
+            fractional_power_allocation([1, -1], 0.5)
         with pytest.raises(ValueError):
-            fractional_power_allocation([1, 1], [0, 1], 0.5)
+            fractional_power_allocation([1, 1], 1.5)
         with pytest.raises(ValueError):
-            fractional_power_allocation([1, 1], [1, 1], 1.5)
-        with pytest.raises(ValueError):
-            fractional_power_allocation([1, 1], [1, 1], 0.0)
+            fractional_power_allocation([1, 1], 0.0)
 
     @given(st.lists(st.floats(0.05, 20.0), min_size=2, max_size=6),
            st.floats(0.05, 1.0), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_permutation_equivariance(self, gains, alpha, pyrandom):
-        noise = [1.0] * len(gains)
-        base = fractional_power_allocation(gains, noise, alpha).ratios
+        base = fractional_power_allocation(gains, alpha).ratios
         perm = list(range(len(gains)))
         pyrandom.shuffle(perm)
-        permuted = fractional_power_allocation([gains[i] for i in perm],
-                                               noise, alpha).ratios
+        permuted = fractional_power_allocation([gains[i] for i in perm], alpha).ratios
         np.testing.assert_allclose(permuted, base[perm], rtol=1e-12)
 
     @given(st.floats(0.05, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_worse_channel_gets_more_power(self, alpha):
         gains = [8.0, 2.0, 0.5]
-        ratios = fractional_power_allocation(gains, [1, 1, 1], alpha).ratios
+        ratios = fractional_power_allocation(gains, alpha).ratios
         assert ratios[0] < ratios[1] < ratios[2]
 
     def test_sum_invariant_to_1e12(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             gains = rng.uniform(0.1, 10, size=rng.integers(2, 5))
-            alloc = fractional_power_allocation(gains, np.ones_like(gains),
-                                                rng.uniform(0.1, 1.0))
+            alloc = fractional_power_allocation(gains, rng.uniform(0.1, 1.0))
             assert abs(alloc.ratios.sum() - 1.0) <= 1e-12
 
 
@@ -200,7 +195,7 @@ class TestApplyChannel:
     def test_identity_channel(self):
         cfg = ChannelConfig(fading="none", snr_db_near=np.inf)
         frame = SignalFrame(np.array([1 + 1j, -2j, 0.5]))
-        out = apply_channel(frame, cfg, rng=0)
+        out = apply_channel(frame, cfg, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out.samples, frame.samples)
         assert out.noise_scale == 0.0
 
@@ -216,14 +211,14 @@ class TestApplyChannel:
     def test_fixed_seed_reproducible(self):
         frame = SignalFrame(np.ones(64, dtype=complex))
         cfg = ChannelConfig(fading="rayleigh", snr_db_near=10.0)
-        a = apply_channel(frame, cfg, rng=1234)
-        b = apply_channel(frame, cfg, rng=1234)
+        a = apply_channel(frame, cfg, rng=np.random.default_rng(1234))
+        b = apply_channel(frame, cfg, rng=np.random.default_rng(1234))
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_equalize_cancels_fading_without_noise(self):
         frame = SignalFrame(np.exp(1j * np.linspace(0, 5, 257)))
         cfg = ChannelConfig(fading="rayleigh", snr_db_near=np.inf)
-        out = apply_channel(frame, cfg, rng=5)
+        out = apply_channel(frame, cfg, rng=np.random.default_rng(5))
         err = np.max(np.abs(out.samples - frame.samples)) / np.max(np.abs(frame.samples))
         assert err <= 1e-12
 
@@ -232,20 +227,18 @@ class TestGenerateFrame:
     def test_structure_and_label(self):
         scen = NomaScenario(near_schemes=(ModScheme.QPSK,) * 3,
                             far_scheme=ModScheme.QAM16, symbols_per_frame=128)
-        frame = generate_noma_frame(scen, rng=3)
+        frame = generate_noma_frame(scen, rng=np.random.default_rng(3))
         assert len(frame) == 128
-        assert scen.num_users == 4
 
     def test_determinism(self):
         scen = NomaScenario(symbols_per_frame=256)
-        a = generate_noma_frame(scen, rng=21)
-        b = generate_noma_frame(scen, rng=21)
+        a = generate_noma_frame(scen, rng=np.random.default_rng(21))
+        b = generate_noma_frame(scen, rng=np.random.default_rng(21))
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_far_scheme_required(self):
-        scen = NomaScenario(far_scheme=None)
-        with pytest.raises(ValueError, match="far_scheme"):
-            generate_noma_frame(scen, rng=0)
+        with pytest.raises(ValueError, match="unknown modulation scheme None"):
+            NomaScenario(far_scheme=None)
 
     def test_far_user_holds_largest_ratio(self):
         scen = NomaScenario(near_schemes=(ModScheme.QPSK, ModScheme.QPSK),
@@ -260,7 +253,7 @@ class TestGenerateFrame:
 
     def test_table1_regime_mixture_shape(self, table1_scenario):
         # far pi/2-BPSK dominates: real-axis energy concentrates on even symbols
-        frame = generate_noma_frame(table1_scenario, rng=11)
+        frame = generate_noma_frame(table1_scenario, rng=np.random.default_rng(11))
         even_mag = np.mean(np.abs(frame.samples[::2].real))
         odd_mag = np.mean(np.abs(frame.samples[1::2].real))
         assert even_mag > 2.0 * odd_mag

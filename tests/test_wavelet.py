@@ -14,6 +14,7 @@ Independent oracles used here:
 """
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -306,7 +307,7 @@ class TestCachedTablesAreBitIdentical:
     def test_simulated_frames_match_add_at(self, add_at_reference, snr_db):
         scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr_db,
                                 symbols_per_frame=3000)
-        frame = generate_noma_frame(scenario, rng=int(snr_db) + 50)
+        frame = generate_noma_frame(scenario, rng=np.random.default_rng(int(snr_db) + 50))
         bare = SignalFrame(frame.samples)  # no noise_scale: the MAD estimate path
         for f in (frame, bare):
             assert (denoise_frame(f).samples.tobytes()
@@ -444,7 +445,7 @@ class TestDenoiseFrame:
                             far_scheme=ModScheme.QAM64,
                             snr_db_near=np.inf, fading="none",
                             symbols_per_frame=2000)
-        frame = generate_noma_frame(scen, rng=2)
+        frame = generate_noma_frame(scen, rng=np.random.default_rng(2))
         assert frame.noise_scale == 0.0
         out = denoise_frame(frame)
         dist = np.linalg.norm(out.samples - frame.samples)
@@ -479,7 +480,7 @@ class TestDenoiseFrame:
     def test_commutes_with_negation(self, table1_scenario):
         _, noisy = clean_noma_pair(table1_scenario, 3)
         out = denoise_frame(noisy)
-        flipped = denoise_frame(noisy.with_samples(-noisy.samples))
+        flipped = denoise_frame(replace(noisy, samples=-noisy.samples))
         np.testing.assert_allclose(flipped.samples, -out.samples, atol=1e-12)
 
     def test_mad_fallback_used_without_noise_metadata(self):
