@@ -16,7 +16,9 @@ is the transposed convolution of the output gradient (Dumoulin & Visin, "A
 guide to convolution arithmetic", 2016), and a first layer can skip that
 gradient altogether.
 The memory-bound layers (BatchNorm2D, ReLU, MaxPool2) work in place where
-they can, to keep their full-size temporaries few.
+they can, to keep their full-size temporaries few. BatchNorm2D caches its
+centred input and builds its input gradient in that buffer, so its backward
+uses the cache up.
 """
 
 from __future__ import annotations
@@ -178,8 +180,25 @@ class Conv2D(Layer):
         return np.ascontiguousarray(gx[:, p:p + H, p:p + W].transpose(0, 3, 1, 2))
 
 
+def _channel_sums(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sums over (N, H, W) of the NCHW ``x``, or of ``x * y``, in
+    float64: one BLAS dot per (sample, channel) row, the rows added in float64."""
+    B, C = x.shape[:2]
+    rows = x.reshape(B * C, 1, -1)
+    other = np.ones((1, rows.shape[2], 1), x.dtype) if y is None else y.reshape(B * C, -1, 1)
+    return (rows @ other).reshape(B, C).sum(axis=0, dtype=np.float64)
+
+
 class BatchNorm2D(Layer):
-    """Per-channel batch normalisation over (N, H, W)."""
+    """Per-channel batch normalisation over (N, H, W).
+
+    A training forward takes the mean, centres the input once into a new
+    buffer ``xc``, takes the variance from ``xc`` (two passes, so a mean far
+    larger than the spread does not cancel) and returns ``xc * scale + beta``.
+    It caches ``xc``, which backward then turns in place into the input
+    gradient: one training forward serves one backward. Batch statistics are
+    summed in float64 and applied in the input's dtype.
+    """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9,
                  dtype=np.float32):
@@ -203,20 +222,17 @@ class BatchNorm2D(Layer):
         if training:
             if x.shape[0] < 2:
                 raise ValueError("batch normalisation needs batch size >= 2 in training mode")
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            xhat = x - mu
-            out = np.square(xhat)
-            var = out.mean(axis=(0, 2, 3), keepdims=True)
+            n = x.size // self.channels
+            mu = _channel_sums(x) / n
+            xc = x - mu.astype(x.dtype).reshape(1, -1, 1, 1)
+            var = _channel_sums(xc, xc) / n
             invstd = 1.0 / np.sqrt(var + self.eps)
-            xhat *= invstd
             m = self.momentum if self._stats_seen else 0.0
             self._stats_seen = True
-            self.buffers["running_mean"][...] = (
-                m * self.buffers["running_mean"] + (1.0 - m) * mu.reshape(-1))
-            self.buffers["running_var"][...] = (
-                m * self.buffers["running_var"] + (1.0 - m) * var.reshape(-1))
-            self._cache = (xhat, invstd)
-            np.multiply(gamma, xhat, out=out)
+            self.buffers["running_mean"][...] = m * self.buffers["running_mean"] + (1.0 - m) * mu
+            self.buffers["running_var"][...] = m * self.buffers["running_var"] + (1.0 - m) * var
+            self._cache = (xc, invstd)
+            out = xc * (gamma * invstd.reshape(1, -1, 1, 1)).astype(x.dtype)
             shift = beta
         else:
             # one pass: gamma * (x - mean) / std + beta as x * scale + shift
@@ -228,17 +244,23 @@ class BatchNorm2D(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, invstd = self._need_cache()
+        xc, invstd = self._need_cache()
+        self._cache = None
         n = grad_out.size // self.channels
-        gx = grad_out * xhat
-        self.grads["gamma"] = gx.sum(axis=(0, 2, 3))
-        self.grads["beta"] = grad_out.sum(axis=(0, 2, 3))
-        # gamma*invstd * (g - mean(g) - xhat*mean(g*xhat)), built in place in gx
-        np.multiply(xhat, (self.grads["gamma"] / n).reshape(1, -1, 1, 1), out=gx)
-        gx += (self.grads["beta"] / n).reshape(1, -1, 1, 1)
-        np.subtract(grad_out, gx, out=gx)
-        gx *= self.params["gamma"].reshape(1, -1, 1, 1) * invstd
-        return gx
+        dtype = grad_out.dtype
+        sum_g = _channel_sums(grad_out)
+        sum_gxc = _channel_sums(grad_out, xc)
+        self.grads["gamma"] = (sum_gxc * invstd).astype(dtype)
+        self.grads["beta"] = sum_g.astype(dtype)
+        # gamma*invstd * (g - mean(g) - xc * invstd^2 * mean(g*xc)), built in
+        # xc's buffer as a * (xc * k1 + g + k0)
+        k1, k0, a = (v.astype(dtype).reshape(1, -1, 1, 1) for v in (
+            -invstd ** 2 * sum_gxc / n, -sum_g / n, self.params["gamma"] * invstd))
+        xc *= k1
+        xc += grad_out
+        xc += k0
+        xc *= a
+        return xc
 
 
 class ReLU(Layer):
@@ -286,8 +308,11 @@ class MaxPool2(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        masks, shape = self._need_cache()
-        gx = np.zeros(shape, dtype=grad_out.dtype)
+        masks, (B, C, H, W) = self._need_cache()
+        # the windows cover every element once, except an odd trailing row or column
+        gx = np.empty((B, C, H, W), dtype=grad_out.dtype)
+        gx[:, :, H // 2 * 2:] = 0
+        gx[:, :, :, W // 2 * 2:] = 0
         for view, won in zip(self._taps(gx), masks):
             np.multiply(grad_out, won, out=view)
         return gx

@@ -1,9 +1,13 @@
 """Residual network for density-diagram classification.
 
-Stage 1 is a baseline convolution (BN + ReLU + 2x2 max pool), stage 2 a
+Stage 1 is a baseline convolution (BN + 2x2 max pool + ReLU), stage 2 a
 string of residual blocks (identity blocks keep shapes, conv blocks halve
 the spatial extent with a strided 1x1 shortcut), stage 3 global average
-pooling into a dense layer with one logit per modulation class.
+pooling into a dense layer with one logit per modulation class. The stem
+pools before its ReLU, so the ReLU touches a quarter of the elements; the
+order is exact, because ReLU is monotone: the max of a window's ReLUs is the
+ReLU of its max, a window with a positive max routes its gradient to the same
+first maximum either way, and any other window passes no gradient.
 
 Each stage is one list of (name, layer) pairs in forward order, and these
 lists are the one statement of layer order: ``ModulationNet.layers`` for the
@@ -134,8 +138,8 @@ class ModulationNet:
             ("base_conv", self.base_conv),
             ("base_bn", BatchNorm2D(arch.base_channels, arch.bn_eps,
                                     arch.bn_momentum, dtype)),
-            ("base_relu", ReLU()),
             ("pool", MaxPool2()),
+            ("base_relu", ReLU()),
             *((f"block{i}", block) for i, block in enumerate(self.blocks)),
             ("gap", GlobalAvgPool()),
             ("dense", Dense(widths[-1], arch.num_classes, rng=rng, dtype=dtype)),

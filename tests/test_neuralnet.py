@@ -366,6 +366,78 @@ class TestBatchNorm:
             num = numeric_gradient(loss, bn.params[key])
             assert max_rel_error(bn.grads[key], num) <= 1e-6
 
+    def test_second_backward_after_one_training_forward_raises(self):
+        """Backward builds the input gradient in the buffer the forward cached."""
+        bn = BatchNorm2D(2, dtype=np.float64)
+        x = RNG(30).standard_normal((2, 2, 3, 3))
+        bn.forward(x, training=True)
+        bn.backward(np.ones_like(x))
+        with pytest.raises(RuntimeError, match=r"forward\(training=True\)"):
+            bn.backward(np.ones_like(x))
+
+    def test_variance_does_not_cancel_when_the_mean_dwarfs_the_spread(self):
+        rng = RNG(31)
+        x = (1000.0 + rng.standard_normal((8, 4, 50, 50))).astype(np.float32)
+        bn = BatchNorm2D(4)
+        bn.forward(x, training=True)
+        x64 = x.astype(np.float64)
+        mean = x64.mean(axis=(0, 2, 3), keepdims=True)
+        var = np.square(x64 - mean).mean(axis=(0, 2, 3))
+        np.testing.assert_allclose(bn.buffers["running_var"], var, rtol=1e-5)
+
+    def test_default_arch_bns_in_float32_match_float64(self):
+        """Every BN shape of DEFAULT_ARCH at the training batch of 32: the
+        float32 layer's training output, gradients and running statistics
+        agree with the float64 layer's, every result stays float32, and the
+        batch statistics are within 1e-6 of a float64 two-pass reference."""
+        model = ModulationNet(DEFAULT_ARCH, seed=0)
+        shapes = {}
+
+        def recording(fn, name):
+            def call(x, training=False):
+                shapes[name] = x.shape[1:]
+                return fn(x, training)
+            return call
+
+        bns = {name: layer for name, layer in every_layer(model)
+               if isinstance(layer, BatchNorm2D)}
+        for name, bn in bns.items():
+            bn.forward = recording(bn.forward, name)
+        n = DEFAULT_ARCH.input_size
+        model.forward(np.zeros((1, 1, n, n), dtype=np.float32))
+        assert len(shapes) == len(bns) == 16
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+        rng = RNG(32)
+        for name, (C, H, W) in shapes.items():
+            b32, b64 = BatchNorm2D(C), BatchNorm2D(C, dtype=np.float64)
+            for key in ("gamma", "beta"):
+                b32.params[key][...] = rng.uniform(0.5, 1.5, C)
+                b64.params[key][...] = b32.params[key]
+            offset = rng.uniform(-3.0, 3.0, (1, C, 1, 1))
+            x = (offset + rng.uniform(0.5, 2.0) * rng.standard_normal((32, C, H, W))
+                 ).astype(np.float32)
+            out = b32.forward(x, training=True)
+            ref = b64.forward(x.astype(np.float64), training=True)
+            assert out.dtype == np.float32 and close(out, ref), name
+            x64 = x.astype(np.float64)
+            mean = x64.mean(axis=(0, 2, 3))
+            var = np.square(x64 - mean.reshape(1, -1, 1, 1)).mean(axis=(0, 2, 3))
+            for key, want in (("running_mean", mean), ("running_var", var)):
+                got = b32.buffers[key]
+                assert got.dtype == np.float32, (name, key)
+                np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=f"{name} {key}")
+                assert close(got, b64.buffers[key]), (name, key)
+            probe = rng.standard_normal(out.shape).astype(np.float32)
+            gx = b32.backward(probe)
+            gx_ref = b64.backward(probe.astype(np.float64))
+            assert gx.dtype == np.float32 and close(gx, gx_ref), name
+            for key in ("gamma", "beta"):
+                assert b32.grads[key].dtype == np.float32, (name, key)
+                assert close(b32.grads[key], b64.grads[key]), (name, key)
+
 
 class TestSimpleLayers:
     def test_relu_example(self):
@@ -406,6 +478,27 @@ class TestSimpleLayers:
         assert gx.shape == x.shape
         assert not np.any(gx[:, :, 4, :]) and not np.any(gx[:, :, :, 4])
         assert max_rel_error(gx, numeric_gradient(loss, x)) <= 1e-7
+
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 9)], ids=["even", "odd"])
+    def test_relu_then_pool_equals_pool_then_relu(self, shape):
+        """The stem pools before its ReLU: both orders give bitwise-equal
+        outputs and input gradients, ties and zeros included."""
+        rng = RNG(33)
+        x = rng.integers(-2, 3, shape).astype(np.float64)
+        x[0, 0, :2, :2] = -1.0  # an all-negative tie
+        x[0, 1, :2, :2] = [[-1.0, 0.0], [0.0, -2.0]]  # a tie at zero
+        x[1, 2, :2, :2] = 2.0  # a positive tie
+        probe = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        results = []
+        for order in ((ReLU(), MaxPool2()), (MaxPool2(), ReLU())):
+            out = x
+            for layer in order:
+                out = layer.forward(out, training=True)
+            g = probe
+            for layer in reversed(order):
+                g = layer.backward(g)
+            results.append((out.tobytes(), g.tobytes()))
+        assert results[0] == results[1]
 
     def test_global_avg_pool(self):
         gap = GlobalAvgPool()
@@ -616,6 +709,22 @@ class TestModel:
             assert out.dtype == arch.np_dtype, tag
         calls = {tag for tag, _ in seen}
         assert calls == {(name, m) for name in layers for m in ("forward", "backward")}
+
+    def test_float32_training_step_keeps_every_tensor_float32(self):
+        """A float64 channel sum that leaks into a layer's output or
+        gradients would upcast every later layer and Adam's moments."""
+        model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=4)
+        optimiser = Adam(model)
+        logits = model.forward(RNG(34).random((4, 1, 24, 24)), training=True)
+        _, grad = softmax_cross_entropy(logits, np.eye(4, dtype=np.float32))
+        model.backward(grad)
+        optimiser.step()
+        assert logits.dtype == np.float32
+        for name, layer, key, value in model.state_tensors():
+            assert value.dtype == np.float32, name
+            if key in layer.params:
+                assert layer.grads[key].dtype == np.float32, name
+                assert optimiser.m[name].dtype == optimiser.v[name].dtype == np.float32, name
 
     def test_predict_leaves_no_layer_cache(self):
         model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=3)
