@@ -122,15 +122,10 @@ _AXIS_SIGNATURE = {scheme: tuple(len(levels) for levels in axis_levels(scheme))
 _PROJECTION_PARAMS = ClusterParams(neighborhood_radius=0.06)
 
 
-def _fold_quarter_rotation(samples: np.ndarray) -> np.ndarray:
-    folded = samples.copy()
-    folded[1::2] *= -1.0j
-    return folded
-
-
 def axis_level_counts(frame: SignalFrame) -> tuple[int, int]:
     """Cluster-centre counts on the folded I and Q projections."""
-    folded = _fold_quarter_rotation(frame.samples)
+    folded = frame.samples.copy()
+    folded[1::2] *= -1.0j
     return (subtractive_cluster_count(folded.real, _PROJECTION_PARAMS),
             subtractive_cluster_count(folded.imag, _PROJECTION_PARAMS))
 

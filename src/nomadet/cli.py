@@ -80,8 +80,8 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     samples, _ = load_dataset(args.dataset)
     split = split_dataset(samples, seed=args.split_seed)
-    model, history = train_model([(samples, split)], samples[0].diagram.grid_size,
-                                 _overrides(TrainConfig(), args), model_seed=args.seed)
+    model, history = train_model([(samples, split)], _overrides(TrainConfig(), args),
+                                 model_seed=args.seed)
     save_model(model, args.out)
     if args.history:
         with open(args.history, "w", encoding="utf-8", newline="") as fh:

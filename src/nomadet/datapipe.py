@@ -2,10 +2,10 @@
 
 Every sample is produced from a seed derived from (master seed, class,
 index), so any sample can be regenerated in isolation. The container format
-("NMD1") stores label, SNR, seed and the density grid per record, with a
-human-readable JSON manifest sidecar describing the generating scenario
-(``NomaScenario(**manifest["scenario"])`` rebuilds it), whose sha256 the
-header holds.
+("NMD1") is a ``fileio`` frame whose body is, little-endian: sample count
+u32 | grid size N u16 | sha256 of the JSON manifest sidecar, which describes
+the scenario (``NomaScenario(**manifest["scenario"])`` rebuilds it) | the
+records as one packed block of label u8, SNR f32, seed u64, N x N f32 grid.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .density import DensityDiagram, density_diagram
-from .errors import (BadMagicError, DataFormatError, TruncatedFileError,
-                     VersionMismatchError)
-from .fileio import atomic_write, read_exact
+from .errors import DataFormatError
+from .fileio import atomic_write, read_exact, read_fields, read_frame, write_frame
 from .sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
 from .wavelet import denoise_frame
 
@@ -66,11 +65,6 @@ def derive_seed(master: int, *parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _simulate(scenario: NomaScenario, label: int, seed: int) -> SignalFrame:
-    scen = replace(scenario, far_scheme=CLASS_ORDER[label])
-    return generate_noma_frame(scen, rng=np.random.default_rng(seed))
-
-
 def scenario_frames(scenario: NomaScenario):
     """Yield (label, seed, received frame) for every sample, in dataset order.
 
@@ -78,9 +72,10 @@ def scenario_frames(scenario: NomaScenario):
     Per-sample seeds come from derive_seed(scenario.seed, class, index).
     """
     for label in range(len(CLASS_ORDER)):
+        scen = replace(scenario, far_scheme=CLASS_ORDER[label])
         for index in range(scenario.samples_per_class):
             seed = derive_seed(scenario.seed, label, index)
-            yield label, seed, _simulate(scenario, label, seed)
+            yield label, seed, generate_noma_frame(scen, rng=np.random.default_rng(seed))
 
 
 def frame_sample(scenario: NomaScenario, label: int, seed: int,
@@ -158,6 +153,12 @@ def _scenario_digest(manifest_blob: bytes) -> bytes:
     return hashlib.sha256(manifest_blob).digest()
 
 
+def _record_dtype(grid_size: int) -> np.dtype:
+    """One NMD1 record, packed: 13 + 4 * grid_size**2 bytes."""
+    return np.dtype([("label", "u1"), ("snr", "<f4"), ("seed", "<u8"),
+                     ("grid", "<f4", (grid_size, grid_size))])
+
+
 def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
     """Write the NMD1 container plus a JSON manifest sidecar.
 
@@ -168,6 +169,10 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
     if not samples:
         raise ValueError("refusing to write an empty dataset")
     grid_size = samples[0].diagram.grid_size
+    if any(s.diagram.grid_size != grid_size for s in samples):
+        raise ValueError("all diagrams in a dataset must share one grid size")
+    records = np.array([(s.label, s.snr_db, s.seed & 0xFFFFFFFFFFFFFFFF, s.diagram.grid)
+                        for s in samples], _record_dtype(grid_size))
     manifest = {
         "format": "NMD1",
         "version": FORMAT_VERSION,
@@ -177,19 +182,9 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
     }
     manifest_blob = json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
     path = str(path)
-    with atomic_write(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(samples)))
-        fh.write(struct.pack("<H", grid_size))
-        fh.write(_scenario_digest(manifest_blob))
-        for sample in samples:
-            if sample.diagram.grid_size != grid_size:
-                raise ValueError("all diagrams in a dataset must share one grid size")
-            fh.write(struct.pack("<B", sample.label))
-            fh.write(struct.pack("<f", sample.snr_db))
-            fh.write(struct.pack("<Q", sample.seed & 0xFFFFFFFFFFFFFFFF))
-            fh.write(np.ascontiguousarray(sample.diagram.grid, dtype="<f4").tobytes())
+    with write_frame(path, MAGIC, FORMAT_VERSION) as fh:
+        fh.write(struct.pack("<IH32s", len(samples), grid_size, _scenario_digest(manifest_blob)))
+        fh.write(records.tobytes())
     with atomic_write(path + ".manifest.json") as fh:
         fh.write(manifest_blob)
 
@@ -197,32 +192,22 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
 def load_dataset(path):
     """Read an NMD1 container; returns (samples, manifest dict or None).
 
-    A manifest whose sha256 differs from the header digest is rejected.
+    A record whose label names no class, or a manifest whose sha256
+    differs from the header digest, raises DataFormatError.
     """
     path = str(path)
-    with open(path, "rb") as fh:
-        magic = read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise BadMagicError(f"not a dataset file: magic {magic!r}")
-        (version,) = struct.unpack("<H", read_exact(fh, 2, "version"))
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(
-                f"dataset version {version} unsupported (expected {FORMAT_VERSION})")
-        (count,) = struct.unpack("<I", read_exact(fh, 4, "sample count"))
-        (grid_size,) = struct.unpack("<H", read_exact(fh, 2, "grid size"))
-        digest = read_exact(fh, 32, "scenario digest")
-        samples = []
-        for k in range(count):
-            (label,) = struct.unpack("<B", read_exact(fh, 1, f"record {k} label"))
-            (snr,) = struct.unpack("<f", read_exact(fh, 4, f"record {k} snr"))
-            (seed,) = struct.unpack("<Q", read_exact(fh, 8, f"record {k} seed"))
-            blob = read_exact(fh, 4 * grid_size * grid_size, f"record {k} grid")
-            grid = np.frombuffer(blob, dtype="<f4").reshape(grid_size, grid_size)
-            samples.append(LabeledSample(
-                diagram=DensityDiagram(grid),
-                label=int(label), seed=int(seed), snr_db=float(snr)))
-        if fh.read(1):
-            raise TruncatedFileError("trailing bytes after final record")
+    with read_frame(path, MAGIC, FORMAT_VERSION, "dataset") as fh:
+        count, grid_size, digest = read_fields(fh, "<IH32s", "header")
+        record = _record_dtype(grid_size)
+        records = np.frombuffer(read_exact(fh, count * record.itemsize, "records"), record)
+    bad = np.flatnonzero(records["label"] >= len(CLASS_ORDER))
+    if bad.size:
+        raise DataFormatError(f"{path}: record {bad[0]} has label {records['label'][bad[0]]}, "
+                              f"not in [0, {len(CLASS_ORDER)})")
+    samples = [LabeledSample(diagram=DensityDiagram(grid), label=label, seed=seed, snr_db=snr)
+               for grid, label, seed, snr in zip(
+                   records["grid"].astype(np.float32), records["label"].tolist(),
+                   records["seed"].tolist(), records["snr"].tolist())]
     try:
         with open(path + ".manifest.json", "rb") as fh:
             manifest_blob = fh.read()

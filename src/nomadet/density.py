@@ -16,9 +16,6 @@ from .sigsim import SignalFrame
 
 __all__ = ["DensityDiagram", "density_counts", "density_diagram", "write_pgm"]
 
-DEFAULT_GRID = 100
-
-
 @dataclass(frozen=True)
 class DensityDiagram:
     """N x N float32 grayscale matrix with entries in [0, 1]."""
@@ -45,7 +42,7 @@ def _bin_indices(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.clip(idx, 0, n_bins - 1)
 
 
-def density_counts(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> np.ndarray:
+def density_counts(frame: SignalFrame, grid_size: int) -> np.ndarray:
     """Raw per-cell sample counts (real part -> rows, imaginary -> columns)."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -58,7 +55,7 @@ def density_counts(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> np.ndar
     return counts.reshape(grid_size, grid_size)
 
 
-def density_diagram(frame: SignalFrame, grid_size: int = DEFAULT_GRID) -> DensityDiagram:
+def density_diagram(frame: SignalFrame, grid_size: int) -> DensityDiagram:
     """Min-max normalised density diagram of a frame.
 
     Degenerate inputs (a frame of identical samples, or a uniform count

@@ -208,9 +208,9 @@ class _CellData:
         return self.raw if method == METHOD_RAW else self.denoised
 
 
-def train_model(parts, grid_size: int, train_cfg: TrainConfig, model_seed: int):
-    """A fresh net trained on the train/validation indices of (samples, split)
-    parts, and its per-epoch history."""
+def train_model(parts, train_cfg: TrainConfig, model_seed: int):
+    """A fresh net, sized to its diagrams, trained on the train/validation
+    indices of (samples, split) parts, and its per-epoch history."""
     xs, ys, xv, yv = [], [], [], []
     for samples, split in parts:
         x, y = diagram_matrix(samples)
@@ -218,7 +218,7 @@ def train_model(parts, grid_size: int, train_cfg: TrainConfig, model_seed: int):
         va = np.array(split.validation, dtype=np.int64)
         xs.append(x[tr]); ys.append(y[tr])
         xv.append(x[va]); yv.append(y[va])
-    model = ModulationNet(ArchConfig(input_size=grid_size), seed=model_seed)
+    model = ModulationNet(ArchConfig(input_size=xs[0].shape[-1]), seed=model_seed)
     history = train(model, (np.concatenate(xs), np.concatenate(ys)),
                     (np.concatenate(xv), np.concatenate(yv)), train_cfg)
     return model, history
@@ -288,7 +288,7 @@ def _train_on_group(cfg, factor_index, method_index, method, cells) -> Modulatio
     else:
         model_seed = derive_seed(cells[0].scenario.seed, 1000 + method_index)
         train_seed = derive_seed(cells[0].scenario.seed, 2000 + method_index)
-    model, _ = train_model([(c.samples(method), c.split) for c in cells], cfg.scenario.grid_size,
+    model, _ = train_model([(c.samples(method), c.split) for c in cells],
                            replace(cfg.train, seed=train_seed), model_seed)
     return model
 
@@ -359,15 +359,15 @@ def emit_report(table: ResultTable, out_dir) -> list:
     return [csv_path, conf_path]
 
 
-def desk_preset(seed: int = 0) -> ExperimentConfig:
+def desk_preset() -> ExperimentConfig:
     """Small sweep for desk runs: 50 samples/class, 6 SNR points."""
     scenario = NomaScenario(samples_per_class=50)
     return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
-                            snr_step=6.0, seed=seed)
+                            snr_step=6.0)
 
 
-def full_preset(seed: int = 0) -> ExperimentConfig:
+def full_preset() -> ExperimentConfig:
     """The full evaluation grid: 250 samples/class, -10..20 dB step 2."""
     scenario = NomaScenario(samples_per_class=250)
     return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
-                            snr_step=2.0, methods=METHODS, seed=seed)
+                            snr_step=2.0, methods=METHODS)

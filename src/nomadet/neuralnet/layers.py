@@ -80,7 +80,7 @@ def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
 
 
 class Conv2D(Layer):
-    """Cross-correlation with stride and 'same'/'valid' padding (im2col).
+    """Cross-correlation with stride, zero-padded by (k-1)//2 (im2col).
 
     Forward copies the windows of the input, padded once channels-last, into
     (B*OH*OW, k*k*C) patch rows and multiplies them by the kernel as one
@@ -105,17 +105,13 @@ class Conv2D(Layer):
     its transpose, without a copy, and ``grads["w"]`` is laid out the same.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 padding: str = "same", rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        if padding not in ("same", "valid"):
-            raise ValueError("padding must be 'same' or 'valid'")
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride = kernel, stride
-        self.pad = (kernel - 1) // 2 if padding == "same" else 0
+        self.pad = (kernel - 1) // 2
         self.tap_major = in_ch == 1 and stride == 1
-        rng = rng or np.random.default_rng(0)
         w = he_uniform((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, rng, dtype)
         self.params["w"] = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
         self.params["b"] = np.zeros(out_ch, dtype=dtype)
@@ -330,10 +326,9 @@ class GlobalAvgPool(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_features: int, out_features: int, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.params["w"] = he_uniform((in_features, out_features), in_features, rng, dtype)
         self.params["b"] = np.zeros(out_features, dtype=dtype)
 

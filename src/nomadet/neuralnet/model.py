@@ -50,6 +50,8 @@ class ArchConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
         blocks = tuple((str(kind), int(ch)) for kind, ch in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         in_ch = self.base_channels
@@ -96,17 +98,14 @@ class ResidualBlock:
                  bn_eps: float, bn_momentum: float):
         stride = 2 if kind == BLOCK_CONV else 1
         self.main = [
-            ("conv1", Conv2D(in_ch, out_ch, 3, stride=stride, padding="same",
-                             rng=rng, dtype=dtype)),
+            ("conv1", Conv2D(in_ch, out_ch, 3, stride, rng=rng, dtype=dtype)),
             ("bn1", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
             ("relu1", ReLU()),
-            ("conv2", Conv2D(out_ch, out_ch, 3, stride=1, padding="same",
-                             rng=rng, dtype=dtype)),
+            ("conv2", Conv2D(out_ch, out_ch, 3, rng=rng, dtype=dtype)),
             ("bn2", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
         ]
         self.shortcut = [] if kind == BLOCK_ID else [
-            ("sc_conv", Conv2D(in_ch, out_ch, 1, stride=2, padding="valid",
-                               rng=rng, dtype=dtype)),
+            ("sc_conv", Conv2D(in_ch, out_ch, 1, 2, rng=rng, dtype=dtype)),
             ("sc_bn", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
         ]
         self.relu_out = ReLU()
@@ -128,8 +127,7 @@ class ModulationNet:
         self.arch = arch
         rng = np.random.default_rng(seed)
         dtype = arch.np_dtype
-        self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel,
-                                stride=1, padding="same", rng=rng, dtype=dtype)
+        self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel, rng=rng, dtype=dtype)
         widths = [arch.base_channels] + [ch for _, ch in arch.blocks]
         self.blocks = [ResidualBlock(kind, in_ch, ch, rng, dtype, arch.bn_eps,
                                      arch.bn_momentum)

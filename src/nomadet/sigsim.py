@@ -121,10 +121,6 @@ class PowerAllocation:
             raise ValueError(f"power ratios must sum to 1, got {ratios.sum()!r}")
         object.__setattr__(self, "ratios", ratios)
 
-    @property
-    def num_users(self) -> int:
-        return self.ratios.size
-
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -208,9 +204,9 @@ def fractional_power_allocation(gains, alpha_fpc: float) -> PowerAllocation:
 
 def superpose(streams, alloc: PowerAllocation) -> SignalFrame:
     """Sum per-user streams weighted by sqrt(ratio)."""
-    if len(streams) != alloc.num_users:
+    if len(streams) != alloc.ratios.size:
         raise ValueError(
-            f"stream count {len(streams)} does not match ratio count {alloc.num_users}"
+            f"stream count {len(streams)} does not match ratio count {alloc.ratios.size}"
         )
     lengths = {len(s) for s in streams}
     if len(lengths) != 1:

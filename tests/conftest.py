@@ -95,9 +95,10 @@ def synthetic_diagram_set(per_class: int, seed: int, size: int = 100):
     return x, np.array(labels, dtype=np.int64)
 
 
-# an ArchConfig JSON with a key ArchConfig lacks, and one ArchConfig rejects
+# an ArchConfig JSON with a key ArchConfig lacks, and two ArchConfig rejects
 FOREIGN_ARCHS = [{**asdict(TINY_ARCH), "activation": "gelu"},
-                 {**asdict(TINY_ARCH), "blocks": [["id", 99]]}]
+                 {**asdict(TINY_ARCH), "blocks": [["id", 99]]},
+                 {**asdict(TINY_ARCH), "dtype": "float16"}]
 
 
 def write_checkpoint_header(path, config: dict) -> None:

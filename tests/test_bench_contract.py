@@ -1,14 +1,22 @@
-"""The benchmark's tracer (perfbench/spans.py) finds every name it patches.
+"""The benchmark's calls into the package still work.
 
-The tracer wraps pipeline stages on the modules and classes where their
-callers look them up, so deleting or renaming one of those names breaks
-only traced benchmark runs; this test makes it break tier-1 instead.
+The tracer (perfbench/spans.py) wraps pipeline stages on the modules and
+classes where their callers look them up, and the phases call the package
+in ways nothing else does, so a rename or signature change would otherwise
+break only benchmark runs; these tests make it break tier-1 instead.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_tracer_installs_and_restores_every_patch(monkeypatch):
@@ -23,3 +31,17 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner!r}.{attr}"
+
+
+@pytest.mark.parametrize("phase", ["train", "frames", "sweep"])
+def test_traced_tiny_phase_passes_every_check(tmp_path, phase):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "phases.py"), "--phase", phase, "--size", "tiny",
+         "--trace", "1", "--workload", "short", "--seed", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0
+    assert [c for c in result["checks"] if not c["ok"]] == []

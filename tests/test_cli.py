@@ -196,6 +196,17 @@ def test_written_sweep_config_resumes_its_sweep(tmp_path, capsys):
     assert (out / "results.jsonl").read_bytes() == journal
 
 
+def test_damaged_dataset_label_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "d.nmd"
+    assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
+    blob = bytearray(data.read_bytes())
+    blob[44] = 9  # the first record's label byte
+    data.write_bytes(bytes(blob))
+    assert cli.main(["inspect", "--dataset", str(data), "--out", str(tmp_path / "pgm")]) \
+        == cli.EXIT_DATA
+    assert "d.nmd: record 0 has label 9" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", FOREIGN_ARCHS)
 def test_foreign_checkpoint_config_is_a_data_error(tmp_path, capsys, config):
     model = tmp_path / "m.nmdl"

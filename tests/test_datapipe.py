@@ -1,6 +1,7 @@
 """Dataset generation, splitting, seeding, and the NMD1 container."""
 
 import json
+import struct
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -167,6 +168,39 @@ class TestContainer:
         save_dataset(generate_dataset(quick_scenario(1)), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(TruncatedFileError):
+            load_dataset(path)
+
+    def test_records_are_packed_after_a_44_byte_header(self, tmp_path):
+        samples = generate_dataset(quick_scenario(1))
+        path = tmp_path / "data.nmd"
+        save_dataset(samples, path)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<4sHIH", blob) == (b"NMD1", 1, 4, 24)
+        record = 13 + 4 * 24 * 24
+        assert len(blob) == 44 + 4 * record
+        for k, sample in enumerate(samples):
+            label, snr, seed = struct.unpack_from("<BfQ", blob, 44 + k * record)
+            grid = np.frombuffer(blob, "<f4", 24 * 24, 44 + k * record + 13)
+            assert (label, seed) == (sample.label, sample.seed)
+            assert snr == np.float32(sample.snr_db)
+            np.testing.assert_array_equal(grid.reshape(24, 24), sample.diagram.grid)
+
+    def test_label_outside_the_classes_names_file_and_record(self, tmp_path):
+        path = tmp_path / "data.nmd"
+        save_dataset(generate_dataset(quick_scenario(1)), path)
+        blob = bytearray(path.read_bytes())
+        blob[44 + 2 * (13 + 4 * 24 * 24)] = 9
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=r"data\.nmd: record 2 has label 9"):
+            load_dataset(path)
+
+    def test_count_past_the_end_of_the_file_is_truncation(self, tmp_path):
+        path = tmp_path / "data.nmd"
+        save_dataset(generate_dataset(quick_scenario(1)), path)
+        blob = bytearray(path.read_bytes())
+        blob[6:10] = b"\xff\xff\xff\xff"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedFileError, match="records"):
             load_dataset(path)
 
     def test_manifest_must_match_header_digest(self, tmp_path):

@@ -40,14 +40,14 @@ def conv_loop_reference(x, w, b, stride, pad):
 
 class TestConv2D:
     def test_scaling_kernel(self):
-        conv = Conv2D(1, 1, 1, stride=1, padding="valid", dtype=np.float64)
+        conv = Conv2D(1, 1, 1, rng=RNG(0), dtype=np.float64)
         conv.params["w"][...] = 2.0
         conv.params["b"][...] = 0.0
         out = conv.forward(np.ones((1, 1, 3, 3)))
         np.testing.assert_allclose(out, 2.0 * np.ones((1, 1, 3, 3)), atol=1e-15)
 
     def test_delta_kernel_identity(self):
-        conv = Conv2D(1, 1, 3, stride=1, padding="same", dtype=np.float64)
+        conv = Conv2D(1, 1, 3, rng=RNG(0), dtype=np.float64)
         conv.params["w"][...] = 0.0
         conv.params["w"][0, 0, 1, 1] = 1.0
         conv.params["b"][...] = 0.0
@@ -56,14 +56,14 @@ class TestConv2D:
 
     def test_matches_loop_oracle(self):
         rng = RNG(1)
-        conv = Conv2D(2, 3, 3, stride=1, padding="same", rng=rng, dtype=np.float64)
+        conv = Conv2D(2, 3, 3, rng=rng, dtype=np.float64)
         x = rng.standard_normal((1, 2, 5, 5))
         ref = conv_loop_reference(x, conv.params["w"], conv.params["b"], 1, 1)
         np.testing.assert_allclose(conv.forward(x), ref, atol=1e-12)
 
     def test_strided_matches_loop_oracle(self):
         rng = RNG(2)
-        conv = Conv2D(3, 4, 3, stride=2, padding="same", rng=rng, dtype=np.float64)
+        conv = Conv2D(3, 4, 3, stride=2, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 3, 9, 9))
         ref = conv_loop_reference(x, conv.params["w"], conv.params["b"], 2, 1)
         out = conv.forward(x)
@@ -82,28 +82,30 @@ class TestConv2D:
 
     def test_single_pixel_grad_w_is_input_patch(self):
         rng = RNG(4)
-        conv = Conv2D(1, 1, 3, stride=1, padding="valid", rng=rng, dtype=np.float64)
+        conv = Conv2D(1, 1, 3, rng=rng, dtype=np.float64)
         x = rng.standard_normal((1, 1, 5, 5))
         out = conv.forward(x, training=True)
         grad_out = np.zeros_like(out)
         grad_out[0, 0, 1, 2] = 2.5
         conv.backward(grad_out)
-        np.testing.assert_allclose(conv.grads["w"][0, 0], 2.5 * x[0, 0, 1:4, 2:5],
+        # output (1, 2) reads the window of the input padded by 1 at rows 1..3
+        # and columns 2..4, which is x[0:3, 1:4]
+        np.testing.assert_allclose(conv.grads["w"][0, 0], 2.5 * x[0, 0, 0:3, 1:4],
                                    atol=1e-12)
 
     def test_backward_before_forward_raises(self):
-        conv = Conv2D(1, 1, 3)
+        conv = Conv2D(1, 1, 3, rng=RNG(0))
         with pytest.raises(RuntimeError, match="before forward"):
             conv.backward(np.zeros((1, 1, 3, 3)))
 
     def test_channel_mismatch_raises(self):
-        conv = Conv2D(2, 1, 3)
+        conv = Conv2D(2, 1, 3, rng=RNG(0))
         with pytest.raises(ValueError, match="channels"):
             conv.forward(np.zeros((1, 3, 5, 5)))
 
     def test_gradients_match_finite_differences(self):
         rng = RNG(5)
-        conv = Conv2D(2, 3, 3, stride=2, padding="same", rng=rng, dtype=np.float64)
+        conv = Conv2D(2, 3, 3, stride=2, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 2, 7, 7))
         probe = rng.standard_normal((2, 3, 4, 4))
 
@@ -117,10 +119,11 @@ class TestConv2D:
             num = numeric_gradient(loss, conv.params[key])
             assert max_rel_error(conv.grads[key], num) <= 1e-6
 
+    # padding names the output size each case must show: "same" is
+    # ceil(size / stride), "valid" (size - kernel) // stride + 1
     @pytest.mark.parametrize("in_ch, out_ch, kernel, stride, padding, size", [
         (3, 2, 3, 1, "same", 6),    # transposed-convolution input gradient
         (3, 3, 5, 1, "same", 7),
-        (3, 2, 3, 1, "valid", 6),
         (2, 3, 3, 1, "same", 6),    # more output than input channels
         (2, 3, 1, 2, "valid", 7),   # the conv blocks' strided 1x1 shortcut
         (1, 4, 5, 1, "same", 8),    # one-channel stem, tap-major, with input gradient
@@ -129,8 +132,9 @@ class TestConv2D:
     def test_gradient_paths_match_finite_differences(self, in_ch, out_ch, kernel,
                                                       stride, padding, size):
         rng = RNG(kernel + 10 * stride + size + in_ch)
-        conv = Conv2D(in_ch, out_ch, kernel, stride=stride, padding=padding, rng=rng,
-                      dtype=np.float64)
+        conv = Conv2D(in_ch, out_ch, kernel, stride=stride, rng=rng, dtype=np.float64)
+        out_size = -(-size // stride) if padding == "same" else (size - kernel) // stride + 1
+        assert conv.out_hw(size, size) == (out_size, out_size)
         conv.params["b"][...] = rng.standard_normal(out_ch)
         x = rng.standard_normal((2, in_ch, size, size))
         probe = rng.standard_normal((2, out_ch, *conv.out_hw(size, size)))
@@ -184,11 +188,11 @@ class TestConv2D:
 
         rng = RNG(27)
         for name, conv in convs.items():
-            c32 = Conv2D(conv.in_ch, conv.out_ch, conv.kernel, conv.stride,
-                         "same" if conv.pad else "valid", rng=rng, dtype=np.float32)
+            c32 = Conv2D(conv.in_ch, conv.out_ch, conv.kernel, conv.stride, rng=rng,
+                         dtype=np.float32)
             c32.params["b"][...] = rng.standard_normal(conv.out_ch)
-            c64 = Conv2D(conv.in_ch, conv.out_ch, conv.kernel, conv.stride,
-                         "same" if conv.pad else "valid", dtype=np.float64)
+            c64 = Conv2D(conv.in_ch, conv.out_ch, conv.kernel, conv.stride, rng=RNG(0),
+                         dtype=np.float64)
             for key, value in c32.params.items():
                 c64.params[key][...] = value
             x = rng.standard_normal((2, *shapes[name])).astype(np.float32)
@@ -253,17 +257,17 @@ class TestKernelLayout:
                 for moments in (optimiser.m, optimiser.v):
                     assert memory_order(moments[f"{name}.w"]) == memory_order(w), name
 
-    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride, padding", [
-        (1, 4, 5, 1, "same"),      # tap-major stem
-        (3, 4, 3, 1, "same"),
-        (3, 4, 3, 2, "same"),
-        (3, 4, 1, 2, "valid"),     # strided 1x1 shortcut
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", [
+        (1, 4, 5, 1),      # tap-major stem
+        (3, 4, 3, 1),
+        (3, 4, 3, 2),
+        (3, 4, 1, 2),      # strided 1x1 shortcut
     ])
     def test_in_place_kernel_write_reaches_forward_and_backward(
-            self, in_ch, out_ch, kernel, stride, padding):
+            self, in_ch, out_ch, kernel, stride):
         """Adam, ``restore`` and ``load_model`` all write ``params["w"][...]``."""
         rng = RNG(29 + kernel + stride)
-        conv = Conv2D(in_ch, out_ch, kernel, stride, padding, rng=rng, dtype=np.float64)
+        conv = Conv2D(in_ch, out_ch, kernel, stride, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, in_ch, 7, 7))
         conv.forward(x, training=True)
         new = rng.standard_normal(conv.params["w"].shape)
@@ -597,6 +601,11 @@ class TestArchConfig:
         with pytest.raises(ValueError, match="'dense'"):
             ArchConfig(blocks=(("dense", 16),))
 
+    @pytest.mark.parametrize("dtype", ["float16", "bogus"])
+    def test_dtype_other_than_float32_or_float64_is_rejected(self, dtype):
+        with pytest.raises(ValueError, match=repr(dtype)):
+            ArchConfig(dtype=dtype)
+
 
 class TestResidualBlock:
     def test_identity_block_with_zero_branch(self):
@@ -735,12 +744,12 @@ class TestModel:
         assert [name for name, layer in every_layer(model) if layer._cache is not None] == []
 
     @pytest.mark.parametrize("layer, shape", [
-        (Conv2D(2, 2, 3, dtype=np.float64), (2, 2, 5, 5)),
+        (Conv2D(2, 2, 3, rng=RNG(0), dtype=np.float64), (2, 2, 5, 5)),
         (BatchNorm2D(2, dtype=np.float64), (2, 2, 5, 5)),
         (ReLU(), (2, 2, 4, 4)),
         (MaxPool2(), (2, 2, 4, 4)),
         (GlobalAvgPool(), (2, 2, 4, 4)),
-        (Dense(5, 3, dtype=np.float64), (2, 5)),
+        (Dense(5, 3, rng=RNG(0), dtype=np.float64), (2, 5)),
     ], ids=["Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense"])
     def test_backward_after_eval_forward_raises(self, layer, shape):
         x = RNG(28).standard_normal(shape)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nomadet.errors import (BadMagicError, TruncatedFileError,
+from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
 from nomadet.neuralnet import (DEFAULT_ARCH, Adam, ArchConfig, ModulationNet, TrainConfig,
                                accuracy, load_model, save_model, train, training)
@@ -161,8 +161,9 @@ class TestCheckpoint:
     def test_foreign_config_rejected(self, tmp_path, config):
         path = tmp_path / "model.nmdl"
         write_checkpoint_header(path, config)
-        with pytest.raises(TruncatedFileError, match="model.nmdl"):
+        with pytest.raises(DataFormatError, match="model.nmdl") as caught:
             load_model(path)
+        assert caught.type is DataFormatError
 
     def test_truncation_rejected(self, tmp_path):
         model, _ = self._trained_model()

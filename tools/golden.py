@@ -138,7 +138,7 @@ def _denoised() -> tuple[str, str]:
         frames.append(generate_noma_frame(scenario, rng=np.random.default_rng(300 + index)))
     frames.append(SignalFrame(frames[-1].samples))  # noise scale from the MAD estimate
     denoised = [denoise_frame(f) for f in frames]
-    counts = [density_counts(f) for f in frames + denoised]
+    counts = [density_counts(f, 100) for f in frames + denoised]
     return (_sha(b"".join(f.samples.tobytes() for f in denoised)),
             _sha(b"".join(c.tobytes() for c in counts)))
 
