@@ -1,11 +1,9 @@
-"""Atomic replacement of a file, and the binary frame of ``fileio``."""
-
-import struct
+"""Atomic replacement of a file, and exact reads, in ``fileio``."""
 
 import pytest
 
-from nomadet.errors import BadMagicError, TruncatedFileError, VersionMismatchError
-from nomadet.fileio import atomic_write, read_exact, read_fields, read_frame, write_frame
+from nomadet.errors import TruncatedFileError
+from nomadet.fileio import atomic_write, read_exact
 
 
 def test_successful_block_replaces_the_file(tmp_path):
@@ -35,36 +33,6 @@ def test_raising_block_keeps_the_old_bytes_and_no_temporary(tmp_path):
     assert path.read_bytes() == b"old"
     assert not list(tmp_path.glob("*.tmp"))
     assert list(tmp_path.iterdir()) == [path]
-
-
-def test_frame_round_trip_reads_the_body_to_the_end(tmp_path):
-    path = tmp_path / "f.bin"
-    with write_frame(path, b"TEST", 3) as fh:
-        fh.write(struct.pack("<I", 7) + b"body")
-    assert path.read_bytes() == b"TEST\x03\x00\x07\x00\x00\x00body"
-    with read_frame(path, b"TEST", 3, "test") as fh:
-        assert read_fields(fh, "<I", "length") == (7,)
-        assert read_exact(fh, 4, "body") == b"body"
-
-
-@pytest.mark.parametrize("magic, version, error", [
-    (b"JUNK", 3, BadMagicError), (b"TEST", 4, VersionMismatchError)])
-def test_frame_of_another_format_or_version_is_refused(tmp_path, magic, version, error):
-    path = tmp_path / "f.bin"
-    with write_frame(path, magic, version):
-        pass
-    with pytest.raises(error):
-        with read_frame(path, b"TEST", 3, "test"):
-            pass
-
-
-def test_unread_body_bytes_are_trailing_bytes(tmp_path):
-    path = tmp_path / "f.bin"
-    with write_frame(path, b"TEST", 3) as fh:
-        fh.write(b"body")
-    with pytest.raises(TruncatedFileError, match="trailing bytes"):
-        with read_frame(path, b"TEST", 3, "test") as fh:
-            read_exact(fh, 3, "body")
 
 
 def test_read_past_the_end_raises_before_reading(tmp_path):
