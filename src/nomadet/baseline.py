@@ -26,7 +26,7 @@ __all__ = ["ClusterParams", "subtractive_cluster_count", "projection_classify",
 class ClusterParams:
     """Chiu subtractive clustering radius, a fraction of the data range."""
 
-    neighborhood_radius: float = 0.15
+    neighborhood_radius: float = 0.06  # fine enough to resolve 8 x the near levels per axis
 
     def __post_init__(self):
         if not 0.0 < self.neighborhood_radius < 1.0:
@@ -89,11 +89,9 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
 
     first_potential = potential.max()
     centers: list[float] = []
-    dead = np.zeros(x.size, dtype=bool)
     while len(centers) < _MAX_CENTERS:
-        potential_masked = np.where(dead, -np.inf, potential)
-        k = int(np.argmax(potential_masked))
-        p_star = potential_masked[k]
+        k = int(np.argmax(potential))
+        p_star = potential[k]
         if not np.isfinite(p_star):
             break
         if centers and p_star <= _REJECT_RATIO * first_potential:
@@ -104,7 +102,7 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
             if d_min / ra + p_star / first_potential >= 1.0:
                 accept = True
             else:
-                dead[k] = True
+                potential[k] = -np.inf  # rejected for good: -inf minus a squash stays -inf
                 continue
         centers.append(float(x[k]))
         potential = potential - p_star * np.exp(-beta * (x - x[k]) ** 2)
@@ -117,17 +115,12 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
 _AXIS_SIGNATURE = {scheme: tuple(len(levels) for levels in axis_levels(scheme))
                    for scheme in ModScheme}
 
-# finer radius than the generic default: the projections must resolve up to
-# 8 x near-levels per axis
-_PROJECTION_PARAMS = ClusterParams(neighborhood_radius=0.06)
-
 
 def axis_level_counts(frame: SignalFrame) -> tuple[int, int]:
     """Cluster-centre counts on the folded I and Q projections."""
     folded = frame.samples.copy()
     folded[1::2] *= -1.0j
-    return (subtractive_cluster_count(folded.real, _PROJECTION_PARAMS),
-            subtractive_cluster_count(folded.imag, _PROJECTION_PARAMS))
+    return subtractive_cluster_count(folded.real), subtractive_cluster_count(folded.imag)
 
 
 def projection_classify(frame: SignalFrame,

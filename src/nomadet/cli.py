@@ -120,6 +120,8 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.config:
         cfg = _load_config(args.config, ExperimentConfig)
+    elif args.seed is None:
+        raise ValueError("--seed is required without --config")
     elif args.preset:
         cfg = (desk_preset if args.preset == "desk" else full_preset)()
     else:
@@ -220,7 +222,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run an SNR/factor sweep experiment")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, help="required without --config, which holds one")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help="JSON form of an experiment config, "
                         "such as the sweep_config.json a sweep writes")
@@ -257,7 +259,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:  # a missing or unusable file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

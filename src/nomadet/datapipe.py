@@ -104,7 +104,7 @@ def generate_dataset(scenario: NomaScenario, denoise: bool = True,
     return (samples, frames) if keep_frames else samples
 
 
-def split_dataset(samples, seed: int = 0) -> DatasetSplit:
+def split_dataset(samples, seed: int) -> DatasetSplit:
     """Stratified 6:2:2 train/validation/test split, per class within one sample.
 
     Remainder slots left over after per-class flooring go to whichever split
@@ -192,12 +192,14 @@ def save_dataset(samples, path, scenario: NomaScenario | None = None) -> None:
 def load_dataset(path):
     """Read an NMD1 container; returns (samples, manifest dict or None).
 
-    A record whose label names no class, or a manifest whose sha256
-    differs from the header digest, raises DataFormatError.
+    A grid size below 2, a record whose label names no class, or a manifest
+    whose sha256 differs from the header digest raises DataFormatError.
     """
     path = str(path)
     with read_frame(path, MAGIC, FORMAT_VERSION, "dataset") as fh:
         count, grid_size, digest = read_fields(fh, "<IH32s", "header")
+        if grid_size < 2:
+            raise DataFormatError(f"{path}: grid size {grid_size}, expected at least 2")
         record = _record_dtype(grid_size)
         records = np.frombuffer(read_exact(fh, count * record.itemsize, "records"), record)
     bad = np.flatnonzero(records["label"] >= len(CLASS_ORDER))

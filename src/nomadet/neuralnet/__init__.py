@@ -2,6 +2,6 @@
 
 from .layers import (Conv2D, BatchNorm2D, ReLU, MaxPool2, GlobalAvgPool, Dense,
                      softmax, softmax_cross_entropy)
-from .model import ArchConfig, ResidualBlock, ModulationNet, DEFAULT_ARCH, TINY_ARCH
+from .model import ArchConfig, ResidualBlock, ModulationNet
 from .training import Adam, TrainConfig, EpochStats, train, accuracy
 from .checkpoint import save_model, load_model

@@ -196,12 +196,11 @@ class BatchNorm2D(Layer):
     summed in float64 and applied in the input's dtype.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9,
-                 dtype=np.float32):
+    eps, momentum = 1e-5, 0.9
+
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.params["gamma"] = np.ones(channels, dtype=dtype)
         self.params["beta"] = np.zeros(channels, dtype=dtype)
         self.buffers["running_mean"] = np.zeros(channels, dtype=dtype)

@@ -1,13 +1,14 @@
 """Residual network for density-diagram classification.
 
 Stage 1 is a baseline convolution (BN + 2x2 max pool + ReLU), stage 2 a
-string of residual blocks (identity blocks keep shapes, conv blocks halve
-the spatial extent with a strided 1x1 shortcut), stage 3 global average
-pooling into a dense layer with one logit per modulation class. The stem
-pools before its ReLU, so the ReLU touches a quarter of the elements; the
-order is exact, because ReLU is monotone: the max of a window's ReLUs is the
-ReLU of its max, a window with a positive max routes its gradient to the same
-first maximum either way, and any other window passes no gradient.
+string of residual blocks (a block that keeps its input's width keeps its
+shape, one that changes it halves the spatial extent with a strided 1x1
+shortcut), stage 3 global average pooling into a dense layer with one logit
+per modulation class. The stem pools before its ReLU, so the ReLU touches a
+quarter of the elements; the order is exact, because ReLU is monotone: the
+max of a window's ReLUs is the ReLU of its max, a window with a positive max
+routes its gradient to the same first maximum either way, and any other
+window passes no gradient.
 
 Each stage is one list of (name, layer) pairs in forward order, and these
 lists are the one statement of layer order: ``ModulationNet.layers`` for the
@@ -26,52 +27,41 @@ import numpy as np
 from .layers import (BatchNorm2D, Conv2D, Dense, GlobalAvgPool, MaxPool2,
                      ReLU, softmax)
 
-__all__ = ["ArchConfig", "ResidualBlock", "ModulationNet", "DEFAULT_ARCH", "TINY_ARCH"]
+__all__ = ["ArchConfig", "ResidualBlock", "ModulationNet", "NUM_CLASSES"]
 
-BLOCK_ID = "id"
-BLOCK_CONV = "conv"
+NUM_CLASSES = 4  # one logit per far-user modulation class
 
 
 @dataclass(frozen=True)
 class ArchConfig:
     """Static description of the network.
 
-    ``blocks`` may be given as lists, as JSON reads them back.
+    ``blocks`` holds each residual block's output width. As in He et al.'s
+    ResNet (CVPR 2016), the block that widens is the block that downsamples:
+    a block whose width differs from its input's has stride 2 and a 1x1
+    shortcut, and a block that keeps its input's width is an identity block.
+    ``blocks`` may be given as a list, as JSON reads it back.
     """
 
     input_size: int = 100
     base_kernel: int = 5
     base_channels: int = 16
-    blocks: tuple = ((BLOCK_CONV, 32), (BLOCK_ID, 32), (BLOCK_CONV, 64),
-                     (BLOCK_ID, 64), (BLOCK_CONV, 128), (BLOCK_ID, 128))
-    num_classes: int = 4
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
+    blocks: tuple = (32, 32, 64, 64, 128, 128)
     dtype: str = "float32"
 
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        blocks = tuple((str(kind), int(ch)) for kind, ch in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        in_ch = self.base_channels
-        for kind, ch in blocks:
-            if kind not in (BLOCK_ID, BLOCK_CONV):
-                raise ValueError(f"unknown block kind {kind!r}")
-            if kind == BLOCK_ID and ch != in_ch:
-                raise ValueError(
-                    f"identity block requires matching channels, {in_ch} -> {ch}")
-            in_ch = ch
+        object.__setattr__(self, "blocks", tuple(int(ch) for ch in self.blocks))
+        sizes = [("input_size", self.input_size), ("base_kernel", self.base_kernel),
+                 ("base_channels", self.base_channels), *(("blocks", ch) for ch in self.blocks)]
+        for name, value in sizes:
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
-
-
-DEFAULT_ARCH = ArchConfig()
-# minimal config used by gradient checks: one conv stage, one ID block, dense
-TINY_ARCH = ArchConfig(input_size=12, base_kernel=3, base_channels=4,
-                       blocks=((BLOCK_ID, 4),), num_classes=4, dtype="float64")
 
 
 def _forward(layers, x: np.ndarray, training: bool) -> np.ndarray:
@@ -89,24 +79,24 @@ def _backward(layers, grad: np.ndarray) -> np.ndarray:
 class ResidualBlock:
     """ReLU(main(x) + shortcut(x)); main is conv3-BN-ReLU-conv3-BN.
 
-    Identity blocks keep shape and have an empty shortcut; conv blocks stride
-    the first conv by 2 and carry a 1x1 stride-2 conv (+BN) on the shortcut,
-    halving H and W. ``ArchConfig`` has checked the kind and the channels.
+    A block that keeps its width (``in_ch == out_ch``) keeps its shape and
+    has an empty shortcut. A block that changes width strides the first conv
+    by 2 and carries a 1x1 stride-2 conv (+BN) on the shortcut, halving H
+    and W.
     """
 
-    def __init__(self, kind: str, in_ch: int, out_ch: int, rng, dtype,
-                 bn_eps: float, bn_momentum: float):
-        stride = 2 if kind == BLOCK_CONV else 1
+    def __init__(self, in_ch: int, out_ch: int, rng, dtype):
+        identity = in_ch == out_ch
         self.main = [
-            ("conv1", Conv2D(in_ch, out_ch, 3, stride, rng=rng, dtype=dtype)),
-            ("bn1", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
+            ("conv1", Conv2D(in_ch, out_ch, 3, 1 if identity else 2, rng=rng, dtype=dtype)),
+            ("bn1", BatchNorm2D(out_ch, dtype)),
             ("relu1", ReLU()),
             ("conv2", Conv2D(out_ch, out_ch, 3, rng=rng, dtype=dtype)),
-            ("bn2", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
+            ("bn2", BatchNorm2D(out_ch, dtype)),
         ]
-        self.shortcut = [] if kind == BLOCK_ID else [
+        self.shortcut = [] if identity else [
             ("sc_conv", Conv2D(in_ch, out_ch, 1, 2, rng=rng, dtype=dtype)),
-            ("sc_bn", BatchNorm2D(out_ch, bn_eps, bn_momentum, dtype)),
+            ("sc_bn", BatchNorm2D(out_ch, dtype)),
         ]
         self.relu_out = ReLU()
 
@@ -123,24 +113,22 @@ class ResidualBlock:
 class ModulationNet:
     """The full classifier; parameters live in the layer objects."""
 
-    def __init__(self, arch: ArchConfig = DEFAULT_ARCH, seed: int = 0):
+    def __init__(self, arch: ArchConfig, seed: int):
         self.arch = arch
         rng = np.random.default_rng(seed)
         dtype = arch.np_dtype
         self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel, rng=rng, dtype=dtype)
-        widths = [arch.base_channels] + [ch for _, ch in arch.blocks]
-        self.blocks = [ResidualBlock(kind, in_ch, ch, rng, dtype, arch.bn_eps,
-                                     arch.bn_momentum)
-                       for (kind, ch), in_ch in zip(arch.blocks, widths)]
+        widths = (arch.base_channels,) + arch.blocks
+        self.blocks = [ResidualBlock(in_ch, ch, rng, dtype)
+                       for in_ch, ch in zip(widths, arch.blocks)]
         self.layers = [
             ("base_conv", self.base_conv),
-            ("base_bn", BatchNorm2D(arch.base_channels, arch.bn_eps,
-                                    arch.bn_momentum, dtype)),
+            ("base_bn", BatchNorm2D(arch.base_channels, dtype)),
             ("pool", MaxPool2()),
             ("base_relu", ReLU()),
             *((f"block{i}", block) for i, block in enumerate(self.blocks)),
             ("gap", GlobalAvgPool()),
-            ("dense", Dense(widths[-1], arch.num_classes, rng=rng, dtype=dtype)),
+            ("dense", Dense(widths[-1], NUM_CLASSES, rng=rng, dtype=dtype)),
         ]
 
     def state_tensors(self):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import NumericError
 from .layers import softmax_cross_entropy
-from .model import ModulationNet
+from .model import NUM_CLASSES, ModulationNet
 
 __all__ = ["Adam", "TrainConfig", "EpochStats", "train", "accuracy"]
 
@@ -68,13 +68,13 @@ class EpochStats:
     val_accuracy: float
 
 
-def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
+def _one_hot(labels: np.ndarray, dtype) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a nonempty 1-D array")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    out = np.zeros((labels.size, num_classes), dtype=dtype)
+    if labels.min() < 0 or labels.max() >= NUM_CLASSES:
+        raise ValueError(f"labels must lie in [0, {NUM_CLASSES})")
+    out = np.zeros((labels.size, NUM_CLASSES), dtype=dtype)
     out[np.arange(labels.size), labels] = 1
     return out
 
@@ -86,8 +86,7 @@ def accuracy(model: ModulationNet, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(y)))
 
 
-def train(model: ModulationNet, train_split, val_split,
-          cfg: TrainConfig = TrainConfig()):
+def train(model: ModulationNet, train_split, val_split, cfg: TrainConfig):
     """Minibatch Adam training with early stopping on validation accuracy.
 
     ``train_split``/``val_split`` are (inputs, labels) pairs with inputs of
@@ -104,7 +103,7 @@ def train(model: ModulationNet, train_split, val_split,
     x_val = np.asarray(x_val, dtype=model.arch.np_dtype)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("train and validation splits must be nonempty")
-    targets = _one_hot(y_train, model.arch.num_classes, model.arch.np_dtype)
+    targets = _one_hot(y_train, model.arch.np_dtype)
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(x_train.shape[0])

@@ -138,8 +138,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.fading not in ("rayleigh", "none"):
             raise ValueError("fading must be 'rayleigh' or 'none'")
-        if np.isnan(self.snr_db_near):
-            raise ValueError("snr_db_near must not be NaN")
+        if not (np.isfinite(self.snr_db_near) or self.snr_db_near == np.inf):
+            raise ValueError(f"snr_db_near must be finite or inf, got {self.snr_db_near}")
 
 
 def axis_levels(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +233,7 @@ def apply_channel(frame: SignalFrame, cfg: ChannelConfig,
     else:
         h = 1.0 + 0.0j
     faded = h * s
-    if np.isinf(cfg.snr_db_near) and cfg.snr_db_near > 0:
+    if cfg.snr_db_near == np.inf:
         sigma2 = 0.0
         noisy = faded
     else:

@@ -7,9 +7,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from nomadet.neuralnet import TINY_ARCH, checkpoint
+from nomadet.neuralnet import ArchConfig, checkpoint
 from nomadet.sigsim import (ModScheme, NomaScenario, modulate, superpose,
                             apply_channel, resolve_allocation)
+
+
+DEFAULT_ARCH = ArchConfig()
+# minimal config used by gradient checks: one conv stage, one identity block, dense
+TINY_ARCH = ArchConfig(input_size=12, base_kernel=3, base_channels=4, blocks=(4,),
+                       dtype="float64")
 
 
 def numeric_gradient(fn, x, h=1e-5):
@@ -95,10 +101,14 @@ def synthetic_diagram_set(per_class: int, seed: int, size: int = 100):
     return x, np.array(labels, dtype=np.int64)
 
 
-# an ArchConfig JSON with a key ArchConfig lacks, and two ArchConfig rejects
+# an ArchConfig JSON with a key ArchConfig lacks, and ones ArchConfig rejects:
+# a block as an old (kind, width) pair, a dtype, a stem width of 0 (with no
+# blocks) and a kernel of 0
 FOREIGN_ARCHS = [{**asdict(TINY_ARCH), "activation": "gelu"},
                  {**asdict(TINY_ARCH), "blocks": [["id", 99]]},
-                 {**asdict(TINY_ARCH), "dtype": "float16"}]
+                 {**asdict(TINY_ARCH), "dtype": "float16"},
+                 {**asdict(TINY_ARCH), "base_channels": 0, "blocks": []},
+                 {**asdict(TINY_ARCH), "base_kernel": 0}]
 
 
 def write_checkpoint_header(path, config: dict) -> None:

@@ -1,6 +1,7 @@
 """Command line round trip and exit codes."""
 
 import json
+import shutil
 
 import pytest
 
@@ -12,6 +13,17 @@ from nomadet.sigsim import ModScheme
 from conftest import FOREIGN_ARCHS, write_checkpoint_header
 
 TINY = ["--samples-per-class", "5", "--symbols", "256", "--grid", "16"]
+SWEEP = ["--methods", "projection_clustering", "--snr-start", "0", "--snr-stop", "0", *TINY]
+
+
+@pytest.fixture(scope="module")
+def made(tmp_path_factory):
+    """A small dataset and a finished projection-only sweep, made once."""
+    root = tmp_path_factory.mktemp("made")
+    data, sweep = root / "d.nmd", root / "sweep"
+    assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
+    assert cli.main(["sweep", "--out", str(sweep), "--seed", "2", *SWEEP]) == 0
+    return data, sweep
 
 
 def test_round_trip(tmp_path, capsys):
@@ -196,6 +208,47 @@ def test_written_sweep_config_resumes_its_sweep(tmp_path, capsys):
     assert (out / "results.jsonl").read_bytes() == journal
 
 
+def test_sweep_config_alone_reruns_its_sweep(tmp_path, capsys, made):
+    out = tmp_path / "sweep"
+    shutil.copytree(made[1], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # no --seed: the seed comes from the config
+    assert cli.main(["sweep", "--config", str(out / "sweep_config.json"), "--out", str(out)]) == 0
+    assert "[sweep]" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_sweep_without_config_needs_a_seed(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--out", str(out), *SWEEP]) == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snr_of_minus_inf_is_a_usage_error(tmp_path, capsys):
+    data = tmp_path / "d.nmd"
+    assert cli.main(["generate", "--out", str(data), "--snr=-inf", *TINY]) == cli.EXIT_USAGE
+    assert "snr_db_near" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "sweep", "inspect", "report"])
+def test_unusable_output_path_is_a_data_error(tmp_path, capsys, made, command):
+    data, sweep = made
+    folder, file = tmp_path / "folder", tmp_path / "file"
+    folder.mkdir()
+    file.write_bytes(b"")
+    argv = {"generate": ["--out", str(folder), *TINY],
+            "train": ["--dataset", str(data), "--out", str(folder), "--epochs", "1"],
+            "eval": ["--model", str(folder), "--dataset", str(data)],
+            "sweep": ["--out", str(file), "--seed", "0", *SWEEP],
+            "inspect": ["--dataset", str(data), "--out", str(file)],
+            "report": ["--results", str(sweep), "--out", str(file)]}[command]
+    assert cli.main([command, *argv]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
 def test_damaged_dataset_label_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "d.nmd"
     assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
@@ -218,7 +271,7 @@ def test_foreign_checkpoint_config_is_a_data_error(tmp_path, capsys, config):
 def test_eval_grid_mismatch_is_a_data_error(tmp_path, capsys):
     data, model = tmp_path / "d16.nmd", tmp_path / "m24.nmdl"
     assert cli.main(["generate", "--out", str(data), "--seed", "1", *TINY]) == 0
-    save_model(ModulationNet(ArchConfig(input_size=24)), model)
+    save_model(ModulationNet(ArchConfig(input_size=24), seed=0), model)
     assert cli.main(["eval", "--model", str(model), "--dataset", str(data)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "16x16" in err and "24x24" in err

@@ -194,6 +194,16 @@ class TestContainer:
         with pytest.raises(DataFormatError, match=r"data\.nmd: record 2 has label 9"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_grid_size_below_two_names_the_file(self, tmp_path, grid_size):
+        # a hand-built file of three records with no manifest: the header,
+        # then each record's 13 bytes and N x N float32 grid
+        path = tmp_path / "data.nmd"
+        path.write_bytes(struct.pack("<4sHIH32s", b"NMD1", 1, 3, grid_size, bytes(32))
+                         + bytes(3 * (13 + 4 * grid_size ** 2)))
+        with pytest.raises(DataFormatError, match=rf"data\.nmd: grid size {grid_size}"):
+            load_dataset(path)
+
     def test_count_past_the_end_of_the_file_is_truncation(self, tmp_path):
         path = tmp_path / "data.nmd"
         save_dataset(generate_dataset(quick_scenario(1)), path)

@@ -1,9 +1,11 @@
-"""The golden script's comparison of a run with a saved run's output."""
+"""The golden script: comparing a run with a saved run, and hashing a checkpoint."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from nomadet.neuralnet import ArchConfig, ModulationNet, save_model
 
 _SPEC = importlib.util.spec_from_file_location(
     "golden", Path(__file__).resolve().parents[1] / "tools" / "golden.py")
@@ -56,3 +58,17 @@ def test_float64_deviation_beyond_limit_fails(float64, shown):
     assert not ok
     assert report[0] == "changed sigsim.frames"
     assert report[1] == f"loss.float64 largest relative deviation {shown} (limit 1e-09)"
+
+
+def test_checkpoint_config_hashes_apart_from_its_tensors(tmp_path):
+    path = tmp_path / "m.nmdl"
+    save_model(ModulationNet(ArchConfig(input_size=8, base_channels=2, blocks=(2,)), seed=0),
+               path)
+    tensors, config = golden._checkpoint(path)
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[6:10], "little")
+    # the same tensors behind a config JSON one byte longer
+    path.write_bytes(blob[:6] + (length + 1).to_bytes(4, "little")
+                     + blob[10:10 + length] + b" " + blob[10 + length:])
+    new_tensors, new_config = golden._checkpoint(path)
+    assert new_tensors == tensors and new_config != config

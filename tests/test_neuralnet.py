@@ -10,8 +10,9 @@ from nomadet.neuralnet import (Adam, ArchConfig, BatchNorm2D, Conv2D, Dense,
                                GlobalAvgPool, MaxPool2, ModulationNet, ReLU,
                                save_model, softmax, softmax_cross_entropy)
 from nomadet.neuralnet.layers import Layer
-from nomadet.neuralnet.model import DEFAULT_ARCH, TINY_ARCH, ResidualBlock
-from conftest import max_rel_error, numeric_gradient
+from nomadet.datapipe import CLASS_ORDER
+from nomadet.neuralnet.model import NUM_CLASSES, ResidualBlock
+from conftest import DEFAULT_ARCH, TINY_ARCH, max_rel_error, numeric_gradient
 
 RNG = np.random.default_rng
 
@@ -125,7 +126,7 @@ class TestConv2D:
         (3, 2, 3, 1, "same", 6),    # transposed-convolution input gradient
         (3, 3, 5, 1, "same", 7),
         (2, 3, 3, 1, "same", 6),    # more output than input channels
-        (2, 3, 1, 2, "valid", 7),   # the conv blocks' strided 1x1 shortcut
+        (2, 3, 1, 2, "valid", 7),   # a widening block's strided 1x1 shortcut
         (1, 4, 5, 1, "same", 8),    # one-channel stem, tap-major, with input gradient
         (4, 3, 3, 2, "same", 7),    # strided 3x3 on an odd size
     ])
@@ -342,7 +343,7 @@ class TestBatchNorm:
             bn.forward(np.zeros((1, 2, 4, 4)), training=True)
 
     def test_running_stats_warm_start_then_ema(self):
-        bn = BatchNorm2D(1, momentum=0.9, dtype=np.float64)
+        bn = BatchNorm2D(1, dtype=np.float64)
         x1 = np.full((4, 1, 2, 2), 3.0) + RNG(8).standard_normal((4, 1, 2, 2)) * 0.1
         bn.forward(x1, training=True)
         first_mean = bn.buffers["running_mean"].copy()
@@ -593,13 +594,21 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestArchConfig:
-    def test_identity_block_requires_matching_channels(self):
-        with pytest.raises(ValueError, match="channels, 4 -> 8"):
-            ArchConfig(base_channels=4, blocks=(("id", 8),))
+    @pytest.mark.parametrize("field, value", [
+        ("input_size", 0), ("base_kernel", 0), ("base_channels", 0), ("blocks", (32, 0)),
+        ("blocks", (-1,)),
+    ])
+    def test_size_or_width_below_one_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            ArchConfig(**{field: value})
 
-    def test_unknown_block_kind_is_named(self):
-        with pytest.raises(ValueError, match="'dense'"):
-            ArchConfig(blocks=(("dense", 16),))
+    def test_a_block_changes_shape_exactly_when_it_changes_width(self):
+        # 8 -> 8 keeps, 8 -> 4 halves although it narrows, 4 -> 4 keeps
+        model = ModulationNet(ArchConfig(input_size=16, base_kernel=3, base_channels=8,
+                                         blocks=(8, 4, 4)), seed=0)
+        assert [len(block.shortcut) for block in model.blocks] == [0, 2, 0]
+        shapes = dict(stage_shapes(model))
+        assert [shapes[f"block{i}"] for i in range(3)] == [(8, 8, 8), (4, 4, 4), (4, 4, 4)]
 
     @pytest.mark.parametrize("dtype", ["float16", "bogus"])
     def test_dtype_other_than_float32_or_float64_is_rejected(self, dtype):
@@ -610,7 +619,7 @@ class TestArchConfig:
 class TestResidualBlock:
     def test_identity_block_with_zero_branch(self):
         rng = RNG(16)
-        block = ResidualBlock("id", 3, 3, rng, np.float64, 1e-5, 0.9)
+        block = ResidualBlock(3, 3, rng, np.float64)
         main = dict(block.main)
         for layer in (main["conv1"], main["conv2"]):
             layer.params["w"][...] = 0.0
@@ -623,19 +632,19 @@ class TestResidualBlock:
 
     def test_conv_block_halves_spatial_size(self):
         rng = RNG(17)
-        block = ResidualBlock("conv", 4, 8, rng, np.float64, 1e-5, 0.9)
+        block = ResidualBlock(4, 8, rng, np.float64)
         out = block.forward(rng.standard_normal((2, 4, 8, 8)), training=True)
         assert out.shape == (2, 8, 4, 4)
 
     def test_conv_block_ceil_halving_on_odd(self):
         rng = RNG(18)
-        block = ResidualBlock("conv", 2, 4, rng, np.float64, 1e-5, 0.9)
+        block = ResidualBlock(2, 4, rng, np.float64)
         out = block.forward(rng.standard_normal((2, 2, 13, 13)), training=True)
         assert out.shape == (2, 4, 7, 7)
 
     def test_block_gradient_check(self):
         rng = RNG(19)
-        block = ResidualBlock("conv", 2, 3, rng, np.float64, 1e-5, 0.9)
+        block = ResidualBlock(2, 3, rng, np.float64)
         x = rng.standard_normal((3, 2, 6, 6))
         probe = rng.standard_normal((3, 3, 3, 3))
 
@@ -677,6 +686,9 @@ class TestModel:
         assert shapes["block5"] == (128, 7, 7)
         assert shapes["dense"] == (4,)
         assert len(DEFAULT_ARCH.blocks) == 6
+
+    def test_one_logit_per_dataset_class(self):
+        assert NUM_CLASSES == len(CLASS_ORDER)
 
     def test_conv_blocks_halve_with_ceil(self):
         sizes = [shape[-1] for name, shape in stage_shapes(ModulationNet(DEFAULT_ARCH, seed=0))

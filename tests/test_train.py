@@ -5,12 +5,12 @@ import pytest
 
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
-from nomadet.neuralnet import (DEFAULT_ARCH, Adam, ArchConfig, ModulationNet, TrainConfig,
+from nomadet.neuralnet import (Adam, ArchConfig, ModulationNet, TrainConfig,
                                accuracy, load_model, save_model, train, training)
-from conftest import FOREIGN_ARCHS, synthetic_diagram_set, write_checkpoint_header
+from conftest import (DEFAULT_ARCH, FOREIGN_ARCHS, synthetic_diagram_set,
+                      write_checkpoint_header)
 
-SMALL_ARCH = ArchConfig(input_size=20, base_kernel=3, base_channels=4,
-                        blocks=(("conv", 8), ("id", 8)), num_classes=4)
+SMALL_ARCH = ArchConfig(input_size=20, base_kernel=3, base_channels=4, blocks=(8, 8))
 
 
 def small_data(seed=0, per_class=6):
@@ -100,8 +100,8 @@ class TestCheckpoint:
             "block1.bn2.running_mean", "block1.bn2.running_var", "dense.w", "dense.b",
         ]
         assert len(expected) == 38
-        assert [n for n, *_ in ModulationNet(SMALL_ARCH).state_tensors()] == expected
-        assert len(list(ModulationNet(DEFAULT_ARCH).state_tensors())) == 98
+        assert [n for n, *_ in ModulationNet(SMALL_ARCH, seed=0).state_tensors()] == expected
+        assert len(list(ModulationNet(DEFAULT_ARCH, seed=0).state_tensors())) == 98
 
     def _trained_model(self):
         x, y = small_data(seed=1, per_class=3)

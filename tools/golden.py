@@ -7,7 +7,8 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
     (10 samples per class, 24x24 grid, 400 symbols, 2 epochs), unpooled and
     pooled, plus its report files;
   - ``nomadet generate`` datasets, denoised and raw;
-  - a ``nomadet train`` checkpoint on the denoised dataset;
+  - a ``nomadet train`` checkpoint on the denoised dataset: its tensor bytes,
+    and apart from them its header and config JSON;
   - ``nomadet inspect`` PGM images of the denoised dataset;
   - the float32 eval-mode logits of a fixed-seed default-architecture
     network on the denoised dataset's diagrams, at batch sizes 1 and 64, so
@@ -28,9 +29,9 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
 
 Each artifact prints as one line: a name and the first 16 hex digits of its
 sha256. Artifacts that carry numbers (result rows, reports, NMD1 records,
-checkpoint, images) print in the first group; metadata that names the config
-(the journal's digest line, the NMD1 header digest, the manifest) prints in
-the second, which ends with ``src.lines``, the package's line count as
+checkpoint tensors, images) print in the first group; metadata that names the
+config (the journal's digest line, the NMD1 header digest, the manifest, the
+checkpoint's header and config JSON) prints in the second, which ends with ``src.lines``, the package's line count as
 ``cat src/nomadet/*.py src/nomadet/neuralnet/*.py | wc -l`` gives it. A
 change that only simplifies the code keeps the first group byte-identical.
 The loss curves print last, one full-precision value per step: a change
@@ -74,6 +75,7 @@ from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,  # noqa: E402
 from nomadet.wavelet import denoise_frame  # noqa: E402
 
 NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
+NMDL_HEADER = 10  # magic 4 + version 2 + config length 4, then the config JSON
 NUMBERS_HEADER = "# number-carrying artifacts"
 FLOAT64_LOSS_LIMIT = 1e-9  # largest relative deviation per step
 
@@ -115,6 +117,13 @@ def _dataset(path: Path, tag: str) -> tuple[list, list]:
     return ([(f"generate.{tag}.records", _sha(blob[NMD1_HEADER:]))],
             [(f"generate.{tag}.header", _sha(blob[:NMD1_HEADER])),
              (f"generate.{tag}.manifest", _sha(manifest))])
+
+
+def _checkpoint(path: Path) -> tuple[str, str]:
+    """sha256 prefixes of a checkpoint's tensor bytes, and of its header and config."""
+    blob = path.read_bytes()
+    tensors = NMDL_HEADER + int.from_bytes(blob[NMDL_HEADER - 4:NMDL_HEADER], "little")
+    return _sha(blob[tensors:]), _sha(blob[:tensors])
 
 
 def _frames() -> str:
@@ -162,7 +171,7 @@ def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> 
     x, y = harness.diagram_matrix(samples)
     model = ModulationNet(ArchConfig(input_size=x.shape[-1], dtype=dtype), seed=2)
     x = x.astype(model.arch.np_dtype)
-    targets = np.eye(model.arch.num_classes, dtype=x.dtype)[y]
+    targets = np.eye(len(datapipe.CLASS_ORDER), dtype=x.dtype)[y]
     optimiser = Adam(model)
     order = np.random.default_rng(4).permutation(len(y))
     losses = []
@@ -259,7 +268,9 @@ def main() -> int:
         ckpt = root / "model.nmdl"
         _cli("train", "--dataset", str(den), "--out", str(ckpt), "--epochs", "2",
              "--seed", "1")
-        numbers.append(("train.checkpoint", _sha(ckpt.read_bytes())))
+        tensors, config = _checkpoint(ckpt)
+        numbers.append(("train.checkpoint", tensors))
+        meta.append(("train.checkpoint.config", config))
         pgm = root / "pgm"
         _cli("inspect", "--dataset", str(den), "--out", str(pgm))
         images = b"".join(p.name.encode() + p.read_bytes() for p in sorted(pgm.iterdir()))
