@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sigsim import ModScheme, PowerAllocation, SignalFrame, axis_levels
+from .sigsim import ModScheme, SignalFrame, axis_levels
 
 __all__ = ["ClusterParams", "subtractive_cluster_count", "projection_classify",
            "axis_level_counts"]
@@ -124,7 +124,7 @@ def axis_level_counts(frame: SignalFrame) -> tuple[int, int]:
 
 
 def projection_classify(frame: SignalFrame,
-                        alloc: PowerAllocation | None = None,
+                        alloc=None,
                         near_schemes=()) -> ModScheme:
     """Far-user scheme from per-axis cluster counts.
 

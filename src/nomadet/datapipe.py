@@ -26,11 +26,12 @@ from .wavelet import denoise_frame
 __all__ = [
     "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
     "scenario_frames", "frame_sample", "generate_dataset", "split_dataset",
-    "save_dataset", "load_dataset",
+    "MIN_SPLIT_SAMPLES", "save_dataset", "load_dataset",
 ]
 
 MAGIC = b"NMD1"
 FORMAT_VERSION = 1
+MIN_SPLIT_SAMPLES = 10  # fewest samples split_dataset accepts
 
 # label index <-> far scheme, fixed order
 CLASS_ORDER = (ModScheme.PI_HALF_BPSK, ModScheme.QPSK, ModScheme.QAM16,
@@ -112,8 +113,8 @@ def split_dataset(samples, seed: int) -> DatasetSplit:
     tiny datasets.
     """
     n = len(samples)
-    if n < 10:
-        raise ValueError(f"need at least 10 samples to split, got {n}")
+    if n < MIN_SPLIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_SPLIT_SAMPLES} samples to split, got {n}")
     quota = np.array([0.6, 0.2, 0.2])  # train : validation : test
 
     rng = np.random.default_rng(seed)

@@ -19,11 +19,11 @@ import numpy as np
 
 from .baseline import projection_classify
 from .datapipe import (derive_seed, frame_sample, scenario_frames,
-                       split_dataset, CLASS_ORDER)
+                       split_dataset, CLASS_ORDER, MIN_SPLIT_SAMPLES)
 from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
-from .wavelet import denoise_frame
+from .wavelet import SYM8_DEC_LO, denoise_frame
 # not called here: kept as attributes so that tracing wrappers installed on this
 # module (perfbench/spans.py) find every pipeline stage by the same name
 from .density import density_diagram  # noqa: F401
@@ -54,12 +54,12 @@ class ExperimentConfig:
     so it replaces the scenario's seed; ``scenario.snr_db_near``,
     ``scenario.far_scheme`` and ``train.seed``, which the sweep sets per cell
     or model, are reset to their defaults. Construction also checks each
-    factor cell's power allocation and channel. A model
-    trains on one cell, with weights and batch order seeded by
-    ``derive_seed(cell_seed, 1000 + mi)`` and ``2000 + mi`` for the method at
-    index ``mi``, or with ``pooled_training`` on every SNR cell of factor
-    index ``fi``, seeded by ``s = derive_seed(seed, fi, 3000 + mi)`` and
-    ``derive_seed(s, 1)``.
+    factor cell's power allocation and channel, and that its frames can be
+    denoised and its samples split. A model trains on one cell, with weights
+    and batch order seeded by ``derive_seed(cell_seed, 1000 + mi)`` and
+    ``2000 + mi`` for the method at index ``mi``, or with ``pooled_training``
+    on every SNR cell of factor index ``fi``, seeded by
+    ``s = derive_seed(seed, fi, 3000 + mi)`` and ``derive_seed(s, 1)``.
     """
 
     scenario: NomaScenario = field(default_factory=NomaScenario)
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValueError(f"factor must be one of {FACTORS}")
         if self.factor_name != FACTOR_NONE and not self.factor_values:
             raise ValueError("factor_values required when a factor axis is set")
+        if self.factor_name == FACTOR_NONE and self.factor_values:
+            raise ValueError("factor_values given without a factor axis")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for m in self.methods:
@@ -105,6 +107,13 @@ class ExperimentConfig:
             far_scheme=NomaScenario.far_scheme))
         train = TrainConfig(**self.train) if isinstance(self.train, dict) else self.train
         object.__setattr__(self, "train", replace(train, seed=TrainConfig.seed))
+        # every cell is denoised and split, and no factor changes these sizes
+        if self.scenario.symbols_per_frame < len(SYM8_DEC_LO):
+            raise ValueError(f"symbols_per_frame must be >= {len(SYM8_DEC_LO)}, the "
+                             "wavelet filter length, to denoise a frame")
+        if len(CLASS_ORDER) * self.scenario.samples_per_class < MIN_SPLIT_SAMPLES:
+            raise ValueError(f"samples_per_class must give at least {MIN_SPLIT_SAMPLES} "
+                             f"samples over {len(CLASS_ORDER)} classes to split a cell")
         for _, cell in self.factor_cells():
             resolve_allocation(cell)
             cell.channel_config()

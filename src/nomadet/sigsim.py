@@ -4,7 +4,9 @@ Generates per-user symbol streams (pi/2-BPSK, QPSK, QAM16, QAM64), allocates
 power with the fractional transmit power allocation rule, superposes the
 streams into one NOMA signal and runs it through a block-Rayleigh + AWGN
 channel as seen by the near user terminal, drawing every random number from
-the ``np.random.Generator`` that the caller passes as ``rng``.
+the ``np.random.Generator`` that the caller passes as ``rng``. Power shares
+come from ``resolve_allocation`` alone, as a float64 array with the far user
+last and strictly largest, so the near user can cancel it first by SIC.
 
 Every scheme is a product of I and Q alphabets, stated once in the table
 ``_AXES``: Gray-ordered integer I levels, Q levels and a normaliser giving
@@ -25,19 +27,16 @@ import numpy as np
 __all__ = [
     "ModScheme",
     "SignalFrame",
-    "PowerAllocation",
     "ChannelConfig",
     "NomaScenario",
     "modulate",
     "axis_levels",
-    "fractional_power_allocation",
     "superpose",
     "apply_channel",
     "generate_noma_frame",
     "resolve_allocation",
 ]
 
-RATIO_SUM_TOL = 1e-12
 # SNR gap between successive near users on the allocation ladder
 NEAR_STEP_DB = 2.0
 
@@ -106,23 +105,6 @@ class SignalFrame:
 
 
 @dataclass(frozen=True)
-class PowerAllocation:
-    """Per-user power ratios summing to one (unit total transmit power)."""
-
-    ratios: np.ndarray
-
-    def __post_init__(self):
-        ratios = np.asarray(self.ratios, dtype=np.float64)
-        if ratios.ndim != 1 or ratios.size < 1:
-            raise ValueError("ratios must be a 1-D sequence")
-        if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0.0):
-            raise ValueError("all power ratios must be positive finite numbers")
-        if abs(float(ratios.sum()) - 1.0) > RATIO_SUM_TOL:
-            raise ValueError(f"power ratios must sum to 1, got {ratios.sum()!r}")
-        object.__setattr__(self, "ratios", ratios)
-
-
-@dataclass(frozen=True)
 class ChannelConfig:
     """Channel seen by the near user terminal.
 
@@ -177,43 +159,16 @@ def modulate(bits, scheme: ModScheme) -> SignalFrame:
     return SignalFrame(symbols)
 
 
-def fractional_power_allocation(gains, alpha_fpc: float) -> PowerAllocation:
-    """Fractional transmit power allocation.
-
-    Each user's share is proportional to gain**(-alpha_fpc), with the gain
-    taken relative to a noise power common to all users, and the shares are
-    normalised to sum to one, so users with worse channels receive more
-    power as alpha_fpc grows.
-    """
-    g = np.asarray(gains, dtype=np.float64)
-    if g.ndim != 1 or g.size < 2:
-        raise ValueError("gains must be a 1-D sequence of >= 2 users")
-    if np.any(g <= 0.0):
-        raise ValueError("gains must be strictly positive")
-    if not (0.0 < alpha_fpc <= 1.0):
-        raise ValueError(f"alpha_fpc must lie in (0, 1], got {alpha_fpc}")
-    # log-domain weights avoid overflow for extreme gain spreads
-    logw = -alpha_fpc * np.log(g)
-    logw -= logw.max()
-    w = np.exp(logw)
-    ratios = w / w.sum()
-    # renormalise exactly so the sum-to-one invariant holds to 1e-12
-    ratios = ratios / ratios.sum()
-    return PowerAllocation(ratios=ratios)
-
-
-def superpose(streams, alloc: PowerAllocation) -> SignalFrame:
-    """Sum per-user streams weighted by sqrt(ratio)."""
-    if len(streams) != alloc.ratios.size:
-        raise ValueError(
-            f"stream count {len(streams)} does not match ratio count {alloc.ratios.size}"
-        )
+def superpose(streams, ratios: np.ndarray) -> SignalFrame:
+    """Sum per-user streams, each weighted by the square root of its power ratio."""
+    if len(streams) != len(ratios):
+        raise ValueError(f"stream count {len(streams)} does not match ratio count {len(ratios)}")
     lengths = {len(s) for s in streams}
     if len(lengths) != 1:
         a, b = sorted(lengths)[:2]
         raise ValueError(f"stream lengths differ: {a} vs {b}")
     out = np.zeros(lengths.pop(), dtype=np.complex128)
-    for stream, ratio in zip(streams, alloc.ratios):
+    for stream, ratio in zip(streams, ratios):
         out += np.sqrt(ratio) * stream.samples
     return SignalFrame(out)
 
@@ -284,30 +239,40 @@ class NomaScenario:
         return ChannelConfig(fading=self.fading, snr_db_near=self.snr_db_near)
 
 
-def resolve_allocation(scenario: NomaScenario) -> PowerAllocation:
-    """FPA ratios over the scenario's SNR ladder, far user last and strictly largest."""
-    # SNR ladder relative to the near user; only gain ratios matter for the
-    # FPA weights, so this stays finite even for noise-free setups
+def resolve_allocation(scenario: NomaScenario) -> np.ndarray:
+    """Fractional power allocation over the scenario's SNR ladder: float64
+    shares proportional to gain**(-alpha_fpc), summing to one, near users
+    first; the far user, last, must hold the strictly largest share."""
+    alpha = scenario.alpha_fpc
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha_fpc must lie in (0, 1], got {alpha}")
+    # gains relative to the near user: only their ratios matter
     offsets = [j * NEAR_STEP_DB for j in range(len(scenario.near_schemes))]
     offsets.append(scenario.delta_db)
-    gains = [10.0 ** (-off / 10.0) for off in offsets]
-    alloc = fractional_power_allocation(gains, scenario.alpha_fpc)
-    far_ratio = alloc.ratios[-1]
-    if np.any(alloc.ratios[:-1] >= far_ratio):
-        raise ValueError(
-            "far user must hold the strictly largest power ratio; "
-            f"got {np.array2string(alloc.ratios, precision=4)}"
-        )
-    return alloc
+    gains = np.array([10.0 ** (-off / 10.0) for off in offsets])
+    # log-domain weights avoid overflow for extreme gain spreads; a far gain
+    # that underflows to 0 makes every share NaN, which the check refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = -alpha * np.log(gains)
+        logw -= logw.max()
+    w = np.exp(logw)
+    ratios = w / w.sum()
+    # renormalise exactly so the shares sum to one within 1e-12
+    ratios = ratios / ratios.sum()
+    near, far = ratios[:-1], ratios[-1]
+    if not np.all((near > 0.0) & (near < far)):
+        raise ValueError("far user must hold the strictly largest power ratio and every near "
+                         f"user a positive one; got {np.array2string(ratios, precision=4)}")
+    return ratios
 
 
 def generate_noma_frame(scenario: NomaScenario, rng: np.random.Generator) -> SignalFrame:
     """Draw random bits for every user, superpose, and run the channel."""
     schemes = list(scenario.near_schemes) + [scenario.far_scheme]
-    alloc = resolve_allocation(scenario)
+    ratios = resolve_allocation(scenario)
     n_sym = scenario.symbols_per_frame
     streams = []
     for scheme in schemes:
         bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.uint8)
         streams.append(modulate(bits, scheme))
-    return apply_channel(superpose(streams, alloc), scenario.channel_config(), rng=rng)
+    return apply_channel(superpose(streams, ratios), scenario.channel_config(), rng=rng)

@@ -52,13 +52,13 @@ def clean_noma_pair(scenario: NomaScenario, seed: int):
     """(noiseless frame, channel frame) for one scenario realisation."""
     rng = np.random.default_rng(seed)
     schemes = list(scenario.near_schemes) + [scenario.far_scheme]
-    alloc = resolve_allocation(scenario)
+    ratios = resolve_allocation(scenario)
     streams = []
     for scheme in schemes:
         bits = rng.integers(0, 2, size=scenario.symbols_per_frame * scheme.bits_per_symbol,
                             dtype=np.uint8)
         streams.append(modulate(bits, scheme))
-    clean = superpose(streams, alloc)
+    clean = superpose(streams, ratios)
     noisy = apply_channel(clean, scenario.channel_config(), rng=rng)
     return clean, noisy
 

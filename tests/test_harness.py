@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nomadet import datapipe, harness
+from nomadet import datapipe, harness, wavelet
 from nomadet.datapipe import generate_dataset
 from nomadet.errors import DataFormatError
 from nomadet.harness import ExperimentConfig, METHODS, emit_report, run_sweep
@@ -159,6 +159,17 @@ def test_pooled_resume_does_not_retrain(tmp_path, monkeypatch):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         tiny_config(methods=("nearest_neighbour",))
+
+
+def test_cells_too_small_to_denoise_or_split_are_refused_at_the_bound():
+    """A cell is denoised (frames of at least the wavelet filter length) and
+    split (at least datapipe.MIN_SPLIT_SAMPLES samples over the classes)."""
+    taps = len(wavelet.SYM8_DEC_LO)
+    least = -(-datapipe.MIN_SPLIT_SAMPLES // len(datapipe.CLASS_ORDER))
+    for field, value in (("symbols_per_frame", taps), ("samples_per_class", least)):
+        ExperimentConfig(scenario=replace(SCENARIO, **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(scenario=replace(SCENARIO, **{field: value - 1}))
 
 
 @pytest.mark.parametrize("method, trained", [(harness.METHOD_RAW, 1),

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario,
-                            PowerAllocation, SignalFrame, apply_channel,
-                            axis_levels, fractional_power_allocation,
-                            generate_noma_frame, modulate, resolve_allocation,
-                            superpose)
+from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario, SignalFrame,
+                            apply_channel, axis_levels, generate_noma_frame,
+                            modulate, resolve_allocation, superpose)
 
 # ids=str names each case ModScheme.X; pytest would name a str-valued enum by its value
 ALL_SCHEMES = list(ModScheme)
@@ -112,83 +110,81 @@ class TestSchemeNames:
                 ModScheme.from_name(name)
 
 
+def ladder(near_users: int = 1, delta_db: float = 6.0, alpha_fpc: float = 1.0) -> NomaScenario:
+    """A scenario with ``near_users`` QPSK near users on the allocation ladder."""
+    return NomaScenario(near_schemes=(ModScheme.QPSK,) * near_users, delta_db=delta_db,
+                        alpha_fpc=alpha_fpc)
+
+
 class TestPowerAllocation:
-    def test_ratios_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            PowerAllocation(np.array([0.3, 0.3]))
-
-    def test_ratios_must_be_positive_finite(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([1.5, -0.5]))
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([np.nan, 1.0]))
-
-    def test_symmetric_inputs_split_evenly(self):
-        alloc = fractional_power_allocation([1, 1], 0.5)
-        np.testing.assert_allclose(alloc.ratios, [0.5, 0.5], atol=1e-15)
-
     def test_direct_evaluation_of_weights(self):
-        # weights (4)^-1 and (1)^-1 normalised -> [0.2, 0.8]
-        alloc = fractional_power_allocation([4, 1], 1.0)
-        np.testing.assert_allclose(alloc.ratios, [0.2, 0.8], atol=1e-12)
+        # gains 1 and 1/4 give weights 1 and 4 -> [0.2, 0.8]
+        ratios = resolve_allocation(ladder(delta_db=10 * np.log10(4)))
+        assert ratios.dtype == np.float64
+        np.testing.assert_allclose(ratios, [0.2, 0.8], atol=1e-12)
 
     def test_small_decay_factor_equalises(self):
-        alloc = fractional_power_allocation([4, 1], 1e-9)
-        np.testing.assert_allclose(alloc.ratios, [0.5, 0.5], atol=1e-6)
+        ratios = resolve_allocation(ladder(delta_db=10 * np.log10(4), alpha_fpc=1e-9))
+        np.testing.assert_allclose(ratios, [0.5, 0.5], atol=1e-6)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            fractional_power_allocation([1, -1], 0.5)
-        with pytest.raises(ValueError):
-            fractional_power_allocation([1, 1], 1.5)
-        with pytest.raises(ValueError):
-            fractional_power_allocation([1, 1], 0.0)
-
-    @given(st.lists(st.floats(0.05, 20.0), min_size=2, max_size=6),
-           st.floats(0.05, 1.0), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_permutation_equivariance(self, gains, alpha, pyrandom):
-        base = fractional_power_allocation(gains, alpha).ratios
-        perm = list(range(len(gains)))
-        pyrandom.shuffle(perm)
-        permuted = fractional_power_allocation([gains[i] for i in perm], alpha).ratios
-        np.testing.assert_allclose(permuted, base[perm], rtol=1e-12)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha_fpc"):
+                resolve_allocation(ladder(alpha_fpc=alpha))
 
     @given(st.floats(0.05, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_worse_channel_gets_more_power(self, alpha):
-        gains = [8.0, 2.0, 0.5]
-        ratios = fractional_power_allocation(gains, alpha).ratios
+        ratios = resolve_allocation(ladder(near_users=2, delta_db=9.0, alpha_fpc=alpha))
         assert ratios[0] < ratios[1] < ratios[2]
 
     def test_sum_invariant_to_1e12(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            gains = rng.uniform(0.1, 10, size=rng.integers(2, 5))
-            alloc = fractional_power_allocation(gains, rng.uniform(0.1, 1.0))
-            assert abs(alloc.ratios.sum() - 1.0) <= 1e-12
+            scenario = ladder(int(rng.integers(1, 4)), rng.uniform(6.0, 40.0),
+                              rng.uniform(0.1, 1.0))
+            assert abs(resolve_allocation(scenario).sum() - 1.0) <= 1e-12
+
+    @given(st.integers(1, 3), st.floats(-20.0, 100.0), st.floats(1e-6, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_shares_sum_to_one_and_rise_along_the_ladder(self, near_users,
+                                                                  delta_db, alpha):
+        try:
+            ratios = resolve_allocation(ladder(near_users, delta_db, alpha))
+        except ValueError as exc:
+            assert "far user must hold the strictly largest" in str(exc)
+            return
+        assert ratios.shape == (near_users + 1,)
+        assert abs(ratios.sum() - 1.0) <= 1e-12
+        assert np.all(np.diff(ratios) > 0.0)
+
+    @pytest.mark.parametrize("delta_db", [np.inf, np.nan, 4000.0])
+    def test_far_gain_of_zero_or_nan_is_refused(self, delta_db):
+        with pytest.raises(ValueError, match="strictly largest"):
+            resolve_allocation(ladder(delta_db=delta_db))
 
 
 class TestSuperpose:
     def test_two_unit_streams(self):
-        alloc = PowerAllocation(np.array([0.2, 0.8]))
-        out = superpose([SignalFrame([1.0 + 0j]), SignalFrame([1.0 + 0j])], alloc)
+        out = superpose([SignalFrame([1.0 + 0j]), SignalFrame([1.0 + 0j])], np.array([0.2, 0.8]))
         assert out.samples[0] == pytest.approx(1.3416407864998738, abs=1e-12)
 
     def test_single_stream_identity(self):
         frame = SignalFrame(np.array([1 + 2j, -0.5j, 3.0]))
-        out = superpose([frame], PowerAllocation(np.array([1.0])))
+        out = superpose([frame], np.array([1.0]))
         np.testing.assert_allclose(out.samples, frame.samples, atol=1e-15)
 
     def test_equal_power_cancellation(self):
-        alloc = PowerAllocation(np.array([0.5, 0.5]))
-        out = superpose([SignalFrame([1.0 + 0j]), SignalFrame([-1.0 + 0j])], alloc)
+        out = superpose([SignalFrame([1.0 + 0j]), SignalFrame([-1.0 + 0j])], np.array([0.5, 0.5]))
         assert abs(out.samples[0]) <= 1e-15
 
     def test_length_mismatch_reports_lengths(self):
-        alloc = PowerAllocation(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="1 vs 2"):
-            superpose([SignalFrame([1.0]), SignalFrame([1.0, 2.0])], alloc)
+            superpose([SignalFrame([1.0]), SignalFrame([1.0, 2.0])], np.array([0.5, 0.5]))
+
+    def test_stream_and_ratio_counts_must_match(self):
+        with pytest.raises(ValueError, match="stream count 2 does not match ratio count 3"):
+            superpose([SignalFrame([1.0]), SignalFrame([1.0])], np.array([0.2, 0.3, 0.5]))
 
 
 class TestApplyChannel:
@@ -243,7 +239,7 @@ class TestGenerateFrame:
     def test_far_user_holds_largest_ratio(self):
         scen = NomaScenario(near_schemes=(ModScheme.QPSK, ModScheme.QPSK),
                             delta_db=9.0)
-        ratios = resolve_allocation(scen).ratios
+        ratios = resolve_allocation(scen)
         assert ratios[-1] > ratios[:-1].max()
 
     def test_explicit_ratios_must_favour_far_user(self):

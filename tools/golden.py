@@ -16,6 +16,9 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
   - the raw samples of one fixed-seed 600-symbol ``generate_noma_frame`` frame
     per (near scheme, far scheme) pair, so a last-bit change in modulation
     shows even where density binning would hide it;
+  - the raw samples of one fixed-seed 200-symbol frame per power allocation
+    (alpha_fpc 0.25, 0.5, 1 x 1-3 QPSK near users x delta_db 6, 9 dB), so a
+    last-bit change in the power shares shows away from alpha_fpc = 1 too;
   - the wavelet-denoised samples, and the density counts of the raw and
     denoised samples, of 9 fixed-seed frames (1999, 2000 and 3000 symbols x
     SNR -10, 10, 30 dB) plus one frame without a recorded noise scale, so a
@@ -132,6 +135,19 @@ def _frames() -> str:
     for index, (near, far) in enumerate(itertools.product(ModScheme, repeat=2)):
         scenario = NomaScenario(near_schemes=(near,), far_scheme=far, symbols_per_frame=600)
         frame = generate_noma_frame(scenario, rng=np.random.default_rng(200 + index))
+        blob += frame.samples.tobytes()
+    return _sha(blob)
+
+
+def _allocation_frames() -> str:
+    """sha256 prefix of the samples of one fixed-seed frame per power allocation."""
+    cells = itertools.product((0.25, 0.5, 1.0), (1, 2, 3), (6.0, 9.0))
+    blob = b""
+    for index, (alpha, users, delta) in enumerate(cells):
+        scenario = NomaScenario(near_schemes=(ModScheme.QPSK,) * users,
+                                far_scheme=datapipe.CLASS_ORDER[index % 4], delta_db=delta,
+                                alpha_fpc=alpha, symbols_per_frame=200)
+        frame = generate_noma_frame(scenario, rng=np.random.default_rng(400 + index))
         blob += frame.samples.tobytes()
     return _sha(blob)
 
@@ -277,6 +293,7 @@ def main() -> int:
         numbers.append(("inspect.pgm", _sha(images)))
         numbers.append(("model.logits", _logits(den)))
         numbers.append(("sigsim.frames", _frames()))
+        numbers.append(("sigsim.allocation_frames", _allocation_frames()))
         numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
         numbers.append(("projection.axis_counts", _axis_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
