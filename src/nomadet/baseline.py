@@ -6,12 +6,13 @@ cluster centres per axis is estimated with Chiu's subtractive clustering
 and the remaining per-axis level counts are matched to the closest far-user
 modulation signature.
 
-Clustering n points costs O(n^2) time but only a fixed ~1 MB block of working
-memory: the potentials are summed a block of whole rows at a time.
+Clustering n points costs O(n + G log G) time and O(n + G) memory: potentials
+are binned on G = 512 / r_a grid nodes instead of summed over all n^2 pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class ClusterParams:
     neighborhood_radius: float = 0.06  # fine enough to resolve 8 x the near levels per axis
 
     def __post_init__(self):
-        if not 0.0 < self.neighborhood_radius < 1.0:
-            raise ValueError("neighborhood_radius must lie in (0, 1)")
+        if not 0.001 <= self.neighborhood_radius < 1.0:  # finer radii need > 5e5 grid nodes
+            raise ValueError("neighborhood_radius must lie in [0.001, 1)")
 
 
 # Chiu's remaining constants: squash radius r_b = _SQUASH_FACTOR * r_a, the
@@ -41,24 +42,28 @@ _REJECT_RATIO = 0.15
 _MAX_CENTERS = 64
 
 
-# Working block of the potentials: 2**17 float64 (1 MB, stays in L2 cache).
-_BLOCK_ELEMENTS = 1 << 17
+# The potentials' grid has _NODES_PER_RADIUS nodes per r_a, so on it the
+# kernel, exp(-4 (d / _NODES_PER_RADIUS)^2) at d nodes, is the same for every
+# radius and below 1e-17 beyond _KERNEL_REACH nodes.
+_NODES_PER_RADIUS = 512
+_KERNEL_REACH = math.ceil(_NODES_PER_RADIUS * math.sqrt(17 * math.log(10) / 4))
 
 
 def _potentials(x: np.ndarray, alpha: float) -> np.ndarray:
-    """sum_j exp(-alpha * (x_i - x_j)^2) for each i, a block of whole rows at a time."""
-    n = x.size
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    block = np.empty((min(rows, n), n))
-    potential = np.empty(n)
-    for start in range(0, n, rows):
-        b = block[:min(rows, n - start)]
-        np.subtract(x[start:start + len(b), None], x, out=b)
-        np.square(b, out=b)
-        b *= -alpha
-        np.exp(b, out=b)
-        b.sum(axis=1, out=potential[start:start + len(b)])
-    return potential
+    """sum_j exp(-alpha * (x_i - x_j)^2) for x in [0, 1]: points spread linearly
+    over the grid nodes, convolved with the kernel by a real FFT padded by its
+    reach, and read back by linear interpolation."""
+    u = x * (_NODES_PER_RADIUS * math.sqrt(alpha) / 2.0)  # in nodes: sqrt(alpha) / 2 = 1 / r_a
+    left = u.astype(np.int64)
+    frac = u - left
+    nodes = int(u.max()) + 2
+    weights = np.bincount(left, 1.0 - frac, nodes) + np.bincount(left + 1, frac, nodes)
+    size = 1 << (nodes + _KERNEL_REACH - 1).bit_length()
+    # the Gaussian's Fourier transform; aliases and wrapped taps are < 1e-17
+    freq = np.arange(size // 2 + 1) * (math.pi * _NODES_PER_RADIUS / (2 * size))
+    spectrum = math.sqrt(math.pi) * _NODES_PER_RADIUS / 2 * np.exp(-freq ** 2)
+    field = np.fft.irfft(np.fft.rfft(weights, size) * spectrum, size)
+    return (1.0 - frac) * field[left] + frac * field[left + 1]
 
 
 def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -> int:
@@ -70,13 +75,15 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
     and reject ratios are kept only if they are far enough from existing
     centres (Chiu's grey-zone rule).
 
-    Cost: O(n^2) time, a fixed ~1 MB block plus O(n) memory. The block keeps
-    whole rows, so each potential is the same full-row sum as in the n x n
-    form, bit for bit; splitting rows or exploiting symmetry would reorder it.
+    Cost: O(n + G log G) time and O(n + G) memory, G = _NODES_PER_RADIUS / r_a
+    grid nodes. Binning moves each pair's kernel value by at most
+    2 / _NODES_PER_RADIUS^2 (< 1e-5), so each potential by at most n times that.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
     if pts.size < 2:
         raise ValueError("need at least 2 points to cluster")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (NaN or inf found)")
     span = pts.max() - pts.min()
     if span == 0.0:
         return 1
@@ -135,19 +142,10 @@ def projection_classify(frame: SignalFrame,
     yields some scheme.
     """
     count_i, count_q = axis_level_counts(frame)
-    near_i = near_q = 1
-    for scheme in near_schemes:
-        si, sq = _AXIS_SIGNATURE[scheme]
-        near_i *= si
-        near_q *= sq
-    resid_i = max(1.0, count_i / near_i)
-    resid_q = max(1.0, count_q / near_q)
-    best_scheme = None
-    best_score = None
-    for scheme, (sig_i, sig_q) in _AXIS_SIGNATURE.items():
-        score = abs(np.log2(resid_i) - np.log2(sig_i)) + \
-                abs(np.log2(resid_q) - np.log2(sig_q))
-        if best_score is None or score < best_score:
-            best_score = score
-            best_scheme = scheme
-    return best_scheme
+    resid_i = max(1.0, count_i / math.prod(_AXIS_SIGNATURE[s][0] for s in near_schemes))
+    resid_q = max(1.0, count_q / math.prod(_AXIS_SIGNATURE[s][1] for s in near_schemes))
+
+    def mismatch(scheme):
+        sig_i, sig_q = _AXIS_SIGNATURE[scheme]
+        return abs(np.log2(resid_i) - np.log2(sig_i)) + abs(np.log2(resid_q) - np.log2(sig_q))
+    return min(_AXIS_SIGNATURE, key=mismatch)

@@ -10,6 +10,7 @@ from nomadet.baseline import (ClusterParams, axis_level_counts,
                               projection_classify, subtractive_cluster_count)
 from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,
                             generate_noma_frame, modulate, resolve_allocation)
+from nomadet.wavelet import denoise_frame
 
 FINE = ClusterParams(neighborhood_radius=0.06)
 
@@ -36,6 +37,13 @@ class TestSubtractiveClustering:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             subtractive_cluster_count(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        pts = np.linspace(0.0, 1.0, 50)
+        pts[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            subtractive_cluster_count(pts, FINE)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -64,29 +72,43 @@ class TestSubtractiveClustering:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ClusterParams(neighborhood_radius=0.0)
+        with pytest.raises(ValueError):
+            ClusterParams(neighborhood_radius=0.0009)
+        assert subtractive_cluster_count(np.arange(10.0),
+                                         ClusterParams(neighborhood_radius=0.001)) == 10
 
 
 def full_matrix_potentials(x, alpha):
-    """The n x n form that the blocked potentials must reproduce bit for bit."""
+    """The n x n form that the binned potentials approximate."""
     diff2 = (x[:, None] - x[None, :]) ** 2
     return np.exp(-alpha * diff2).sum(axis=1)
 
 
 class TestBlockedPotentials:
-    ALPHA = 4.0 / FINE.neighborhood_radius ** 2
-
+    @pytest.mark.parametrize("radius", [0.06, 0.2])
     @pytest.mark.parametrize("n", [2, 7, 2000, 3000])
-    def test_bit_identical_to_full_matrix(self, n):
-        # 2000 and 3000 rows leave a ragged last block
+    def test_within_binning_bound_of_full_matrix(self, n, radius):
+        alpha = 4.0 / radius ** 2
+        step = radius / baseline._NODES_PER_RADIUS
         x = np.random.default_rng(n).random(n)
-        np.testing.assert_array_equal(baseline._potentials(x, self.ALPHA),
-                                      full_matrix_potentials(x, self.ALPHA))
+        # binning and interpolation each move a pair's kernel value by at most
+        # alpha * step^2 / 4; the FFT adds a few ulps of the largest potential, n
+        bound = n * (alpha * step ** 2 / 2 + 8 * np.finfo(float).eps)
+        np.testing.assert_allclose(baseline._potentials(x, alpha),
+                                   full_matrix_potentials(x, alpha), rtol=0, atol=bound)
 
-    def test_one_row_per_block(self, monkeypatch):
-        monkeypatch.setattr(baseline, "_BLOCK_ELEMENTS", 1)
-        x = np.random.default_rng(5).random(300)
-        np.testing.assert_array_equal(baseline._potentials(x, self.ALPHA),
-                                      full_matrix_potentials(x, self.ALPHA))
+    def test_counts_match_full_matrix(self, monkeypatch):
+        frames = []
+        cells = [(snr, users) for snr in (-10.0, 0.0, 10.0, 20.0, 30.0) for users in (1, 2, 3)]
+        for index, (snr, users) in enumerate(cells):
+            scen = NomaScenario(near_schemes=(ModScheme.QPSK,) * users,
+                                far_scheme=list(ModScheme)[index % 4], snr_db_near=snr,
+                                symbols_per_frame=1500)
+            frame = generate_noma_frame(scen, rng=np.random.default_rng(900 + index))
+            frames += [frame, denoise_frame(frame)]
+        binned = [axis_level_counts(frame) for frame in frames]
+        monkeypatch.setattr(baseline, "_potentials", full_matrix_potentials)
+        assert [axis_level_counts(frame) for frame in frames] == binned
 
     def test_working_memory_stays_linear(self):
         # an n x n float64 temporary at 3000 points alone is 72 MB

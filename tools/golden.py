@@ -25,8 +25,8 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
     last-bit change in denoising shows even where density binning would
     hide it;
   - the projection baseline's per-axis cluster counts on 12 fixed-seed
-    3000-symbol frames (SNR -10, 0, 10, 20 dB x 1-3 QPSK near users), long
-    enough that the clustering potentials span several working blocks;
+    3000-symbol frames (SNR -10, 0, 10, 20 dB x 1-3 QPSK near users), raw
+    and, as the sweep and the benchmark feed them to the baseline, denoised;
   - the per-step training loss of a fixed-seed default-architecture network
     on the denoised dataset's diagrams, 3 epochs, in float64 and in float32.
 
@@ -168,17 +168,18 @@ def _denoised() -> tuple[str, str]:
             _sha(b"".join(c.tobytes() for c in counts)))
 
 
-def _axis_counts() -> str:
-    """sha256 prefix of axis_level_counts over 12 fixed-seed 3000-symbol frames."""
+def _axis_counts() -> tuple[str, str]:
+    """sha256 prefixes of axis_level_counts over 12 fixed-seed 3000-symbol
+    frames, raw and denoised."""
     cells = [(snr, users) for snr in (-10.0, 0.0, 10.0, 20.0) for users in (1, 2, 3)]
-    counts = []
+    frames = []
     for index, (snr, users) in enumerate(cells):
         scenario = NomaScenario(near_schemes=(ModScheme.QPSK,) * users,
                                 far_scheme=datapipe.CLASS_ORDER[index % 4],
                                 snr_db_near=snr, symbols_per_frame=3000)
-        frame = generate_noma_frame(scenario, rng=np.random.default_rng(100 + index))
-        counts.append(baseline.axis_level_counts(frame))
-    return _sha(repr(counts).encode())
+        frames.append(generate_noma_frame(scenario, rng=np.random.default_rng(100 + index)))
+    return tuple(_sha(repr([baseline.axis_level_counts(f) for f in group]).encode())
+                 for group in (frames, [denoise_frame(f) for f in frames]))
 
 
 def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> list:
@@ -295,7 +296,7 @@ def main() -> int:
         numbers.append(("sigsim.frames", _frames()))
         numbers.append(("sigsim.allocation_frames", _allocation_frames()))
         numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
-        numbers.append(("projection.axis_counts", _axis_counts()))
+        numbers += zip(("projection.axis_counts", "baseline.denoised_counts"), _axis_counts())
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     meta.append(("src.lines", str(_src_lines())))
     lines = [NUMBERS_HEADER, *(f"{name} {digest}" for name, digest in numbers),
