@@ -21,7 +21,10 @@ from .density import DensityDiagram, density_diagram
 from .errors import DataFormatError
 from .fileio import atomic_write, read_exact, read_fields, read_frame, write_frame
 from .sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
-from .wavelet import denoise_frame
+from .wavelet import denoise_frames
+# not called here: kept as an attribute so that tracing wrappers installed on
+# this module (perfbench/spans.py) find it by the same name
+from .wavelet import denoise_frame  # noqa: F401
 
 __all__ = [
     "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
@@ -67,16 +70,17 @@ def derive_seed(master: int, *parts: int) -> int:
 
 
 def scenario_frames(scenario: NomaScenario):
-    """Yield (label, seed, received frame) for every sample, in dataset order.
+    """Yield (label, seeds, received frames) for each far class in
+    CLASS_ORDER: its samples_per_class frames, in dataset order.
 
-    Class-major: samples_per_class frames of each far class in CLASS_ORDER.
     Per-sample seeds come from derive_seed(scenario.seed, class, index).
     """
     for label in range(len(CLASS_ORDER)):
         scen = replace(scenario, far_scheme=CLASS_ORDER[label])
-        for index in range(scenario.samples_per_class):
-            seed = derive_seed(scenario.seed, label, index)
-            yield label, seed, generate_noma_frame(scen, rng=np.random.default_rng(seed))
+        seeds = [derive_seed(scenario.seed, label, index)
+                 for index in range(scenario.samples_per_class)]
+        yield label, seeds, [generate_noma_frame(scen, rng=np.random.default_rng(seed))
+                             for seed in seeds]
 
 
 def frame_sample(scenario: NomaScenario, label: int, seed: int,
@@ -91,17 +95,20 @@ def generate_dataset(scenario: NomaScenario, denoise: bool = True,
                      keep_frames: bool = False):
     """samples_per_class labelled samples for each of the four far classes.
 
-    Returns the list of samples, plus the matching (denoised) frames when
+    Each class's frames are denoised by one ``denoise_frames`` call, which
+    gives every frame the bytes that ``denoise_frame`` alone would. Returns
+    the list of samples, plus the matching (denoised) frames when
     ``keep_frames`` is set.
     """
     samples = []
     frames = []
-    for label, seed, frame in scenario_frames(scenario):
+    for label, seeds, received in scenario_frames(scenario):
         if denoise:
-            frame = denoise_frame(frame)
-        samples.append(frame_sample(scenario, label, seed, frame))
+            received = denoise_frames(received)
+        samples += [frame_sample(scenario, label, seed, frame)
+                    for seed, frame in zip(seeds, received)]
         if keep_frames:
-            frames.append(frame)
+            frames += received
     return (samples, frames) if keep_frames else samples
 
 

@@ -23,11 +23,12 @@ from .datapipe import (derive_seed, frame_sample, scenario_frames,
 from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
-from .wavelet import SYM8_DEC_LO, denoise_frame
+from .wavelet import SYM8_DEC_LO, denoise_frames
 # not called here: kept as attributes so that tracing wrappers installed on this
 # module (perfbench/spans.py) find every pipeline stage by the same name
 from .density import density_diagram  # noqa: F401
 from .sigsim import generate_noma_frame  # noqa: F401
+from .wavelet import denoise_frame  # noqa: F401
 
 __all__ = [
     "METHODS", "ExperimentConfig", "ResultRow", "ResultTable", "run_sweep",
@@ -198,7 +199,9 @@ class _CellData:
     """Everything one (factor, SNR) cell needs, each frame simulated once.
 
     ``raw`` and ``denoised`` hold the cell's samples in dataset order, and
-    ``frames[i]`` is the denoised frame behind ``denoised[i]``.
+    ``frames[i]`` is the denoised frame behind ``denoised[i]``. Each class's
+    frames are denoised by one ``denoise_frames`` call, as in
+    ``generate_dataset``.
     """
 
     def __init__(self, scenario: NomaScenario):
@@ -206,11 +209,12 @@ class _CellData:
         self.raw: list = []
         self.denoised: list = []
         self.frames: list = []
-        for label, seed, frame in scenario_frames(scenario):
-            den = denoise_frame(frame)
-            self.raw.append(frame_sample(scenario, label, seed, frame))
-            self.denoised.append(frame_sample(scenario, label, seed, den))
-            self.frames.append(den)
+        for label, seeds, received in scenario_frames(scenario):
+            denoised = denoise_frames(received)
+            for seed, frame, den in zip(seeds, received, denoised):
+                self.raw.append(frame_sample(scenario, label, seed, frame))
+                self.denoised.append(frame_sample(scenario, label, seed, den))
+            self.frames += denoised
         self.split = split_dataset(self.denoised, seed=derive_seed(scenario.seed, 1))
 
     def samples(self, method: str) -> list:

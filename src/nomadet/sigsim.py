@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,18 @@ _AXES = {
                       np.array([-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0]),
                       np.sqrt(42.0)),
 }
+
+
+def _points(scheme: ModScheme) -> np.ndarray:
+    """A scheme's points in I-major order, read-only: I bits come first, so a
+    bit group's integer value indexes them."""
+    i_levels, q_levels, norm = _AXES[scheme]
+    points = ((i_levels[:, None] + 1j * q_levels) / norm).reshape(-1)
+    points.flags.writeable = False
+    return points
+
+
+_POINTS = {scheme: _points(scheme) for scheme in ModScheme}
 
 
 @dataclass(frozen=True)
@@ -150,10 +163,13 @@ def modulate(bits, scheme: ModScheme) -> SignalFrame:
             f"bit count {bits.size} is not a positive multiple of {bps} "
             f"required by {scheme.name}"
         )
-    i_levels, q_levels, norm = _AXES[scheme]
-    # I bits come first, so a group's integer value indexes the I-major points
-    points = ((i_levels[:, None] + 1j * q_levels) / norm).reshape(-1)
-    symbols = points[bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))]
+    # each group's integer value, its first bit most significant
+    groups = bits.reshape(-1, bps)
+    index = groups[:, 0].copy()
+    for b in range(1, bps):
+        index <<= 1
+        index |= groups[:, b]
+    symbols = _POINTS[scheme][index]
     if scheme is ModScheme.PI_HALF_BPSK:
         symbols[1::2] *= 1j
     return SignalFrame(symbols)
@@ -242,13 +258,22 @@ class NomaScenario:
 def resolve_allocation(scenario: NomaScenario) -> np.ndarray:
     """Fractional power allocation over the scenario's SNR ladder: float64
     shares proportional to gain**(-alpha_fpc), summing to one, near users
-    first; the far user, last, must hold the strictly largest share."""
-    alpha = scenario.alpha_fpc
+    first; the far user, last, must hold the strictly largest share.
+
+    The shares depend only on the near-user count, ``delta_db`` and
+    ``alpha_fpc``; they are computed once per such triple and returned as
+    one cached read-only array.
+    """
+    return _allocation(len(scenario.near_schemes), scenario.delta_db, scenario.alpha_fpc)
+
+
+@lru_cache(maxsize=256)
+def _allocation(near_users: int, delta_db: float, alpha: float) -> np.ndarray:
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha_fpc must lie in (0, 1], got {alpha}")
     # gains relative to the near user: only their ratios matter
-    offsets = [j * NEAR_STEP_DB for j in range(len(scenario.near_schemes))]
-    offsets.append(scenario.delta_db)
+    offsets = [j * NEAR_STEP_DB for j in range(near_users)]
+    offsets.append(delta_db)
     gains = np.array([10.0 ** (-off / 10.0) for off in offsets])
     # log-domain weights avoid overflow for extreme gain spreads; a far gain
     # that underflows to 0 makes every share NaN, which the check refuses
@@ -263,6 +288,7 @@ def resolve_allocation(scenario: NomaScenario) -> np.ndarray:
     if not np.all((near > 0.0) & (near < far)):
         raise ValueError("far user must hold the strictly largest power ratio and every near "
                          f"user a positive one; got {np.array2string(ratios, precision=4)}")
+    ratios.flags.writeable = False
     return ratios
 
 

@@ -1,9 +1,12 @@
 """Modulation, power allocation, superposition and channel tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nomadet import sigsim
 from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario, SignalFrame,
                             apply_channel, axis_levels, generate_noma_frame,
                             modulate, resolve_allocation, superpose)
@@ -72,6 +75,19 @@ class TestModulate:
             expected[1::2] *= 1j
         frame = modulate(all_bit_groups(scheme).reshape(-1), scheme)
         np.testing.assert_allclose(frame.samples, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+    def test_index_matches_matmul_form(self, scheme):
+        # each symbol's point index as the integer matmul of its bit group
+        # with the group's place values, byte for byte on random bits
+        bps = scheme.bits_per_symbol
+        bits = np.random.default_rng(bps).integers(0, 2, 999 * bps, dtype=np.uint8)
+        i_levels, q_levels, norm = sigsim._AXES[scheme]
+        points = ((i_levels[:, None] + 1j * q_levels) / norm).reshape(-1)
+        expected = points[bits.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))]
+        if scheme is ModScheme.PI_HALF_BPSK:
+            expected[1::2] *= 1j
+        assert modulate(bits, scheme).samples.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_length_not_divisible_raises(self, scheme):
@@ -157,6 +173,18 @@ class TestPowerAllocation:
         assert ratios.shape == (near_users + 1,)
         assert abs(ratios.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(ratios) > 0.0)
+
+    def test_cached_shares_are_read_only_and_match_a_fresh_computation(self):
+        scenario = ladder(near_users=2, delta_db=9.0, alpha_fpc=0.5)
+        ratios = resolve_allocation(scenario)
+        # another far scheme, seed or SNR keeps the shares: the same array
+        assert resolve_allocation(replace(scenario, far_scheme=ModScheme.QAM64, seed=3,
+                                          snr_db_near=-4.0)) is ratios
+        assert not ratios.flags.writeable
+        with pytest.raises(ValueError):
+            ratios[0] = 0.5
+        fresh = sigsim._allocation.__wrapped__(2, 9.0, 0.5)
+        assert fresh.tobytes() == ratios.tobytes()
 
     @pytest.mark.parametrize("delta_db", [np.inf, np.nan, 4000.0])
     def test_far_gain_of_zero_or_nan_is_refused(self, delta_db):

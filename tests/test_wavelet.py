@@ -8,9 +8,11 @@ Independent oracles used here:
     orthogonal-matrix implementation of the same periodized convention;
   * heursure thresholds are compared against a straightforward
     sort-and-scan implementation;
-  * the transform steps are compared byte for byte against their
-    ``np.add.at`` forms, which sum each synthesis output in the order the
-    cached gather tables must reproduce.
+  * the transforms and the denoiser are compared byte for byte against a
+    self-contained per-axis reference whose synthesis is an ``np.add.at``
+    scatter, which sums each output in the order the batched synthesis must
+    reproduce; the reference is shown to tell apart a reversed order and a
+    sum started from its first term.
 """
 
 import math
@@ -139,31 +141,92 @@ def heursure_reference(d, sigma):
     return sigma * min(math.sqrt(best_t2), universal)
 
 
-def add_at_dwt_step(x, lo, hi):
-    """One analysis step with its window table built on the spot."""
-    idx = (2 * np.arange(x.size // 2)[:, None] + np.arange(lo.size)) % x.size
-    windows = x[idx]
-    return windows @ lo, windows @ hi
+def add_at_analysis(x, level):
+    """Reference analysis cascade, one axis: each step gathers the circular
+    windows through a table built on the spot and takes one matrix-vector
+    product per filter. Returns the approximation and the details, coarsest
+    first, of ``x`` zero padded to a multiple of 2**level."""
+    x = np.asarray(x, dtype=np.float64)
+    block = 1 << level
+    x = np.concatenate([x, np.zeros(-x.size % block)])
+    details = []
+    for _ in range(level):
+        idx = (2 * np.arange(x.size // 2)[:, None] + np.arange(SYM8_DEC_LO.size)) % x.size
+        windows = x[idx]
+        x = windows @ SYM8_DEC_LO
+        details.append(windows @ _SYM8_DEC_HI)
+    return x, details[::-1]
 
 
-def add_at_idwt_step(approx, detail, lo, hi):
-    """One synthesis step as the transpose of analysis: an ``np.add.at`` scatter."""
-    n = 2 * approx.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(lo.size)) % n
-    out = np.zeros(n)
-    np.add.at(out, idx, approx[:, None] * lo[None, :] + detail[:, None] * hi[None, :])
-    return out
+def add_at_synthesis(approx, details, length, reverse=False, first_term_start=False):
+    """Reference synthesis cascade, one axis: each step is the transpose of
+    analysis, an ``np.add.at`` scatter of the terms lo[m]*approx[k] +
+    hi[m]*detail[k] into output (2k + m) % n, which adds them in ascending
+    k*taps + m from +0.0. ``reverse`` scatters them in descending order and
+    ``first_term_start`` starts each output from its first term instead:
+    the two faults the byte-identity tests must be able to see."""
+    for detail in details:
+        n = 2 * approx.size
+        idx = ((2 * np.arange(n // 2)[:, None] + np.arange(SYM8_DEC_LO.size)) % n).reshape(-1)
+        terms = (approx[:, None] * SYM8_DEC_LO + detail[:, None] * _SYM8_DEC_HI).reshape(-1)
+        if reverse:
+            idx, terms = idx[::-1], terms[::-1]
+        out = np.zeros(n)
+        if first_term_start:
+            _, first = np.unique(idx, return_index=True)
+            out[idx[first]] = terms[first]
+            rest = np.ones(idx.size, dtype=bool)
+            rest[first] = False
+            idx, terms = idx[rest], terms[rest]
+        np.add.at(out, idx, terms)
+        approx = out
+    return approx[:length]
 
 
-@pytest.fixture
-def add_at_reference(monkeypatch):
-    """Call a function with the wavelet transform steps in their np.add.at form."""
-    def run(fn, *args):
-        with monkeypatch.context() as patched:
-            patched.setattr(wavelet, "_dwt_step", add_at_dwt_step)
-            patched.setattr(wavelet, "_idwt_step", add_at_idwt_step)
-            return fn(*args)
-    return run
+def add_at_heursure(d, sigma):
+    """Reference heursure threshold of one detail vector, in the arithmetic
+    of the one-axis denoiser: universal threshold unless the energy looks
+    dense, then the smaller of it and the SURE minimiser."""
+    n = d.size
+    if not np.any(d):
+        return 0.0
+    t_univ = float(sigma * np.sqrt(2.0 * np.log(n)))
+    if (float(np.dot(d, d)) / sigma ** 2 - n) / n <= np.log2(n) ** 1.5 / np.sqrt(n):
+        return t_univ
+    y2 = np.sort((d / sigma) ** 2)
+    ranks = np.arange(1, n + 1)
+    risks = (n - 2.0 * ranks + np.cumsum(y2) + (n - ranks) * y2) / n
+    return min(float(sigma * np.sqrt(y2[int(np.argmin(risks))])), t_univ)
+
+
+def add_at_denoise(frame, spec):
+    """Reference denoiser: each axis on its own through the reference
+    cascades, with the scale the frame records or the MAD estimate."""
+    axis_sigma = None if frame.noise_scale is None else frame.noise_scale / np.sqrt(2.0)
+    parts = []
+    for x in (frame.samples.real, frame.samples.imag):
+        approx, details = add_at_analysis(x, spec.level)
+        sigma = axis_sigma
+        if sigma is None:
+            sigma = float(np.median(np.abs(details[-1])) / 0.6745)
+        thresholds = [0.0 if sigma <= 0 else add_at_heursure(d, sigma) for d in details]
+        shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
+                  for d, t in zip(details, thresholds)]
+        parts.append(add_at_synthesis(approx, shrunk, x.size))
+    return parts[0] + 1j * parts[1]
+
+
+def signed_zero_coeffs(j, n=64):
+    """One-level coefficients whose every contribution to output j is -0.0:
+    a sum from +0.0 gives +0.0 there, one started from its first term -0.0."""
+    rng = np.random.default_rng(3)
+    approx, detail = rng.standard_normal(n // 2), rng.standard_normal(n // 2)
+    for k in range(n // 2):
+        m = (j - 2 * k) % n
+        if m < SYM8_DEC_LO.size:
+            approx[k] = math.copysign(0.0, -SYM8_DEC_LO[m])
+            detail[k] = math.copysign(0.0, -_SYM8_DEC_HI[m])
+    return WaveletCoeffs(approx, (detail,), n)
 
 
 def coeff_bytes(coeffs):
@@ -280,61 +343,108 @@ class TestCachedTablesAreBitIdentical:
     LENGTHS = (16, 37, 1999, 2000, 3000)
     LEVELS = (1, 2, 4)
 
+    # output 0's windows wrap around the signal, output 40's do not
+    SIGNED_ZERO_OUTPUTS = (0, 40)
+
+    def test_reference_sees_a_reversed_order_and_a_first_term_start(self):
+        # a synthesis with either fault would fail the comparisons below
+        x = np.random.default_rng(8).standard_normal(3000)
+        approx, details = add_at_analysis(x, 2)
+        ref = add_at_synthesis(approx, details, x.size).tobytes()
+        assert add_at_synthesis(approx, details, x.size, reverse=True).tobytes() != ref
+        for j in self.SIGNED_ZERO_OUTPUTS:
+            coeffs = signed_zero_coeffs(j)
+            ref = add_at_synthesis(coeffs.approx, coeffs.details, 64)
+            start = add_at_synthesis(coeffs.approx, coeffs.details, 64, first_term_start=True)
+            assert math.copysign(1.0, ref[j]) == 1.0 and math.copysign(1.0, start[j]) == -1.0
+
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_transform_matches_add_at(self, add_at_reference, n, level):
+    def test_transform_matches_add_at(self, n, level):
         # at level 4 the coarse steps of short signals are shorter than the
         # 16-tap filter, so their windows wrap around more than once
         spec = WaveletSpec(level=level)
         x = np.random.default_rng(n + level).standard_normal(n)
         coeffs = dwt_multilevel(x, spec)
-        assert coeff_bytes(coeffs) == coeff_bytes(add_at_reference(dwt_multilevel, x, spec))
+        approx, details = add_at_analysis(x, level)
+        assert coeff_bytes(coeffs) == coeff_bytes(WaveletCoeffs(approx, tuple(details), n))
         assert (idwt_multilevel(coeffs, spec).tobytes()
-                == add_at_reference(idwt_multilevel, coeffs, spec).tobytes())
+                == add_at_synthesis(approx, details, n).tobytes())
 
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("n", [n for n in LENGTHS if n > 16])
-    def test_denoise_matches_add_at(self, add_at_reference, n, level):
+    def test_denoise_matches_add_at(self, n, level):
         # 16 samples at level 4 leave one coarsest detail: too few to threshold
         rng = np.random.default_rng(10 * n + level)
         frame = SignalFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                             noise_scale=0.8)
         spec = WaveletSpec(level=level)
         assert (denoise_frame(frame, spec).samples.tobytes()
-                == add_at_reference(denoise_frame, frame, spec).samples.tobytes())
+                == add_at_denoise(frame, spec).tobytes())
 
     @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
-    def test_simulated_frames_match_add_at(self, add_at_reference, snr_db):
+    def test_simulated_frames_match_add_at(self, snr_db):
         scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr_db,
                                 symbols_per_frame=3000)
         frame = generate_noma_frame(scenario, rng=np.random.default_rng(int(snr_db) + 50))
         bare = SignalFrame(frame.samples)  # no noise_scale: the MAD estimate path
         for f in (frame, bare):
-            assert (denoise_frame(f).samples.tobytes()
-                    == add_at_reference(denoise_frame, f).samples.tobytes())
+            assert denoise_frame(f).samples.tobytes() == add_at_denoise(f, WaveletSpec()).tobytes()
 
-    def test_signed_zeros_match_add_at(self, add_at_reference):
-        # every contribution to output 0 is -0.0; np.add.at starts from +0.0,
-        # so the sum is +0.0, which a sum started from the first term loses
-        spec, n = WaveletSpec(level=1), 64
-        lo, hi = SYM8_DEC_LO, _SYM8_DEC_HI
-        rng = np.random.default_rng(3)
-        approx, detail = rng.standard_normal(n // 2), rng.standard_normal(n // 2)
-        for k in range(n // 2):
-            m = (-2 * k) % n
-            if m < lo.size:
-                approx[k] = math.copysign(0.0, -lo[m])
-                detail[k] = math.copysign(0.0, -hi[m])
-        coeffs = WaveletCoeffs(approx, (detail,), n)
-        ref = add_at_reference(idwt_multilevel, coeffs, spec)
-        assert ref[0] == 0.0 and math.copysign(1.0, ref[0]) == 1.0
-        assert idwt_multilevel(coeffs, spec).tobytes() == ref.tobytes()
+    def test_signed_zeros_match_add_at(self):
+        for j in self.SIGNED_ZERO_OUTPUTS:
+            coeffs = signed_zero_coeffs(j)
+            ref = add_at_synthesis(coeffs.approx, coeffs.details, 64)
+            assert ref[j] == 0.0 and math.copysign(1.0, ref[j]) == 1.0
+            assert idwt_multilevel(coeffs, WaveletSpec(level=1)).tobytes() == ref.tobytes()
 
     def test_cached_tables_are_read_only(self):
         table = wavelet._analysis_index(64, 16)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+
+class TestDenoiseFrames:
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1999, 2000, 3000])
+    def test_mixed_batch_matches_add_at_frame_by_frame(self, monkeypatch, n, level):
+        # SNRs -10/10/30 dB, a frame without noise_scale and a noise-free one,
+        # cycled until the batch fills more than one chunk plus a remainder
+        spec = WaveletSpec(level=level)
+        kinds = [NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr,
+                              symbols_per_frame=n) for snr in (-10.0, 10.0, 30.0, np.inf)]
+        chunk = wavelet._CHUNK_BYTES // (2 * 8 * n)
+        frames = []
+        for i in range(chunk + chunk // 2 + 1):
+            frame = generate_noma_frame(kinds[i % 4], rng=np.random.default_rng(i))
+            frames.append(SignalFrame(frame.samples) if i % 5 == 4 else frame)
+        assert any(f.noise_scale is None for f in frames)
+        assert any(f.noise_scale == 0.0 for f in frames)
+        sizes = []
+        chunked = wavelet._denoise_chunk
+        monkeypatch.setattr(wavelet, "_denoise_chunk",
+                            lambda part, *args: sizes.append(len(part)) or chunked(part, *args))
+        out = wavelet.denoise_frames(frames, spec)
+        assert len(sizes) >= 2 and sizes[-1] < sizes[0]
+        assert len(out) == len(frames)
+        for frame, den in zip(frames, out):
+            assert den.noise_scale == frame.noise_scale
+            assert den.samples.tobytes() == add_at_denoise(frame, spec).tobytes()
+
+    def test_empty_batch_is_refused(self):
+        with pytest.raises(ValueError, match="no frames"):
+            wavelet.denoise_frames([])
+
+    def test_unequal_lengths_are_named(self):
+        frames = [SignalFrame(np.ones(300, dtype=complex)), SignalFrame(np.ones(301, dtype=complex))]
+        with pytest.raises(ValueError, match="300 and 301"):
+            wavelet.denoise_frames(frames)
+
+    def test_too_short_frames_keep_the_message(self):
+        with pytest.raises(ValueError, match="level 4 .* 16-sample frame"):
+            wavelet.denoise_frames([SignalFrame(np.ones(16, dtype=complex))] * 3,
+                                   WaveletSpec(level=4))
 
 
 # -------------------------------------------------------------- thresholds --
