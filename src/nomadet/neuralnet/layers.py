@@ -7,14 +7,14 @@ drops it, so an inference model holds no activations, and backward needs a
 training forward. Layers are single-writer: one forward/backward pair at a
 time per instance.
 
-Conv2D lowers convolution to GEMMs over im2col patch matrices (Chellapilla
-et al. 2006), gathered channels-last so that each kernel row of a patch is
-one contiguous run and each product is one 2-D GEMM; only a one-channel
-stem gathers tap-major instead. The kernel is kept as the GEMM's
-(k*k*C, O) matrix, so no product copies it. At stride 1 its input gradient
-is the transposed convolution of the output gradient (Dumoulin & Visin, "A
-guide to convolution arithmetic", 2016), and a first layer can skip that
-gradient altogether.
+Conv2D lowers convolution to GEMMs over im2col patch rows (Chellapilla et
+al. 2006), gathered channels-last so that each kernel row of a patch is one
+contiguous run (a one-channel stem gathers tap-major), one cache-sized chunk
+of samples at a time in forward, weight gradient and stride-1 input gradient
+alike, so only the padded input is kept (Cho & Brand, "MEC", 2017). The
+kernel is the GEMM's (k*k*C, O) matrix, so no product copies it. At stride 1
+the input gradient is the transposed convolution of the output gradient
+(Dumoulin & Visin 2016), and a first layer can skip it altogether.
 The memory-bound layers (BatchNorm2D, ReLU, MaxPool2) work in place where
 they can, to keep their full-size temporaries few. BatchNorm2D caches its
 centred input and builds its input gradient in that buffer, so its backward
@@ -56,47 +56,53 @@ class Layer:
         yield from self.buffers.items()
 
 
-# the stride-1 input gradient lowers and multiplies a few samples at a time,
-# about this many bytes of patch rows, so each chunk is multiplied from cache
+# Conv2D's forward, weight gradient and stride-1 input gradient lower about
+# this many bytes of patch rows at a time, so each chunk is multiplied from cache
 _CHUNK_BYTES = 1 << 20
 
 
 def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     """One read-only (B, OH, OW, k, k, C) strided view of the k*k windows, at
     stride ``s``, of the channels-last (B, H, W, C) ``x`` zero-padded by ``p``
-    (into a new buffer if ``p`` > 0); each kernel row of a window is k*C
-    contiguous values."""
+    into a new buffer, which no caller's array aliases; each kernel row of a
+    window is k*C contiguous values."""
     B, H, W, C = x.shape
     if H + 2 * p < k or W + 2 * p < k:
         raise ValueError(f"spatial size {H + 2 * p}x{W + 2 * p} smaller than kernel {k}")
-    if p:
-        padded = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=x.dtype)
-        padded[:, p:p + H, p:p + W] = x
-        x = padded
-    sb, sh, sw, sc = x.strides
+    if k == 1 and p == 0:  # unpadded 1x1 windows read only every s-th pixel: copy just those
+        x, H, W, s = x[:, ::s, ::s], (H - 1) // s + 1, (W - 1) // s + 1, 1
+    padded = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=x.dtype)
+    padded[:, p:p + H, p:p + W] = x
+    sb, sh, sw, sc = padded.strides
     shape = (B, (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1, k, k, C)
     return np.lib.stride_tricks.as_strided(
-        x, shape, (sb, s * sh, s * sw, sh, sw, sc), writeable=False)
+        padded, shape, (sb, s * sh, s * sw, sh, sw, sc), writeable=False)
+
+
+def _chunks(win: np.ndarray) -> list[slice]:
+    """Runs of at least one sample of ``win``, each about ``_CHUNK_BYTES`` of patch rows."""
+    step = max(1, _CHUNK_BYTES // (win[0].size * win.itemsize))
+    return [slice(b, b + step) for b in range(0, len(win), step)]
 
 
 class Conv2D(Layer):
     """Cross-correlation with stride, zero-padded by (k-1)//2 (im2col).
 
-    Forward copies the windows of the input, padded once channels-last, into
-    (B*OH*OW, k*k*C) patch rows and multiplies them by the kernel as one
-    (k*k*C, O) matrix; the weight gradient is one more GEMM, ``rows.T @
-    grad_rows``. At stride 1 the input gradient is the transposed convolution
-    of ``grad_out``: the same lowering of the channels-last ``grad_out``,
-    padded by ``k-1-p``, times the kernel flipped in both spatial axes with
-    its in/out channels swapped, taken in chunks of ``_CHUNK_BYTES`` of patch
-    rows since they are not kept. Strided convs turn ``grad_rows`` into patch
-    gradients with one GEMM and add them back with k*k strided adds into a
+    A training forward caches only the (B, OH, OW, k, k, C) window view of
+    its input, padded once channels-last, never a patch matrix. Forward and
+    weight gradient copy (rows, k*k*C) patch rows from it about
+    ``_CHUNK_BYTES`` of samples at a time and multiply each chunk from
+    cache, by the (k*k*C, O) kernel and as ``chunk.T @ grad_rows``. At stride
+    1 the input gradient is the transposed convolution of ``grad_out``: the
+    same chunked lowering of the channels-last ``grad_out``, padded by
+    ``k-1-p``, times the kernel flipped in both spatial axes with its in/out
+    channels swapped. Strided convs turn ``grad_rows`` into patch gradients
+    with one GEMM and add them back with k*k strided adds into a
     channels-last buffer. Results become contiguous NCHW only at the end.
 
     A one-channel stride-1 conv (the stem) would gather runs of only k values
-    that way, so it copies its windows tap-major, as (B, k*k, OH*OW) in runs
-    of OW values, and takes forward and weight gradient per sample. Either
-    way the cached patch matrix is 2-D with B*OH*OW*C*k*k elements.
+    that way, so it copies its windows tap-major, one sample's (k*k, OH*OW)
+    rows at a time in runs of OW values, for forward and weight gradient.
     ``backward(..., input_grad=False)`` skips the input gradient for a
     first layer, whose input needs none.
 
@@ -129,30 +135,39 @@ class Conv2D(Layer):
         win = _windows(x.transpose(0, 2, 3, 1), k, self.stride, self.pad)
         B, OH, OW = win.shape[:3]
         if self.tap_major:
-            rows = win.transpose(0, 3, 4, 5, 1, 2).copy().reshape(B * k * k, OH * OW)
-            out = (w.reshape(O, -1) @ rows.reshape(B, k * k, -1)).reshape(B, O, OH, OW)
+            taps = win.transpose(0, 3, 4, 5, 1, 2)
+            out = np.empty((B, O, OH, OW), dtype=x.dtype)
+            for b in range(B):
+                np.matmul(w.reshape(O, -1), taps[b].reshape(k * k, -1), out=out[b].reshape(O, -1))
             out += self.params["b"][:, None, None]
         else:
-            rows = win.copy().reshape(B * OH * OW, -1)
-            out = rows @ w.transpose(2, 3, 1, 0).reshape(-1, O)
+            kernel = w.transpose(2, 3, 1, 0).reshape(-1, O)
+            out = np.empty((B, OH, OW, O), dtype=x.dtype)
+            for c in _chunks(win):
+                np.matmul(win[c].reshape(-1, len(kernel)), kernel, out=out[c].reshape(-1, O))
             out += self.params["b"]
-            out = np.ascontiguousarray(out.reshape(B, OH, OW, O).transpose(0, 3, 1, 2))
-        self._cache = (rows, x.shape) if training else None
+            out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        self._cache = (win, x.shape) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        rows, (B, C, H, W) = self._need_cache()
+        xwin, (B, C, H, W) = self._need_cache()
         k, s, p = self.kernel, self.stride, self.pad
         O, OH, OW = grad_out.shape[1:]
         w = self.params["w"]
         g_cl = grad_out.transpose(0, 2, 3, 1)
         if self.tap_major:
             g3 = grad_out.reshape(B, O, -1)
-            gw = (rows.reshape(B, k * k, -1) @ g3.transpose(0, 2, 1)).sum(axis=0)
+            taps = xwin.transpose(0, 3, 4, 5, 1, 2)
+            parts = (taps[b].reshape(k * k, -1) @ g3[b].T for b in range(B))
         else:
             g_cl = np.ascontiguousarray(g_cl)
-            gw = rows.T @ g_cl.reshape(-1, O)
+            parts = (xwin[c].reshape(-1, k * k * C).T @ g_cl[c].reshape(-1, O)
+                     for c in _chunks(xwin))
         # gw is (k*k*C, O) in patch-row order, the layout of the kernel buffer
+        gw = next(parts)
+        for part in parts:
+            gw += part
         self.grads["w"] = gw.reshape(k, k, C, O).transpose(3, 2, 0, 1)
         self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
         if not input_grad:
@@ -161,10 +176,8 @@ class Conv2D(Layer):
             flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, C)
             win = _windows(g_cl, k, 1, k - 1 - p)
             gx = np.empty((B, H, W, C), dtype=grad_out.dtype)
-            step = max(1, _CHUNK_BYTES // (win[0].size * win.itemsize))
-            for b in range(0, B, step):
-                np.matmul(win[b:b + step].reshape(-1, k * k * O), flipped,
-                          out=gx[b:b + step].reshape(-1, C))
+            for c in _chunks(win):
+                np.matmul(win[c].reshape(-1, k * k * O), flipped, out=gx[c].reshape(-1, C))
             return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
         # (B, OH, OW, k, k, C): patch gradients, added back tap by tap
         gpatch = (g_cl.reshape(-1, O) @ w.transpose(0, 2, 3, 1).reshape(O, -1)

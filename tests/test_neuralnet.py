@@ -1,6 +1,7 @@
 """Layer semantics, gradients, and model contracts."""
 
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from nomadet.neuralnet import (Adam, ArchConfig, BatchNorm2D, Conv2D, Dense,
                                GlobalAvgPool, MaxPool2, ModulationNet, ReLU,
                                save_model, softmax, softmax_cross_entropy)
+from nomadet.neuralnet import layers
 from nomadet.neuralnet.layers import Layer
 from nomadet.datapipe import CLASS_ORDER
 from nomadet.neuralnet.model import NUM_CLASSES, ResidualBlock
@@ -231,6 +233,87 @@ def einsum_input_gradient(probe, w, stride, pad, shape):
     return gx[:, :, pad:pad + H, pad:pad + W]
 
 
+def einsum_weight_gradient(x, probe, k, stride, pad):
+    """Gradient of sum(correlation * probe) wrt the (O, C, k, k) kernel."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return np.einsum("bchwij,bohw->ocij", win[:, :, ::stride, ::stride], probe)
+
+
+CONV_PATHS = [
+    (1, 4, 5, 1),      # tap-major stem
+    (3, 4, 3, 1),
+    (3, 4, 3, 2),
+    (3, 4, 1, 2),      # strided 1x1 shortcut
+]
+
+
+class TestChunkedLowering:
+    """Forward, weight gradient and stride-1 input gradient lower a chunk of
+    samples at a time; a training forward keeps no patch matrix."""
+
+    @pytest.mark.parametrize("samples_per_chunk", [1, 3])
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", CONV_PATHS)
+    def test_batch_over_several_chunks_matches_einsum(
+            self, monkeypatch, in_ch, out_ch, kernel, stride, samples_per_chunk):
+        rng = RNG(40 + kernel + stride)
+        conv = Conv2D(in_ch, out_ch, kernel, stride, rng=rng, dtype=np.float64)
+        conv.params["b"][...] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((7, in_ch, 9, 9))
+        # one sample's patch rows, so the batch of 7 splits 1+...+1 or 3+3+1
+        oh, ow = conv.out_hw(9, 9)
+        sample_bytes = oh * ow * kernel * kernel * in_ch * x.itemsize
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", samples_per_chunk * sample_bytes)
+        w, b = conv.params["w"], conv.params["b"]
+        out = conv.forward(x, training=True)
+        assert len(layers._chunks(conv._cache[0])) == -(-7 // samples_per_chunk)
+        np.testing.assert_allclose(out, einsum_correlation(x, w, b, stride, conv.pad), atol=1e-12)
+        probe = rng.standard_normal(out.shape)
+        np.testing.assert_allclose(
+            conv.backward(probe), einsum_input_gradient(probe, w, stride, conv.pad, x.shape),
+            atol=1e-12)
+        np.testing.assert_allclose(
+            conv.grads["w"], einsum_weight_gradient(x, probe, kernel, stride, conv.pad),
+            atol=1e-12)
+        np.testing.assert_allclose(conv.grads["b"], probe.sum(axis=(0, 2, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", [(3, 4, 1, 2), (3, 4, 3, 1)])
+    def test_backward_ignores_an_input_overwritten_after_forward(
+            self, in_ch, out_ch, kernel, stride):
+        """An unpadded 1x1 conv could view its input in place; a later layer
+        that writes into its input (an in-place ReLU) would then change the
+        windows the weight gradient reads."""
+        rng = RNG(50 + kernel)
+        conv = Conv2D(in_ch, out_ch, kernel, stride, rng=rng, dtype=np.float64)
+        x = rng.standard_normal((2, in_ch, 7, 7))
+        seen = x.copy()
+        out = conv.forward(x, training=True)
+        x[...] = rng.standard_normal(x.shape)
+        probe = rng.standard_normal(out.shape)
+        w = conv.params["w"]
+        np.testing.assert_allclose(
+            conv.backward(probe), einsum_input_gradient(probe, w, stride, conv.pad, x.shape),
+            atol=1e-12)
+        np.testing.assert_allclose(
+            conv.grads["w"], einsum_weight_gradient(seen, probe, kernel, stride, conv.pad),
+            atol=1e-12)
+
+    def test_training_forward_keeps_about_the_padded_input(self):
+        rng = RNG(60)
+        conv = Conv2D(32, 32, 3, rng=rng)
+        x = rng.standard_normal((16, 32, 25, 25)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(x, training=True)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        # a cached (16*25*25, 3*3*32) patch matrix would be 9 times this
+        padded = 16 * 27 * 27 * 32 * x.itemsize
+        assert kept <= 1.5 * padded
+
+
 class TestKernelLayout:
     """``params["w"]`` is an (O, C, k, k) view of the kernel buffer that the
     GEMMs read; everything that reads or writes it sees one array."""
@@ -258,12 +341,7 @@ class TestKernelLayout:
                 for moments in (optimiser.m, optimiser.v):
                     assert memory_order(moments[f"{name}.w"]) == memory_order(w), name
 
-    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", [
-        (1, 4, 5, 1),      # tap-major stem
-        (3, 4, 3, 1),
-        (3, 4, 3, 2),
-        (3, 4, 1, 2),      # strided 1x1 shortcut
-    ])
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", CONV_PATHS)
     def test_in_place_kernel_write_reaches_forward_and_backward(
             self, in_ch, out_ch, kernel, stride):
         """Adam, ``restore`` and ``load_model`` all write ``params["w"][...]``."""
