@@ -6,14 +6,16 @@ cluster centres per axis is estimated with Chiu's subtractive clustering
 and the remaining per-axis level counts are matched to the closest far-user
 modulation signature.
 
-Clustering n points costs O(n + G log G) time and O(n + G) memory: potentials
-are binned on G = 512 / r_a grid nodes instead of summed over all n^2 pairs.
+Clustering n points costs O(n + G log G) time and O(n + G) memory for the
+potentials, which are binned on G = 512 / r_a grid nodes instead of summed
+over all n^2 pairs, and O(n) time per accepted centre.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +51,21 @@ _NODES_PER_RADIUS = 512
 _KERNEL_REACH = math.ceil(_NODES_PER_RADIUS * math.sqrt(17 * math.log(10) / 4))
 
 
+def _fft_size(length: int) -> int:
+    """The smallest 2^a, 3 * 2^a or 5 * 2^a that is at least ``length``."""
+    return min(f << (-(-length // f) - 1).bit_length() for f in (1, 3, 5))
+
+
+@lru_cache(maxsize=16)
+def _kernel_spectrum(size: int) -> np.ndarray:
+    """Read-only rfft of the grid kernel at FFT size ``size``, the Gaussian's
+    Fourier transform: its aliases and wrapped taps are < 1e-17."""
+    freq = np.arange(size // 2 + 1) * (math.pi * _NODES_PER_RADIUS / (2 * size))
+    spectrum = math.sqrt(math.pi) * _NODES_PER_RADIUS / 2 * np.exp(-freq ** 2)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _potentials(x: np.ndarray, alpha: float) -> np.ndarray:
     """sum_j exp(-alpha * (x_i - x_j)^2) for x in [0, 1]: points spread linearly
     over the grid nodes, convolved with the kernel by a real FFT padded by its
@@ -58,11 +75,8 @@ def _potentials(x: np.ndarray, alpha: float) -> np.ndarray:
     frac = u - left
     nodes = int(u.max()) + 2
     weights = np.bincount(left, 1.0 - frac, nodes) + np.bincount(left + 1, frac, nodes)
-    size = 1 << (nodes + _KERNEL_REACH - 1).bit_length()
-    # the Gaussian's Fourier transform; aliases and wrapped taps are < 1e-17
-    freq = np.arange(size // 2 + 1) * (math.pi * _NODES_PER_RADIUS / (2 * size))
-    spectrum = math.sqrt(math.pi) * _NODES_PER_RADIUS / 2 * np.exp(-freq ** 2)
-    field = np.fft.irfft(np.fft.rfft(weights, size) * spectrum, size)
+    size = _fft_size(nodes + _KERNEL_REACH)
+    field = np.fft.irfft(np.fft.rfft(weights, size) * _kernel_spectrum(size), size)
     return (1.0 - frac) * field[left] + frac * field[left + 1]
 
 
@@ -71,23 +85,31 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
 
     Potentials use exp(-||p_i - p_j||^2 / (r_a/2)^2) on range-normalised
     points; after each accepted centre the squash term with radius
-    r_b = _SQUASH_FACTOR * r_a is subtracted. Candidates between the accept
-    and reject ratios are kept only if they are far enough from existing
-    centres (Chiu's grey-zone rule).
+    r_b = _SQUASH_FACTOR * r_a is subtracted. While the highest live potential
+    lies between the reject and accept ratios of the first (Chiu's grey
+    zone), the next centre is the highest-ranked live point (ties to the
+    lowest index) above the reject ratio with d_min / r_a + potential / first
+    >= 1, d_min its distance to the nearest centre; the live points ranked
+    above it are rejected for good, and clustering ends if none qualifies.
 
-    Cost: O(n + G log G) time and O(n + G) memory, G = _NODES_PER_RADIUS / r_a
-    grid nodes. Binning moves each pair's kernel value by at most
-    2 / _NODES_PER_RADIUS^2 (< 1e-5), so each potential by at most n times that.
+    Cost: O(n + G log G) time and O(n + G) memory for the potentials, whose
+    G = _NODES_PER_RADIUS / r_a grid nodes and the kernel's reach are
+    convolved by an FFT of the smallest size 2^a, 3 * 2^a or 5 * 2^a that
+    holds them, then O(n) time per accepted centre. Binning moves each
+    pair's kernel value by at most 2 / _NODES_PER_RADIUS^2 (< 1e-5), so each
+    potential by at most n times that.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
     if pts.size < 2:
         raise ValueError("need at least 2 points to cluster")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite (NaN or inf found)")
-    span = pts.max() - pts.min()
-    if span == 0.0:
+    lo, hi = float(pts.min()), float(pts.max())
+    if hi - lo == math.inf:  # the range overflows float64; halving is exact and keeps x
+        pts, lo, hi = pts * 0.5, lo * 0.5, hi * 0.5
+    if hi == lo:
         return 1
-    x = (pts - pts.min()) / span
+    x = (pts - lo) / (hi - lo)
     ra = params.neighborhood_radius
     rb = _SQUASH_FACTOR * ra
     alpha = 4.0 / ra ** 2
@@ -95,25 +117,26 @@ def subtractive_cluster_count(points, params: ClusterParams = ClusterParams()) -
     potential = _potentials(x, alpha)
 
     first_potential = potential.max()
-    centers: list[float] = []
-    while len(centers) < _MAX_CENTERS:
+    dist = np.full(x.size, np.inf)  # each point's distance to its nearest centre
+    for count in range(_MAX_CENTERS):
         k = int(np.argmax(potential))
         p_star = potential[k]
-        if not np.isfinite(p_star):
-            break
-        if centers and p_star <= _REJECT_RATIO * first_potential:
-            break
-        accept = not centers or p_star > _ACCEPT_RATIO * first_potential
-        if not accept:
-            d_min = min(abs(x[k] - c) for c in centers)
-            if d_min / ra + p_star / first_potential >= 1.0:
-                accept = True
-            else:
-                potential[k] = -np.inf  # rejected for good: -inf minus a squash stays -inf
-                continue
-        centers.append(float(x[k]))
-        potential = potential - p_star * np.exp(-beta * (x - x[k]) ** 2)
-    return len(centers)
+        if not p_star > _REJECT_RATIO * first_potential:  # -inf: all rejected
+            return count
+        if p_star <= _ACCEPT_RATIO * first_potential:  # the grey zone
+            passes = ((potential > _REJECT_RATIO * first_potential)
+                      & (dist / ra + potential / first_potential >= 1.0))
+            k = int(np.argmax(np.where(passes, potential, -np.inf)))
+            if not passes[k]:
+                return count
+            p_star = potential[k]
+            rejected = potential > p_star
+            rejected[:k] |= potential[:k] == p_star  # ties rank by index
+            potential[rejected] = -np.inf  # -inf minus a squash stays -inf
+        diff = x - x[k]
+        np.minimum(dist, np.abs(diff), out=dist)
+        potential -= p_star * np.exp(-beta * diff ** 2)
+    return _MAX_CENTERS
 
 
 # Per-axis level counts (I, Q) after folding odd-index samples back by -pi/2.

@@ -1,6 +1,7 @@
 """Subtractive clustering and the projection classifier."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,6 +121,119 @@ class TestBlockedPotentials:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def one_candidate_count(points, params=ClusterParams(), events=None):
+    """Reference clustering loop: one argmax per candidate, each grey-zone
+    candidate that fails the distance rule set to -inf on its own. Counts
+    in ``events`` the grey-zone candidates it rejects ("rejected"), those
+    whose potential another live point shares ("tied"), and calls that stop
+    at the centre cap ("capped")."""
+    events = Counter() if events is None else events
+    pts = np.asarray(points, dtype=np.float64).reshape(-1)
+    span = pts.max() - pts.min()
+    if span == 0.0:
+        return 1
+    x = (pts - pts.min()) / span
+    ra = params.neighborhood_radius
+    alpha, beta = 4.0 / ra ** 2, 4.0 / (baseline._SQUASH_FACTOR * ra) ** 2
+    potential = baseline._potentials(x, alpha)
+    first_potential = potential.max()
+    centers = []
+    while len(centers) < baseline._MAX_CENTERS:
+        k = int(np.argmax(potential))
+        p_star = potential[k]
+        if not np.isfinite(p_star):
+            break
+        if centers and p_star <= baseline._REJECT_RATIO * first_potential:
+            break
+        if centers and p_star <= baseline._ACCEPT_RATIO * first_potential:
+            events["tied"] += np.count_nonzero(potential == p_star) > 1
+            d_min = min(abs(x[k] - c) for c in centers)
+            if d_min / ra + p_star / first_potential < 1.0:
+                events["rejected"] += 1
+                potential[k] = -np.inf
+                continue
+        centers.append(float(x[k]))
+        potential = potential - p_star * np.exp(-beta * (x - x[k]) ** 2)
+    events["capped"] += len(centers) == baseline._MAX_CENTERS
+    return len(centers)
+
+
+def reference_corpus():
+    """(points, params) sets that reach the grey zone, exact ties and the cap."""
+    rng = np.random.default_rng(23)
+    sets = [(np.repeat(np.arange(100.0), 5), ClusterParams(0.001))]  # 64-centre cap
+    sets += [(rng.random(int(n)), ClusterParams(radius))  # dense in grey-zone candidates
+             for n, radius in zip(rng.integers(50, 3000, 128), [0.06, 0.1, 0.2, 0.02] * 32)]
+    sets += [(np.repeat(rng.random(int(n)), r), FINE)  # duplicates: exactly tied potentials
+             for n, r in zip(rng.integers(20, 600, 48), [2, 3, 5, 8] * 12)]
+    cells = [(n, snr) for n in (2000, 3000) for snr in (-10.0, -4.0, 2.0, 8.0, 14.0, 20.0, 26.0)]
+    for index, (n, snr) in enumerate(cells):
+        scen = NomaScenario(near_schemes=(ModScheme.QPSK,) * (1 + index % 3),
+                            far_scheme=list(ModScheme)[index % 4], snr_db_near=snr,
+                            symbols_per_frame=n)
+        frame = generate_noma_frame(scen, rng=np.random.default_rng(950 + index))
+        for f in (frame, denoise_frame(frame)):
+            sets += [(f.samples.real, FINE), (f.samples.imag, FINE)]
+    return sets
+
+
+class TestGreyZonePass:
+    def test_counts_match_one_candidate_loop(self):
+        events = Counter()
+        for points, params in reference_corpus():
+            assert (subtractive_cluster_count(points, params)
+                    == one_candidate_count(points, params, events))
+        assert events["rejected"] > 100 and events["tied"] > 0 and events["capped"] > 0
+
+    @pytest.mark.parametrize("order, count", [((0, 1, 2, 3, 4), 3), ((0, 2, 1, 3, 4), 2)],
+                             ids=["a_first", "b_first"])
+    def test_tie_goes_to_lowest_index(self, monkeypatch, order, count):
+        # A and B tie in the grey zone, both far enough from the first centre;
+        # accepting A squashes B away and leaves E, accepting B squashes both
+        x = np.array([0.0, 0.5, 0.505, 0.51, 1.0])[list(order)]  # centre, A, B, E, edge
+        given = np.array([10.0, 4.0, 4.0, 3.5, 0.1])[list(order)]
+        monkeypatch.setattr(baseline, "_potentials", lambda x, alpha: given.copy())
+        params = ClusterParams(0.01)
+        assert subtractive_cluster_count(x, params) == one_candidate_count(x, params) == count
+
+    def test_distance_rule_accepts_its_boundary(self, monkeypatch):
+        # C lies 3 r_a / 4 from the first centre and keeps a quarter of its
+        # potential after the squash: d_min / r_a + potential / first is exactly 1
+        params = ClusterParams(0.0625)
+        beta = 4.0 / (baseline._SQUASH_FACTOR * params.neighborhood_radius) ** 2
+        x = np.array([0.0, 3 / 64, 1.0])
+        squash = 10.0 * np.exp(-beta * x ** 2)  # as an array: numpy's scalar exp may differ
+        given = np.array([10.0, 2.5 + squash[1], 0.1])
+        assert (given - squash)[1] == 2.5
+        monkeypatch.setattr(baseline, "_potentials", lambda x, alpha: given.copy())
+        assert subtractive_cluster_count(x, params) == one_candidate_count(x, params) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_overflowing_float64(self, monkeypatch):
+        seen = []
+        potentials = baseline._potentials
+        monkeypatch.setattr(baseline, "_potentials",
+                            lambda x, alpha: seen.append(x) or potentials(x, alpha))
+        huge = subtractive_cluster_count(np.array([-1e308, 0.0, 1e308]))
+        assert huge == subtractive_cluster_count(np.array([-1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(seen[0], seen[1])
+
+
+class TestKernelSpectrum:
+    @pytest.mark.parametrize("size", [8, 96, 10240, 16384])
+    def test_cached_read_only_and_equal_to_uncached(self, size):
+        spectrum = baseline._kernel_spectrum(size)
+        assert not spectrum.flags.writeable
+        assert baseline._kernel_spectrum(size) is spectrum
+        np.testing.assert_array_equal(spectrum, baseline._kernel_spectrum.__wrapped__(size))
+
+    def test_fft_size_is_smallest_smooth_size(self):
+        smooth = sorted(f << a for f in (1, 3, 5) for a in range(24))
+        for length in [*range(1, 2000), 10137, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 5 << 20]:
+            assert baseline._fft_size(length) == min(s for s in smooth if s >= length)
+        assert baseline._fft_size(8535 + baseline._KERNEL_REACH) == 10240  # r_a = 0.06
 
 
 class TestProjectionClassify:

@@ -27,6 +27,10 @@ Builds, in a temporary directory and from the checkout's own ``src/``:
   - the projection baseline's per-axis cluster counts on 12 fixed-seed
     3000-symbol frames (SNR -10, 0, 10, 20 dB x 1-3 QPSK near users), raw
     and, as the sweep and the benchmark feed them to the baseline, denoised;
+  - the subtractive-clustering counts of fixed-seed point sets that reach
+    Chiu's grey zone, exactly tied potentials and the 64-centre cap:
+    uniform sets at four radii, sets of duplicated points, and the I and Q
+    axes of 2000- and 3000-symbol frames, raw and denoised;
   - the per-step training loss of a fixed-seed default-architecture network
     on the denoised dataset's diagrams, 3 epochs, in float64 and in float32.
 
@@ -182,6 +186,25 @@ def _axis_counts() -> tuple[str, str]:
                  for group in (frames, [denoise_frame(f) for f in frames]))
 
 
+def _cluster_counts() -> str:
+    """sha256 prefix of subtractive_cluster_count over fixed-seed point sets."""
+    rng = np.random.default_rng(29)
+    sets = [(np.repeat(np.arange(100.0), 5), 0.001)]  # more than 64 centres
+    sets += [(rng.random(int(n)), radius)
+             for n, radius in zip(rng.integers(50, 3000, 32), (0.02, 0.06, 0.1, 0.2) * 8)]
+    sets += [(np.repeat(rng.random(int(n)), copies), 0.06)
+             for n, copies in zip(rng.integers(20, 600, 12), (2, 3, 5, 8) * 3)]
+    for index, (snr, n) in enumerate(itertools.product((0.0, 12.0, 25.0), (2000, 3000))):
+        scenario = NomaScenario(near_schemes=(ModScheme.QPSK,) * (1 + index % 3),
+                                far_scheme=datapipe.CLASS_ORDER[index % 4],
+                                snr_db_near=snr, symbols_per_frame=n)
+        frame = generate_noma_frame(scenario, rng=np.random.default_rng(500 + index))
+        for f in (frame, denoise_frame(frame)):
+            sets += [(f.samples.real, 0.06), (f.samples.imag, 0.06)]
+    return _sha(repr([baseline.subtractive_cluster_count(points, baseline.ClusterParams(radius))
+                      for points, radius in sets]).encode())
+
+
 def _loss_curve(dataset: Path, dtype: str, epochs: int = 3, batch: int = 10) -> list:
     """Loss of every Adam step on the dataset's diagrams, in a fixed batch order."""
     samples, _ = datapipe.load_dataset(dataset)
@@ -297,6 +320,7 @@ def main() -> int:
         numbers.append(("sigsim.allocation_frames", _allocation_frames()))
         numbers += zip(("wavelet.denoised", "density.counts"), _denoised())
         numbers += zip(("projection.axis_counts", "baseline.denoised_counts"), _axis_counts())
+        numbers.append(("baseline.cluster_counts", _cluster_counts()))
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     meta.append(("src.lines", str(_src_lines())))
     lines = [NUMBERS_HEADER, *(f"{name} {digest}" for name, digest in numbers),
