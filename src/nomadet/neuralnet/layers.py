@@ -15,10 +15,19 @@ alike, so only the padded input is kept (Cho & Brand, "MEC", 2017). The
 kernel is the GEMM's (k*k*C, O) matrix, so no product copies it. At stride 1
 the input gradient is the transposed convolution of the output gradient
 (Dumoulin & Visin 2016), and a first layer can skip it altogether.
-The memory-bound layers (BatchNorm2D, ReLU, MaxPool2) work in place where
-they can, to keep their full-size temporaries few. BatchNorm2D caches its
-centred input and builds its input gradient in that buffer, so its backward
-uses the cache up.
+
+Buffers are freed at their last use (Chen et al., "Training Deep Nets with
+Sublinear Memory Cost", 2016). Every backward consumes its layer's cache:
+it drops what the training forward kept, so a second backward raises until
+the next training forward, and no activation outlives its step.
+BatchNorm2D and ReLU own the activation they are handed: they overwrite it
+and return it, in training and in eval. BatchNorm2D caches its centred
+input in a buffer of its own and builds its input gradient there. Conv2D,
+MaxPool2, GlobalAvgPool and Dense never write their input, and no backward
+writes its ``grad_out``, which a residual block hands to both its branches.
+So a caller hands each activation to exactly one layer and keeps no other
+reference to it; a network's input that reaches only a Conv2D stays as the
+caller passed it.
 """
 
 from __future__ import annotations
@@ -45,11 +54,13 @@ class Layer:
         self.buffers: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def _need_cache(self):
-        if self._cache is None:
+    def _take_cache(self):
+        """What the last training forward kept, handed over to its one backward."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}.backward called before forward(training=True)")
-        return self._cache
+        return cache
 
     def state_tensors(self):
         yield from self.params.items()
@@ -151,15 +162,15 @@ class Conv2D(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        xwin, (B, C, H, W) = self._need_cache()
+        xwin, (B, C, H, W) = self._take_cache()
         k, s, p = self.kernel, self.stride, self.pad
         O, OH, OW = grad_out.shape[1:]
         w = self.params["w"]
         g_cl = grad_out.transpose(0, 2, 3, 1)
         if self.tap_major:
             g3 = grad_out.reshape(B, O, -1)
-            taps = xwin.transpose(0, 3, 4, 5, 1, 2)
-            parts = (taps[b].reshape(k * k, -1) @ g3[b].T for b in range(B))
+            parts = (xwin[b].transpose(2, 3, 4, 0, 1).reshape(k * k, -1) @ g3[b].T
+                     for b in range(B))
         else:
             g_cl = np.ascontiguousarray(g_cl)
             parts = (xwin[c].reshape(-1, k * k * C).T @ g_cl[c].reshape(-1, O)
@@ -168,6 +179,7 @@ class Conv2D(Layer):
         gw = next(parts)
         for part in parts:
             gw += part
+        del xwin, parts  # the padded input's last use: free it before the input gradient
         self.grads["w"] = gw.reshape(k, k, C, O).transpose(3, 2, 0, 1)
         self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
         if not input_grad:
@@ -203,9 +215,10 @@ class BatchNorm2D(Layer):
 
     A training forward takes the mean, centres the input once into a new
     buffer ``xc``, takes the variance from ``xc`` (two passes, so a mean far
-    larger than the spread does not cancel) and returns ``xc * scale + beta``.
-    It caches ``xc``, which backward then turns in place into the input
-    gradient: one training forward serves one backward. Batch statistics are
+    larger than the spread does not cancel) and writes ``xc * scale + beta``
+    over its input. It caches ``xc``, which backward then turns in place into
+    the input gradient: one training forward serves one backward. An eval
+    forward scales and shifts its input in place. Batch statistics are
     summed in float64 and applied in the input's dtype.
     """
 
@@ -240,20 +253,19 @@ class BatchNorm2D(Layer):
             self.buffers["running_mean"][...] = m * self.buffers["running_mean"] + (1.0 - m) * mu
             self.buffers["running_var"][...] = m * self.buffers["running_var"] + (1.0 - m) * var
             self._cache = (xc, invstd)
-            out = xc * (gamma * invstd.reshape(1, -1, 1, 1)).astype(x.dtype)
+            np.multiply(xc, (gamma * invstd.reshape(1, -1, 1, 1)).astype(x.dtype), out=x)
             shift = beta
         else:
             # one pass: gamma * (x - mean) / std + beta as x * scale + shift
             self._cache = None
             scale = gamma / np.sqrt(self.buffers["running_var"].reshape(1, -1, 1, 1) + self.eps)
             shift = beta - self.buffers["running_mean"].reshape(1, -1, 1, 1) * scale
-            out = x * scale
-        out += shift
-        return out
+            x *= scale
+        x += shift
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xc, invstd = self._need_cache()
-        self._cache = None
+        xc, invstd = self._take_cache()
         n = grad_out.size // self.channels
         dtype = grad_out.dtype
         sum_g = _channel_sums(grad_out)
@@ -272,12 +284,14 @@ class BatchNorm2D(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0), written over its input."""
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x > 0 if training else None
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._need_cache()
+        return grad_out * self._take_cache()
 
 
 class MaxPool2(Layer):
@@ -316,7 +330,7 @@ class MaxPool2(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        masks, (B, C, H, W) = self._need_cache()
+        masks, (B, C, H, W) = self._take_cache()
         # the windows cover every element once, except an odd trailing row or column
         gx = np.empty((B, C, H, W), dtype=grad_out.dtype)
         gx[:, :, H // 2 * 2:] = 0
@@ -332,7 +346,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        B, C, H, W = self._need_cache()
+        B, C, H, W = self._take_cache()
         return np.broadcast_to(
             grad_out[:, :, None, None] / (H * W), (B, C, H, W)).astype(grad_out.dtype)
 
@@ -352,7 +366,7 @@ class Dense(Layer):
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._need_cache()
+        x = self._take_cache()
         self.grads["w"] = x.T @ grad_out
         self.grads["b"] = grad_out.sum(axis=0)
         return grad_out @ self.params["w"].T

@@ -162,6 +162,7 @@ class TestConv2D:
         full = conv.backward(probe)
         grads = {key: value.copy() for key, value in conv.grads.items()}
         assert full.shape == x.shape
+        conv.forward(x, training=True)
         assert conv.backward(probe, input_grad=False) is None
         for key, value in grads.items():
             np.testing.assert_array_equal(conv.grads[key], value)
@@ -313,6 +314,27 @@ class TestChunkedLowering:
         padded = 16 * 27 * 27 * 32 * x.itemsize
         assert kept <= 1.5 * padded
 
+    def test_backward_frees_the_padded_input_before_the_input_gradient(self):
+        """Past the weight gradient the input's windows are dead. The input
+        gradient allocates grad_out channels-last, its padded windows, the
+        channels-last result and its NCHW copy, about 4.2 inputs' worth;
+        freeing the input's padded windows (1.2 inputs) first leaves a peak
+        near 3.1 inputs above the start of backward, not 4.3."""
+        rng = RNG(61)
+        conv = Conv2D(32, 32, 3, rng=rng)
+        x = rng.standard_normal((16, 32, 25, 25)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = conv.forward(x, training=True)
+            probe = rng.standard_normal(out.shape).astype(np.float32)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            conv.backward(probe)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.nbytes
+
 
 class TestKernelLayout:
     """``params["w"]`` is an (O, C, k, k) view of the kernel buffer that the
@@ -401,7 +423,7 @@ class TestBatchNorm:
         bn.buffers["running_var"][...] = rng.uniform(0.2, 3.0, 3)
         stats = {key: value.copy() for key, value in bn.buffers.items()}
         x = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
-        out = bn.forward(x, training=False)
+        out = bn.forward(x.copy(), training=False)
 
         def channels(a):
             return a.astype(np.float64).reshape(1, -1, 1, 1)
@@ -423,11 +445,11 @@ class TestBatchNorm:
     def test_running_stats_warm_start_then_ema(self):
         bn = BatchNorm2D(1, dtype=np.float64)
         x1 = np.full((4, 1, 2, 2), 3.0) + RNG(8).standard_normal((4, 1, 2, 2)) * 0.1
-        bn.forward(x1, training=True)
+        bn.forward(x1.copy(), training=True)
         first_mean = bn.buffers["running_mean"].copy()
         np.testing.assert_allclose(first_mean, x1.mean(), atol=1e-12)
         x2 = np.zeros((4, 1, 2, 2)) + RNG(9).standard_normal((4, 1, 2, 2)) * 0.1
-        bn.forward(x2, training=True)
+        bn.forward(x2.copy(), training=True)
         expected = 0.9 * first_mean + 0.1 * x2.mean()
         np.testing.assert_allclose(bn.buffers["running_mean"], expected, atol=1e-12)
 
@@ -440,7 +462,7 @@ class TestBatchNorm:
         probe = rng.standard_normal((4, 3, 3, 3))
 
         def loss():
-            return float((bn.forward(x, training=True) * probe).sum())
+            return float((bn.forward(x.copy(), training=True) * probe).sum())
 
         loss()
         gx = bn.backward(probe)
@@ -462,7 +484,7 @@ class TestBatchNorm:
         rng = RNG(31)
         x = (1000.0 + rng.standard_normal((8, 4, 50, 50))).astype(np.float32)
         bn = BatchNorm2D(4)
-        bn.forward(x, training=True)
+        bn.forward(x.copy(), training=True)
         x64 = x.astype(np.float64)
         mean = x64.mean(axis=(0, 2, 3), keepdims=True)
         var = np.square(x64 - mean).mean(axis=(0, 2, 3))
@@ -502,7 +524,7 @@ class TestBatchNorm:
             offset = rng.uniform(-3.0, 3.0, (1, C, 1, 1))
             x = (offset + rng.uniform(0.5, 2.0) * rng.standard_normal((32, C, H, W))
                  ).astype(np.float32)
-            out = b32.forward(x, training=True)
+            out = b32.forward(x.copy(), training=True)
             ref = b64.forward(x.astype(np.float64), training=True)
             assert out.dtype == np.float32 and close(out, ref), name
             x64 = x.astype(np.float64)
@@ -574,7 +596,7 @@ class TestSimpleLayers:
         probe = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
         results = []
         for order in ((ReLU(), MaxPool2()), (MaxPool2(), ReLU())):
-            out = x
+            out = x.copy()
             for layer in order:
                 out = layer.forward(out, training=True)
             g = probe
@@ -756,6 +778,17 @@ def every_layer(model: ModulationNet):
             yield name, stage
 
 
+EVERY_LAYER_TYPE = [
+    (Conv2D(2, 2, 3, rng=RNG(0), dtype=np.float64), (2, 2, 5, 5)),
+    (BatchNorm2D(2, dtype=np.float64), (2, 2, 5, 5)),
+    (ReLU(), (2, 2, 4, 4)),
+    (MaxPool2(), (2, 2, 4, 4)),
+    (GlobalAvgPool(), (2, 2, 4, 4)),
+    (Dense(5, 3, rng=RNG(0), dtype=np.float64), (2, 5)),
+]
+EVERY_LAYER_TYPE_IDS = [type(layer).__name__ for layer, _ in EVERY_LAYER_TYPE]
+
+
 class TestModel:
     def test_default_shape_contract(self):
         shapes = dict(stage_shapes(ModulationNet(DEFAULT_ARCH, seed=0)))
@@ -833,20 +866,98 @@ class TestModel:
         model.predict(x)
         assert [name for name, layer in every_layer(model) if layer._cache is not None] == []
 
-    @pytest.mark.parametrize("layer, shape", [
-        (Conv2D(2, 2, 3, rng=RNG(0), dtype=np.float64), (2, 2, 5, 5)),
-        (BatchNorm2D(2, dtype=np.float64), (2, 2, 5, 5)),
-        (ReLU(), (2, 2, 4, 4)),
-        (MaxPool2(), (2, 2, 4, 4)),
-        (GlobalAvgPool(), (2, 2, 4, 4)),
-        (Dense(5, 3, rng=RNG(0), dtype=np.float64), (2, 5)),
-    ], ids=["Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense"])
+    @pytest.mark.parametrize("layer, shape", EVERY_LAYER_TYPE, ids=EVERY_LAYER_TYPE_IDS)
     def test_backward_after_eval_forward_raises(self, layer, shape):
         x = RNG(28).standard_normal(shape)
         layer.forward(x, training=True)
         out = layer.forward(x)
         with pytest.raises(RuntimeError, match=r"forward\(training=True\)"):
             layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("layer, shape", EVERY_LAYER_TYPE, ids=EVERY_LAYER_TYPE_IDS)
+    def test_second_backward_after_one_training_forward_raises(self, layer, shape):
+        """Every backward drops what its training forward kept."""
+        out = layer.forward(RNG(29).standard_normal(shape), training=True)
+        layer.backward(np.ones_like(out))
+        with pytest.raises(RuntimeError, match=r"forward\(training=True\)"):
+            layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("layer", [BatchNorm2D(2, dtype=np.float64), ReLU()],
+                             ids=["BatchNorm2D", "ReLU"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_batchnorm_and_relu_write_over_their_input(self, layer, training):
+        x = RNG(30).standard_normal((2, 2, 4, 4))
+        assert np.shares_memory(layer.forward(x, training), x)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_forward_leaves_the_callers_input_unchanged(self, training):
+        """The input reaches only the stem conv, which copies it; the layers
+        that write over their input get the network's own activations."""
+        model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=6)
+        x = RNG(35).standard_normal((3, 1, 24, 24)).astype(np.float32)
+        seen = x.tobytes()
+        model.forward(x, training)
+        assert x.tobytes() == seen
+
+    def test_predict_in_blocks_matches_one_forward(self):
+        """A block of one row takes Dense's GEMV path and may differ in the
+        last bits, so labels must agree exactly and probabilities closely."""
+        model = ModulationNet(replace(DEFAULT_ARCH, input_size=32), seed=7)
+        x = RNG(36).random((20, 1, 32, 32)).astype(np.float32)
+        for n in range(1, 21):
+            want = softmax(model.forward(x[:n]))
+            got = model.predict(x[:n])
+            np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1), err_msg=n)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=n)
+
+    @pytest.mark.parametrize("rows, batch_size, error", [
+        (3, 0, "batch_size must be at least 1, got 0"),
+        (3, -2, "batch_size must be at least 1, got -2"),
+        (0, 8, None),
+        (0, 1, None),
+    ])
+    def test_predict_and_classify_edge_cases(self, rows, batch_size, error):
+        model = ModulationNet(TINY_ARCH, seed=0)
+        n = TINY_ARCH.input_size
+        x = np.zeros((rows, 1, n, n), dtype=np.float32)
+        if error:
+            for call in (model.predict, model.classify):
+                with pytest.raises(ValueError, match=error):
+                    call(x, batch_size)
+            return
+        assert model.predict(x, batch_size).shape == (0, NUM_CLASSES)
+        assert model.classify(x, batch_size).shape == (0,)
+
+    def test_training_step_keeps_only_the_gradients(self):
+        """After backward, no activation, window or mask of the step is alive:
+        what remains is the 2.77 MB of float32 parameter gradients."""
+        model = ModulationNet(DEFAULT_ARCH, seed=0)
+        x = RNG(37).random((32, 1, 100, 100)).astype(np.float32)
+        targets = np.eye(NUM_CLASSES, dtype=np.float32)[RNG(38).integers(0, NUM_CLASSES, 32)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, grad = softmax_cross_entropy(model.forward(x, training=True), targets)
+            model.backward(grad)
+            del grad
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 8e6
+
+    def test_predict_memory_does_not_grow_with_the_rows(self):
+        """64 rows at n = 100 run as blocks of 8; one block of 64 would hold a
+        41 MB stem output."""
+        model = ModulationNet(DEFAULT_ARCH, seed=0)
+        x = RNG(39).random((64, 1, 100, 100)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_parameter_count_pinned(self):
         model = ModulationNet(DEFAULT_ARCH, seed=0)
