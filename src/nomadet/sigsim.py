@@ -101,7 +101,8 @@ class SignalFrame:
     """A frame of complex baseband samples, one sample per transmitted symbol.
 
     ``noise_scale`` is the realised post-equalization noise standard deviation
-    (complex, total over both axes) so downstream denoising can use it.
+    (complex, total over both axes), which denoising requires. Only
+    ``modulate`` and ``superpose`` leave it None.
     """
 
     samples: np.ndarray

@@ -8,6 +8,18 @@ zero padded and trimmed back after reconstruction.
 Denoising splits a complex frame into real and imaginary parts, soft
 thresholds the detail coefficients per level with the heursure rule and
 reconstructs from the untouched approximation plus the shrunk details.
+
+At one sample per symbol, without pulse shaping, the clean samples are
+white. With a QPSK near user and a QPSK, QAM16 or QAM64 far user, a
+noise-free 2**14-symbol frame puts each axis's energy in the sym8 level-2
+approximation, coarse and fine details within 0.02 of white noise's
+0.25 / 0.25 / 0.5; a pi/2-BPSK far user, which fills each axis on alternate
+symbols, puts about 0.59 of the real part's in the finest band and 0.41 of
+the imaginary part's. SURE shrinkage assumes a signal sparse in the wavelet
+basis (Donoho & Johnstone, JASA 1995), so here it cannot separate signal
+from noise and only shrinks both; nor can the finest details estimate the
+noise scale, so every frame must carry its ``noise_scale``.
+
 ``denoise_frames`` takes equal-length frames as one (2*B, n) matrix, one row
 per real or imaginary part, in chunks of about ``_CHUNK_BYTES`` of rows so
 that each chunk's steps run from cache. ``denoise_frame`` is its one-frame
@@ -43,10 +55,7 @@ __all__ = [
     "dwt_multilevel",
     "idwt_multilevel",
     "soft_threshold",
-    "sure_threshold",
     "universal_threshold",
-    "heursure_threshold",
-    "estimate_sigma",
     "denoise_frame",
     "denoise_frames",
     "SYM8_DEC_LO",
@@ -63,8 +72,6 @@ SYM8_DEC_LO = np.array([
     0.0038087520138906151, -0.014952258337048231, -0.00030292051472413308,
     0.0018899503327594609,
 ])
-
-_MAD_TO_SIGMA = 0.6745  # median(|N(0,1)|)
 
 
 def _validate_filter(h: np.ndarray, tol: float = 1e-10) -> None:
@@ -312,58 +319,30 @@ def _heursure_rows(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return t
 
 
-def sure_threshold(d, sigma: float) -> float:
-    """Threshold minimising Stein's unbiased risk estimate for noise ``sigma``."""
-    d = np.asarray(d, dtype=np.float64).reshape(-1)
-    if d.size < 2:
-        raise ValueError("need at least 2 coefficients")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float(_sure_rows(d[None], np.array([sigma], dtype=np.float64))[0])
-
-
-def heursure_threshold(d, sigma: float) -> float:
-    """Heuristic SURE threshold.
-
-    Falls back to the universal threshold when the detail energy looks like
-    pure noise (sparse signal); otherwise takes the smaller of the SURE and
-    universal thresholds. Returns 0 for an all-zero input.
-    """
-    d = np.asarray(d, dtype=np.float64).reshape(-1)
-    if d.size < 2:
-        raise ValueError("need at least 2 coefficients")
-    if np.any(d) and sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float(_heursure_rows(d[None], np.array([sigma], dtype=np.float64))[0])
-
-
-def estimate_sigma(detail) -> float:
-    """Noise scale from the median absolute deviation of detail coefficients."""
-    detail = np.asarray(detail, dtype=np.float64)
-    return float(np.median(np.abs(detail)) / _MAD_TO_SIGMA)
-
-
 def denoise_frames(frames, spec: WaveletSpec | None = None) -> list:
     """Wavelet denoise equal-length complex frames, real and imaginary parts
     separately; returns one denoised frame per input frame, in order.
 
-    When a frame records its complex noise standard deviation
-    ``noise_scale`` (the simulation does), each axis uses noise_scale/sqrt(2).
-    Without it the scale is estimated per axis from the finest detail
-    coefficients via median(|d|)/0.6745. The same scale is reused for every
-    level; approximation coefficients pass through unchanged. A frame of at
-    most 2**level samples leaves one coarsest detail coefficient, too few to
-    threshold, and is rejected up front with the level and the frame length.
+    Each axis thresholds every level for the frame's complex noise standard
+    deviation ``noise_scale`` over sqrt(2); a noise-free frame's 0 leaves it
+    unshrunk. Approximation coefficients pass through unchanged. Every frame
+    is checked before any is transformed: one whose ``noise_scale`` is None,
+    negative or not finite is refused, and so is a length of at most
+    2**level samples, which leaves one coarsest detail coefficient.
     """
     spec = spec or WaveletSpec()
     frames = list(frames)
     if not frames:
         raise ValueError("no frames to denoise")
     n = frames[0].samples.size
-    for frame in frames:
+    for index, frame in enumerate(frames):
         if frame.samples.size != n:
             raise ValueError(f"frames to denoise together must share one length, "
                              f"got {n} and {frame.samples.size} samples")
+        scale = frame.noise_scale
+        if scale is None or not 0 <= scale < np.inf:
+            raise ValueError(f"frame {index} has noise_scale {scale}; denoising needs "
+                             f"a finite, nonnegative noise_scale")
     if n <= 1 << spec.level:
         raise ValueError(
             f"level {spec.level} leaves one coarsest detail coefficient for a "
@@ -384,12 +363,7 @@ def _denoise_chunk(frames: list, level: int, padded: int) -> list:
         parts[b, 0, :n] = frame.samples.real
         parts[b, 1, :n] = frame.samples.imag
     approx, details = _decompose(parts.reshape(-1, padded), level)
-    sigma = np.empty(2 * len(frames))
-    for b, frame in enumerate(frames):
-        if frame.noise_scale is None:
-            sigma[2 * b:2 * b + 2] = [estimate_sigma(d) for d in details[0][2 * b:2 * b + 2]]
-        else:
-            sigma[2 * b:2 * b + 2] = frame.noise_scale / np.sqrt(2.0)
+    sigma = np.repeat([f.noise_scale for f in frames], 2) / np.sqrt(2.0)
     shrunk = [soft_threshold(d, _heursure_rows(d, sigma)[:, None]) for d in reversed(details)]
     rows = _reconstruct(approx, shrunk).reshape(len(frames), 2, padded)
     samples = rows[:, 0, :n] + 1j * rows[:, 1, :n]

@@ -26,9 +26,8 @@ from hypothesis import given, settings, strategies as st
 from nomadet import wavelet
 from nomadet.sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
 from nomadet.wavelet import (SYM8_DEC_LO, _SYM8_DEC_HI, WaveletCoeffs, WaveletSpec,
-                             denoise_frame, dwt_multilevel, estimate_sigma,
-                             heursure_threshold, idwt_multilevel, soft_threshold,
-                             sure_threshold, universal_threshold)
+                             _heursure_rows, _sure_rows, denoise_frame, dwt_multilevel,
+                             idwt_multilevel, soft_threshold, universal_threshold)
 from conftest import clean_noma_pair
 
 
@@ -201,14 +200,11 @@ def add_at_heursure(d, sigma):
 
 def add_at_denoise(frame, spec):
     """Reference denoiser: each axis on its own through the reference
-    cascades, with the scale the frame records or the MAD estimate."""
-    axis_sigma = None if frame.noise_scale is None else frame.noise_scale / np.sqrt(2.0)
+    cascades, with the scale the frame records."""
+    sigma = frame.noise_scale / np.sqrt(2.0)
     parts = []
     for x in (frame.samples.real, frame.samples.imag):
         approx, details = add_at_analysis(x, spec.level)
-        sigma = axis_sigma
-        if sigma is None:
-            sigma = float(np.median(np.abs(details[-1])) / 0.6745)
         thresholds = [0.0 if sigma <= 0 else add_at_heursure(d, sigma) for d in details]
         shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
                   for d, t in zip(details, thresholds)]
@@ -387,9 +383,8 @@ class TestCachedTablesAreBitIdentical:
         scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr_db,
                                 symbols_per_frame=3000)
         frame = generate_noma_frame(scenario, rng=np.random.default_rng(int(snr_db) + 50))
-        bare = SignalFrame(frame.samples)  # no noise_scale: the MAD estimate path
-        for f in (frame, bare):
-            assert denoise_frame(f).samples.tobytes() == add_at_denoise(f, WaveletSpec()).tobytes()
+        assert (denoise_frame(frame).samples.tobytes()
+                == add_at_denoise(frame, WaveletSpec()).tobytes())
 
     def test_signed_zeros_match_add_at(self):
         for j in self.SIGNED_ZERO_OUTPUTS:
@@ -405,21 +400,24 @@ class TestCachedTablesAreBitIdentical:
             table[0, 0] = 1
 
 
+def noma_batch(n, chunks):
+    """Fixed-seed n-symbol frames at -10/10/30 dB and without noise, in turn:
+    one more than ``chunks`` chunks of ``denoise_frames`` hold."""
+    kinds = [NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr,
+                          symbols_per_frame=n) for snr in (-10.0, 10.0, 30.0, np.inf)]
+    chunk = wavelet._CHUNK_BYTES // (2 * 8 * n)
+    return [generate_noma_frame(kinds[i % 4], rng=np.random.default_rng(i))
+            for i in range(int(chunk * chunks) + 1)]
+
+
 class TestDenoiseFrames:
     @pytest.mark.parametrize("level", [1, 2, 4])
     @pytest.mark.parametrize("n", [1999, 2000, 3000])
     def test_mixed_batch_matches_add_at_frame_by_frame(self, monkeypatch, n, level):
-        # SNRs -10/10/30 dB, a frame without noise_scale and a noise-free one,
-        # cycled until the batch fills more than one chunk plus a remainder
+        # SNRs -10/10/30 dB and a noise-free frame, cycled until the batch
+        # fills more than one chunk plus a remainder
         spec = WaveletSpec(level=level)
-        kinds = [NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr,
-                              symbols_per_frame=n) for snr in (-10.0, 10.0, 30.0, np.inf)]
-        chunk = wavelet._CHUNK_BYTES // (2 * 8 * n)
-        frames = []
-        for i in range(chunk + chunk // 2 + 1):
-            frame = generate_noma_frame(kinds[i % 4], rng=np.random.default_rng(i))
-            frames.append(SignalFrame(frame.samples) if i % 5 == 4 else frame)
-        assert any(f.noise_scale is None for f in frames)
+        frames = noma_batch(n, 1.5)
         assert any(f.noise_scale == 0.0 for f in frames)
         sizes = []
         chunked = wavelet._denoise_chunk
@@ -437,14 +435,29 @@ class TestDenoiseFrames:
             wavelet.denoise_frames([])
 
     def test_unequal_lengths_are_named(self):
-        frames = [SignalFrame(np.ones(300, dtype=complex)), SignalFrame(np.ones(301, dtype=complex))]
+        frames = [SignalFrame(np.ones(n, dtype=complex), noise_scale=0.5) for n in (300, 301)]
         with pytest.raises(ValueError, match="300 and 301"):
             wavelet.denoise_frames(frames)
 
     def test_too_short_frames_keep_the_message(self):
         with pytest.raises(ValueError, match="level 4 .* 16-sample frame"):
-            wavelet.denoise_frames([SignalFrame(np.ones(16, dtype=complex))] * 3,
+            wavelet.denoise_frames([SignalFrame(np.ones(16, dtype=complex), noise_scale=0.5)] * 3,
                                    WaveletSpec(level=4))
+
+    @pytest.mark.parametrize("scale", [None, np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_noise_scale_is_refused(self, scale):
+        # NaN would turn every sample into NaN, a negative scale would leave
+        # the frame unshrunk
+        frame = SignalFrame(np.ones(512, dtype=complex), noise_scale=scale)
+        with pytest.raises(ValueError, match="frame 0 has noise_scale"):
+            denoise_frame(frame)
+
+    def test_bad_last_frame_is_refused_before_any_chunk(self, monkeypatch):
+        frames = noma_batch(2000, 2.5)
+        frames[-1] = SignalFrame(frames[-1].samples, noise_scale=np.nan)
+        monkeypatch.setattr(wavelet, "_denoise_chunk", lambda *args: pytest.fail("transformed"))
+        with pytest.raises(ValueError, match=f"frame {len(frames) - 1} has noise_scale"):
+            wavelet.denoise_frames(frames)
 
 
 # -------------------------------------------------------------- thresholds --
@@ -480,12 +493,12 @@ class TestHeursure:
     def test_bounded_by_universal_on_dense_gaussian(self):
         rng = np.random.default_rng(5)
         d = rng.standard_normal(1024)
-        t = heursure_threshold(d, 1.0)
+        t = _heursure_rows(d[None], np.ones(1))[0]
         assert t <= np.sqrt(2 * np.log(1024)) + 1e-12
         assert np.sqrt(2 * np.log(1024)) == pytest.approx(3.723, abs=1e-3)
 
     def test_all_zero_details_give_zero(self):
-        assert heursure_threshold(np.zeros(128), 1.0) == 0.0
+        assert _heursure_rows(np.zeros((1, 128)), np.ones(1))[0] == 0.0
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(29)
@@ -495,7 +508,7 @@ class TestHeursure:
                 spikes = rng.standard_normal(n) * (rng.random(n) < 0.08) * 9.0
                 d = scale * (noise + spikes)
                 for sigma in (scale, 0.5 * scale):
-                    mine = heursure_threshold(d, sigma)
+                    mine = _heursure_rows(d[None], np.array([sigma]))[0]
                     ref = heursure_reference(d, sigma)
                     assert mine == pytest.approx(ref, abs=1e-6), (n, scale, sigma)
 
@@ -503,29 +516,13 @@ class TestHeursure:
         rng = np.random.default_rng(31)
         d = rng.standard_normal(1000) * 5.0
         sigma = 0.2
-        t = heursure_threshold(d, sigma)
+        t = _heursure_rows(d[None], np.array([sigma]))[0]
         assert t < universal_threshold(d.size, sigma)
-
-    def test_sigma_must_be_positive_for_nonzero_details(self):
-        with pytest.raises(ValueError):
-            heursure_threshold(np.ones(16), 0.0)
 
     def test_sure_threshold_on_pure_noise_is_aggressive(self):
         rng = np.random.default_rng(37)
         d = rng.standard_normal(2048)
-        assert sure_threshold(d, 1.0) > 2.0
-
-
-class TestSigmaEstimate:
-    def test_unit_gaussian_recovered(self):
-        rng = np.random.default_rng(41)
-        d = rng.standard_normal(4096)
-        assert estimate_sigma(d) == pytest.approx(1.0, rel=0.10)
-
-    def test_scales_linearly(self):
-        rng = np.random.default_rng(43)
-        d = rng.standard_normal(4096)
-        assert estimate_sigma(3.0 * d) == pytest.approx(3.0 * estimate_sigma(d), rel=1e-12)
+        assert _sure_rows(d[None], np.ones(1))[0] > 2.0
 
 
 # ----------------------------------------------------------------- denoise --
@@ -537,13 +534,14 @@ class TestDenoiseFrame:
         with pytest.raises(ValueError, match="level 4 .* 16-sample frame"):
             denoise_frame(SignalFrame(noisy[:16], noise_scale=0.8), WaveletSpec(level=4))
         with pytest.raises(ValueError, match="level 3 .* 8-sample frame"):
-            denoise_frame(SignalFrame(np.zeros(8, dtype=complex)), WaveletSpec(level=3))
+            denoise_frame(SignalFrame(np.zeros(8, dtype=complex), noise_scale=0.8),
+                          WaveletSpec(level=3))
         # 17 samples pad to 32, which leaves the 2 coarsest coefficients needed
         out = denoise_frame(SignalFrame(noisy, noise_scale=0.8), WaveletSpec(level=4))
         assert out.samples.shape == (17,)
 
     def test_zero_frame_stays_zero(self):
-        frame = SignalFrame(np.zeros(256, dtype=complex))
+        frame = SignalFrame(np.zeros(256, dtype=complex), noise_scale=0.8)
         out = denoise_frame(frame)
         assert not np.any(out.samples)
 
@@ -593,10 +591,21 @@ class TestDenoiseFrame:
         flipped = denoise_frame(replace(noisy, samples=-noisy.samples))
         np.testing.assert_allclose(flipped.samples, -out.samples, atol=1e-12)
 
-    def test_mad_fallback_used_without_noise_metadata(self):
-        rng = np.random.default_rng(6)
-        bare = SignalFrame(rng.standard_normal(512) + 1j * rng.standard_normal(512))
-        assert bare.noise_scale is None
-        out = denoise_frame(bare)
-        # pure noise: most of the energy must be removed
-        assert np.linalg.norm(out.samples) < 0.7 * np.linalg.norm(bare.samples)
+    @pytest.mark.parametrize("far", list(ModScheme))
+    def test_clean_frames_fill_the_subbands_like_white_noise(self, far):
+        # the module docstring's claim: the shares of a noise-free frame's
+        # energy in the level-2 approximation, coarse and fine details
+        scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), far_scheme=far,
+                                snr_db_near=np.inf, fading="none", symbols_per_frame=1 << 14)
+        frame = generate_noma_frame(scenario, rng=np.random.default_rng(0))
+        shares = []
+        for x in (frame.samples.real, frame.samples.imag):
+            coeffs = dwt_multilevel(x, WaveletSpec())
+            energy = [c @ c for c in (coeffs.approx, *coeffs.details)]
+            shares.append(np.array(energy) / sum(energy))
+        if far is ModScheme.PI_HALF_BPSK:
+            # each axis is filled on alternate symbols only
+            assert shares[0][2] > 0.55
+        else:
+            for share in shares:
+                np.testing.assert_allclose(share, [0.25, 0.25, 0.5], atol=0.03)
