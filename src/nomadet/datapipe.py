@@ -1,11 +1,19 @@
 """Dataset generation, stratified splitting, and the on-disk container.
 
 Every sample is produced from a seed derived from (master seed, class,
-index), so any sample can be regenerated in isolation. The container format
-("NMD1") is a ``fileio`` frame whose body is, little-endian: sample count
-u32 | grid size N u16 | sha256 of the JSON manifest sidecar, which describes
-the scenario (``NomaScenario(**manifest["scenario"])`` rebuilds it) | the
-records as one packed block of label u8, SNR f32, seed u64, N x N f32 grid.
+index), so any sample can be regenerated in isolation. A class is simulated
+in chunks of about ``_CHUNK_BYTES`` of complex samples (16 frames of 2000
+symbols, 10 of 3000), each by one ``generate_noma_frames`` call, denoised by
+one ``denoise_frames`` call and binned by one ``density_grids`` call, so the
+working memory does not grow with samples_per_class. Each frame draws from
+its own generator in the one-frame order, so its bytes do not depend on its
+chunk.
+
+The container format ("NMD1") is a ``fileio`` frame whose body is,
+little-endian: sample count u32 | grid size N u16 | sha256 of the JSON
+manifest sidecar, which describes the scenario
+(``NomaScenario(**manifest["scenario"])`` rebuilds it) | the records as one
+packed block of label u8, SNR f32, seed u64, N x N f32 grid.
 """
 
 from __future__ import annotations
@@ -17,18 +25,20 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .density import DensityDiagram, density_diagram
+from .density import DensityDiagram, density_grids
 from .errors import DataFormatError
 from .fileio import atomic_write, read_exact, read_fields, read_frame, write_frame
-from .sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
-from .wavelet import denoise_frames
-# not called here: kept as an attribute so that tracing wrappers installed on
-# this module (perfbench/spans.py) find it by the same name
+from .sigsim import ModScheme, NomaScenario, generate_noma_frames
+from .wavelet import _CHUNK_BYTES, denoise_frames
+# not called here: kept as attributes so that tracing wrappers installed on
+# this module (perfbench/spans.py) find them by the same names
+from .density import density_diagram  # noqa: F401
+from .sigsim import generate_noma_frame  # noqa: F401
 from .wavelet import denoise_frame  # noqa: F401
 
 __all__ = [
     "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
-    "scenario_frames", "frame_sample", "generate_dataset", "split_dataset",
+    "scenario_frames", "frame_samples", "generate_dataset", "split_dataset",
     "MIN_SPLIT_SAMPLES", "save_dataset", "load_dataset",
 ]
 
@@ -70,43 +80,46 @@ def derive_seed(master: int, *parts: int) -> int:
 
 
 def scenario_frames(scenario: NomaScenario):
-    """Yield (label, seeds, received frames) for each far class in
-    CLASS_ORDER: its samples_per_class frames, in dataset order.
+    """Yield (label, seeds, received frames) for each chunk of each far class
+    in CLASS_ORDER, in dataset order: a class's samples_per_class frames in
+    chunks of about ``_CHUNK_BYTES`` of complex samples, each simulated by
+    one ``generate_noma_frames`` call.
 
     Per-sample seeds come from derive_seed(scenario.seed, class, index).
     """
+    step = max(1, _CHUNK_BYTES // (16 * scenario.symbols_per_frame))
     for label in range(len(CLASS_ORDER)):
         scen = replace(scenario, far_scheme=CLASS_ORDER[label])
-        seeds = [derive_seed(scenario.seed, label, index)
-                 for index in range(scenario.samples_per_class)]
-        yield label, seeds, [generate_noma_frame(scen, rng=np.random.default_rng(seed))
-                             for seed in seeds]
+        for start in range(0, scenario.samples_per_class, step):
+            seeds = [derive_seed(scenario.seed, label, index) for index in
+                     range(start, min(start + step, scenario.samples_per_class))]
+            yield label, seeds, generate_noma_frames(
+                scen, [np.random.default_rng(seed) for seed in seeds])
 
 
-def frame_sample(scenario: NomaScenario, label: int, seed: int,
-                 frame: SignalFrame) -> LabeledSample:
-    """The labelled density diagram of one (possibly denoised) frame."""
-    diagram = density_diagram(frame, scenario.grid_size)
-    return LabeledSample(diagram=diagram, label=label, seed=seed,
-                         snr_db=scenario.snr_db_near)
+def frame_samples(scenario: NomaScenario, label: int, seeds, frames) -> list:
+    """The labelled density diagrams of equal-length (possibly denoised)
+    frames, binned together by ``density_grids``."""
+    grids = density_grids(np.stack([frame.samples for frame in frames]), scenario.grid_size)
+    return [LabeledSample(diagram=DensityDiagram(grid), label=label, seed=seed,
+                          snr_db=scenario.snr_db_near) for seed, grid in zip(seeds, grids)]
 
 
 def generate_dataset(scenario: NomaScenario, denoise: bool = True,
                      keep_frames: bool = False):
     """samples_per_class labelled samples for each of the four far classes.
 
-    Each class's frames are denoised by one ``denoise_frames`` call, which
-    gives every frame the bytes that ``denoise_frame`` alone would. Returns
-    the list of samples, plus the matching (denoised) frames when
-    ``keep_frames`` is set.
+    Each chunk of ``scenario_frames`` is denoised by one ``denoise_frames``
+    call, which gives every frame the bytes that ``denoise_frame`` alone
+    would, and binned by one ``frame_samples`` call. Returns the list of
+    samples, plus the matching (denoised) frames when ``keep_frames`` is set.
     """
     samples = []
     frames = []
     for label, seeds, received in scenario_frames(scenario):
         if denoise:
             received = denoise_frames(received)
-        samples += [frame_sample(scenario, label, seed, frame)
-                    for seed, frame in zip(seeds, received)]
+        samples += frame_samples(scenario, label, seeds, received)
         if keep_frames:
             frames += received
     return (samples, frames) if keep_frames else samples

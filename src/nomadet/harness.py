@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import projection_classify
-from .datapipe import (derive_seed, frame_sample, scenario_frames,
+from .datapipe import (derive_seed, frame_samples, scenario_frames,
                        split_dataset, CLASS_ORDER, MIN_SPLIT_SAMPLES)
 from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
@@ -199,9 +199,9 @@ class _CellData:
     """Everything one (factor, SNR) cell needs, each frame simulated once.
 
     ``raw`` and ``denoised`` hold the cell's samples in dataset order, and
-    ``frames[i]`` is the denoised frame behind ``denoised[i]``. Each class's
-    frames are denoised by one ``denoise_frames`` call, as in
-    ``generate_dataset``.
+    ``frames[i]`` is the denoised frame behind ``denoised[i]``. Each chunk of
+    frames is denoised by one ``denoise_frames`` call and binned by
+    ``frame_samples``, raw and denoised, as in ``generate_dataset``.
     """
 
     def __init__(self, scenario: NomaScenario):
@@ -211,9 +211,8 @@ class _CellData:
         self.frames: list = []
         for label, seeds, received in scenario_frames(scenario):
             denoised = denoise_frames(received)
-            for seed, frame, den in zip(seeds, received, denoised):
-                self.raw.append(frame_sample(scenario, label, seed, frame))
-                self.denoised.append(frame_sample(scenario, label, seed, den))
+            self.raw += frame_samples(scenario, label, seeds, received)
+            self.denoised += frame_samples(scenario, label, seeds, denoised)
             self.frames += denoised
         self.split = split_dataset(self.denoised, seed=derive_seed(scenario.seed, 1))
 

@@ -187,17 +187,21 @@ class Conv2D(Layer):
         if s == 1:
             flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, C)
             win = _windows(g_cl, k, 1, k - 1 - p)
+            del g_cl  # the windows read their own padded copy
             gx = np.empty((B, H, W, C), dtype=grad_out.dtype)
             for c in _chunks(win):
                 np.matmul(win[c].reshape(-1, k * k * O), flipped, out=gx[c].reshape(-1, C))
+            del win  # free the padded copy before the NCHW copy
             return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
         # (B, OH, OW, k, k, C): patch gradients, added back tap by tap
         gpatch = (g_cl.reshape(-1, O) @ w.transpose(0, 2, 3, 1).reshape(O, -1)
                   ).reshape(B, OH, OW, k, k, C)
+        del g_cl
         gx = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=grad_out.dtype)
         for i in range(k):
             for j in range(k):
                 gx[:, i:i + s * OH:s, j:j + s * OW:s] += gpatch[:, :, :, i, j]
+        del gpatch  # free it before the NCHW copy
         return np.ascontiguousarray(gx[:, p:p + H, p:p + W].transpose(0, 3, 1, 2))
 
 

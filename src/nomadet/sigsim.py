@@ -15,6 +15,15 @@ levels and the symbol is ``(I + 1j*Q) / normaliser``; pi/2-BPSK is listed
 unrotated (I = 1, -1; Q = 0) and its odd symbols are turned by pi/2. Bits
 per symbol, ``axis_levels`` and the projection baseline's per-axis
 signatures derive from the table.
+
+``generate_noma_frames`` simulates a chunk of frames, one generator each.
+Frame b draws from its own generator, in this order: each user's bits, near
+users first and the far user last, then its fading coefficient, then its
+noise. Modulation, superposition, fading, noise scaling and equalisation
+then run once over the (B, n) matrix. ``generate_noma_frame`` is its one-row
+case, and ``modulate``, ``superpose`` and ``apply_channel`` run the same row
+arithmetic on one frame, so replaying a seed's draws through them rebuilds
+its frame byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ __all__ = [
     "superpose",
     "apply_channel",
     "generate_noma_frame",
+    "generate_noma_frames",
     "resolve_allocation",
 ]
 
@@ -164,16 +174,22 @@ def modulate(bits, scheme: ModScheme) -> SignalFrame:
             f"bit count {bits.size} is not a positive multiple of {bps} "
             f"required by {scheme.name}"
         )
+    return SignalFrame(_symbols(bits[None], scheme)[0])
+
+
+def _symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
+    """(B, n) symbols of the (B, n * bits-per-symbol) 0/1 uint8 bit rows."""
+    bps = scheme.bits_per_symbol
     # each group's integer value, its first bit most significant
-    groups = bits.reshape(-1, bps)
-    index = groups[:, 0].copy()
+    groups = bits.reshape(len(bits), -1, bps)
+    index = groups[:, :, 0].copy()
     for b in range(1, bps):
         index <<= 1
-        index |= groups[:, b]
-    symbols = _POINTS[scheme][index]
+        index |= groups[:, :, b]
+    symbols = np.take(_POINTS[scheme], index)
     if scheme is ModScheme.PI_HALF_BPSK:
-        symbols[1::2] *= 1j
-    return SignalFrame(symbols)
+        symbols[:, 1::2] *= 1j
+    return symbols
 
 
 def superpose(streams, ratios: np.ndarray) -> SignalFrame:
@@ -184,10 +200,15 @@ def superpose(streams, ratios: np.ndarray) -> SignalFrame:
     if len(lengths) != 1:
         a, b = sorted(lengths)[:2]
         raise ValueError(f"stream lengths differ: {a} vs {b}")
-    out = np.zeros(lengths.pop(), dtype=np.complex128)
+    return SignalFrame(_superposed([s.samples for s in streams], ratios))
+
+
+def _superposed(streams: list, ratios: np.ndarray) -> np.ndarray:
+    """The sum of equal-shape symbol arrays, each weighted by sqrt(ratio)."""
+    out = np.zeros(streams[0].shape, dtype=np.complex128)
     for stream, ratio in zip(streams, ratios):
-        out += np.sqrt(ratio) * stream.samples
-    return SignalFrame(out)
+        out += np.sqrt(ratio) * stream
+    return out
 
 
 def apply_channel(frame: SignalFrame, cfg: ChannelConfig,
@@ -199,23 +220,35 @@ def apply_channel(frame: SignalFrame, cfg: ChannelConfig,
     The output (and therefore the noise) is divided by h. The returned frame
     records the realised complex noise standard deviation.
     """
-    s = frame.samples
-    if cfg.fading == "rayleigh":
-        h = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    else:
-        h = 1.0 + 0.0j
-    faded = h * s
-    if cfg.snr_db_near == np.inf:
-        sigma2 = 0.0
+    return _received(frame.samples[None], cfg, [rng])[0]
+
+
+def _received(clean: np.ndarray, cfg: ChannelConfig, rngs) -> list:
+    """Received frames of the (B, n) superposed rows ``clean``: row b draws
+    its fading coefficient h, then its noise's real and imaginary parts, from
+    ``rngs[b]``; it is faded by h, given noise at ``cfg.snr_db_near`` below
+    its faded power, and divided by h."""
+    noise = None if cfg.snr_db_near == np.inf else np.empty((2, *clean.shape))
+    hs = []
+    for b, rng in enumerate(rngs):
+        if cfg.fading == "rayleigh":
+            hs.append((rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
+        else:
+            hs.append(1.0 + 0.0j)
+        if noise is not None:
+            rng.standard_normal(out=noise[0, b])
+            rng.standard_normal(out=noise[1, b])
+    h = np.array(hs)[:, None]
+    faded = h * clean
+    if noise is None:
+        sigma2 = np.zeros(len(clean))
         noisy = faded
     else:
-        sig_power = float(np.mean(np.abs(faded) ** 2))
+        sig_power = np.mean(np.abs(faded) ** 2, axis=1)
         sigma2 = sig_power / (10.0 ** (cfg.snr_db_near / 10.0))
-        noise = np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size)
-        )
-        noisy = faded + noise
-    return SignalFrame(noisy / h, noise_scale=float(np.sqrt(sigma2) / abs(h)))
+        noisy = faded + np.sqrt(sigma2 / 2.0)[:, None] * (noise[0] + 1j * noise[1])
+    return [SignalFrame(row, noise_scale=float(scale / abs(hb)))
+            for row, scale, hb in zip(noisy / h, np.sqrt(sigma2), hs)]
 
 
 @dataclass(frozen=True)
@@ -294,12 +327,20 @@ def _allocation(near_users: int, delta_db: float, alpha: float) -> np.ndarray:
 
 
 def generate_noma_frame(scenario: NomaScenario, rng: np.random.Generator) -> SignalFrame:
-    """Draw random bits for every user, superpose, and run the channel."""
+    """One frame through :func:`generate_noma_frames`."""
+    return generate_noma_frames(scenario, [rng])[0]
+
+
+def generate_noma_frames(scenario: NomaScenario, rngs) -> list:
+    """One received frame per generator in ``rngs``, in order: frame b is
+    row b of one (B, n) matrix and draws from ``rngs[b]`` alone, in the
+    order the module docstring gives."""
     schemes = list(scenario.near_schemes) + [scenario.far_scheme]
-    ratios = resolve_allocation(scenario)
-    n_sym = scenario.symbols_per_frame
-    streams = []
-    for scheme in schemes:
-        bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.uint8)
-        streams.append(modulate(bits, scheme))
-    return apply_channel(superpose(streams, ratios), scenario.channel_config(), rng=rng)
+    bits = [np.empty((len(rngs), scenario.symbols_per_frame * s.bits_per_symbol), np.uint8)
+            for s in schemes]
+    for b, rng in enumerate(rngs):
+        for user in bits:
+            user[b] = rng.integers(0, 2, size=user.shape[1], dtype=np.uint8)
+    clean = _superposed([_symbols(user, s) for user, s in zip(bits, schemes)],
+                        resolve_allocation(scenario))
+    return _received(clean, scenario.channel_config(), rngs)

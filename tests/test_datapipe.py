@@ -7,12 +7,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from nomadet.datapipe import (CLASS_ORDER, derive_seed, frame_sample,
+from nomadet import datapipe
+from nomadet.datapipe import (CLASS_ORDER, derive_seed, frame_samples,
                               generate_dataset, load_dataset, save_dataset,
                               split_dataset)
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
-from nomadet.sigsim import ModScheme, NomaScenario, generate_noma_frame
+from nomadet.density import density_diagram
+from nomadet.sigsim import ModScheme, NomaScenario, generate_noma_frame, generate_noma_frames
 from nomadet.wavelet import denoise_frame
 
 
@@ -62,8 +64,33 @@ class TestGenerateDataset:
         frame = generate_noma_frame(
             replace(scenario, far_scheme=CLASS_ORDER[probe.label]),
             rng=np.random.default_rng(probe.seed))
-        regen = frame_sample(scenario, probe.label, probe.seed, denoise_frame(frame))
+        regen, = frame_samples(scenario, probe.label, [probe.seed], [denoise_frame(frame)])
         np.testing.assert_array_equal(regen.diagram.grid, probe.diagram.grid)
+
+    def test_chunked_classes_match_one_frame_samples(self, monkeypatch):
+        """256-symbol frames come 128 to a chunk, so 129 frames per class
+        take a full chunk and a chunk of one; every frame and diagram has
+        the bytes of its seed's frame simulated, denoised and binned alone."""
+        scenario = replace(quick_scenario(samples_per_class=129, seed=4),
+                           symbols_per_frame=256)
+        chunks = []
+
+        def counted(scen, rngs):
+            chunks.append(len(rngs))
+            return generate_noma_frames(scen, rngs)
+        monkeypatch.setattr(datapipe, "generate_noma_frames", counted)
+        samples, frames = generate_dataset(scenario, keep_frames=True)
+        assert chunks == [128, 1] * len(CLASS_ORDER)
+        for index, (sample, frame) in enumerate(zip(samples, frames)):
+            label, k = divmod(index, 129)
+            assert (sample.label, sample.seed) == (label, derive_seed(4, label, k))
+            alone = denoise_frame(generate_noma_frame(
+                replace(scenario, far_scheme=CLASS_ORDER[label]),
+                rng=np.random.default_rng(sample.seed)))
+            assert frame.samples.tobytes() == alone.samples.tobytes()
+            assert sample.diagram.grid.dtype == np.float32
+            assert sample.diagram.grid.tobytes() == \
+                density_diagram(alone, scenario.grid_size).grid.tobytes()
 
     def test_raw_mode_differs_from_denoised(self):
         scenario = quick_scenario(seed=2)

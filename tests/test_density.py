@@ -5,7 +5,7 @@ import pytest
 
 from nomadet import density
 from nomadet.density import (DensityDiagram, density_counts, density_diagram,
-                             write_pgm)
+                             density_grids, write_pgm)
 from nomadet.sigsim import SignalFrame
 
 
@@ -15,8 +15,8 @@ def random_frame(rng, n=500):
 
 def add_at_counts(frame, grid_size):
     """The per-cell counts as an np.add.at scatter over the same bins."""
-    rows = density._bin_indices(frame.samples.real, grid_size)
-    cols = density._bin_indices(frame.samples.imag, grid_size)
+    rows = density._bin_indices(frame.samples.real[None], grid_size)[0][0]
+    cols = density._bin_indices(frame.samples.imag[None], grid_size)[0][0]
     counts = np.zeros((grid_size, grid_size), dtype=np.int64)
     np.add.at(counts, (rows, cols), 1)
     return counts
@@ -128,6 +128,46 @@ class TestCountsMatchAddAt:
     def test_degenerate_axis(self, samples):
         frame = SignalFrame(samples)
         np.testing.assert_array_equal(density_counts(frame, 8), add_at_counts(frame, 8))
+
+
+def reference_grid(frame, grid_size):
+    """The min-max normalised add.at counts, one frame at a time, all zero
+    for a frame of identical samples or uniform counts."""
+    s = frame.samples
+    counts = add_at_counts(frame, grid_size)
+    lo, hi = counts.min(), counts.max()
+    if np.all(s == s[0]) or hi == lo:
+        return np.zeros((grid_size, grid_size), dtype=np.float32)
+    return ((counts - lo) / float(hi - lo)).astype(np.float32)
+
+
+class TestDensityGrids:
+    def test_rows_match_one_frame_diagrams_and_counts(self):
+        rng = np.random.default_rng(12)
+        lattice = np.arange(4.0)
+        frames = [random_frame(rng, 16) for _ in range(5)] + [
+            SignalFrame(np.full(16, 0.5 - 2j)),                            # all equal
+            SignalFrame(np.arange(16.0) + 1j),                             # constant imaginary axis
+            SignalFrame(1.5 + 1j * rng.standard_normal(16)),               # constant real axis
+            SignalFrame((lattice[:, None] + 1j * lattice).reshape(-1)),    # uniform 4x4 counts
+            SignalFrame(rng.integers(-2, 3, 16) + 1j * rng.integers(-2, 3, 16)),
+        ]
+        grids = density_grids(np.stack([f.samples for f in frames]), 4)
+        counts, _ = density._counts(np.stack([f.samples for f in frames]), 4)
+        assert grids.dtype == np.float32 and grids.shape == (len(frames), 4, 4)
+        for frame, grid, count in zip(frames, grids, counts):
+            assert grid.tobytes() == density_diagram(frame, 4).grid.tobytes()
+            assert grid.tobytes() == reference_grid(frame, 4).tobytes()
+            np.testing.assert_array_equal(count, density_counts(frame, 4))
+        assert not grids[5].any() and not grids[8].any()
+        assert grids[6].any() and grids[7].any()
+
+    def test_simulated_rows_match_the_reference(self):
+        rng = np.random.default_rng(13)
+        frames = [random_frame(rng, 2000) for _ in range(9)]
+        grids = density_grids(np.stack([f.samples for f in frames]), 100)
+        for frame, grid in zip(frames, grids):
+            assert grid.tobytes() == reference_grid(frame, 100).tobytes()
 
 
 class TestPgmExport:

@@ -41,13 +41,26 @@ def count_calls(monkeypatch, owner, name, calls=None):
     return calls
 
 
+def count_frames(monkeypatch):
+    """Wraps ``datapipe.generate_noma_frames`` to append the number of frames
+    each call simulates, one generator per frame."""
+    frames = []
+    inner = datapipe.generate_noma_frames
+
+    def counted(scenario, rngs):
+        frames.append(len(rngs))
+        return inner(scenario, rngs)
+    monkeypatch.setattr(datapipe, "generate_noma_frames", counted)
+    return frames
+
+
 @pytest.mark.parametrize("pooled", [False, True], ids=["per_cell", "pooled"])
 def test_each_sample_is_simulated_once(tmp_path, monkeypatch, pooled):
-    calls = count_calls(monkeypatch, datapipe, "generate_noma_frame")
+    frames = count_frames(monkeypatch)
     cfg = tiny_config(pooled=pooled)
     table = run_sweep(cfg, tmp_path)
     assert len(table.rows) == 2 * len(METHODS)
-    assert len(calls) == 2 * 4 * SCENARIO.samples_per_class
+    assert sum(frames) == 2 * 4 * SCENARIO.samples_per_class
 
 
 def test_cell_matches_generate_dataset():
@@ -185,12 +198,12 @@ def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
     dropped = next(i for i, line in enumerate(lines) if f'"method": "{method}"' in line)
     journal.write_text("".join(lines[:dropped] + lines[dropped + 1:]))
     calls = count_calls(monkeypatch, harness, "train")
-    frames = count_calls(monkeypatch, datapipe, "generate_noma_frame")
+    frames = count_frames(monkeypatch)
     resumed, computed = sweep(cfg, tmp_path)
     assert computed == 1
     assert len(calls) == trained
     cells = len(cfg.snr_points) if trained else 1
-    assert len(frames) == cells * 4 * SCENARIO.samples_per_class
+    assert sum(frames) == cells * 4 * SCENARIO.samples_per_class
     assert len(resumed.rows) == len(table.rows)
     assert set(resumed.rows) == set(table.rows)
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nomadet import sigsim
 from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario, SignalFrame,
                             apply_channel, axis_levels, generate_noma_frame,
-                            modulate, resolve_allocation, superpose)
+                            generate_noma_frames, modulate, resolve_allocation,
+                            superpose)
 
 # ids=str names each case ModScheme.X; pytest would name a str-valued enum by its value
 ALL_SCHEMES = list(ModScheme)
@@ -281,3 +282,74 @@ class TestGenerateFrame:
         even_mag = np.mean(np.abs(frame.samples[::2].real))
         odd_mag = np.mean(np.abs(frame.samples[1::2].real))
         assert even_mag > 2.0 * odd_mag
+
+
+def replay(scenario: NomaScenario, seed: int) -> SignalFrame:
+    """One seed's frame rebuilt from the one-frame stages, drawing in the
+    generator's order: each user's bits, near users first, then the channel."""
+    rng = np.random.default_rng(seed)
+    streams = [modulate(rng.integers(0, 2, size=scenario.symbols_per_frame * s.bits_per_symbol,
+                                     dtype=np.uint8), s)
+               for s in (*scenario.near_schemes, scenario.far_scheme)]
+    return apply_channel(superpose(streams, resolve_allocation(scenario)),
+                         scenario.channel_config(), rng)
+
+
+def assert_same_bytes(got: SignalFrame, want: SignalFrame):
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert np.float64(got.noise_scale).tobytes() == np.float64(want.noise_scale).tobytes()
+
+
+CHANNELS = [("rayleigh", 3.0), ("rayleigh", np.inf), ("none", 3.0), ("none", np.inf)]
+
+
+class TestGenerateFrames:
+    """Row b of a batch holds the bytes of frame b generated alone, and of
+    the benchmark's replay of its draws through modulate, superpose and
+    apply_channel."""
+
+    @pytest.mark.parametrize("far", ALL_SCHEMES, ids=str)
+    @pytest.mark.parametrize("near", ALL_SCHEMES, ids=str)
+    def test_every_scheme_pair_and_channel(self, near, far):
+        for fading, snr in CHANNELS:
+            scen = NomaScenario(near_schemes=(near,), far_scheme=far, fading=fading,
+                                snr_db_near=snr, symbols_per_frame=50)
+            seeds = [7, 8, 9]
+            batch = generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])
+            assert len(batch) == len(seeds)
+            for seed, frame in zip(seeds, batch):
+                assert_same_bytes(frame, generate_noma_frame(scen, np.random.default_rng(seed)))
+                assert_same_bytes(frame, replay(scen, seed))
+
+    @pytest.mark.parametrize("near", [
+        (ModScheme.QAM16, ModScheme.PI_HALF_BPSK),
+        (ModScheme.QAM64, ModScheme.QPSK, ModScheme.PI_HALF_BPSK),
+    ], ids=["two_near", "three_near"])
+    @pytest.mark.parametrize("fading, snr", CHANNELS)
+    def test_several_near_users(self, near, fading, snr):
+        scen = NomaScenario(near_schemes=near, far_scheme=ModScheme.QAM16, fading=fading,
+                            snr_db_near=snr, delta_db=9.0, symbols_per_frame=64)
+        batch = generate_noma_frames(scen, [np.random.default_rng(s) for s in range(5)])
+        for seed, frame in enumerate(batch):
+            assert_same_bytes(frame, generate_noma_frame(scen, np.random.default_rng(seed)))
+            assert_same_bytes(frame, replay(scen, seed))
+
+    def test_one_generator_is_one_frame(self, table1_scenario):
+        batch = generate_noma_frames(table1_scenario, [np.random.default_rng(11)])
+        assert len(batch) == 1
+        assert_same_bytes(batch[0], replay(table1_scenario, 11))
+
+    @pytest.mark.parametrize("fading, draws", [("rayleigh", 2), ("none", 0)])
+    def test_no_noise_is_drawn_at_infinite_snr(self, fading, draws):
+        scen = NomaScenario(near_schemes=(ModScheme.QAM64,), far_scheme=ModScheme.QPSK,
+                            fading=fading, snr_db_near=np.inf, symbols_per_frame=40)
+        rngs = [np.random.default_rng(s) for s in (3, 4)]
+        batch = generate_noma_frames(scen, rngs)
+        for seed, rng, frame in zip((3, 4), rngs, batch):
+            assert frame.noise_scale == 0.0
+            # each user's bits, then h's two normals, and nothing more
+            expected = np.random.default_rng(seed)
+            expected.integers(0, 2, size=40 * 6, dtype=np.uint8)
+            expected.integers(0, 2, size=40 * 2, dtype=np.uint8)
+            expected.standard_normal(draws)
+            assert rng.bit_generator.state == expected.bit_generator.state
