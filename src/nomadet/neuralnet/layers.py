@@ -28,31 +28,97 @@ writes its ``grad_out``, which a residual block hands to both its branches.
 So a caller hands each activation to exactly one layer and keeps no other
 reference to it; a network's input that reaches only a Conv2D stays as the
 caller passed it.
+
+A layer's ``params``, ``buffers`` and ``grads`` entries are views of two flat
+buffers that a ``FlatState`` lays out: a network declares every layer's
+tensors in one of them, and a layer built without one gets its own. Every
+backward writes its parameter gradients in place, so a training step
+allocates no gradient.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
-    "Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense",
+    "FlatState", "Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense",
     "softmax", "softmax_cross_entropy", "he_uniform",
 ]
 
 
-def he_uniform(shape, fan_in: int, rng: np.random.Generator, dtype) -> np.ndarray:
+def he_uniform(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
+    """He et al.'s uniform draw, in float64; assigning it to a view casts it."""
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+class FlatState:
+    """Lays out the tensors of a set of layers in two flat buffers.
+
+    Layers declare their tensors while they are built, as ``(key, shape,
+    fill)`` or ``(key, shape, fill, view)`` entries. ``allocate`` then
+    places every parameter, then every running statistic, in declaration
+    order in one ``state`` buffer, and the gradients in a ``grads`` buffer
+    with the layout of the parameter part, unset until each layer's first
+    backward fills its part (``Layer.has_grads``). Each entry of a layer's
+    ``params``, ``buffers`` and ``grads`` becomes a view of its C-contiguous
+    ``shape`` slot, through ``view`` if given, and each value is set to its
+    fill: a number, or a callable called at allocation, in declaration order.
+    """
+
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+        self._params, self._buffers = [], []
+
+    def declare(self, layer, dtype, params=(), buffers=()) -> None:
+        if np.dtype(dtype) != self.dtype:
+            raise ValueError(f"layer dtype {np.dtype(dtype)} differs from its store's {self.dtype}")
+        self._params += [(layer, *entry) for entry in params]
+        self._buffers += [(layer, *entry) for entry in buffers]
+
+    def allocate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (state, grads) buffers, with every declared entry bound to them."""
+        entries = self._params + self._buffers
+        sizes = [math.prod(shape) for _, _, shape, *_ in entries]
+        state = np.empty(sum(sizes), self.dtype)
+        grads = np.empty(sum(sizes[:len(self._params)]), self.dtype)  # unset until a backward
+        offset = 0
+        for i, (layer, key, shape, fill, *view) in enumerate(entries):
+            slot = slice(offset, offset + sizes[i])
+            offset = slot.stop
+            shaped = view[0] if view else (lambda a: a)
+            value = shaped(state[slot].reshape(shape))
+            value[...] = fill() if callable(fill) else fill
+            if i < len(self._params):
+                layer.params[key] = value
+                layer.grads[key] = shaped(grads[slot].reshape(shape))
+            else:
+                layer.buffers[key] = value
+        return state, grads
 
 
 class Layer:
-    """Common bookkeeping: ordered params/grads plus optional buffers."""
+    """Common bookkeeping: ordered params/grads plus optional buffers.
+
+    ``has_grads`` turns true at the first backward that fills ``grads``.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
+        self.has_grads = False
         self._cache = None
+
+    def _declare(self, store: FlatState | None, dtype, params=(), buffers=()) -> None:
+        """Declare this layer's ``FlatState`` entries in ``store``, or, when it
+        is None, in a store of the layer's own that is allocated at once."""
+        own = FlatState(dtype) if store is None else store
+        own.declare(self, dtype, params, buffers)
+        if store is None:
+            own.allocate()
 
     def _take_cache(self):
         """What the last training forward kept, handed over to its one backward."""
@@ -120,18 +186,22 @@ class Conv2D(Layer):
     The kernel is a C-contiguous (k, k, C, O) buffer, the (k*k*C, O) matrix,
     and ``params["w"]`` is its (O, C, k, k) view: every product reads it, or
     its transpose, without a copy, and ``grads["w"]`` is laid out the same.
+    The weight gradient's first chunk is multiplied straight into it.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator, dtype=np.float32, store: FlatState | None = None):
         super().__init__()
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride = kernel, stride
         self.pad = (kernel - 1) // 2
         self.tap_major = in_ch == 1 and stride == 1
-        w = he_uniform((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, rng, dtype)
-        self.params["w"] = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
-        self.params["b"] = np.zeros(out_ch, dtype=dtype)
+        shape, fan_in = (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel
+        self._declare(store, dtype, params=[
+            ("w", (kernel, kernel, in_ch, out_ch), lambda: he_uniform(shape, fan_in, rng),
+             lambda base: base.transpose(3, 2, 0, 1)),
+            ("b", (out_ch,), 0),
+        ])
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s, p = self.kernel, self.stride, self.pad
@@ -169,19 +239,21 @@ class Conv2D(Layer):
         g_cl = grad_out.transpose(0, 2, 3, 1)
         if self.tap_major:
             g3 = grad_out.reshape(B, O, -1)
-            parts = (xwin[b].transpose(2, 3, 4, 0, 1).reshape(k * k, -1) @ g3[b].T
+            pairs = ((xwin[b].transpose(2, 3, 4, 0, 1).reshape(k * k, -1), g3[b].T)
                      for b in range(B))
         else:
             g_cl = np.ascontiguousarray(g_cl)
-            parts = (xwin[c].reshape(-1, k * k * C).T @ g_cl[c].reshape(-1, O)
+            pairs = ((xwin[c].reshape(-1, k * k * C).T, g_cl[c].reshape(-1, O))
                      for c in _chunks(xwin))
-        # gw is (k*k*C, O) in patch-row order, the layout of the kernel buffer
-        gw = next(parts)
-        for part in parts:
-            gw += part
-        del xwin, parts  # the padded input's last use: free it before the input gradient
-        self.grads["w"] = gw.reshape(k, k, C, O).transpose(3, 2, 0, 1)
-        self.grads["b"] = grad_out.sum(axis=(0, 2, 3))
+        # the (k*k*C, O) kernel gradient in patch-row order, the layout of the kernel buffer
+        gw = self.grads["w"].transpose(2, 3, 1, 0).reshape(-1, O)
+        np.matmul(*next(pairs), out=gw)
+        for rows, g in pairs:
+            gw += rows @ g
+            del rows, g  # free this chunk's patch rows before the next is copied
+        del xwin, pairs  # the padded input's last use: free it before the input gradient
+        np.sum(grad_out, axis=(0, 2, 3), out=self.grads["b"])
+        self.has_grads = True
         if not input_grad:
             return None
         if s == 1:
@@ -228,13 +300,12 @@ class BatchNorm2D(Layer):
 
     eps, momentum = 1e-5, 0.9
 
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32, *, store: FlatState | None = None):
         super().__init__()
         self.channels = channels
-        self.params["gamma"] = np.ones(channels, dtype=dtype)
-        self.params["beta"] = np.zeros(channels, dtype=dtype)
-        self.buffers["running_mean"] = np.zeros(channels, dtype=dtype)
-        self.buffers["running_var"] = np.ones(channels, dtype=dtype)
+        self._declare(store, dtype,
+                      params=[("gamma", (channels,), 1), ("beta", (channels,), 0)],
+                      buffers=[("running_mean", (channels,), 0), ("running_var", (channels,), 1)])
         # the EMA warm-starts at the first observed batch so inference-mode
         # statistics are usable from the first epoch
         self._stats_seen = False
@@ -274,8 +345,9 @@ class BatchNorm2D(Layer):
         dtype = grad_out.dtype
         sum_g = _channel_sums(grad_out)
         sum_gxc = _channel_sums(grad_out, xc)
-        self.grads["gamma"] = (sum_gxc * invstd).astype(dtype)
-        self.grads["beta"] = sum_g.astype(dtype)
+        np.copyto(self.grads["gamma"], sum_gxc * invstd)
+        np.copyto(self.grads["beta"], sum_g)
+        self.has_grads = True
         # gamma*invstd * (g - mean(g) - xc * invstd^2 * mean(g*xc)), built in
         # xc's buffer as a * (xc * k1 + g + k0)
         k1, k0, a = (v.astype(dtype).reshape(1, -1, 1, 1) for v in (
@@ -357,10 +429,13 @@ class GlobalAvgPool(Layer):
 
 class Dense(Layer):
     def __init__(self, in_features: int, out_features: int, *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator, dtype=np.float32, store: FlatState | None = None):
         super().__init__()
-        self.params["w"] = he_uniform((in_features, out_features), in_features, rng, dtype)
-        self.params["b"] = np.zeros(out_features, dtype=dtype)
+        shape = (in_features, out_features)
+        self._declare(store, dtype, params=[
+            ("w", shape, lambda: he_uniform(shape, in_features, rng)),
+            ("b", (out_features,), 0),
+        ])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
@@ -371,8 +446,9 @@ class Dense(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._take_cache()
-        self.grads["w"] = x.T @ grad_out
-        self.grads["b"] = grad_out.sum(axis=0)
+        np.matmul(x.T, grad_out, out=self.grads["w"])
+        np.sum(grad_out, axis=0, out=self.grads["b"])
+        self.has_grads = True
         return grad_out @ self.params["w"].T
 
 

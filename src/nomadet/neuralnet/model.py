@@ -16,6 +16,16 @@ network, ``main`` and ``shortcut`` for each residual block. Forward is a fold
 over the lists, backward a fold over them in reverse, and ``parameters`` and
 ``state_tensors`` (which the optimiser and the checkpoint read) walk them,
 naming each tensor by its dotted path, such as ``block0.conv1.w``.
+
+The layers are built in that order into one ``FlatState``, so the network's
+trainable state is two flat buffers in its dtype. ``state`` holds every
+parameter in forward order, then every batch-norm running statistic in
+forward order; ``grads`` has the layout of its parameter part. Every
+layer's ``params``, ``buffers`` and ``grads`` entries are views of them,
+each with its standalone shape and memory layout, and every backward
+writes its gradients into them in place. He initialisation is drawn
+straight into the views. So a snapshot is one copy of ``state``, and the
+optimiser walks ``grads`` and the parameter part as flat arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (BatchNorm2D, Conv2D, Dense, GlobalAvgPool, MaxPool2,
-                     ReLU, softmax)
+from .layers import (BatchNorm2D, Conv2D, Dense, FlatState, GlobalAvgPool,
+                     MaxPool2, ReLU, softmax)
 
 __all__ = ["ArchConfig", "ResidualBlock", "ModulationNet", "NUM_CLASSES"]
 
@@ -82,21 +92,23 @@ class ResidualBlock:
     A block that keeps its width (``in_ch == out_ch``) keeps its shape and
     has an empty shortcut. A block that changes width strides the first conv
     by 2 and carries a 1x1 stride-2 conv (+BN) on the shortcut, halving H
-    and W.
+    and W. Its layers declare their tensors in ``store``, or each owns its
+    own when it is None.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, rng, dtype):
+    def __init__(self, in_ch: int, out_ch: int, rng, dtype, store: FlatState | None = None):
         identity = in_ch == out_ch
         self.main = [
-            ("conv1", Conv2D(in_ch, out_ch, 3, 1 if identity else 2, rng=rng, dtype=dtype)),
-            ("bn1", BatchNorm2D(out_ch, dtype)),
+            ("conv1", Conv2D(in_ch, out_ch, 3, 1 if identity else 2, rng=rng, dtype=dtype,
+                             store=store)),
+            ("bn1", BatchNorm2D(out_ch, dtype, store=store)),
             ("relu1", ReLU()),
-            ("conv2", Conv2D(out_ch, out_ch, 3, rng=rng, dtype=dtype)),
-            ("bn2", BatchNorm2D(out_ch, dtype)),
+            ("conv2", Conv2D(out_ch, out_ch, 3, rng=rng, dtype=dtype, store=store)),
+            ("bn2", BatchNorm2D(out_ch, dtype, store=store)),
         ]
         self.shortcut = [] if identity else [
-            ("sc_conv", Conv2D(in_ch, out_ch, 1, 2, rng=rng, dtype=dtype)),
-            ("sc_bn", BatchNorm2D(out_ch, dtype)),
+            ("sc_conv", Conv2D(in_ch, out_ch, 1, 2, rng=rng, dtype=dtype, store=store)),
+            ("sc_bn", BatchNorm2D(out_ch, dtype, store=store)),
         ]
         self.relu_out = ReLU()
 
@@ -111,25 +123,29 @@ class ResidualBlock:
 
 
 class ModulationNet:
-    """The full classifier; parameters live in the layer objects."""
+    """The full classifier; its layers' tensors are views of ``state`` and ``grads``."""
 
     def __init__(self, arch: ArchConfig, seed: int):
         self.arch = arch
         rng = np.random.default_rng(seed)
         dtype = arch.np_dtype
-        self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel, rng=rng, dtype=dtype)
+        store = FlatState(dtype)
+        self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel, rng=rng, dtype=dtype,
+                                store=store)
+        base_bn = BatchNorm2D(arch.base_channels, dtype, store=store)
         widths = (arch.base_channels,) + arch.blocks
-        self.blocks = [ResidualBlock(in_ch, ch, rng, dtype)
+        self.blocks = [ResidualBlock(in_ch, ch, rng, dtype, store)
                        for in_ch, ch in zip(widths, arch.blocks)]
         self.layers = [
             ("base_conv", self.base_conv),
-            ("base_bn", BatchNorm2D(arch.base_channels, dtype)),
+            ("base_bn", base_bn),
             ("pool", MaxPool2()),
             ("base_relu", ReLU()),
             *((f"block{i}", block) for i, block in enumerate(self.blocks)),
             ("gap", GlobalAvgPool()),
-            ("dense", Dense(widths[-1], NUM_CLASSES, rng=rng, dtype=dtype)),
+            ("dense", Dense(widths[-1], NUM_CLASSES, rng=rng, dtype=dtype, store=store)),
         ]
+        self.state, self.grads = store.allocate()
 
     def state_tensors(self):
         """All weights and batch-norm running statistics, in forward order."""
@@ -182,9 +198,14 @@ class ModulationNet:
     def classify(self, x: np.ndarray, batch_size: int = 8) -> np.ndarray:
         return self.predict(x, batch_size).argmax(axis=1)
 
-    def snapshot(self) -> dict:
-        return {name: value.copy() for name, _, _, value in self.state_tensors()}
+    def snapshot(self) -> np.ndarray:
+        """A copy of ``state``: every parameter and running statistic."""
+        return self.state.copy()
 
-    def restore(self, snap: dict) -> None:
-        for name, _, _, value in self.state_tensors():
-            value[...] = snap[name]
+    def restore(self, snap: np.ndarray) -> None:
+        """Copy a ``snapshot`` of this architecture back into ``state``."""
+        if snap.shape != self.state.shape or snap.dtype != self.state.dtype:
+            raise ValueError(
+                f"snapshot of {snap.size} {snap.dtype} values does not fit the state of "
+                f"{self.state.size} {self.state.dtype} values")
+        np.copyto(self.state, snap)

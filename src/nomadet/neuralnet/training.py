@@ -1,4 +1,15 @@
-"""Adam optimiser and the training loop."""
+"""Adam optimiser and the training loop.
+
+Adam (Kingma & Ba, ICLR 2015) keeps its moments ``m`` and ``v`` as flat
+arrays with the layout of the model's flat ``grads``, and updates them and
+the parameter part of the model's ``state`` in one pass of in-place ufuncs
+over ``_CHUNK_ELEMENTS`` values at a time, so the operands of each chunk
+stay in cache. The pass does per element exactly the float operations, in
+the same order, of the per-tensor expressions ``m = b1*m + (1-b1)*g``,
+``v = b2*v + (1-b2)*g*g`` and ``value - lr*(m/bias1) / (sqrt(v/bias2) + eps)``,
+so the weights are bit-identical to them. The training loop keeps one
+best-state buffer and copies ``state`` into it when an epoch improves.
+"""
 
 from __future__ import annotations
 
@@ -13,32 +24,53 @@ from .model import NUM_CLASSES, ModulationNet
 __all__ = ["Adam", "TrainConfig", "EpochStats", "train", "accuracy"]
 
 
+# Adam's pass takes this many values of each flat array at a time: the
+# chunks of parameters, gradients, both moments and two scratch rows fit in cache
+_CHUNK_ELEMENTS = 1 << 16
+
+
 class Adam:
+    """Adam over the model's flat buffers; ``m``, ``v`` and ``t`` are its whole state."""
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, model: ModulationNet, lr: float = 1e-3):
         self.model = model
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(value)
-                  for name, _, _, value in model.parameters()}
-        self.v = {name: np.zeros_like(value)
-                  for name, _, _, value in model.parameters()}
+        self.m, self.v = np.zeros((2, model.grads.size), model.grads.dtype)
+        self._scratch = np.empty((2, min(_CHUNK_ELEMENTS, model.grads.size)), model.grads.dtype)
+        self._owners = [(name, layer) for name, layer, _, _ in model.parameters()]
 
     def step(self) -> None:
+        for name, layer in self._owners:
+            if not layer.has_grads:
+                raise RuntimeError(f"no gradient for parameter {name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, layer, key, value in self.model.parameters():
-            grad = layer.grads.get(key)
-            if grad is None:
-                raise RuntimeError(f"no gradient for parameter {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m[...] = b1 * m + (1.0 - b1) * grad
-            v[...] = b2 * v + (1.0 - b2) * grad * grad
-            value[...] = value - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        grads = self.model.grads
+        values = self.model.state[:grads.size]
+        size = self._scratch.shape[1]
+        for start in range(0, grads.size, size):
+            c = slice(start, start + size)
+            g, m, v, value = grads[c], self.m[c], self.v[c], values[c]
+            a, b = self._scratch[0, :len(g)], self._scratch[1, :len(g)]
+            np.multiply(m, b1, out=m)  # m = b1*m + (1-b1)*g
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            np.multiply(g, 1.0 - b2, out=a)  # v = b2*v + (1-b2)*g*g
+            a *= g
+            v *= b2
+            v += a
+            np.divide(m, bias1, out=a)  # value -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+            a *= lr
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            value -= a
 
 
 @dataclass(frozen=True)
@@ -116,7 +148,7 @@ def train(model: ModulationNet, train_split, val_split, cfg: TrainConfig):
     history: list[EpochStats] = []
     best_acc = -1.0
     best_epoch = -1
-    best_state = model.snapshot()
+    best_state = np.empty_like(model.state)  # epoch 0 always improves on -1 and fills it
 
     for epoch in range(cfg.max_epochs):
         losses = []
@@ -133,7 +165,7 @@ def train(model: ModulationNet, train_split, val_split, cfg: TrainConfig):
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_state = model.snapshot()
+            np.copyto(best_state, model.state)
         elif epoch - best_epoch >= cfg.patience:
             break
     model.restore(best_state)

@@ -35,6 +35,15 @@ def numeric_gradient(fn, x, h=1e-5):
     return grad
 
 
+def flat_entry(flat, base, view):
+    """The entry of ``flat`` that sits where ``view`` sits in ``base``, with
+    ``view``'s shape and strides: ``flat`` shares ``base``'s layout, as Adam's
+    moments share a model's flat ``grads``."""
+    offset = (view.ctypes.data - base.ctypes.data) // base.itemsize
+    return np.lib.stride_tricks.as_strided(flat[offset:], view.shape, view.strides,
+                                           writeable=False)
+
+
 def max_rel_error(analytic, numeric, floor=1e-6):
     """Worst relative disagreement with an absolute floor.
 

@@ -9,12 +9,12 @@ import pytest
 
 from nomadet.neuralnet import (Adam, ArchConfig, BatchNorm2D, Conv2D, Dense,
                                GlobalAvgPool, MaxPool2, ModulationNet, ReLU,
-                               save_model, softmax, softmax_cross_entropy)
+                               load_model, save_model, softmax, softmax_cross_entropy)
 from nomadet.neuralnet import layers
-from nomadet.neuralnet.layers import Layer
+from nomadet.neuralnet.layers import FlatState, Layer
 from nomadet.datapipe import CLASS_ORDER
 from nomadet.neuralnet.model import NUM_CLASSES, ResidualBlock
-from conftest import DEFAULT_ARCH, TINY_ARCH, max_rel_error, numeric_gradient
+from conftest import DEFAULT_ARCH, TINY_ARCH, flat_entry, max_rel_error, numeric_gradient
 
 RNG = np.random.default_rng
 
@@ -359,20 +359,26 @@ class TestKernelLayout:
             assert conv.params["w"].shape == (conv.out_ch, conv.in_ch, conv.kernel, conv.kernel)
 
     def test_weight_gradient_and_adam_moments_share_the_kernel_layout(self):
+        """Each kernel's gradient has its strides and sits at its offset in the
+        flat gradient buffer; one step from zero moments leaves m = (1-b1)*g
+        and v = (1-b2)*g*g there, so the moments share that layout too."""
         model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=1)
         logits = model.forward(RNG(28).random((2, 1, 24, 24)), training=True)
         model.backward(np.ones_like(logits))
         optimiser = Adam(model)
-
-        def memory_order(a):  # strides of a size-1 axis are arbitrary
-            return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
-
-        for name, layer in every_layer(model):
-            if isinstance(layer, Conv2D):
-                w = layer.params["w"]
-                assert layer.grads["w"].strides == w.strides, name
-                for moments in (optimiser.m, optimiser.v):
-                    assert memory_order(moments[f"{name}.w"]) == memory_order(w), name
+        grads = model.grads.copy()
+        optimiser.step()
+        convs = [(name, layer) for name, layer in every_layer(model) if isinstance(layer, Conv2D)]
+        assert len(convs) == 16
+        for name, conv in convs:
+            w, gw = conv.params["w"], conv.grads["w"]
+            assert gw.strides == w.strides, name
+            assert (w.ctypes.data - model.state.ctypes.data
+                    == gw.ctypes.data - model.grads.ctypes.data), name
+            g = flat_entry(grads, model.grads, gw)
+            m, v = (flat_entry(moment, model.grads, gw) for moment in (optimiser.m, optimiser.v))
+            np.testing.assert_array_equal(m, (1.0 - Adam.beta1) * g, err_msg=name)
+            np.testing.assert_array_equal(v, (1.0 - Adam.beta2) * g * g, err_msg=name)
 
     @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", CONV_PATHS)
     def test_in_place_kernel_write_reaches_forward_and_backward(
@@ -407,6 +413,93 @@ class TestKernelLayout:
             if isinstance(layer, Conv2D) and key == "w":
                 assert data == np.ascontiguousarray(value, "<f4").tobytes(), name
         assert offset == len(blob)
+
+
+class TestFlatState:
+    """A model's parameters, running statistics and gradients are views of
+    its two flat buffers; a layer built alone owns two of its own."""
+
+    @pytest.mark.parametrize("arch", [TINY_ARCH, replace(DEFAULT_ARCH, input_size=24)],
+                             ids=["tiny", "default"])
+    def test_state_holds_every_parameter_then_every_running_statistic(self, arch):
+        model = ModulationNet(arch, seed=0)
+        tensors = list(model.state_tensors())
+        params = [entry for entry in tensors if entry[2] in entry[1].params]
+        offset = 0
+        for name, layer, key, value in params + [e for e in tensors if e not in params]:
+            assert np.shares_memory(value, model.state), name
+            assert value.ctypes.data == model.state.ctypes.data + offset * value.itemsize, name
+            offset += value.size
+            if key in layer.params:
+                grad = layer.grads[key]
+                assert np.shares_memory(grad, model.grads), name
+                assert (grad.shape, grad.strides) == (value.shape, value.strides), name
+                assert (grad.ctypes.data - model.grads.ctypes.data
+                        == value.ctypes.data - model.state.ctypes.data), name
+        assert offset == model.state.size
+        assert model.grads.size == sum(value.size for *_, value in params)
+        assert model.state.dtype == model.grads.dtype == arch.np_dtype
+
+    def test_a_layer_built_alone_owns_its_flat_buffers(self):
+        conv = Conv2D(2, 3, 3, rng=RNG(40), dtype=np.float64)
+        bn = BatchNorm2D(3, dtype=np.float64)
+        for layer, state_size in ((conv, 3 * 3 * 2 * 3 + 3), (bn, 4 * 3)):
+            state = next(iter(layer.params.values())).base
+            grads = next(iter(layer.grads.values())).base
+            assert state.shape == (state_size,)
+            assert grads.shape == (sum(value.size for value in layer.params.values()),)
+            assert all(value.base is state
+                       for value in [*layer.params.values(), *layer.buffers.values()])
+            assert all(grad.base is grads for grad in layer.grads.values())
+        assert not np.shares_memory(conv.params["b"], bn.params["gamma"])
+
+    def test_a_store_of_another_dtype_is_refused(self):
+        with pytest.raises(ValueError, match="float32.*float64"):
+            Conv2D(1, 2, 3, rng=RNG(0), store=FlatState(np.float64))
+
+    def test_restore_writes_through_to_forward(self):
+        source, target = ModulationNet(TINY_ARCH, seed=1), ModulationNet(TINY_ARCH, seed=2)
+        x = RNG(41).random((3, 1, 12, 12))
+        source.forward(x.copy(), training=True)  # moves the running statistics too
+        want = source.forward(x.copy())
+        assert not np.array_equal(target.forward(x.copy()), want)
+        target.restore(source.snapshot())
+        assert target.forward(x.copy()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change", ["length", "dtype"])
+    def test_restore_refuses_a_snapshot_of_another_length_or_dtype(self, change):
+        model = ModulationNet(replace(TINY_ARCH, dtype="float32"), seed=0)
+        snap = model.snapshot()
+        bad = snap[:-1] if change == "length" else snap.astype(np.float64)
+        with pytest.raises(ValueError) as err:
+            model.restore(bad)
+        assert f"{bad.size} {bad.dtype}" in str(err.value), err.value
+        assert f"{snap.size} {snap.dtype}" in str(err.value), err.value
+        assert model.state.tobytes() == snap.tobytes()
+
+    def test_load_model_writes_through_to_forward(self, tmp_path):
+        model = ModulationNet(replace(TINY_ARCH, dtype="float32"), seed=4)
+        x = RNG(42).random((3, 1, 12, 12)).astype(np.float32)
+        model.forward(x.copy(), training=True)
+        save_model(model, tmp_path / "m.nmdl")
+        loaded = load_model(tmp_path / "m.nmdl")
+        assert loaded.state.tobytes() == model.state.tobytes()
+        assert loaded.forward(x.copy()).tobytes() == model.forward(x.copy()).tobytes()
+
+    def test_training_backward_fills_the_flat_gradient_in_place(self):
+        """Each backward overwrites the flat gradient, each kernel in its
+        memory order, and writes no parameter or running statistic."""
+        model = ModulationNet(TINY_ARCH, seed=5)
+        rng = RNG(43)
+        for _ in range(2):
+            logits = model.forward(rng.random((2, 1, 12, 12)), training=True)
+            state = model.snapshot()
+            model.backward(rng.standard_normal(logits.shape))
+            assert model.state.tobytes() == state.tobytes()
+            flat = np.concatenate([np.ravel(layer.grads[key], order="K")
+                                   for _, layer, key, _ in model.parameters()])
+            assert flat.tobytes() == model.grads.tobytes()
+            assert np.count_nonzero(model.grads) > model.grads.size // 2
 
 
 class TestBatchNorm:
@@ -867,7 +960,9 @@ class TestModel:
             assert value.dtype == np.float32, name
             if key in layer.params:
                 assert layer.grads[key].dtype == np.float32, name
-                assert optimiser.m[name].dtype == optimiser.v[name].dtype == np.float32, name
+        for flat in (model.state, model.grads, optimiser.m, optimiser.v):
+            assert flat.dtype == np.float32
+        assert np.all(np.isfinite(model.state))
 
     def test_predict_leaves_no_layer_cache(self):
         model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=3)

@@ -1,13 +1,16 @@
 """Training loop behaviour and checkpoint round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
 from nomadet.neuralnet import (Adam, ArchConfig, ModulationNet, TrainConfig,
-                               accuracy, load_model, save_model, train, training)
-from conftest import (DEFAULT_ARCH, FOREIGN_ARCHS, synthetic_diagram_set,
+                               accuracy, load_model, save_model, softmax_cross_entropy,
+                               train, training)
+from conftest import (DEFAULT_ARCH, FOREIGN_ARCHS, flat_entry, synthetic_diagram_set,
                       write_checkpoint_header)
 
 SMALL_ARCH = ArchConfig(input_size=20, base_kernel=3, base_channels=4, blocks=(8, 8))
@@ -31,10 +34,10 @@ class TestTrainLoop:
         losses = {h.train_loss for h in history}
         assert len(losses) == 1
         after = model.snapshot()
-        for name in before:
-            if "running" in name:
-                continue
-            np.testing.assert_array_equal(before[name], after[name])
+        # a snapshot holds the parameters first, then the running statistics,
+        # which training moves whatever the rate
+        params = model.grads.size
+        assert after[:params].tobytes() == before[:params].tobytes()
 
     def test_same_seed_identical_history_and_weights(self):
         x, y = small_data()
@@ -47,8 +50,7 @@ class TestTrainLoop:
         (hist_a, snap_a), (hist_b, snap_b) = runs
         assert [(h.epoch, h.train_loss, h.val_accuracy) for h in hist_a] == \
                [(h.epoch, h.train_loss, h.val_accuracy) for h in hist_b]
-        for name in snap_a:
-            np.testing.assert_array_equal(snap_a[name], snap_b[name])
+        assert snap_a.tobytes() == snap_b.tobytes()
 
     def test_loss_decreases_and_overfits_small_set(self):
         x, y = small_data(seed=3, per_class=4)
@@ -80,6 +82,57 @@ class TestTrainLoop:
         history = train(model, (x, y), (x[::3], y[::3]), cfg)
         best = max(h.val_accuracy for h in history)
         assert accuracy(model, x[::3], y[::3]) == pytest.approx(best, abs=1e-12)
+
+
+def per_tensor_adam(params, grads, m, v, t, lr):
+    """One Adam update of each named tensor as its own expression: the
+    reference the flat, chunked ``Adam.step`` must match byte for byte."""
+    b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, value in params.items():
+        g = grads[name]
+        m[name][...] = b1 * m[name] + (1.0 - b1) * g
+        v[name][...] = b2 * v[name] + (1.0 - b2) * g * g
+        value[...] = value - lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+
+
+class TestAdam:
+    # 100 values split block0.conv1.w (288) across chunks; the default chunk
+    # holds all of SMALL_ARCH's parameters at once
+    @pytest.mark.parametrize("chunk", [training._CHUNK_ELEMENTS, 100], ids=["default", "100"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_flat_chunked_step_matches_the_per_tensor_update(self, dtype, chunk, monkeypatch):
+        monkeypatch.setattr(training, "_CHUNK_ELEMENTS", chunk)
+        model = ModulationNet(replace(SMALL_ARCH, dtype=dtype), seed=3)
+        optimiser = Adam(model, 1e-2)
+        named = list(model.parameters())
+        params = {name: value.copy() for name, _, _, value in named}
+        m = {name: np.zeros_like(value) for name, value in params.items()}
+        v = {name: np.zeros_like(value) for name, value in params.items()}
+        x, y = small_data()
+        targets = np.eye(4, dtype=model.arch.np_dtype)[y[:8]]
+        for t in range(1, 4):
+            logits = model.forward(x[:8], training=True)
+            model.backward(softmax_cross_entropy(logits, targets)[1])
+            grads = {name: layer.grads[key] for name, layer, key, _ in named}
+            per_tensor_adam(params, grads, m, v, t, 1e-2)
+            optimiser.step()
+            for name, layer, key, value in named:
+                assert value.tobytes() == params[name].tobytes(), (t, name)
+                for flat, ref in ((optimiser.m, m), (optimiser.v, v)):
+                    got = flat_entry(flat, model.grads, layer.grads[key])
+                    assert got.tobytes() == ref[name].tobytes(), (t, name)
+        assert optimiser.t == 3
+
+    def test_step_before_any_backward_names_a_parameter(self):
+        """Gradient storage exists from construction, but no step may read
+        it before a backward has filled it."""
+        model = ModulationNet(SMALL_ARCH, seed=0)
+        optimiser = Adam(model)
+        state = model.snapshot()
+        with pytest.raises(RuntimeError, match="no gradient for parameter base_conv.w"):
+            optimiser.step()
+        assert optimiser.t == 0 and model.state.tobytes() == state.tobytes()
 
 
 class TestCheckpoint:
