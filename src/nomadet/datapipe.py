@@ -1,13 +1,15 @@
 """Dataset generation, stratified splitting, and the on-disk container.
 
 Every sample is produced from a seed derived from (master seed, class,
-index), so any sample can be regenerated in isolation. A class is simulated
-in chunks of about ``_CHUNK_BYTES`` of complex samples (16 frames of 2000
-symbols, 10 of 3000), each by one ``generate_noma_frames`` call, denoised by
-one ``denoise_frames`` call and binned by one ``density_grids`` call, so the
-working memory does not grow with samples_per_class. Each frame draws from
-its own generator in the one-frame order, so its bytes do not depend on its
-chunk.
+index), so any sample can be regenerated in isolation. ``scenario_samples``
+simulates a class in chunks of about ``_CHUNK_BYTES`` of complex samples (16
+frames of 2000 symbols, 10 of 3000), each by one ``generate_noma_frames``
+call, denoised by one ``denoise_frames`` call if a requested kind needs it,
+binned by one ``density_grids`` call per kind and dropped before the next,
+so the working memory does not grow with samples_per_class. Each frame
+draws from its own generator in the one-frame order, so its bytes do not
+depend on its chunk. Frames arrive equalised by their exact fading
+coefficient, and denoising reads each frame's true ``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
 little-endian: sample count u32 | grid size N u16 | sha256 of the JSON
@@ -37,14 +39,15 @@ from .sigsim import generate_noma_frame  # noqa: F401
 from .wavelet import denoise_frame  # noqa: F401
 
 __all__ = [
-    "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER",
-    "scenario_frames", "frame_samples", "generate_dataset", "split_dataset",
+    "LabeledSample", "DatasetSplit", "derive_seed", "CLASS_ORDER", "KINDS",
+    "scenario_samples", "generate_dataset", "split_dataset",
     "MIN_SPLIT_SAMPLES", "save_dataset", "load_dataset",
 ]
 
 MAGIC = b"NMD1"
 FORMAT_VERSION = 1
 MIN_SPLIT_SAMPLES = 10  # fewest samples split_dataset accepts
+KINDS = ("raw", "denoised")  # the frames a sample's diagram can be binned from
 
 # label index <-> far scheme, fixed order
 CLASS_ORDER = (ModScheme.PI_HALF_BPSK, ModScheme.QPSK, ModScheme.QAM16,
@@ -79,50 +82,44 @@ def derive_seed(master: int, *parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def scenario_frames(scenario: NomaScenario):
-    """Yield (label, seeds, received frames) for each chunk of each far class
-    in CLASS_ORDER, in dataset order: a class's samples_per_class frames in
-    chunks of about ``_CHUNK_BYTES`` of complex samples, each simulated by
-    one ``generate_noma_frames`` call.
-
-    Per-sample seeds come from derive_seed(scenario.seed, class, index).
-    """
+def scenario_samples(scenario: NomaScenario, kinds, keep=()) -> tuple[dict, dict]:
+    """For each kind of frame in ``kinds`` (``KINDS``: received, or
+    denoised), the labelled samples of each far class in CLASS_ORDER in
+    dataset order, and for each kind in ``keep`` the frames behind them:
+    two dicts keyed by kind. Per-sample seeds come from
+    derive_seed(scenario.seed, class, index)."""
+    if not {*kinds, *keep} <= set(KINDS):
+        raise ValueError(f"kinds must be among {KINDS}, got {kinds} and {keep}")
+    samples = {kind: [] for kind in kinds}
+    frames = {kind: [] for kind in keep}
     step = max(1, _CHUNK_BYTES // (16 * scenario.symbols_per_frame))
-    for label in range(len(CLASS_ORDER)):
-        scen = replace(scenario, far_scheme=CLASS_ORDER[label])
+    for label, far in enumerate(CLASS_ORDER):
+        scen = replace(scenario, far_scheme=far)
         for start in range(0, scenario.samples_per_class, step):
             seeds = [derive_seed(scenario.seed, label, index) for index in
                      range(start, min(start + step, scenario.samples_per_class))]
-            yield label, seeds, generate_noma_frames(
-                scen, [np.random.default_rng(seed) for seed in seeds])
-
-
-def frame_samples(scenario: NomaScenario, label: int, seeds, frames) -> list:
-    """The labelled density diagrams of equal-length (possibly denoised)
-    frames, binned together by ``density_grids``."""
-    grids = density_grids(np.stack([frame.samples for frame in frames]), scenario.grid_size)
-    return [LabeledSample(diagram=DensityDiagram(grid), label=label, seed=seed,
-                          snr_db=scenario.snr_db_near) for seed, grid in zip(seeds, grids)]
+            chunk = {"raw": generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])}
+            if "denoised" in samples or "denoised" in frames:
+                chunk["denoised"] = denoise_frames(chunk["raw"])
+            for kind, out in samples.items():
+                grids = density_grids(np.stack([f.samples for f in chunk[kind]]), scenario.grid_size)
+                out += [LabeledSample(DensityDiagram(grid), label, seed, scenario.snr_db_near)
+                        for seed, grid in zip(seeds, grids)]
+            for kind, out in frames.items():
+                out += chunk[kind]
+            # held across the next simulation, the chunk slows it measurably
+            del chunk
+    return samples, frames
 
 
 def generate_dataset(scenario: NomaScenario, denoise: bool = True,
                      keep_frames: bool = False):
-    """samples_per_class labelled samples for each of the four far classes.
-
-    Each chunk of ``scenario_frames`` is denoised by one ``denoise_frames``
-    call, which gives every frame the bytes that ``denoise_frame`` alone
-    would, and binned by one ``frame_samples`` call. Returns the list of
-    samples, plus the matching (denoised) frames when ``keep_frames`` is set.
-    """
-    samples = []
-    frames = []
-    for label, seeds, received in scenario_frames(scenario):
-        if denoise:
-            received = denoise_frames(received)
-        samples += frame_samples(scenario, label, seeds, received)
-        if keep_frames:
-            frames += received
-    return (samples, frames) if keep_frames else samples
+    """The one-kind case of ``scenario_samples``: the list of samples binned
+    from denoised frames, or from the received frames with ``denoise`` off,
+    plus those frames when ``keep_frames`` is set."""
+    kind = "denoised" if denoise else "raw"
+    samples, frames = scenario_samples(scenario, (kind,), (kind,) if keep_frames else ())
+    return (samples[kind], frames[kind]) if keep_frames else samples[kind]
 
 
 def split_dataset(samples, seed: int) -> DatasetSplit:

@@ -1,12 +1,17 @@
 """Experiment engine: SNR sweeps over scenario factors and method comparison.
 
-Every CNN model trains on a group of cells: by default each (factor value,
-SNR) cell is its own group; a pooled mode groups every SNR of a factor value.
-A method's model trains at its first row left to score in the group, so a
-resumed sweep trains only models that still have rows. Completed rows are
-flushed to the ``results.jsonl`` journal in the sweep's output directory as
-it runs, so an interrupted sweep resumes from where it stopped. Results land
-in a ResultTable and are emitted as CSV accuracy curves plus confusion matrices.
+``_METHODS`` is the one table of methods: which frames each reads, raw or
+denoised, whether it trains a CNN on their diagrams or predicts each frame
+alone, and, in its comment, which simulator truths it reads. A (factor, SNR)
+cell simulates each frame once and builds only the samples and frames its
+methods read. Every CNN model trains on a group of cells: by default each
+(factor value, SNR) cell is its own group; a pooled mode groups every SNR of
+a factor value. A method's model trains at its first row left to score in
+the group, so a resumed sweep trains only models that still have rows.
+Completed rows are flushed to the ``results.jsonl`` journal in the sweep's
+output directory as it runs, so an interrupted sweep resumes from where it
+stopped. Results land in a ResultTable and are emitted as CSV accuracy
+curves plus confusion matrices.
 """
 
 from __future__ import annotations
@@ -14,16 +19,17 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .baseline import projection_classify
-from .datapipe import (derive_seed, frame_samples, scenario_frames,
-                       split_dataset, CLASS_ORDER, MIN_SPLIT_SAMPLES)
+from .datapipe import (derive_seed, scenario_samples, split_dataset, CLASS_ORDER,
+                       MIN_SPLIT_SAMPLES)
 from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
-from .wavelet import SYM8_DEC_LO, denoise_frames
+from .wavelet import SYM8_DEC_LO
 # not called here: kept as attributes so that tracing wrappers installed on this
 # module (perfbench/spans.py) find every pipeline stage by the same name
 from .density import density_diagram  # noqa: F401
@@ -36,10 +42,24 @@ __all__ = [
     "desk_preset", "full_preset",
 ]
 
-METHOD_RESNET = "resnet_denoised"
-METHOD_RAW = "resnet_raw"
-METHOD_PROJECTION = "projection_clustering"
-METHODS = (METHOD_RESNET, METHOD_RAW, METHOD_PROJECTION)
+
+class _Method(NamedTuple):
+    frames: str                      # the datapipe kind it reads: "raw" or "denoised"
+    predict: Callable | None = None  # (frame, scenario) -> far scheme; None trains a CNN
+
+
+# The simulator truths each method reads: all three read frames equalised by
+# the exact fading coefficient. Denoising reads each frame's true
+# ``noise_scale``, so the readers of denoised frames read it too. The
+# projection baseline also reads the scenario's ``near_schemes``. A predictor
+# looks its function up on this module at call time, where tracers patch it.
+_METHODS = {
+    "resnet_denoised": _Method("denoised"),
+    "resnet_raw": _Method("raw"),
+    "projection_clustering": _Method("denoised", lambda frame, scenario: projection_classify(
+        frame, near_schemes=scenario.near_schemes)),
+}
+METHODS = tuple(_METHODS)
 
 FACTOR_NONE = "none"
 FACTORS = (FACTOR_NONE, "near_scheme", "user_count", "delta_db", "alpha_fpc")
@@ -69,7 +89,7 @@ class ExperimentConfig:
     snr_step: float = 2.0
     factor_name: str = FACTOR_NONE
     factor_values: tuple = ()
-    methods: tuple = (METHOD_RESNET,)
+    methods: tuple = (METHODS[0],)
     pooled_training: bool = False
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
@@ -160,10 +180,23 @@ class ResultRow:
 
     @classmethod
     def from_json(cls, d: dict) -> "ResultRow":
-        return cls(snr_db=float(d["snr_db"]), factor=str(d["factor"]),
-                   method=str(d["method"]), accuracy=float(d["accuracy"]),
-                   confusion=tuple(tuple(int(c) for c in row) for row in d["confusion"]),
-                   n_test=int(d["n_test"]))
+        """The row of a journal line; ValueError unless its confusion is a
+        4x4 matrix of non-negative counts that sum to ``n_test`` and its
+        accuracy is their trace over ``n_test``, as ``evaluate`` computes it."""
+        row = cls(snr_db=float(d["snr_db"]), factor=str(d["factor"]),
+                  method=str(d["method"]), accuracy=float(d["accuracy"]),
+                  confusion=tuple(tuple(int(c) for c in r) for r in d["confusion"]),
+                  n_test=int(d["n_test"]))
+        k = len(CLASS_ORDER)
+        if len(row.confusion) != k or any(len(r) != k or min(r) < 0 for r in row.confusion):
+            raise ValueError(f"confusion is not a {k}x{k} matrix of counts: {row.confusion}")
+        total = sum(map(sum, row.confusion))
+        if row.n_test < 1 or total != row.n_test:
+            raise ValueError(f"confusion counts sum to {total}, n_test is {row.n_test}")
+        trace = sum(row.confusion[i][i] for i in range(k))
+        if row.accuracy != trace / row.n_test:
+            raise ValueError(f"accuracy {row.accuracy} is not {trace}/{row.n_test}")
+        return row
 
 
 @dataclass
@@ -196,28 +229,20 @@ def evaluate(predicted, labels) -> tuple[float, np.ndarray]:
 
 
 class _CellData:
-    """Everything one (factor, SNR) cell needs, each frame simulated once.
+    """One (factor, SNR) cell, each frame simulated once.
 
-    ``raw`` and ``denoised`` hold the cell's samples in dataset order, and
-    ``frames[i]`` is the denoised frame behind ``denoised[i]``. Each chunk of
-    frames is denoised by one ``denoise_frames`` call and binned by
-    ``frame_samples``, raw and denoised, as in ``generate_dataset``.
+    ``samples[kind]`` holds the cell's samples of each kind of frame that
+    ``methods`` read, in dataset order, and ``frames[kind]`` the frames
+    behind them for the kinds a per-frame predictor reads.
     """
 
-    def __init__(self, scenario: NomaScenario):
+    def __init__(self, scenario: NomaScenario, methods):
         self.scenario = scenario
-        self.raw: list = []
-        self.denoised: list = []
-        self.frames: list = []
-        for label, seeds, received in scenario_frames(scenario):
-            denoised = denoise_frames(received)
-            self.raw += frame_samples(scenario, label, seeds, received)
-            self.denoised += frame_samples(scenario, label, seeds, denoised)
-            self.frames += denoised
-        self.split = split_dataset(self.denoised, seed=derive_seed(scenario.seed, 1))
-
-    def samples(self, method: str) -> list:
-        return self.raw if method == METHOD_RAW else self.denoised
+        reads = [_METHODS[m] for m in methods]
+        self.samples, self.frames = scenario_samples(
+            scenario, {m.frames for m in reads}, {m.frames for m in reads if m.predict})
+        self.split = split_dataset(next(iter(self.samples.values())),
+                                   seed=derive_seed(scenario.seed, 1))
 
 
 def train_model(parts, train_cfg: TrainConfig, model_seed: int):
@@ -268,11 +293,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
             # when some CNN method of this factor value still has a row left
             pool = cfg.pooled_training and any(
                 (factor_label, m, snr) not in done
-                for m in cfg.methods if m != METHOD_PROJECTION for snr in cfg.snr_points)
+                for m in cfg.methods if not _METHODS[m].predict for snr in cfg.snr_points)
             groups = [range(len(cfg.snr_points))] if pool else [[si] for si in pending]
             for group in groups:
                 cells = [_CellData(replace(scen_factor, snr_db_near=cfg.snr_points[si],
-                                           seed=derive_seed(cfg.seed, fi, si)))
+                                           seed=derive_seed(cfg.seed, fi, si)), cfg.methods)
                          for si in group]
                 models = {}
                 for cell in cells:
@@ -280,7 +305,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
                     for mi, method in enumerate(cfg.methods):
                         if (factor_label, method, snr) in done:
                             continue
-                        if method != METHOD_PROJECTION and method not in models:
+                        if not _METHODS[method].predict and method not in models:
                             models[method] = _train_on_group(cfg, fi, mi, method, cells)
                         row = _score_cell(factor_label, cell, method, models.get(method))
                         table.rows.append(row)
@@ -300,26 +325,25 @@ def _train_on_group(cfg, factor_index, method_index, method, cells) -> Modulatio
     else:
         model_seed = derive_seed(cells[0].scenario.seed, 1000 + method_index)
         train_seed = derive_seed(cells[0].scenario.seed, 2000 + method_index)
-    model, _ = train_model([(c.samples(method), c.split) for c in cells],
+    model, _ = train_model([(c.samples[_METHODS[method].frames], c.split) for c in cells],
                            replace(cfg.train, seed=train_seed), model_seed)
     return model
 
 
 def _score_cell(factor_label, cell, method, model) -> ResultRow:
     """The result row of ``method`` on the cell's test split; ``model`` is
-    the trained net of a CNN method, None for the projection baseline."""
+    the trained net of a CNN method, None for a per-frame predictor."""
     scenario = cell.scenario
-    test_samples = [cell.samples(method)[i] for i in cell.split.test]
-    if model is None:
-        predicted = [CLASS_ORDER.index(projection_classify(
-                         cell.frames[i], near_schemes=scenario.near_schemes))
+    kind, predict = _METHODS[method]
+    test_samples = [cell.samples[kind][i] for i in cell.split.test]
+    if predict:
+        predicted = [CLASS_ORDER.index(predict(cell.frames[kind][i], scenario))
                      for i in cell.split.test]
     else:
         predicted = model.classify(diagram_matrix(test_samples)[0])
     accuracy, confusion = evaluate(predicted, [s.label for s in test_samples])
     return ResultRow(snr_db=scenario.snr_db_near, factor=factor_label, method=method,
-                     accuracy=accuracy,
-                     confusion=tuple(tuple(int(c) for c in r) for r in confusion),
+                     accuracy=accuracy, confusion=tuple(map(tuple, confusion.tolist())),
                      n_test=len(test_samples))
 
 
@@ -328,18 +352,23 @@ def read_journal(path):
 
     Rows are written and flushed one whole line at a time, so an interrupted
     sweep can tear only the final line: bytes after the last newline are
-    dropped. Damage anywhere else raises DataFormatError.
+    dropped. Damage anywhere else, a row that contradicts itself included,
+    raises DataFormatError naming the line.
     """
     blob = Path(path).read_bytes()
     kept = blob.rfind(b"\n") + 1
     lines = blob[:kept].decode("utf-8").splitlines()
     if not lines:
         return None, [], 0
-    try:
-        digest = json.loads(lines[0])["config_digest"]
-        rows = [ResultRow.from_json(json.loads(line)) for line in lines[1:] if line.strip()]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path} is damaged: {exc}") from exc
+    rows = []
+    for number, line in enumerate(lines, 1):
+        try:
+            if number == 1:
+                digest = json.loads(line)["config_digest"]
+            elif line.strip():
+                rows.append(ResultRow.from_json(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path} is damaged at line {number}: {exc}") from exc
     return digest, rows, kept
 
 

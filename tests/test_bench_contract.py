@@ -45,3 +45,31 @@ def test_traced_tiny_phase_passes_every_check(tmp_path, phase):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     assert [c for c in result["checks"] if not c["ok"]] == []
+
+
+def test_traced_projection_sweep_spans_each_test_frame_and_row(tmp_path, monkeypatch):
+    """The method table looks its per-frame predictor up on ``harness`` at
+    call time, so the tracer's wrapper there sees every projection call."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    from nomadet import harness
+    from nomadet.neuralnet import TrainConfig
+    from nomadet.sigsim import ModScheme, NomaScenario
+    cfg = harness.ExperimentConfig(
+        scenario=NomaScenario(near_schemes=(ModScheme.QPSK,), symbols_per_frame=256,
+                              samples_per_class=5, grid_size=16),
+        snr_start=0.0, snr_stop=10.0, snr_step=10.0, methods=("projection_clustering",),
+        train=TrainConfig(max_epochs=1, patience=1), seed=2)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        table = harness.run_sweep(cfg, tmp_path)
+    finally:
+        tracer.unpatch()
+    projected = [i for i, span in enumerate(tracer.spans)
+                 if span[0] == "baseline.projection_classify"]
+    assert len(table.rows) == 2
+    assert len(projected) == sum(row.n_test for row in table.rows)
+    assert all(tracer._has_ancestor(i, "harness.run_sweep") for i in projected)
+    evaluated = [span for span in tracer.spans if span[0] == "harness.evaluate"]
+    assert len(evaluated) == len(table.rows)

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from nomadet import datapipe
-from nomadet.datapipe import (CLASS_ORDER, derive_seed, frame_samples,
-                              generate_dataset, load_dataset, save_dataset,
-                              split_dataset)
+from nomadet.datapipe import (CLASS_ORDER, derive_seed, generate_dataset,
+                              load_dataset, save_dataset, split_dataset)
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
 from nomadet.density import density_diagram
@@ -64,8 +63,8 @@ class TestGenerateDataset:
         frame = generate_noma_frame(
             replace(scenario, far_scheme=CLASS_ORDER[probe.label]),
             rng=np.random.default_rng(probe.seed))
-        regen, = frame_samples(scenario, probe.label, [probe.seed], [denoise_frame(frame)])
-        np.testing.assert_array_equal(regen.diagram.grid, probe.diagram.grid)
+        regen = density_diagram(denoise_frame(frame), scenario.grid_size)
+        np.testing.assert_array_equal(regen.grid, probe.diagram.grid)
 
     def test_chunked_classes_match_one_frame_samples(self, monkeypatch):
         """256-symbol frames come 128 to a chunk, so 129 frames per class

@@ -1,5 +1,6 @@
 """Sweep engine: one simulation per sample, reproducible journals, resume."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from nomadet.harness import ExperimentConfig, METHODS, emit_report, run_sweep
 from nomadet.neuralnet import TrainConfig
 from nomadet.sigsim import ModScheme, NomaScenario
 
+RESNET, RAW, PROJECTION = METHODS
 SCENARIO = NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=10.0,
                         symbols_per_frame=256, samples_per_class=5, grid_size=16, seed=4)
 
@@ -64,16 +66,55 @@ def test_each_sample_is_simulated_once(tmp_path, monkeypatch, pooled):
 
 
 def test_cell_matches_generate_dataset():
-    cell = harness._CellData(SCENARIO)
+    cell = harness._CellData(SCENARIO, METHODS)
     den, frames = generate_dataset(SCENARIO, keep_frames=True)
     raw = generate_dataset(SCENARIO, denoise=False)
-    for got, want in ((cell.denoised, den), (cell.raw, raw)):
+    assert set(cell.samples) == {"raw", "denoised"} and set(cell.frames) == {"denoised"}
+    for got, want in ((cell.samples["denoised"], den), (cell.samples["raw"], raw)):
         assert [(s.label, s.seed) for s in got] == [(s.label, s.seed) for s in want]
         for a, b in zip(got, want):
             assert a.diagram.grid.dtype == np.float32
             np.testing.assert_array_equal(a.diagram.grid, b.diagram.grid)
-    for a, b in zip(cell.frames, frames):
+    assert len(cell.frames["denoised"]) == len(frames)
+    for a, b in zip(cell.frames["denoised"], frames):
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_raw_only_sweep_never_denoises(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, datapipe, "denoise_frames")
+    table = run_sweep(tiny_config(methods=(RAW,)), tmp_path)
+    assert len(table.rows) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("methods", [(RESNET,), (RESNET, RAW)])
+def test_sweep_without_a_frame_predictor_keeps_no_frames(tmp_path, monkeypatch, methods):
+    built = []
+    inner = harness.scenario_samples
+
+    def recorded(scenario, kinds, keep=()):
+        built.append(inner(scenario, kinds, keep))
+        return built[-1]
+    monkeypatch.setattr(harness, "scenario_samples", recorded)
+    run_sweep(tiny_config(methods=methods), tmp_path)
+    assert len(built) == 2
+    for samples, frames in built:
+        assert set(samples) == {harness._METHODS[m].frames for m in methods}
+        assert frames == {}
+
+
+@pytest.mark.parametrize("alone", [PROJECTION, RESNET])
+def test_method_rows_do_not_depend_on_the_other_methods(tmp_path, alone):
+    """A cell that builds only what one method reads gives that method the
+    rows of a cell built for every method (a CNN at the same method index)."""
+    run_sweep(tiny_config(methods=(alone,)), tmp_path / "alone")
+    run_sweep(tiny_config(), tmp_path / "all")
+
+    def rows(name):
+        lines = (tmp_path / name / "results.jsonl").read_bytes().splitlines()[1:]
+        return [line for line in lines if f'"method": "{alone}"'.encode() in line]
+    assert len(rows("alone")) == 2
+    assert rows("alone") == rows("all")
 
 
 def test_same_seed_sweeps_write_identical_journals(tmp_path):
@@ -99,7 +140,7 @@ def test_resume_computes_nothing_and_report_is_stable(tmp_path):
 
 
 def test_torn_final_line_loses_only_that_row(tmp_path):
-    cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
+    cfg = tiny_config(methods=(PROJECTION,))
     sweep(cfg, tmp_path)
     journal = tmp_path / "results.jsonl"
     whole = journal.read_bytes()
@@ -112,7 +153,7 @@ def test_torn_final_line_loses_only_that_row(tmp_path):
 
 
 def test_damaged_journal_is_rejected(tmp_path):
-    cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
+    cfg = tiny_config(methods=(PROJECTION,))
     sweep(cfg, tmp_path)
     journal = tmp_path / "results.jsonl"
     lines = journal.read_bytes().splitlines(keepends=True)
@@ -121,8 +162,48 @@ def test_damaged_journal_is_rejected(tmp_path):
         run_sweep(cfg, tmp_path)
 
 
+def _edit_accuracy(row):
+    row["accuracy"] = (row["accuracy"] * row["n_test"] + 1) / row["n_test"]
+
+
+def _edit_count(row):
+    row["confusion"][0][0] += 1
+
+
+@pytest.mark.parametrize("edit", [_edit_accuracy, _edit_count], ids=["accuracy", "count"])
+def test_row_that_contradicts_itself_is_refused_by_line(tmp_path, edit):
+    cfg = tiny_config(methods=(PROJECTION,))
+    sweep(cfg, tmp_path)
+    journal = tmp_path / "results.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    row = json.loads(lines[2])
+    edit(row)
+    lines[2] = json.dumps(row, sort_keys=True) + "\n"
+    journal.write_text("".join(lines))
+    with pytest.raises(DataFormatError, match="damaged at line 3"):
+        run_sweep(cfg, tmp_path)
+    assert journal.read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("change", [
+    {"confusion": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"confusion": [[2, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"n_test": 5},
+    {"n_test": 0, "confusion": [[0] * 4] * 4, "accuracy": 0.0},
+    {"accuracy": 0.75 + 1e-16 * 8},
+    {"accuracy": float("nan")},
+], ids=["3x3", "negative", "n_test", "empty", "last_bit", "nan"])
+def test_result_row_checks_its_own_numbers(change):
+    good = {"snr_db": 0.0, "factor": "default", "method": PROJECTION, "accuracy": 0.75,
+            "confusion": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]],
+            "n_test": 4}
+    assert harness.ResultRow.from_json(good).accuracy == 0.75
+    with pytest.raises(ValueError):
+        harness.ResultRow.from_json({**good, **change})
+
+
 def test_journal_of_another_config_is_kept(tmp_path):
-    cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
+    cfg = tiny_config(methods=(PROJECTION,))
     sweep(cfg, tmp_path)
     journal = tmp_path / "results.jsonl"
     whole = journal.read_bytes()
@@ -140,7 +221,7 @@ def test_journal_of_another_config_is_kept(tmp_path):
 def test_scenario_seed_does_not_split_the_digest(tmp_path, section, name, value):
     """Fields the sweep sets for itself, per cell or per model, stay out of
     the config digest."""
-    cfg = tiny_config(methods=(harness.METHOD_PROJECTION,))
+    cfg = tiny_config(methods=(PROJECTION,))
     sweep(cfg, tmp_path)
     changed = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
     _, computed = sweep(changed, tmp_path)
@@ -156,12 +237,12 @@ def test_evaluate_counts_predictions_by_true_class():
 
 def test_journal_without_rows_is_replaced(tmp_path):
     (tmp_path / "results.jsonl").write_text('{"config_digest": "another"}\n')
-    _, computed = sweep(tiny_config(methods=(harness.METHOD_PROJECTION,)), tmp_path)
+    _, computed = sweep(tiny_config(methods=(PROJECTION,)), tmp_path)
     assert computed == 2
 
 
 def test_pooled_resume_does_not_retrain(tmp_path, monkeypatch):
-    cfg = tiny_config(methods=(harness.METHOD_RESNET,), pooled=True)
+    cfg = tiny_config(methods=(RESNET,), pooled=True)
     sweep(cfg, tmp_path)
     calls = count_calls(monkeypatch, harness, "train")
     _, computed = sweep(cfg, tmp_path)
@@ -185,8 +266,8 @@ def test_cells_too_small_to_denoise_or_split_are_refused_at_the_bound():
             ExperimentConfig(scenario=replace(SCENARIO, **{field: value - 1}))
 
 
-@pytest.mark.parametrize("method, trained", [(harness.METHOD_RAW, 1),
-                                             (harness.METHOD_PROJECTION, 0)])
+@pytest.mark.parametrize("method, trained", [(RAW, 1),
+                                             (PROJECTION, 0)])
 def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
                                                          method, trained):
     """A pooled model needs every SNR cell; the projection baseline needs only
