@@ -2,14 +2,17 @@
 
 Every sample is produced from a seed derived from (master seed, class,
 index), so any sample can be regenerated in isolation. ``scenario_samples``
-simulates a class in chunks of about ``_CHUNK_BYTES`` of complex samples (16
-frames of 2000 symbols, 10 of 3000), each by one ``generate_noma_frames``
-call, denoised by one ``denoise_frames`` call if a requested kind needs it,
-binned by one ``density_grids`` call per kind and dropped before the next,
-so the working memory does not grow with samples_per_class. Each frame
-draws from its own generator in the one-frame order, so its bytes do not
-depend on its chunk. Frames arrive equalised by their exact fading
-coefficient, and denoising reads each frame's true ``noise_scale``.
+is the one place that chunks: it takes a class in chunks of about
+``_CHUNK_BYTES`` of complex samples (16 frames of 2000 symbols, 10 of 3000),
+each in the batch form, (B, n) sample rows and (B,) noise scales, from seed
+to diagram: simulated by one ``generate_noma_frames`` call, denoised by one
+``denoise_frames`` call if a requested kind needs it, binned by one
+``density_grids`` call per kind and dropped before the next, so the working
+memory does not grow with samples_per_class. Only kept kinds become
+``SignalFrame`` objects. Each frame draws from its own generator in the
+one-frame order, so its bytes do not depend on its chunk. Frames arrive
+equalised by their exact fading coefficient, and denoising reads each
+frame's true ``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
 little-endian: sample count u32 | grid size N u16 | sha256 of the JSON
@@ -30,8 +33,8 @@ import numpy as np
 from .density import DensityDiagram, density_grids
 from .errors import DataFormatError
 from .fileio import atomic_write, read_exact, read_fields, read_frame, write_frame
-from .sigsim import ModScheme, NomaScenario, generate_noma_frames
-from .wavelet import _CHUNK_BYTES, denoise_frames
+from .sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frames
+from .wavelet import denoise_frames
 # not called here: kept as attributes so that tracing wrappers installed on
 # this module (perfbench/spans.py) find them by the same names
 from .density import density_diagram  # noqa: F401
@@ -48,6 +51,7 @@ MAGIC = b"NMD1"
 FORMAT_VERSION = 1
 MIN_SPLIT_SAMPLES = 10  # fewest samples split_dataset accepts
 KINDS = ("raw", "denoised")  # the frames a sample's diagram can be binned from
+_CHUNK_BYTES = 1 << 19  # scenario_samples's chunk size, see the module docstring
 
 # label index <-> far scheme, fixed order
 CLASS_ORDER = (ModScheme.PI_HALF_BPSK, ModScheme.QPSK, ModScheme.QAM16,
@@ -98,17 +102,18 @@ def scenario_samples(scenario: NomaScenario, kinds, keep=()) -> tuple[dict, dict
         for start in range(0, scenario.samples_per_class, step):
             seeds = [derive_seed(scenario.seed, label, index) for index in
                      range(start, min(start + step, scenario.samples_per_class))]
-            chunk = {"raw": generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])}
+            rows, scales = generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])
+            chunk = {"raw": rows}
             if "denoised" in samples or "denoised" in frames:
-                chunk["denoised"] = denoise_frames(chunk["raw"])
+                chunk["denoised"] = denoise_frames(rows, scales)
             for kind, out in samples.items():
-                grids = density_grids(np.stack([f.samples for f in chunk[kind]]), scenario.grid_size)
+                grids = density_grids(chunk[kind], scenario.grid_size)
                 out += [LabeledSample(DensityDiagram(grid), label, seed, scenario.snr_db_near)
                         for seed, grid in zip(seeds, grids)]
             for kind, out in frames.items():
-                out += chunk[kind]
+                out += [SignalFrame(row, s) for row, s in zip(chunk[kind], scales.tolist())]
             # held across the next simulation, the chunk slows it measurably
-            del chunk
+            del chunk, rows
     return samples, frames
 
 

@@ -137,7 +137,6 @@ class ExperimentConfig:
                              f"samples over {len(CLASS_ORDER)} classes to split a cell")
         for _, cell in self.factor_cells():
             resolve_allocation(cell)
-            cell.channel_config()
 
     @property
     def snr_points(self) -> tuple:
@@ -233,16 +232,21 @@ class _CellData:
 
     ``samples[kind]`` holds the cell's samples of each kind of frame that
     ``methods`` read, in dataset order, and ``frames[kind]`` the frames
-    behind them for the kinds a per-frame predictor reads.
+    behind its test split, in test order, for the kinds a per-frame
+    predictor reads.
     """
 
     def __init__(self, scenario: NomaScenario, methods):
         self.scenario = scenario
         reads = [_METHODS[m] for m in methods]
-        self.samples, self.frames = scenario_samples(
+        self.samples, frames = scenario_samples(
             scenario, {m.frames for m in reads}, {m.frames for m in reads if m.predict})
         self.split = split_dataset(next(iter(self.samples.values())),
                                    seed=derive_seed(scenario.seed, 1))
+        # copies: a frame's samples are a row of its whole chunk, which a
+        # view would keep alive
+        self.frames = {kind: [replace(kept[i], samples=kept[i].samples.copy())
+                              for i in self.split.test] for kind, kept in frames.items()}
 
 
 def train_model(parts, train_cfg: TrainConfig, model_seed: int):
@@ -337,8 +341,7 @@ def _score_cell(factor_label, cell, method, model) -> ResultRow:
     kind, predict = _METHODS[method]
     test_samples = [cell.samples[kind][i] for i in cell.split.test]
     if predict:
-        predicted = [CLASS_ORDER.index(predict(cell.frames[kind][i], scenario))
-                     for i in cell.split.test]
+        predicted = [CLASS_ORDER.index(predict(frame, scenario)) for frame in cell.frames[kind]]
     else:
         predicted = model.classify(diagram_matrix(test_samples)[0])
     accuracy, confusion = evaluate(predicted, [s.label for s in test_samples])

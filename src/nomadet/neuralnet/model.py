@@ -198,12 +198,9 @@ class ModulationNet:
     def classify(self, x: np.ndarray, batch_size: int = 8) -> np.ndarray:
         return self.predict(x, batch_size).argmax(axis=1)
 
-    def snapshot(self) -> np.ndarray:
-        """A copy of ``state``: every parameter and running statistic."""
-        return self.state.copy()
-
     def restore(self, snap: np.ndarray) -> None:
-        """Copy a ``snapshot`` of this architecture back into ``state``."""
+        """Copy ``snap``, a copy of the ``state`` of a net of this
+        architecture, back into ``state``."""
         if snap.shape != self.state.shape or snap.dtype != self.state.dtype:
             raise ValueError(
                 f"snapshot of {snap.size} {snap.dtype} values does not fit the state of "

@@ -16,12 +16,14 @@ unrotated (I = 1, -1; Q = 0) and its odd symbols are turned by pi/2. Bits
 per symbol, ``axis_levels`` and the projection baseline's per-axis
 signatures derive from the table.
 
-``generate_noma_frames`` simulates a chunk of frames, one generator each.
-Frame b draws from its own generator, in this order: each user's bits, near
-users first and the far user last, then its fading coefficient, then its
-noise. Modulation, superposition, fading, noise scaling and equalisation
-then run once over the (B, n) matrix. ``generate_noma_frame`` is its one-row
-case, and ``modulate``, ``superpose`` and ``apply_channel`` run the same row
+``generate_noma_frames`` simulates a batch of frames, one generator each,
+in the pipeline's batch form: (B, n) complex sample rows and their (B,)
+float64 noise scales, B set by the caller. Frame b draws from its own
+generator, in this order: each user's bits, near users first and the far
+user last, then its fading coefficient, then its noise. Modulation,
+superposition, fading, noise scaling and equalisation then run once over
+the (B, n) matrix. ``generate_noma_frame`` is its one-row case, and
+``modulate``, ``superpose`` and ``apply_channel`` run the same row
 arithmetic on one frame, so replaying a seed's draws through them rebuilds
 its frame byte for byte.
 """
@@ -37,7 +39,6 @@ import numpy as np
 __all__ = [
     "ModScheme",
     "SignalFrame",
-    "ChannelConfig",
     "NomaScenario",
     "modulate",
     "axis_levels",
@@ -128,26 +129,6 @@ class SignalFrame:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Channel seen by the near user terminal.
-
-    ``snr_db_near`` is the near-user SNR; ``math.inf`` disables noise.
-    Noise is injected once, at the near receiver. The received frame is
-    divided by the fading coefficient (perfect CSI), which keeps
-    constellation clusters axis aligned.
-    """
-
-    fading: str = "rayleigh"        # "rayleigh" (block) or "none"
-    snr_db_near: float = 16.0
-
-    def __post_init__(self):
-        if self.fading not in ("rayleigh", "none"):
-            raise ValueError("fading must be 'rayleigh' or 'none'")
-        if not (np.isfinite(self.snr_db_near) or self.snr_db_near == np.inf):
-            raise ValueError(f"snr_db_near must be finite or inf, got {self.snr_db_near}")
-
-
 def axis_levels(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
     """Normalised I and Q levels of a scheme, in Gray order.
 
@@ -211,44 +192,44 @@ def _superposed(streams: list, ratios: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_channel(frame: SignalFrame, cfg: ChannelConfig,
+def apply_channel(frame: SignalFrame, cfg: NomaScenario,
                   rng: np.random.Generator) -> SignalFrame:
-    """Block fading plus AWGN at the near receiver, then equalisation.
+    """Block fading plus AWGN at the near receiver, then equalisation, over
+    the channel (``fading``, ``snr_db_near``) of the scenario ``cfg``.
 
     One complex Gaussian CN(0,1) coefficient h is drawn per frame; the noise
     variance is the measured faded-signal power divided by the linear SNR.
-    The output (and therefore the noise) is divided by h. The returned frame
-    records the realised complex noise standard deviation.
+    The output (and therefore the noise) is divided by h (perfect CSI), which
+    keeps constellation clusters axis aligned. The returned frame records the
+    realised complex noise standard deviation.
     """
-    return _received(frame.samples[None], cfg, [rng])[0]
+    samples, scales = _received(frame.samples[None], cfg, [rng])
+    return SignalFrame(samples[0], float(scales[0]))
 
 
-def _received(clean: np.ndarray, cfg: ChannelConfig, rngs) -> list:
-    """Received frames of the (B, n) superposed rows ``clean``: row b draws
-    its fading coefficient h, then its noise's real and imaginary parts, from
-    ``rngs[b]``; it is faded by h, given noise at ``cfg.snr_db_near`` below
-    its faded power, and divided by h."""
-    noise = None if cfg.snr_db_near == np.inf else np.empty((2, *clean.shape))
-    hs = []
+def _received(clean: np.ndarray, scenario: NomaScenario, rngs):
+    """The received (B, n) rows of the superposed rows ``clean`` and their
+    (B,) noise scales. Row b draws its fading coefficient h, then its noise,
+    from ``rngs[b]``; it is faded by h, given noise ``snr_db_near`` below its
+    faded power, and divided by h."""
+    noise = None if scenario.snr_db_near == np.inf else np.empty((2, *clean.shape))
+    h = np.ones((len(clean), 1), dtype=np.complex128)
     for b, rng in enumerate(rngs):
-        if cfg.fading == "rayleigh":
-            hs.append((rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
-        else:
-            hs.append(1.0 + 0.0j)
+        if scenario.fading == "rayleigh":
+            h[b] = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
         if noise is not None:
             rng.standard_normal(out=noise[0, b])
             rng.standard_normal(out=noise[1, b])
-    h = np.array(hs)[:, None]
     faded = h * clean
     if noise is None:
         sigma2 = np.zeros(len(clean))
         noisy = faded
     else:
         sig_power = np.mean(np.abs(faded) ** 2, axis=1)
-        sigma2 = sig_power / (10.0 ** (cfg.snr_db_near / 10.0))
+        sigma2 = sig_power / (10.0 ** (scenario.snr_db_near / 10.0))
         noisy = faded + np.sqrt(sigma2 / 2.0)[:, None] * (noise[0] + 1j * noise[1])
-    return [SignalFrame(row, noise_scale=float(scale / abs(hb)))
-            for row, scale, hb in zip(noisy / h, np.sqrt(sigma2), hs)]
+    # |h| by hypot, as abs() of a complex scalar; np.abs of an array rounds otherwise
+    return noisy / h, np.sqrt(sigma2) / np.hypot(h.real, h.imag)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -258,15 +239,16 @@ class NomaScenario:
     Users are ordered near-first, far-last everywhere (schemes, gains,
     power ratios). Power follows fractional power allocation over the SNR
     ladder: near user j sits at ``snr_db_near - j*NEAR_STEP_DB`` and the far
-    user at ``snr_db_near - delta_db``.
+    user at ``snr_db_near - delta_db``. ``apply_channel`` describes the
+    near user's channel.
     """
 
     near_schemes: tuple = (ModScheme.QPSK,)
     far_scheme: ModScheme = ModScheme.PI_HALF_BPSK
-    snr_db_near: float = 16.0
+    snr_db_near: float = 16.0       # math.inf for no noise
     delta_db: float = 6.0
     alpha_fpc: float = 1.0
-    fading: str = "rayleigh"
+    fading: str = "rayleigh"        # "rayleigh" (block) or "none"
     symbols_per_frame: int = 2000
     samples_per_class: int = 250
     grid_size: int = 100
@@ -284,9 +266,14 @@ class NomaScenario:
                             ("grid_size", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        if self.fading not in ("rayleigh", "none"):
+            raise ValueError(f"fading must be 'rayleigh' or 'none', got {self.fading!r}")
+        if not (np.isfinite(self.snr_db_near) or self.snr_db_near == np.inf):
+            raise ValueError(f"snr_db_near must be finite or inf, got {self.snr_db_near}")
 
-    def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(fading=self.fading, snr_db_near=self.snr_db_near)
+    def channel_config(self) -> NomaScenario:
+        """The scenario itself: it holds the channel ``apply_channel`` reads."""
+        return self
 
 
 def resolve_allocation(scenario: NomaScenario) -> np.ndarray:
@@ -327,14 +314,15 @@ def _allocation(near_users: int, delta_db: float, alpha: float) -> np.ndarray:
 
 
 def generate_noma_frame(scenario: NomaScenario, rng: np.random.Generator) -> SignalFrame:
-    """One frame through :func:`generate_noma_frames`."""
-    return generate_noma_frames(scenario, [rng])[0]
+    """One frame: row 0 of :func:`generate_noma_frames` on one generator."""
+    samples, scales = generate_noma_frames(scenario, [rng])
+    return SignalFrame(samples[0], float(scales[0]))
 
 
-def generate_noma_frames(scenario: NomaScenario, rngs) -> list:
-    """One received frame per generator in ``rngs``, in order: frame b is
-    row b of one (B, n) matrix and draws from ``rngs[b]`` alone, in the
-    order the module docstring gives."""
+def generate_noma_frames(scenario: NomaScenario, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) complex sample rows and (B,) float64 noise scales of one
+    received frame per generator in ``rngs``, in order: row b draws from
+    ``rngs[b]`` alone, in the order the module docstring gives."""
     schemes = list(scenario.near_schemes) + [scenario.far_scheme]
     bits = [np.empty((len(rngs), scenario.symbols_per_frame * s.bits_per_symbol), np.uint8)
             for s in schemes]
@@ -343,4 +331,4 @@ def generate_noma_frames(scenario: NomaScenario, rngs) -> list:
             user[b] = rng.integers(0, 2, size=user.shape[1], dtype=np.uint8)
     clean = _superposed([_symbols(user, s) for user, s in zip(bits, schemes)],
                         resolve_allocation(scenario))
-    return _received(clean, scenario.channel_config(), rngs)
+    return _received(clean, scenario, rngs)

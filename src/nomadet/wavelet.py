@@ -20,11 +20,12 @@ basis (Donoho & Johnstone, JASA 1995), so here it cannot separate signal
 from noise and only shrinks both; nor can the finest details estimate the
 noise scale, so every frame must carry its ``noise_scale``.
 
-``denoise_frames`` takes equal-length frames as one (2*B, n) matrix, one row
-per real or imaginary part, in chunks of about ``_CHUNK_BYTES`` of rows so
-that each chunk's steps run from cache. ``denoise_frame`` is its one-frame
-case, and ``dwt_multilevel`` and ``idwt_multilevel`` run the same row
-transforms on one row.
+``denoise_frames`` takes the batch form, (B, n) complex sample rows and
+their (B,) noise scales, as one (2*B, n) matrix, one row per real or
+imaginary part; the caller sizes B (``datapipe`` chunks so that each
+chunk's steps run from cache). ``denoise_frame`` is its one-row case, and
+``dwt_multilevel`` and ``idwt_multilevel`` run the same row transforms on
+one row.
 
 Each step is O(n * taps) work per row. Analysis copies a row's circular
 windows, the samples (2k + m) % n under window k, into one C-contiguous
@@ -95,10 +96,6 @@ _SYM8_DEC_HI = _qmf(SYM8_DEC_LO)
 # [p, q] = tap 2q + p, the taps that reach synthesis outputs of parity p
 _LO_PQ = SYM8_DEC_LO.reshape(-1, 2).T.copy()
 _HI_PQ = _SYM8_DEC_HI.reshape(-1, 2).T.copy()
-
-# denoise_frames takes frames in chunks of about this many bytes of rows, so
-# that each chunk's steps run from cache
-_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -319,57 +316,50 @@ def _heursure_rows(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return t
 
 
-def denoise_frames(frames, spec: WaveletSpec | None = None) -> list:
-    """Wavelet denoise equal-length complex frames, real and imaginary parts
-    separately; returns one denoised frame per input frame, in order.
+def denoise_frames(samples: np.ndarray, noise_scales,
+                   spec: WaveletSpec | None = None) -> np.ndarray:
+    """Wavelet denoise the (B, n) complex sample rows, real and imaginary
+    parts separately; returns the (B, n) denoised rows, in order.
 
-    Each axis thresholds every level for the frame's complex noise standard
-    deviation ``noise_scale`` over sqrt(2); a noise-free frame's 0 leaves it
-    unshrunk. Approximation coefficients pass through unchanged. Every frame
-    is checked before any is transformed: one whose ``noise_scale`` is None,
-    negative or not finite is refused, and so is a length of at most
-    2**level samples, which leaves one coarsest detail coefficient.
+    Each axis of row b thresholds every level for its complex noise standard
+    deviation ``noise_scales[b]`` over sqrt(2); a noise-free row's 0 leaves
+    it unshrunk. Approximation coefficients pass through unchanged. Every
+    scale is checked before any row is transformed: one that is None (read
+    as NaN), negative or not finite is refused with its row named, and so is
+    a length of at most 2**level samples, which leaves one coarsest detail
+    coefficient.
     """
     spec = spec or WaveletSpec()
-    frames = list(frames)
-    if not frames:
-        raise ValueError("no frames to denoise")
-    n = frames[0].samples.size
-    for index, frame in enumerate(frames):
-        if frame.samples.size != n:
-            raise ValueError(f"frames to denoise together must share one length, "
-                             f"got {n} and {frame.samples.size} samples")
-        scale = frame.noise_scale
-        if scale is None or not 0 <= scale < np.inf:
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or not len(samples):
+        raise ValueError(f"denoise_frames needs (B, n) sample rows with B >= 1, "
+                         f"got shape {samples.shape}")
+    scales = np.asarray(noise_scales, dtype=np.float64)
+    if scales.shape != (len(samples),):
+        raise ValueError(f"{len(samples)} rows to denoise need as many noise scales, "
+                         f"got shape {scales.shape}")
+    for index, scale in enumerate(scales.tolist()):
+        if not 0 <= scale < np.inf:
             raise ValueError(f"frame {index} has noise_scale {scale}; denoising needs "
                              f"a finite, nonnegative noise_scale")
+    rows, n = samples.shape
     if n <= 1 << spec.level:
         raise ValueError(
             f"level {spec.level} leaves one coarsest detail coefficient for a "
             f"{n}-sample frame; thresholding needs at least 2"
         )
     padded = _padded_length(n, spec.level)
-    step = max(1, _CHUNK_BYTES // (2 * padded * 8))
-    out = []
-    for start in range(0, len(frames), step):
-        out += _denoise_chunk(frames[start:start + step], spec.level, padded)
-    return out
-
-
-def _denoise_chunk(frames: list, level: int, padded: int) -> list:
-    n = frames[0].samples.size
-    parts = np.zeros((len(frames), 2, padded))
-    for b, frame in enumerate(frames):
-        parts[b, 0, :n] = frame.samples.real
-        parts[b, 1, :n] = frame.samples.imag
-    approx, details = _decompose(parts.reshape(-1, padded), level)
-    sigma = np.repeat([f.noise_scale for f in frames], 2) / np.sqrt(2.0)
+    parts = np.zeros((rows, 2, padded))
+    parts[:, 0, :n] = samples.real
+    parts[:, 1, :n] = samples.imag
+    approx, details = _decompose(parts.reshape(-1, padded), spec.level)
+    sigma = np.repeat(scales, 2) / np.sqrt(2.0)
     shrunk = [soft_threshold(d, _heursure_rows(d, sigma)[:, None]) for d in reversed(details)]
-    rows = _reconstruct(approx, shrunk).reshape(len(frames), 2, padded)
-    samples = rows[:, 0, :n] + 1j * rows[:, 1, :n]
-    return [SignalFrame(s, frame.noise_scale) for s, frame in zip(samples, frames)]
+    parts = _reconstruct(approx, shrunk).reshape(rows, 2, padded)
+    return parts[:, 0, :n] + 1j * parts[:, 1, :n]
 
 
 def denoise_frame(frame: SignalFrame, spec: WaveletSpec | None = None) -> SignalFrame:
-    """One frame through :func:`denoise_frames`."""
-    return denoise_frames([frame], spec)[0]
+    """One frame: row 0 of :func:`denoise_frames` on the frame's one row."""
+    denoised = denoise_frames(frame.samples[None], [frame.noise_scale], spec)
+    return SignalFrame(denoised[0], frame.noise_scale)

@@ -68,7 +68,7 @@ def clean_noma_pair(scenario: NomaScenario, seed: int):
                             dtype=np.uint8)
         streams.append(modulate(bits, scheme))
     clean = superpose(streams, ratios)
-    noisy = apply_channel(clean, scenario.channel_config(), rng=rng)
+    noisy = apply_channel(clean, scenario, rng=rng)
     return clean, noisy
 
 

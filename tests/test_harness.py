@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from nomadet import datapipe, harness, wavelet
-from nomadet.datapipe import generate_dataset
+from nomadet.datapipe import CLASS_ORDER, generate_dataset
 from nomadet.errors import DataFormatError
 from nomadet.harness import ExperimentConfig, METHODS, emit_report, run_sweep
 from nomadet.neuralnet import TrainConfig
-from nomadet.sigsim import ModScheme, NomaScenario
+from nomadet.sigsim import ModScheme, NomaScenario, generate_noma_frame
+from nomadet.wavelet import denoise_frame
 
 RESNET, RAW, PROJECTION = METHODS
 SCENARIO = NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=10.0,
@@ -67,7 +68,7 @@ def test_each_sample_is_simulated_once(tmp_path, monkeypatch, pooled):
 
 def test_cell_matches_generate_dataset():
     cell = harness._CellData(SCENARIO, METHODS)
-    den, frames = generate_dataset(SCENARIO, keep_frames=True)
+    den = generate_dataset(SCENARIO)
     raw = generate_dataset(SCENARIO, denoise=False)
     assert set(cell.samples) == {"raw", "denoised"} and set(cell.frames) == {"denoised"}
     for got, want in ((cell.samples["denoised"], den), (cell.samples["raw"], raw)):
@@ -75,9 +76,23 @@ def test_cell_matches_generate_dataset():
         for a, b in zip(got, want):
             assert a.diagram.grid.dtype == np.float32
             np.testing.assert_array_equal(a.diagram.grid, b.diagram.grid)
-    assert len(cell.frames["denoised"]) == len(frames)
-    for a, b in zip(cell.frames["denoised"], frames):
-        np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_cell_keeps_copies_of_its_test_frames_only():
+    """A per-frame predictor reads only the test split, so a cell keeps
+    those frames alone, in test order, each owning its samples: a row view
+    would keep its whole chunk alive."""
+    cell = harness._CellData(SCENARIO, METHODS)
+    frames = cell.frames["denoised"]
+    assert len(frames) == len(cell.split.test)
+    for frame, i in zip(frames, cell.split.test):
+        sample = cell.samples["denoised"][i]
+        alone = denoise_frame(generate_noma_frame(
+            replace(SCENARIO, far_scheme=CLASS_ORDER[sample.label]),
+            rng=np.random.default_rng(sample.seed)))
+        assert frame.samples.base is None
+        assert frame.samples.tobytes() == alone.samples.tobytes()
+        assert frame.noise_scale == alone.noise_scale
 
 
 def test_raw_only_sweep_never_denoises(tmp_path, monkeypatch):

@@ -463,13 +463,13 @@ class TestFlatState:
         source.forward(x.copy(), training=True)  # moves the running statistics too
         want = source.forward(x.copy())
         assert not np.array_equal(target.forward(x.copy()), want)
-        target.restore(source.snapshot())
+        target.restore(source.state.copy())
         assert target.forward(x.copy()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("change", ["length", "dtype"])
     def test_restore_refuses_a_snapshot_of_another_length_or_dtype(self, change):
         model = ModulationNet(replace(TINY_ARCH, dtype="float32"), seed=0)
-        snap = model.snapshot()
+        snap = model.state.copy()
         bad = snap[:-1] if change == "length" else snap.astype(np.float64)
         with pytest.raises(ValueError) as err:
             model.restore(bad)
@@ -493,7 +493,7 @@ class TestFlatState:
         rng = RNG(43)
         for _ in range(2):
             logits = model.forward(rng.random((2, 1, 12, 12)), training=True)
-            state = model.snapshot()
+            state = model.state.copy()
             model.backward(rng.standard_normal(logits.shape))
             assert model.state.tobytes() == state.tobytes()
             flat = np.concatenate([np.ravel(layer.grads[key], order="K")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nomadet import sigsim
-from nomadet.sigsim import (ChannelConfig, ModScheme, NomaScenario, SignalFrame,
+from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,
                             apply_channel, axis_levels, generate_noma_frame,
                             generate_noma_frames, modulate, resolve_allocation,
                             superpose)
@@ -218,7 +218,7 @@ class TestSuperpose:
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        cfg = ChannelConfig(fading="none", snr_db_near=np.inf)
+        cfg = NomaScenario(fading="none", snr_db_near=np.inf)
         frame = SignalFrame(np.array([1 + 1j, -2j, 0.5]))
         out = apply_channel(frame, cfg, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out.samples, frame.samples)
@@ -228,24 +228,35 @@ class TestApplyChannel:
         # 0 dB on a unit-power input: measured noise power within 5%
         rng = np.random.default_rng(7)
         frame = SignalFrame(np.exp(1j * rng.uniform(0, 2 * np.pi, 100000)))
-        cfg = ChannelConfig(fading="none", snr_db_near=0.0)
+        cfg = NomaScenario(fading="none", snr_db_near=0.0)
         out = apply_channel(frame, cfg, rng=np.random.default_rng(99))
         noise_power = np.mean(np.abs(out.samples - frame.samples) ** 2)
         assert noise_power == pytest.approx(1.0, rel=0.05)
 
     def test_fixed_seed_reproducible(self):
         frame = SignalFrame(np.ones(64, dtype=complex))
-        cfg = ChannelConfig(fading="rayleigh", snr_db_near=10.0)
+        cfg = NomaScenario(fading="rayleigh", snr_db_near=10.0)
         a = apply_channel(frame, cfg, rng=np.random.default_rng(1234))
         b = apply_channel(frame, cfg, rng=np.random.default_rng(1234))
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_equalize_cancels_fading_without_noise(self):
         frame = SignalFrame(np.exp(1j * np.linspace(0, 5, 257)))
-        cfg = ChannelConfig(fading="rayleigh", snr_db_near=np.inf)
+        cfg = NomaScenario(fading="rayleigh", snr_db_near=np.inf)
         out = apply_channel(frame, cfg, rng=np.random.default_rng(5))
         err = np.max(np.abs(out.samples - frame.samples)) / np.max(np.abs(frame.samples))
         assert err <= 1e-12
+
+    @pytest.mark.parametrize("channel", [{"fading": "bogus"}, {"snr_db_near": np.nan},
+                                         {"snr_db_near": -np.inf}],
+                             ids=["bogus_fading", "nan_snr", "minus_inf_snr"])
+    def test_scenario_refuses_a_bad_channel_when_built(self, channel):
+        with pytest.raises(ValueError, match=next(iter(channel))):
+            NomaScenario(**channel)
+
+    def test_scenario_is_its_own_channel_config(self):
+        scen = NomaScenario(fading="none", snr_db_near=np.inf)
+        assert scen.channel_config() is scen
 
 
 class TestGenerateFrame:
@@ -295,6 +306,15 @@ def replay(scenario: NomaScenario, seed: int) -> SignalFrame:
                          scenario.channel_config(), rng)
 
 
+def batch_frames(scen: NomaScenario, seeds) -> list:
+    """The frames of one ``generate_noma_frames`` batch, one per seed, built
+    from its (B, n) sample rows and (B,) float64 noise scales."""
+    rows, scales = generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])
+    assert rows.shape == (len(seeds), scen.symbols_per_frame) and rows.dtype == np.complex128
+    assert scales.shape == (len(seeds),) and scales.dtype == np.float64
+    return [SignalFrame(row, scale) for row, scale in zip(rows, scales)]
+
+
 def assert_same_bytes(got: SignalFrame, want: SignalFrame):
     assert got.samples.tobytes() == want.samples.tobytes()
     assert np.float64(got.noise_scale).tobytes() == np.float64(want.noise_scale).tobytes()
@@ -315,9 +335,7 @@ class TestGenerateFrames:
             scen = NomaScenario(near_schemes=(near,), far_scheme=far, fading=fading,
                                 snr_db_near=snr, symbols_per_frame=50)
             seeds = [7, 8, 9]
-            batch = generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])
-            assert len(batch) == len(seeds)
-            for seed, frame in zip(seeds, batch):
+            for seed, frame in zip(seeds, batch_frames(scen, seeds)):
                 assert_same_bytes(frame, generate_noma_frame(scen, np.random.default_rng(seed)))
                 assert_same_bytes(frame, replay(scen, seed))
 
@@ -329,24 +347,22 @@ class TestGenerateFrames:
     def test_several_near_users(self, near, fading, snr):
         scen = NomaScenario(near_schemes=near, far_scheme=ModScheme.QAM16, fading=fading,
                             snr_db_near=snr, delta_db=9.0, symbols_per_frame=64)
-        batch = generate_noma_frames(scen, [np.random.default_rng(s) for s in range(5)])
-        for seed, frame in enumerate(batch):
+        for seed, frame in enumerate(batch_frames(scen, range(5))):
             assert_same_bytes(frame, generate_noma_frame(scen, np.random.default_rng(seed)))
             assert_same_bytes(frame, replay(scen, seed))
 
     def test_one_generator_is_one_frame(self, table1_scenario):
-        batch = generate_noma_frames(table1_scenario, [np.random.default_rng(11)])
-        assert len(batch) == 1
-        assert_same_bytes(batch[0], replay(table1_scenario, 11))
+        [frame] = batch_frames(table1_scenario, [11])
+        assert_same_bytes(frame, replay(table1_scenario, 11))
 
     @pytest.mark.parametrize("fading, draws", [("rayleigh", 2), ("none", 0)])
     def test_no_noise_is_drawn_at_infinite_snr(self, fading, draws):
         scen = NomaScenario(near_schemes=(ModScheme.QAM64,), far_scheme=ModScheme.QPSK,
                             fading=fading, snr_db_near=np.inf, symbols_per_frame=40)
         rngs = [np.random.default_rng(s) for s in (3, 4)]
-        batch = generate_noma_frames(scen, rngs)
-        for seed, rng, frame in zip((3, 4), rngs, batch):
-            assert frame.noise_scale == 0.0
+        _, scales = generate_noma_frames(scen, rngs)
+        for seed, rng, scale in zip((3, 4), rngs, scales):
+            assert scale == 0.0
             # each user's bits, then h's two normals, and nothing more
             expected = np.random.default_rng(seed)
             expected.integers(0, 2, size=40 * 6, dtype=np.uint8)

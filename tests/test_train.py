@@ -28,13 +28,13 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "Adam", lambda model, lr: Adam(model, 0.0))
         x, y = small_data()
         model = ModulationNet(SMALL_ARCH, seed=4)
-        before = model.snapshot()
+        before = model.state.copy()
         cfg = TrainConfig(max_epochs=10, patience=3, seed=9)
         history = train(model, (x, y), (x[:8], y[:8]), cfg)
         losses = {h.train_loss for h in history}
         assert len(losses) == 1
-        after = model.snapshot()
-        # a snapshot holds the parameters first, then the running statistics,
+        after = model.state.copy()
+        # state holds the parameters first, then the running statistics,
         # which training moves whatever the rate
         params = model.grads.size
         assert after[:params].tobytes() == before[:params].tobytes()
@@ -46,7 +46,7 @@ class TestTrainLoop:
             model = ModulationNet(SMALL_ARCH, seed=4)
             hist = train(model, (x, y), (x[:8], y[:8]),
                          TrainConfig(max_epochs=4, patience=4, seed=13))
-            runs.append((hist, model.snapshot()))
+            runs.append((hist, model.state.copy()))
         (hist_a, snap_a), (hist_b, snap_b) = runs
         assert [(h.epoch, h.train_loss, h.val_accuracy) for h in hist_a] == \
                [(h.epoch, h.train_loss, h.val_accuracy) for h in hist_b]
@@ -129,7 +129,7 @@ class TestAdam:
         it before a backward has filled it."""
         model = ModulationNet(SMALL_ARCH, seed=0)
         optimiser = Adam(model)
-        state = model.snapshot()
+        state = model.state.copy()
         with pytest.raises(RuntimeError, match="no gradient for parameter base_conv.w"):
             optimiser.step()
         assert optimiser.t == 0 and model.state.tobytes() == state.tobytes()

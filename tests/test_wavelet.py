@@ -400,48 +400,51 @@ class TestCachedTablesAreBitIdentical:
             table[0, 0] = 1
 
 
-def noma_batch(n, chunks):
-    """Fixed-seed n-symbol frames at -10/10/30 dB and without noise, in turn:
-    one more than ``chunks`` chunks of ``denoise_frames`` hold."""
+def noma_batch(n, count):
+    """``count`` fixed-seed n-symbol frames at -10/10/30 dB and without
+    noise, in turn."""
     kinds = [NomaScenario(near_schemes=(ModScheme.QPSK,), snr_db_near=snr,
                           symbols_per_frame=n) for snr in (-10.0, 10.0, 30.0, np.inf)]
-    chunk = wavelet._CHUNK_BYTES // (2 * 8 * n)
     return [generate_noma_frame(kinds[i % 4], rng=np.random.default_rng(i))
-            for i in range(int(chunk * chunks) + 1)]
+            for i in range(count)]
+
+
+def rows_of(frames):
+    """The (B, n) sample rows and the noise scales of ``frames``."""
+    return np.stack([f.samples for f in frames]), [f.noise_scale for f in frames]
 
 
 class TestDenoiseFrames:
     @pytest.mark.parametrize("level", [1, 2, 4])
     @pytest.mark.parametrize("n", [1999, 2000, 3000])
     def test_mixed_batch_matches_add_at_frame_by_frame(self, monkeypatch, n, level):
-        # SNRs -10/10/30 dB and a noise-free frame, cycled until the batch
-        # fills more than one chunk plus a remainder
+        # SNRs -10/10/30 dB and a noise-free frame, cycled, all transformed
+        # as one matrix of real and imaginary rows
         spec = WaveletSpec(level=level)
-        frames = noma_batch(n, 1.5)
+        frames = noma_batch(n, 17)
         assert any(f.noise_scale == 0.0 for f in frames)
-        sizes = []
-        chunked = wavelet._denoise_chunk
-        monkeypatch.setattr(wavelet, "_denoise_chunk",
-                            lambda part, *args: sizes.append(len(part)) or chunked(part, *args))
-        out = wavelet.denoise_frames(frames, spec)
-        assert len(sizes) >= 2 and sizes[-1] < sizes[0]
-        assert len(out) == len(frames)
+        shapes = []
+        decompose = wavelet._decompose
+        monkeypatch.setattr(wavelet, "_decompose",
+                            lambda x, *args: shapes.append(x.shape) or decompose(x, *args))
+        out = wavelet.denoise_frames(*rows_of(frames), spec)
+        assert shapes == [(2 * len(frames), wavelet._padded_length(n, level))]
+        assert out.shape == (len(frames), n) and out.dtype == np.complex128
         for frame, den in zip(frames, out):
-            assert den.noise_scale == frame.noise_scale
-            assert den.samples.tobytes() == add_at_denoise(frame, spec).tobytes()
+            assert den.tobytes() == add_at_denoise(frame, spec).tobytes()
 
-    def test_empty_batch_is_refused(self):
-        with pytest.raises(ValueError, match="no frames"):
-            wavelet.denoise_frames([])
+    @pytest.mark.parametrize("shape", [(0, 512), (512,)])
+    def test_anything_but_a_nonempty_batch_of_rows_is_refused(self, shape):
+        with pytest.raises(ValueError, match=rf"B >= 1, got shape \({shape[0]},"):
+            wavelet.denoise_frames(np.ones(shape, dtype=complex), [0.5] * shape[0])
 
-    def test_unequal_lengths_are_named(self):
-        frames = [SignalFrame(np.ones(n, dtype=complex), noise_scale=0.5) for n in (300, 301)]
-        with pytest.raises(ValueError, match="300 and 301"):
-            wavelet.denoise_frames(frames)
+    def test_one_noise_scale_per_row(self):
+        with pytest.raises(ValueError, match="3 rows to denoise need as many noise scales"):
+            wavelet.denoise_frames(np.ones((3, 512), dtype=complex), [0.5, 0.5])
 
     def test_too_short_frames_keep_the_message(self):
         with pytest.raises(ValueError, match="level 4 .* 16-sample frame"):
-            wavelet.denoise_frames([SignalFrame(np.ones(16, dtype=complex), noise_scale=0.5)] * 3,
+            wavelet.denoise_frames(np.ones((3, 16), dtype=complex), [0.5] * 3,
                                    WaveletSpec(level=4))
 
     @pytest.mark.parametrize("scale", [None, np.nan, np.inf, -np.inf, -0.5])
@@ -452,12 +455,13 @@ class TestDenoiseFrames:
         with pytest.raises(ValueError, match="frame 0 has noise_scale"):
             denoise_frame(frame)
 
-    def test_bad_last_frame_is_refused_before_any_chunk(self, monkeypatch):
-        frames = noma_batch(2000, 2.5)
-        frames[-1] = SignalFrame(frames[-1].samples, noise_scale=np.nan)
-        monkeypatch.setattr(wavelet, "_denoise_chunk", lambda *args: pytest.fail("transformed"))
-        with pytest.raises(ValueError, match=f"frame {len(frames) - 1} has noise_scale"):
-            wavelet.denoise_frames(frames)
+    @pytest.mark.parametrize("bad", [np.nan, None])
+    def test_bad_last_scale_is_refused_by_row_before_any_transform(self, monkeypatch, bad):
+        samples, scales = rows_of(noma_batch(2000, 9))
+        scales[-1] = bad
+        monkeypatch.setattr(wavelet, "_decompose", lambda *args: pytest.fail("transformed"))
+        with pytest.raises(ValueError, match=f"frame {len(scales) - 1} has noise_scale nan"):
+            wavelet.denoise_frames(samples, scales)
 
 
 # -------------------------------------------------------------- thresholds --
