@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -230,19 +231,25 @@ def evaluate(predicted, labels) -> tuple[float, np.ndarray]:
 class _CellData:
     """One (factor, SNR) cell, each frame simulated once.
 
-    ``samples[kind]`` holds the cell's samples of each kind of frame that
-    ``methods`` read, in dataset order, and ``frames[kind]`` the frames
-    behind its test split, in test order, for the kinds a per-frame
-    predictor reads.
+    ``labels`` holds each sample's class in dataset order, which
+    ``scenario_samples`` fixes, so ``split`` is drawn before any frame is
+    simulated. ``samples[kind]`` holds the cell's samples of each kind of
+    frame that a CNN method of ``methods`` reads, in dataset order, and
+    ``frames[kind]`` the frames behind its test split, in test order, for
+    the kinds a per-frame predictor reads: a cell of predictors alone bins
+    no diagram.
     """
 
     def __init__(self, scenario: NomaScenario, methods):
         self.scenario = scenario
         reads = [_METHODS[m] for m in methods]
-        self.samples, frames = scenario_samples(
-            scenario, {m.frames for m in reads}, {m.frames for m in reads if m.predict})
-        self.split = split_dataset(next(iter(self.samples.values())),
+        self.labels = [label for label in range(len(CLASS_ORDER))
+                       for _ in range(scenario.samples_per_class)]
+        self.split = split_dataset([SimpleNamespace(label=label) for label in self.labels],
                                    seed=derive_seed(scenario.seed, 1))
+        self.samples, frames = scenario_samples(
+            scenario, {m.frames for m in reads if not m.predict},
+            {m.frames for m in reads if m.predict})
         # copies: a frame's samples are a row of its whole chunk, which a
         # view would keep alive
         self.frames = {kind: [replace(kept[i], samples=kept[i].samples.copy())
@@ -339,15 +346,16 @@ def _score_cell(factor_label, cell, method, model) -> ResultRow:
     the trained net of a CNN method, None for a per-frame predictor."""
     scenario = cell.scenario
     kind, predict = _METHODS[method]
-    test_samples = [cell.samples[kind][i] for i in cell.split.test]
     if predict:
         predicted = [CLASS_ORDER.index(predict(frame, scenario)) for frame in cell.frames[kind]]
     else:
+        test_samples = [cell.samples[kind][i] for i in cell.split.test]
         predicted = model.classify(diagram_matrix(test_samples)[0])
-    accuracy, confusion = evaluate(predicted, [s.label for s in test_samples])
+    labels = [cell.labels[i] for i in cell.split.test]
+    accuracy, confusion = evaluate(predicted, labels)
     return ResultRow(snr_db=scenario.snr_db_near, factor=factor_label, method=method,
                      accuracy=accuracy, confusion=tuple(map(tuple, confusion.tolist())),
-                     n_test=len(test_samples))
+                     n_test=len(labels))
 
 
 def read_journal(path):

@@ -1,11 +1,22 @@
 """Neural network layers with exact analytic backprop, numpy only.
 
-Tensors are C-contiguous numpy arrays in NCHW layout: every forward and
-backward result is one, in its input's dtype. Every layer keeps what its
-backward pass needs only from a ``training=True`` forward; an eval forward
-drops it, so an inference model holds no activations, and backward needs a
-training forward. Layers are single-writer: one forward/backward pair at a
-time per instance.
+Tensors have NCHW shapes, and every 4-D result is contiguous, in its
+input's dtype, in one of two layouts that its strides record: NCHW, or
+channels-last, whose (N, H, W, C) transpose is C-contiguous. A Conv2D
+returns its GEMM's channels-last rows through ``transpose(0, 3, 1, 2)``,
+input gradient included; only the one-channel stem conv writes NCHW.
+BatchNorm2D, ReLU and MaxPool2 keep their input's layout, and ReLU's
+gradient takes that of its forward input. So in a network everything past
+the stem stays channels-last, while the stem's batch norm, pool and ReLU
+stay NCHW, where 16 channels broadcast faster; a step's one conversion is
+the stem ReLU's backward, which multiplies the first block's gradient by its
+NCHW mask. MaxPool2's gradient is NCHW; GlobalAvgPool and Dense return
+C-contiguous (B, C) rows.
+
+Every layer keeps what its backward pass needs only from a
+``training=True`` forward; an eval forward drops it, so an inference model
+holds no activations, and backward needs a training forward. Layers are
+single-writer: one forward/backward pair at a time per instance.
 
 Conv2D lowers convolution to GEMMs over im2col patch rows (Chellapilla et
 al. 2006), gathered channels-last so that each kernel row of a patch is one
@@ -14,7 +25,9 @@ of samples at a time in forward, weight gradient and stride-1 input gradient
 alike, so only the padded input is kept (Cho & Brand, "MEC", 2017). The
 kernel is the GEMM's (k*k*C, O) matrix, so no product copies it. At stride 1
 the input gradient is the transposed convolution of the output gradient
-(Dumoulin & Visin 2016), and a first layer can skip it altogether.
+(Dumoulin & Visin 2016); at stride 2 it splits into the four sub-pixel
+convolutions that fill the input's four parity planes (Shi et al., CVPR
+2016). A first layer can skip it altogether.
 
 Buffers are freed at their last use (Chen et al., "Training Deep Nets with
 Sublinear Memory Cost", 2016). Every backward consumes its layer's cache:
@@ -152,8 +165,10 @@ def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     padded[:, p:p + H, p:p + W] = x
     sb, sh, sw, sc = padded.strides
     shape = (B, (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1, k, k, C)
-    return np.lib.stride_tricks.as_strided(
-        padded, shape, (sb, s * sh, s * sw, sh, sw, sc), writeable=False)
+    # the ndarray constructor builds the view in a fraction of as_strided's time
+    win = np.ndarray(shape, x.dtype, padded, 0, (sb, s * sh, s * sw, sh, sw, sc))
+    win.flags.writeable = False
+    return win
 
 
 def _chunks(win: np.ndarray) -> list[slice]:
@@ -173,15 +188,26 @@ class Conv2D(Layer):
     1 the input gradient is the transposed convolution of ``grad_out``: the
     same chunked lowering of the channels-last ``grad_out``, padded by
     ``k-1-p``, times the kernel flipped in both spatial axes with its in/out
-    channels swapped. Strided convs turn ``grad_rows`` into patch gradients
-    with one GEMM and add them back with k*k strided adds into a
-    channels-last buffer. Results become contiguous NCHW only at the end.
+    channels swapped. At stride s > 1 the input gradient is built in the s*s
+    phase planes of the padded input, the pixels whose row and column are
+    each fixed modulo s: the four parity planes at stride 2. Tap (i, j)
+    reaches only the plane (i % s, j % s), in a contiguous block of it, so
+    each tap is one (rows, O) @ (O, C) GEMM added into that block, taps in
+    row-major order, and s*s strided copies then move the planes into the
+    result. An unpadded 1x1 conv writes its one tap straight onto the pixels
+    its stride reaches.
 
     A one-channel stride-1 conv (the stem) would gather runs of only k values
     that way, so it copies its windows tap-major, one sample's (k*k, OH*OW)
     rows at a time in runs of OW values, for forward and weight gradient.
     ``backward(..., input_grad=False)`` skips the input gradient for a
     first layer, whose input needs none.
+
+    Every other GEMM writes channels-last rows: forward and input gradient
+    return that buffer as its NCHW-shaped ``transpose(0, 3, 1, 2)`` view,
+    and a channels-last ``grad_out`` is read in place, its bias gradient the
+    column sum of its (rows, O) matrix. The stem writes its output, and
+    reads its gradient, C-contiguous NCHW.
 
     The kernel is a C-contiguous (k, k, C, O) buffer, the (k*k*C, O) matrix,
     and ``params["w"]`` is its (O, C, k, k) view: every product reads it, or
@@ -227,7 +253,7 @@ class Conv2D(Layer):
             for c in _chunks(win):
                 np.matmul(win[c].reshape(-1, len(kernel)), kernel, out=out[c].reshape(-1, O))
             out += self.params["b"]
-            out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+            out = out.transpose(0, 3, 1, 2)
         self._cache = (win, x.shape) if training else None
         return out
 
@@ -238,13 +264,16 @@ class Conv2D(Layer):
         w = self.params["w"]
         g_cl = grad_out.transpose(0, 2, 3, 1)
         if self.tap_major:
-            g3 = grad_out.reshape(B, O, -1)
+            g3 = np.ascontiguousarray(grad_out).reshape(B, O, -1)  # a no-op if NCHW
             pairs = ((xwin[b].transpose(2, 3, 4, 0, 1).reshape(k * k, -1), g3[b].T)
                      for b in range(B))
+            np.sum(g3, axis=(0, 2), out=self.grads["b"])
         else:
-            g_cl = np.ascontiguousarray(g_cl)
+            g_cl = np.ascontiguousarray(g_cl)  # a no-op on a channels-last gradient
             pairs = ((xwin[c].reshape(-1, k * k * C).T, g_cl[c].reshape(-1, O))
                      for c in _chunks(xwin))
+            # the column sum as one BLAS product: a few times faster than np.sum(axis=0)
+            np.matmul(np.ones(B * OH * OW, g_cl.dtype), g_cl.reshape(-1, O), out=self.grads["b"])
         # the (k*k*C, O) kernel gradient in patch-row order, the layout of the kernel buffer
         gw = self.grads["w"].transpose(2, 3, 1, 0).reshape(-1, O)
         np.matmul(*next(pairs), out=gw)
@@ -252,38 +281,60 @@ class Conv2D(Layer):
             gw += rows @ g
             del rows, g  # free this chunk's patch rows before the next is copied
         del xwin, pairs  # the padded input's last use: free it before the input gradient
-        np.sum(grad_out, axis=(0, 2, 3), out=self.grads["b"])
         self.has_grads = True
         if not input_grad:
             return None
+        dtype = grad_out.dtype
         if s == 1:
             flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, C)
             win = _windows(g_cl, k, 1, k - 1 - p)
             del g_cl  # the windows read their own padded copy
-            gx = np.empty((B, H, W, C), dtype=grad_out.dtype)
+            gx = np.empty((B, H, W, C), dtype=dtype)
             for c in _chunks(win):
                 np.matmul(win[c].reshape(-1, k * k * O), flipped, out=gx[c].reshape(-1, C))
-            del win  # free the padded copy before the NCHW copy
-            return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
-        # (B, OH, OW, k, k, C): patch gradients, added back tap by tap
-        gpatch = (g_cl.reshape(-1, O) @ w.transpose(0, 2, 3, 1).reshape(O, -1)
-                  ).reshape(B, OH, OW, k, k, C)
-        del g_cl
-        gx = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=grad_out.dtype)
+            return gx.transpose(0, 3, 1, 2)
+        # strided: the phase planes of the padded input gradient (class docstring)
+        kernel, g_rows = w.transpose(2, 3, 1, 0), g_cl.reshape(-1, O)
+        tap = np.empty((B, OH, OW, C), dtype=dtype)
+        if k == 1:  # the one tap, unpadded, goes straight to its pixels
+            np.matmul(g_rows, kernel[0, 0].T, out=tap.reshape(-1, C))
+            gx = np.zeros((B, H, W, C), dtype=dtype)
+            gx[:, ::s, ::s] = tap
+            return gx.transpose(0, 3, 1, 2)
+        planes = np.zeros((s, s, B, -(-(H + 2 * p) // s), -(-(W + 2 * p) // s), C), dtype=dtype)
         for i in range(k):
             for j in range(k):
-                gx[:, i:i + s * OH:s, j:j + s * OW:s] += gpatch[:, :, :, i, j]
-        del gpatch  # free it before the NCHW copy
-        return np.ascontiguousarray(gx[:, p:p + H, p:p + W].transpose(0, 3, 1, 2))
+                np.matmul(g_rows, kernel[i, j].T, out=tap.reshape(-1, C))
+                planes[i % s, j % s, :, i // s:i // s + OH, j // s:j // s + OW] += tap
+        del g_cl, g_rows, tap
+        gx = np.empty((B, H, W, C), dtype=dtype)
+        for a in range(s):
+            for b in range(s):
+                phase = gx[:, a::s, b::s]
+                (y0, pa), (x0, pb) = divmod(a + p, s), divmod(b + p, s)
+                phase[...] = planes[pa, pb, :, y0:y0 + phase.shape[1], x0:x0 + phase.shape[2]]
+        return gx.transpose(0, 3, 1, 2)
 
 
 def _channel_sums(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sums over (N, H, W) of the NCHW ``x``, or of ``x * y``, in
-    float64: one BLAS dot per (sample, channel) row, the rows added in float64."""
+    """Per-channel sums over (N, H, W) of ``x``, or of ``x * y``, in float64,
+    read in place from either layout of ``x`` (``y`` in the same layout).
+
+    Each sample's sums are taken in ``x``'s dtype and added across samples in
+    float64. Channels-last, a sample's sums are one (1, HW) @ (HW, C) product
+    and its products one ``einsum``; C-contiguous NCHW, each (sample,
+    channel) row is one BLAS dot."""
     B, C = x.shape[:2]
-    rows = x.reshape(B * C, 1, -1)
-    other = np.ones((1, rows.shape[2], 1), x.dtype) if y is None else y.reshape(B * C, -1, 1)
-    return (rows @ other).reshape(B, C).sum(axis=0, dtype=np.float64)
+    cl = x.transpose(0, 2, 3, 1)
+    if cl.flags.c_contiguous:
+        rows = cl.reshape(B, -1, C)
+        per_sample = (np.ones((1, rows.shape[1]), x.dtype) @ rows if y is None else
+                      np.einsum("bnc,bnc->bc", rows, y.transpose(0, 2, 3, 1).reshape(B, -1, C)))
+    else:
+        rows = x.reshape(B * C, 1, -1)
+        other = np.ones((1, rows.shape[2], 1), x.dtype) if y is None else y.reshape(B * C, -1, 1)
+        per_sample = rows @ other
+    return per_sample.reshape(B, C).sum(axis=0, dtype=np.float64)
 
 
 class BatchNorm2D(Layer):
@@ -367,7 +418,8 @@ class ReLU(Layer):
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._take_cache()
+        mask = self._take_cache()  # the gradient takes the layout of the forward's input
+        return np.multiply(grad_out, mask, out=np.empty_like(mask, dtype=grad_out.dtype))
 
 
 class MaxPool2(Layer):
@@ -423,8 +475,8 @@ class GlobalAvgPool(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         B, C, H, W = self._take_cache()
-        return np.broadcast_to(
-            grad_out[:, :, None, None] / (H * W), (B, C, H, W)).astype(grad_out.dtype)
+        return np.broadcast_to((grad_out / (H * W))[:, None, None, :],
+                               (B, H, W, C)).copy().transpose(0, 3, 1, 2)
 
 
 class Dense(Layer):

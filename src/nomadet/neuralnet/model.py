@@ -93,7 +93,9 @@ class ResidualBlock:
     has an empty shortcut. A block that changes width strides the first conv
     by 2 and carries a 1x1 stride-2 conv (+BN) on the shortcut, halving H
     and W. Its layers declare their tensors in ``store``, or each owns its
-    own when it is None.
+    own when it is None. Forward adds the shortcut's result into the main
+    path's, a new buffer that no caller holds, so the sum keeps the main
+    path's channels-last layout even when an identity shortcut's is NCHW.
     """
 
     def __init__(self, in_ch: int, out_ch: int, rng, dtype, store: FlatState | None = None):
@@ -114,8 +116,8 @@ class ResidualBlock:
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         main = _forward(self.main, x, training)
-        short = _forward(self.shortcut, x, training)
-        return self.relu_out.forward(main + short, training)
+        main += _forward(self.shortcut, x, training)
+        return self.relu_out.forward(main, training)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.relu_out.backward(grad_out)

@@ -73,6 +73,7 @@ def test_cell_matches_generate_dataset():
     assert set(cell.samples) == {"raw", "denoised"} and set(cell.frames) == {"denoised"}
     for got, want in ((cell.samples["denoised"], den), (cell.samples["raw"], raw)):
         assert [(s.label, s.seed) for s in got] == [(s.label, s.seed) for s in want]
+        assert cell.labels == [s.label for s in got]
         for a, b in zip(got, want):
             assert a.diagram.grid.dtype == np.float32
             np.testing.assert_array_equal(a.diagram.grid, b.diagram.grid)
@@ -128,6 +129,22 @@ def test_method_rows_do_not_depend_on_the_other_methods(tmp_path, alone):
     def rows(name):
         lines = (tmp_path / name / "results.jsonl").read_bytes().splitlines()[1:]
         return [line for line in lines if f'"method": "{alone}"'.encode() in line]
+    assert len(rows("alone")) == 2
+    assert rows("alone") == rows("all")
+
+
+def test_predictor_only_sweep_bins_no_diagram(tmp_path, monkeypatch):
+    """A cell whose methods all predict frame by frame takes its labels, and
+    so its split, from dataset order: it bins no diagram and scores the rows
+    a cell built for every method scores."""
+    run_sweep(tiny_config(), tmp_path / "all")
+    calls = count_calls(monkeypatch, datapipe, "density_grids")
+    run_sweep(tiny_config(methods=(PROJECTION,)), tmp_path / "alone")
+    assert calls == []
+
+    def rows(name):
+        lines = (tmp_path / name / "results.jsonl").read_bytes().splitlines()[1:]
+        return [line for line in lines if f'"method": "{PROJECTION}"'.encode() in line]
     assert len(rows("alone")) == 2
     assert rows("alone") == rows("all")
 

@@ -335,16 +335,140 @@ class TestChunkedLowering:
     def test_backward_frees_the_padded_input_before_the_input_gradient(self):
         """Past the weight gradient the input's windows are dead, and so is
         each input-gradient buffer once the next is built from it: grad_out
-        channels-last, its padded windows, the channels-last result and its
-        NCHW copy. Freeing each at its last use leaves a peak of about 1.65
-        inputs above the start of backward; holding them read 3.09."""
+        channels-last, its padded windows and the channels-last result.
+        Freeing each at its last use leaves a peak of about 1.6 inputs above
+        the start of backward; holding them, with an NCHW copy of the
+        result, read 3.09."""
         assert self.backward_peak(1) <= 2.0
 
-    def test_strided_backward_frees_its_patch_gradients(self):
-        """At stride 2, grad_out channels-last is dead once the patch
-        gradients are built, and they are once scattered: freeing both
-        leaves a peak of about 2.54 inputs; holding them read 3.76."""
-        assert self.backward_peak(2) <= 2.9
+    def test_strided_backward_keeps_no_patch_gradients(self):
+        """At stride 2 the input gradient is built in the padded input's
+        phase planes from one tap's gradient at a time, and they are dead
+        once copied out: a peak of about 1.06 inputs. A (B, OH, OW, k, k, C)
+        patch-gradient buffer, freed at its last use, read 2.49."""
+        assert self.backward_peak(2) <= 1.4
+
+
+def scatter_input_gradient(conv, grad_out, shape):
+    """The strided input gradient as Conv2D built it before its phase
+    planes: one GEMM for every tap's patch gradients, added back with k*k
+    strided adds into the padded channels-last gradient, in tap order."""
+    B, C, H, W = shape
+    k, s, p = conv.kernel, conv.stride, conv.pad
+    O, OH, OW = grad_out.shape[1:]
+    w = conv.params["w"]
+    g_cl = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))
+    gpatch = (g_cl.reshape(-1, O) @ w.transpose(0, 2, 3, 1).reshape(O, -1)
+              ).reshape(B, OH, OW, k, k, C)
+    gx = np.zeros((B, H + 2 * p, W + 2 * p, C), dtype=grad_out.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx[:, i:i + s * OH:s, j:j + s * OW:s] += gpatch[:, :, :, i, j]
+    return np.ascontiguousarray(gx[:, p:p + H, p:p + W].transpose(0, 3, 1, 2))
+
+
+def channels_last(x):
+    """The values of the NCHW ``x`` stored channels-last behind the same shape."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestStridedInputGradient:
+    """At stride 2 each tap's gradient is added into one parity plane of the
+    padded input gradient, in the tap order of the strided scatter it
+    replaced, so every pixel sums the same products in the same order."""
+
+    @staticmethod
+    def assert_matches_scatter(in_ch, out_ch, kernel, side, batch, dtype):
+        rng = RNG(side + batch + kernel)
+        conv = Conv2D(in_ch, out_ch, kernel, 2, rng=rng, dtype=dtype)
+        x = rng.standard_normal((batch, in_ch, side, side)).astype(dtype)
+        out = conv.forward(x, training=True)
+        probe = channels_last(rng.standard_normal(out.shape).astype(dtype))
+        want = scatter_input_gradient(conv, probe, x.shape)
+        got = conv.backward(probe)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("side", [50, 25, 13, 7])  # odd sides leave a cropped row
+    @pytest.mark.parametrize("kernel", [3, 1])
+    def test_bit_identical_to_the_strided_scatter(self, kernel, side, batch, dtype):
+        """Few channels keep both GEMM shapes on one BLAS code path: at 16 to
+        32 channels and one 13x13 sample, OpenBLAS's small-matrix kernels
+        round a tap's product in the last bit differently when it is
+        computed alone than within the product of all nine taps."""
+        self.assert_matches_scatter(4, 8, kernel, side, batch, dtype)
+
+    @pytest.mark.parametrize("kernel", [3, 1])
+    @pytest.mark.parametrize("in_ch, out_ch, side", [(16, 32, 50), (32, 64, 25), (64, 128, 13)])
+    def test_bit_identical_on_the_default_training_shapes(self, in_ch, out_ch, side, kernel):
+        """The default network's strided convs and shortcuts at batch 32 of
+        100x100 diagrams, in float32."""
+        self.assert_matches_scatter(in_ch, out_ch, kernel, side, 32, np.float32)
+
+
+class TestLayouts:
+    """Layers read NCHW and channels-last arrays alike."""
+
+    @pytest.mark.parametrize("in_ch, out_ch, kernel, stride", CONV_PATHS)
+    def test_conv_results_do_not_depend_on_the_layouts_it_reads(
+            self, in_ch, out_ch, kernel, stride):
+        rng = RNG(70 + kernel + stride)
+        conv = Conv2D(in_ch, out_ch, kernel, stride, rng=rng, dtype=np.float32)
+        x = rng.standard_normal((3, in_ch, 9, 9)).astype(np.float32)
+        probe = rng.standard_normal((3, out_ch, *conv.out_hw(9, 9))).astype(np.float32)
+        results = []
+        for store in (np.copy, channels_last):
+            out = conv.forward(store(x), training=True)
+            grad = conv.backward(store(probe))
+            results.append([out, grad, conv.grads["w"].copy(), conv.grads["b"].copy()])
+        for nchw, cl in zip(*results):
+            assert np.array_equal(nchw, cl)
+
+    def test_batchnorm_results_do_not_depend_on_the_layout(self):
+        rng = RNG(71)
+        x = 3.0 + rng.standard_normal((4, 8, 6, 5)).astype(np.float32)
+        probe = rng.standard_normal(x.shape).astype(np.float32)
+        results = []
+        for store in (np.copy, channels_last):  # each forward writes over its input
+            bn = BatchNorm2D(8, np.float32)
+            bn.params["gamma"][...] = 1.5
+            out = bn.forward(store(x), training=True).copy()
+            grad = bn.backward(store(probe))
+            results.append([out, grad, bn.grads["gamma"].copy(), bn.grads["beta"].copy()])
+        for nchw, cl in zip(*results):
+            np.testing.assert_allclose(nchw, cl, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("product", [False, True], ids=["sums", "products"])
+    @pytest.mark.parametrize("layout", ["NCHW", "channels-last"])
+    @pytest.mark.parametrize("shape", [(4, 16, 12, 10), (1, 16, 24, 20), (5, 16, 1, 1),
+                                       (1, 16, 1, 1)])
+    def test_channel_sums_read_either_layout_in_place(self, shape, layout, product):
+        """float32 values, as the network sums them, against a float64 einsum.
+        The values are positive, as in the variance's sum of squares: where
+        terms cancel, no float32 sum has a relative error bound. A 1x1 map's
+        per-sample sums are as large as the map itself, so the copy check
+        needs a map of several pixels."""
+        rng = RNG(72)
+        x64, y64 = 1.0 + rng.random(shape), 0.5 + rng.random(shape)
+        store = np.copy if layout == "NCHW" else channels_last
+        x = store(x64.astype(np.float32))
+        y = store(y64.astype(np.float32)) if product else None
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = layers._channel_sums(x, y)
+            allocated = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        exact = [v.astype(np.float32).astype(np.float64) for v in (x64, y64)]
+        want = (np.einsum("bchw,bchw->c", *exact) if product
+                else np.einsum("bchw->c", exact[0]))
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+        if shape[2] * shape[3] > 1:
+            assert allocated < x.nbytes / 4
 
 
 class TestKernelLayout:
@@ -913,9 +1037,13 @@ class TestModel:
     @pytest.mark.parametrize("arch, count",
                              [(TINY_ARCH, 12), (replace(DEFAULT_ARCH, input_size=24), 48)],
                              ids=["tiny", "default_blocks"])
-    def test_every_layer_output_is_contiguous_nchw(self, arch, count):
-        """The module's layout contract: every forward (train and eval) and
-        backward result is C-contiguous in the model's dtype."""
+    def test_every_layer_result_has_its_named_layout(self, arch, count):
+        """The module's layout contract, for every forward (train and eval)
+        and backward result, each in the model's dtype and contiguous in
+        exactly the layout named here: the stem's results and gradients are
+        C-contiguous NCHW, the global pool's and dense layer's (B, C) results
+        C-contiguous rows, and every other result channels-last behind its
+        NCHW shape."""
         model = ModulationNet(arch, seed=3)
         seen = []
 
@@ -925,6 +1053,13 @@ class TestModel:
                 seen.append((tag, out))
                 return out
             return call
+
+        def named_layout(name, method):
+            if name in ("base_conv", "base_bn", "pool", "base_relu"):
+                return "NCHW"
+            if name == "dense" or (name, method) == ("gap", "forward"):
+                return "rows"
+            return "channels-last"
 
         layers = dict(every_layer(model))
         assert len(layers) == count
@@ -941,8 +1076,11 @@ class TestModel:
             if tag == ("base_conv", "backward"):
                 assert out is None  # the input diagrams need no gradient
                 continue
-            assert out.flags.c_contiguous, tag
             assert out.dtype == arch.np_dtype, tag
+            layout = named_layout(*tag)
+            assert out.ndim == (2 if layout == "rows" else 4), tag
+            contiguous = out.transpose(0, 2, 3, 1) if layout == "channels-last" else out
+            assert contiguous.flags.c_contiguous, tag
         calls = {tag for tag, _ in seen}
         assert calls == {(name, m) for name in layers for m in ("forward", "backward")}
 
