@@ -8,11 +8,12 @@ each in the batch form, (B, n) sample rows and (B,) noise scales, from seed
 to diagram: simulated by one ``generate_noma_frames`` call, denoised by one
 ``denoise_frames`` call if a requested kind needs it, binned by one
 ``density_grids`` call per kind and dropped before the next, so the working
-memory does not grow with samples_per_class. Only kept kinds become
-``SignalFrame`` objects. Each frame draws from its own generator in the
-one-frame order, so its bytes do not depend on its chunk. Frames arrive
-equalised by their exact fading coefficient, and denoising reads each
-frame's true ``noise_scale``.
+memory does not grow with samples_per_class. Kept rows become ``SignalFrame``
+objects, copied unless their chunk keeps every row, as a row view keeps its
+chunk alive. Each frame draws from its own generator in the one-frame order,
+so its bytes do not depend on its chunk. Frames arrive equalised by their
+exact fading coefficient, and denoising reads each frame's true
+``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
 little-endian: sample count u32 | grid size N u16 | sha256 of the JSON
@@ -86,19 +87,21 @@ def derive_seed(master: int, *parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def scenario_samples(scenario: NomaScenario, kinds, keep=()) -> tuple[dict, dict]:
+def scenario_samples(scenario: NomaScenario, kinds, keep=None) -> tuple[dict, dict]:
     """For each kind of frame in ``kinds`` (``KINDS``: received, or
     denoised), the labelled samples of each far class in CLASS_ORDER in
-    dataset order, and for each kind in ``keep`` the frames behind them:
+    dataset order, and for each kind in ``keep`` the frames behind the set of
+    dataset indices (label * samples_per_class + index) it maps to, in order:
     two dicts keyed by kind. Per-sample seeds come from
     derive_seed(scenario.seed, class, index)."""
-    if not {*kinds, *keep} <= set(KINDS):
-        raise ValueError(f"kinds must be among {KINDS}, got {kinds} and {keep}")
     samples = {kind: [] for kind in kinds}
-    frames = {kind: [] for kind in keep}
+    frames = {kind: [] for kind in keep or ()}
+    if not {*samples, *frames} <= set(KINDS):
+        raise ValueError(f"kinds must be among {KINDS}, got {kinds} and {list(frames)}")
     step = max(1, _CHUNK_BYTES // (16 * scenario.symbols_per_frame))
     for label, far in enumerate(CLASS_ORDER):
         scen = replace(scenario, far_scheme=far)
+        first = label * scenario.samples_per_class  # the class's first dataset index
         for start in range(0, scenario.samples_per_class, step):
             seeds = [derive_seed(scenario.seed, label, index) for index in
                      range(start, min(start + step, scenario.samples_per_class))]
@@ -111,7 +114,10 @@ def scenario_samples(scenario: NomaScenario, kinds, keep=()) -> tuple[dict, dict
                 out += [LabeledSample(DensityDiagram(grid), label, seed, scenario.snr_db_near)
                         for seed, grid in zip(seeds, grids)]
             for kind, out in frames.items():
-                out += [SignalFrame(row, s) for row, s in zip(chunk[kind], scales.tolist())]
+                kept = [first + start + i in keep[kind] for i in range(len(seeds))]
+                copy = not all(kept)  # a row view would keep its whole chunk alive
+                out += [SignalFrame(row.copy() if copy else row, s)
+                        for row, s, k in zip(chunk[kind], scales.tolist(), kept) if k]
             # held across the next simulation, the chunk slows it measurably
             del chunk, rows
     return samples, frames
@@ -123,7 +129,8 @@ def generate_dataset(scenario: NomaScenario, denoise: bool = True,
     from denoised frames, or from the received frames with ``denoise`` off,
     plus those frames when ``keep_frames`` is set."""
     kind = "denoised" if denoise else "raw"
-    samples, frames = scenario_samples(scenario, (kind,), (kind,) if keep_frames else ())
+    keep = {kind: range(len(CLASS_ORDER) * scenario.samples_per_class)} if keep_frames else None
+    samples, frames = scenario_samples(scenario, (kind,), keep)
     return (samples[kind], frames[kind]) if keep_frames else samples[kind]
 
 

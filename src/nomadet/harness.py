@@ -3,15 +3,16 @@
 ``_METHODS`` is the one table of methods: which frames each reads, raw or
 denoised, whether it trains a CNN on their diagrams or predicts each frame
 alone, and, in its comment, which simulator truths it reads. A (factor, SNR)
-cell simulates each frame once and builds only the samples and frames its
-methods read. Every CNN model trains on a group of cells: by default each
-(factor value, SNR) cell is its own group; a pooled mode groups every SNR of
-a factor value. A method's model trains at its first row left to score in
-the group, so a resumed sweep trains only models that still have rows.
-Completed rows are flushed to the ``results.jsonl`` journal in the sweep's
-output directory as it runs, so an interrupted sweep resumes from where it
-stopped. Results land in a ResultTable and are emitted as CSV accuracy
-curves plus confusion matrices.
+cell simulates each frame once and builds only the samples its methods read,
+and the test split's frames its predictors read; a model's training and
+validation diagrams are copied once, from their rows. Every CNN model trains
+on a group of cells: by default each (factor value, SNR) cell is its own
+group; a pooled mode groups every SNR of a factor value. A method's model
+trains at its first row left to score in the group, so a resumed sweep
+trains only models that still have rows. Completed rows are flushed to the
+``results.jsonl`` journal in the sweep's output directory as it runs, so an
+interrupted sweep resumes from where it stopped. Results land in a
+ResultTable and are emitted as CSV accuracy curves plus confusion matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .datapipe import (derive_seed, scenario_samples, split_dataset, CLASS_ORDER
 from .errors import DataFormatError
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
-from .wavelet import SYM8_DEC_LO
+from .wavelet import check_frame_length
 # not called here: kept as attributes so that tracing wrappers installed on this
 # module (perfbench/spans.py) find every pipeline stage by the same name
 from .density import density_diagram  # noqa: F401
@@ -75,12 +76,12 @@ class ExperimentConfig:
     ``scenario`` and ``train`` as dicts. Cells draw their seeds from ``seed``,
     so it replaces the scenario's seed; ``scenario.snr_db_near``,
     ``scenario.far_scheme`` and ``train.seed``, which the sweep sets per cell
-    or model, are reset to their defaults. Construction also checks each
-    factor cell's power allocation and channel, and that its frames can be
-    denoised and its samples split. A model trains on one cell, with weights
-    and batch order seeded by ``derive_seed(cell_seed, 1000 + mi)`` and
-    ``2000 + mi`` for the method at index ``mi``, or with ``pooled_training``
-    on every SNR cell of factor index ``fi``, seeded by
+    or model, are reset to their defaults. Construction checks each factor
+    cell's power allocation, channel and size to split, and its frame length
+    if a method reads denoised frames. A model trains on one cell, with
+    weights and batch order seeded by ``derive_seed(cell_seed, 1000 + mi)``
+    and ``2000 + mi`` for the method at index ``mi``, or with
+    ``pooled_training`` on every SNR cell of factor index ``fi``, seeded by
     ``s = derive_seed(seed, fi, 3000 + mi)`` and ``derive_seed(s, 1)``.
     """
 
@@ -129,10 +130,9 @@ class ExperimentConfig:
             far_scheme=NomaScenario.far_scheme))
         train = TrainConfig(**self.train) if isinstance(self.train, dict) else self.train
         object.__setattr__(self, "train", replace(train, seed=TrainConfig.seed))
-        # every cell is denoised and split, and no factor changes these sizes
-        if self.scenario.symbols_per_frame < len(SYM8_DEC_LO):
-            raise ValueError(f"symbols_per_frame must be >= {len(SYM8_DEC_LO)}, the "
-                             "wavelet filter length, to denoise a frame")
+        # no factor changes the frame length or the cell size
+        if any(_METHODS[m].frames == "denoised" for m in self.methods):
+            check_frame_length(self.scenario.symbols_per_frame)
         if len(CLASS_ORDER) * self.scenario.samples_per_class < MIN_SPLIT_SAMPLES:
             raise ValueError(f"samples_per_class must give at least {MIN_SPLIT_SAMPLES} "
                              f"samples over {len(CLASS_ORDER)} classes to split a cell")
@@ -236,8 +236,9 @@ class _CellData:
     simulated. ``samples[kind]`` holds the cell's samples of each kind of
     frame that a CNN method of ``methods`` reads, in dataset order, and
     ``frames[kind]`` the frames behind its test split, in test order, for
-    the kinds a per-frame predictor reads: a cell of predictors alone bins
-    no diagram.
+    the kinds a per-frame predictor reads, none of which keeps a frame
+    outside the test split alive: a cell of predictors alone bins no
+    diagram.
     """
 
     def __init__(self, scenario: NomaScenario, methods):
@@ -247,29 +248,18 @@ class _CellData:
                        for _ in range(scenario.samples_per_class)]
         self.split = split_dataset([SimpleNamespace(label=label) for label in self.labels],
                                    seed=derive_seed(scenario.seed, 1))
-        self.samples, frames = scenario_samples(
+        self.samples, self.frames = scenario_samples(
             scenario, {m.frames for m in reads if not m.predict},
-            {m.frames for m in reads if m.predict})
-        # copies: a frame's samples are a row of its whole chunk, which a
-        # view would keep alive
-        self.frames = {kind: [replace(kept[i], samples=kept[i].samples.copy())
-                              for i in self.split.test] for kind, kept in frames.items()}
+            {m.frames: set(self.split.test) for m in reads if m.predict})
 
 
 def train_model(parts, train_cfg: TrainConfig, model_seed: int):
     """A fresh net, sized to its diagrams, trained on the train/validation
-    indices of (samples, split) parts, and its per-epoch history."""
-    xs, ys, xv, yv = [], [], [], []
-    for samples, split in parts:
-        x, y = diagram_matrix(samples)
-        tr = np.array(split.train, dtype=np.int64)
-        va = np.array(split.validation, dtype=np.int64)
-        xs.append(x[tr]); ys.append(y[tr])
-        xv.append(x[va]); yv.append(y[va])
-    model = ModulationNet(ArchConfig(input_size=xs[0].shape[-1]), seed=model_seed)
-    history = train(model, (np.concatenate(xs), np.concatenate(ys)),
-                    (np.concatenate(xv), np.concatenate(yv)), train_cfg)
-    return model, history
+    rows of (samples, split) parts, stacked part by part, and its per-epoch history."""
+    train_xy = diagram_matrix([s[i] for s, split in parts for i in split.train])
+    val_xy = diagram_matrix([s[i] for s, split in parts for i in split.validation])
+    model = ModulationNet(ArchConfig(input_size=train_xy[0].shape[-1]), seed=model_seed)
+    return model, train(model, train_xy, val_xy, train_cfg)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:

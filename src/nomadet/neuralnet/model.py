@@ -13,9 +13,9 @@ window passes no gradient.
 Each stage is one list of (name, layer) pairs in forward order, and these
 lists are the one statement of layer order: ``ModulationNet.layers`` for the
 network, ``main`` and ``shortcut`` for each residual block. Forward is a fold
-over the lists, backward a fold over them in reverse, and ``parameters`` and
-``state_tensors`` (which the optimiser and the checkpoint read) walk them,
-naming each tensor by its dotted path, such as ``block0.conv1.w``.
+over the lists, backward a fold over them in reverse, and ``leaf_layers`` a
+walk, which ``parameters`` and ``state_tensors`` (read by the optimiser and
+the checkpoint) extend to each tensor's dotted path, such as ``block0.conv1.w``.
 
 The layers are built in that order into one ``FlatState``, so the network's
 trainable state is two flat buffers in its dtype. ``state`` holds every
@@ -149,14 +149,20 @@ class ModulationNet:
         ]
         self.state, self.grads = store.allocate()
 
+    def leaf_layers(self):
+        """(name, layer) of every layer instance, in forward order."""
+        for name, layer in self.layers:
+            if isinstance(layer, ResidualBlock):
+                for sub, leaf in layer.main + layer.shortcut + [("relu_out", layer.relu_out)]:
+                    yield f"{name}.{sub}", leaf
+            else:
+                yield name, layer
+
     def state_tensors(self):
         """All weights and batch-norm running statistics, in forward order."""
-        for name, layer in self.layers:
-            named = ([(f"{name}.{sub}", leaf) for sub, leaf in layer.main + layer.shortcut]
-                     if isinstance(layer, ResidualBlock) else [(name, layer)])
-            for prefix, leaf in named:
-                for key, value in leaf.state_tensors():
-                    yield f"{prefix}.{key}", leaf, key, value
+        for prefix, leaf in self.leaf_layers():
+            for key, value in leaf.state_tensors():
+                yield f"{prefix}.{key}", leaf, key, value
 
     def parameters(self):
         """The trainable entries of ``state_tensors``."""

@@ -59,6 +59,7 @@ __all__ = [
     "universal_threshold",
     "denoise_frame",
     "denoise_frames",
+    "check_frame_length",
     "SYM8_DEC_LO",
 ]
 
@@ -316,6 +317,13 @@ def _heursure_rows(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return t
 
 
+def check_frame_length(n: int, level: int = WaveletSpec.level) -> None:
+    """Refuse a frame of at most 2**level samples, too short to denoise."""
+    if n <= 1 << level:
+        raise ValueError(f"level {level} leaves one coarsest detail coefficient for a "
+                         f"{n}-sample frame; thresholding needs at least 2")
+
+
 def denoise_frames(samples: np.ndarray, noise_scales,
                    spec: WaveletSpec | None = None) -> np.ndarray:
     """Wavelet denoise the (B, n) complex sample rows, real and imaginary
@@ -326,8 +334,7 @@ def denoise_frames(samples: np.ndarray, noise_scales,
     it unshrunk. Approximation coefficients pass through unchanged. Every
     scale is checked before any row is transformed: one that is None (read
     as NaN), negative or not finite is refused with its row named, and so is
-    a length of at most 2**level samples, which leaves one coarsest detail
-    coefficient.
+    a length that ``check_frame_length`` refuses.
     """
     spec = spec or WaveletSpec()
     samples = np.asarray(samples)
@@ -343,11 +350,7 @@ def denoise_frames(samples: np.ndarray, noise_scales,
             raise ValueError(f"frame {index} has noise_scale {scale}; denoising needs "
                              f"a finite, nonnegative noise_scale")
     rows, n = samples.shape
-    if n <= 1 << spec.level:
-        raise ValueError(
-            f"level {spec.level} leaves one coarsest detail coefficient for a "
-            f"{n}-sample frame; thresholding needs at least 2"
-        )
+    check_frame_length(n, spec.level)
     padded = _padded_length(n, spec.level)
     parts = np.zeros((rows, 2, padded))
     parts[:, 0, :n] = samples.real

@@ -96,10 +96,10 @@ def test_non_finite_snr_is_a_usage_error(tmp_path, capsys, flag, value, field):
     (["--factor", "user_count", "--factor-values", "2,9"], "user_count"),
     (["--factor", "near_scheme", "--factor-values", "qpsk7"], "qpsk7"),
     (["--samples-per-class", "2"], "samples_per_class"),
-    (["--symbols", "8", "--samples-per-class", "3"], "symbols_per_frame"),
+    (["--symbols", "4", "--samples-per-class", "3"], "4-sample frame"),
     (["--factor-values", "2,3"], "factor_values"),
 ], ids=["delta", "alpha_fpc", "grid", "user_count", "near_scheme", "too_few_to_split",
-        "frame_below_filter", "factor_values_without_factor"])
+        "frame_too_short_to_denoise", "factor_values_without_factor"])
 def test_sweep_that_cannot_run_is_rejected_before_out_exists(tmp_path, capsys, flags, message):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--out", str(out), "--seed", "0",

@@ -91,6 +91,31 @@ class TestGenerateDataset:
             assert sample.diagram.grid.tobytes() == \
                 density_diagram(alone, scenario.grid_size).grid.tobytes()
 
+    def test_kept_rows_are_copies_unless_their_chunk_keeps_every_row(self):
+        """``keep`` names dataset indices, label * samples_per_class + index.
+        256-symbol frames come 128 to a chunk, so with 129 per class each
+        class is a chunk of 128 and a chunk of one. A chunk that keeps only
+        some rows copies them out, since a row view keeps its whole chunk
+        alive; one that keeps every row hands out views, as
+        ``generate_dataset(keep_frames=True)`` does for every chunk."""
+        scenario = replace(quick_scenario(samples_per_class=129, seed=4),
+                           symbols_per_frame=256)
+        every = datapipe.scenario_samples(scenario, (), {"raw": range(4 * 129)})[1]["raw"]
+        whole = set(range(128)) | {3 * 129 + 128}  # class 0's first chunk, class 3's last
+        partial = {129 + 0, 129 + 127, 2 * 129 + 64}  # of class 1's first chunk, class 2's
+        samples, frames = datapipe.scenario_samples(scenario, ("raw",),
+                                                   {"raw": whole | partial})
+        assert len(samples["raw"]) == 4 * 129
+        kept = sorted(whole | partial)
+        assert len(frames["raw"]) == len(kept)
+        for index, frame in zip(kept, frames["raw"]):
+            assert frame.samples.tobytes() == every[index].samples.tobytes()
+            assert frame.noise_scale == every[index].noise_scale
+            assert (frame.samples.base is None) == (index in partial), index
+        assert all(frame.samples.base is not None for frame in every)
+        _, views = generate_dataset(scenario, denoise=False, keep_frames=True)
+        assert all(frame.samples.base is not None for frame in views)
+
     def test_raw_mode_differs_from_denoised(self):
         scenario = quick_scenario(seed=2)
         den = generate_dataset(scenario, denoise=True)

@@ -1,13 +1,15 @@
 """Sweep engine: one simulation per sample, reproducible journals, resume."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nomadet import datapipe, harness, wavelet
-from nomadet.datapipe import CLASS_ORDER, generate_dataset
+from nomadet.datapipe import CLASS_ORDER, LabeledSample, generate_dataset, split_dataset
+from nomadet.density import DensityDiagram
 from nomadet.errors import DataFormatError
 from nomadet.harness import ExperimentConfig, METHODS, emit_report, run_sweep
 from nomadet.neuralnet import TrainConfig
@@ -94,6 +96,84 @@ def test_cell_keeps_copies_of_its_test_frames_only():
         assert frame.samples.base is None
         assert frame.samples.tobytes() == alone.samples.tobytes()
         assert frame.noise_scale == alone.noise_scale
+
+
+def test_predictor_only_cell_peaks_within_a_few_chunks_of_what_it_holds():
+    """A cell keeps its test split's frames alone, copied out of each chunk
+    as the chunk is made, so it never holds every frame of its kind at once
+    (400 frames of 2000 symbols: 12.2 MiB). What it allocates beyond what it
+    keeps is one chunk's simulation and denoising, about 8 chunks' bytes."""
+    scenario = replace(SCENARIO, symbols_per_frame=2000, samples_per_class=100)
+    tracemalloc.start()
+    try:
+        cell = harness._CellData(scenario, (PROJECTION,))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cell.frames["denoised"]) == len(cell.split.test) == 80
+    assert peak - held <= 12 * datapipe._CHUNK_BYTES
+
+
+def diagram_parts(count, per_part=60, grid=12):
+    """``count`` (samples, split) parts of random diagrams, as train_model takes them."""
+    rng = np.random.default_rng(count)
+    parts = []
+    for p in range(count):
+        samples = [LabeledSample(DensityDiagram(rng.random((grid, grid), dtype=np.float32)),
+                                 i % len(CLASS_ORDER), i, 0.0) for i in range(per_part)]
+        parts.append((samples, split_dataset(samples, seed=p)))
+    return parts
+
+
+def stub_train(monkeypatch):
+    """Replaces ``harness.train`` with a stub that records its training and
+    validation inputs and tracemalloc's (current, peak) when it is called."""
+    seen = []
+
+    def stub(model, train_xy, val_xy, cfg):
+        seen.append((train_xy, val_xy, tracemalloc.get_traced_memory()))
+        return []
+    monkeypatch.setattr(harness, "train", stub)
+    return seen
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_train_model_inputs_are_each_parts_split_rows_in_order(monkeypatch, count):
+    """The training and validation inputs are byte-identical to the
+    reference below: stack every diagram of each part, slice out the
+    split's rows and concatenate the slices."""
+    parts = diagram_parts(count)
+    seen = stub_train(monkeypatch)
+    harness.train_model(parts, TrainConfig(), model_seed=0)
+    [(train_xy, val_xy, _)] = seen
+    for which, got in (("train", train_xy), ("validation", val_xy)):
+        xs, ys = [], []
+        for samples, split in parts:
+            x, y = harness.diagram_matrix(samples)
+            rows = np.array(getattr(split, which), dtype=np.int64)
+            xs.append(x[rows])
+            ys.append(y[rows])
+        for a, b in zip(got, (np.concatenate(xs), np.concatenate(ys))):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_train_model_copies_each_diagram_it_reads_once(monkeypatch, count):
+    """Up to ``train()``, train_model allocates at most 1.5x the bytes of the
+    matrices it trains and validates on: one copy of each diagram it reads,
+    and no stack of every diagram with slices of it. The model is stubbed
+    out, so the bound counts the diagrams alone."""
+    parts = diagram_parts(count, per_part=200, grid=32)
+    seen = stub_train(monkeypatch)
+    monkeypatch.setattr(harness, "ModulationNet", lambda arch, seed: None)
+    tracemalloc.start()
+    try:
+        harness.train_model(parts, TrainConfig(), model_seed=0)
+    finally:
+        tracemalloc.stop()
+    [(train_xy, val_xy, (_, peak))] = seen
+    assert peak <= 1.5 * (train_xy[0].nbytes + val_xy[0].nbytes)
 
 
 def test_raw_only_sweep_never_denoises(tmp_path, monkeypatch):
@@ -287,15 +367,36 @@ def test_unknown_method_rejected():
         tiny_config(methods=("nearest_neighbour",))
 
 
-def test_cells_too_small_to_denoise_or_split_are_refused_at_the_bound():
-    """A cell is denoised (frames of at least the wavelet filter length) and
-    split (at least datapipe.MIN_SPLIT_SAMPLES samples over the classes)."""
-    taps = len(wavelet.SYM8_DEC_LO)
+def test_cells_too_small_to_split_are_refused_at_the_bound():
+    """A cell is split: at least datapipe.MIN_SPLIT_SAMPLES samples over the classes."""
     least = -(-datapipe.MIN_SPLIT_SAMPLES // len(datapipe.CLASS_ORDER))
-    for field, value in (("symbols_per_frame", taps), ("samples_per_class", least)):
-        ExperimentConfig(scenario=replace(SCENARIO, **{field: value}))
-        with pytest.raises(ValueError, match=field):
-            ExperimentConfig(scenario=replace(SCENARIO, **{field: value - 1}))
+    ExperimentConfig(scenario=replace(SCENARIO, samples_per_class=least))
+    with pytest.raises(ValueError, match="samples_per_class"):
+        ExperimentConfig(scenario=replace(SCENARIO, samples_per_class=least - 1))
+
+
+def test_frames_too_short_to_denoise_are_refused_with_the_denoisers_message():
+    """The denoiser needs more than 2**level samples, not the filter's 16:
+    its windows wrap around. A config is held to that only when one of its
+    methods reads denoised frames."""
+    least = 2 ** wavelet.WaveletSpec().level + 1
+    with pytest.raises(ValueError) as denoiser:
+        wavelet.denoise_frames(np.zeros((1, least - 1), complex), [0.0])
+    for methods in ((RESNET,), (PROJECTION,), METHODS):
+        ExperimentConfig(scenario=replace(SCENARIO, symbols_per_frame=least), methods=methods)
+        with pytest.raises(ValueError) as refused:
+            ExperimentConfig(scenario=replace(SCENARIO, symbols_per_frame=least - 1),
+                             methods=methods)
+        assert str(refused.value) == str(denoiser.value)
+    ExperimentConfig(scenario=replace(SCENARIO, symbols_per_frame=least - 1), methods=(RAW,))
+
+
+@pytest.mark.parametrize("methods, symbols", [((RESNET,), 8), ((RAW,), 4)])
+def test_sweep_of_short_frames_runs(tmp_path, methods, symbols):
+    cfg = replace(tiny_config(methods=methods),
+                  scenario=replace(SCENARIO, symbols_per_frame=symbols))
+    table = run_sweep(cfg, tmp_path)
+    assert [row.n_test for row in table.rows] == [4, 4]
 
 
 @pytest.mark.parametrize("method, trained", [(RAW, 1),

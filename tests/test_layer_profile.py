@@ -16,7 +16,7 @@ def test_one_step_names_every_layer_once_in_a_known_layout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# grid 16, batch 2, 1 steps")
     rows = [line.split() for line in lines[2:-1]]
-    names = [name for name, _ in layer_profile.leaf_layers(ModulationNet(ArchConfig(16), 0))]
+    names = [name for name, _ in ModulationNet(ArchConfig(16), 0).leaf_layers()]
     assert [row[0] for row in rows] == names
     for name, forward_ms, backward_ms, *layouts in rows:
         assert float(forward_ms) >= 0 and float(backward_ms) >= 0

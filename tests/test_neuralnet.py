@@ -180,7 +180,7 @@ class TestConv2D:
                 return fn(x, training)
             return call
 
-        convs = {name: layer for name, layer in every_layer(model) if isinstance(layer, Conv2D)}
+        convs = {name: layer for name, layer in model.leaf_layers() if isinstance(layer, Conv2D)}
         for name, conv in convs.items():
             conv.forward = recording(conv.forward, name)
         n = DEFAULT_ARCH.input_size
@@ -476,7 +476,7 @@ class TestKernelLayout:
     GEMMs read; everything that reads or writes it sees one array."""
 
     def test_every_conv_kernel_is_out_in_k_k(self):
-        convs = [layer for _, layer in every_layer(ModulationNet(DEFAULT_ARCH, seed=0))
+        convs = [layer for _, layer in ModulationNet(DEFAULT_ARCH, seed=0).leaf_layers()
                  if isinstance(layer, Conv2D)]
         assert len(convs) == 16
         for conv in convs:
@@ -492,7 +492,7 @@ class TestKernelLayout:
         optimiser = Adam(model)
         grads = model.grads.copy()
         optimiser.step()
-        convs = [(name, layer) for name, layer in every_layer(model) if isinstance(layer, Conv2D)]
+        convs = [(name, layer) for name, layer in model.leaf_layers() if isinstance(layer, Conv2D)]
         assert len(convs) == 16
         for name, conv in convs:
             w, gw = conv.params["w"], conv.grads["w"]
@@ -732,7 +732,7 @@ class TestBatchNorm:
                 return fn(x, training)
             return call
 
-        bns = {name: layer for name, layer in every_layer(model)
+        bns = {name: layer for name, layer in model.leaf_layers()
                if isinstance(layer, BatchNorm2D)}
         for name, bn in bns.items():
             bn.forward = recording(bn.forward, name)
@@ -995,17 +995,6 @@ def stage_shapes(model: ModulationNet) -> list:
     return shapes
 
 
-def every_layer(model: ModulationNet):
-    """(name, layer) for every layer object, parameter-free ones included,
-    walking ``model.layers`` and each block's lists."""
-    for name, stage in model.layers:
-        if isinstance(stage, ResidualBlock):
-            for sub, layer in stage.main + stage.shortcut + [("relu_out", stage.relu_out)]:
-                yield f"{name}.{sub}", layer
-        else:
-            yield name, stage
-
-
 EVERY_LAYER_TYPE = [
     (Conv2D(2, 2, 3, rng=RNG(0), dtype=np.float64), (2, 2, 5, 5)),
     (BatchNorm2D(2, dtype=np.float64), (2, 2, 5, 5)),
@@ -1061,7 +1050,7 @@ class TestModel:
                 return "rows"
             return "channels-last"
 
-        layers = dict(every_layer(model))
+        layers = dict(model.leaf_layers())
         assert len(layers) == count
         assert all(isinstance(layer, Layer) for layer in layers.values())
         for name, layer in layers.items():
@@ -1106,9 +1095,9 @@ class TestModel:
         model = ModulationNet(replace(DEFAULT_ARCH, input_size=24), seed=3)
         x = RNG(27).random((4, 1, 24, 24))
         model.forward(x, training=True)
-        assert all(layer._cache is not None for _, layer in every_layer(model))
+        assert all(layer._cache is not None for _, layer in model.leaf_layers())
         model.predict(x)
-        assert [name for name, layer in every_layer(model) if layer._cache is not None] == []
+        assert [name for name, layer in model.leaf_layers() if layer._cache is not None] == []
 
     @pytest.mark.parametrize("layer, shape", EVERY_LAYER_TYPE, ids=EVERY_LAYER_TYPE_IDS)
     def test_backward_after_eval_forward_raises(self, layer, shape):

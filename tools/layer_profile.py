@@ -32,7 +32,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from nomadet.neuralnet import ArchConfig, ModulationNet, softmax_cross_entropy  # noqa: E402
-from nomadet.neuralnet.model import NUM_CLASSES, ResidualBlock  # noqa: E402
+from nomadet.neuralnet.model import NUM_CLASSES  # noqa: E402
 
 
 def layout(result) -> str:
@@ -47,23 +47,12 @@ def layout(result) -> str:
             (False, True): "channels-last"}.get((nchw, channels_last), "other")
 
 
-def leaf_layers(model: ModulationNet):
-    """(name, layer) for every layer instance in forward order, a residual
-    block's main path, shortcut and output ReLU included."""
-    for name, stage in model.layers:
-        if isinstance(stage, ResidualBlock):
-            for sub, layer in stage.main + stage.shortcut + [("relu_out", stage.relu_out)]:
-                yield f"{name}.{sub}", layer
-        else:
-            yield name, stage
-
-
 def profile(grid: int, batch: int, steps: int, seed: int) -> list[dict]:
     """One dict per layer instance: its name, and for each of ``forward`` and
     ``backward`` the call times in seconds and the layouts of its results."""
     model = ModulationNet(ArchConfig(input_size=grid), seed=seed)
     rows = []
-    for name, layer in leaf_layers(model):
+    for name, layer in model.leaf_layers():
         row = {"name": name, "forward": ([], []), "backward": ([], [])}
         for method in ("forward", "backward"):
             times, layouts = row[method]
