@@ -3,11 +3,12 @@
 Subcommands: generate (dataset -> .nmd), train (dataset -> .nmdl checkpoint),
 eval (checkpoint + dataset -> metrics), sweep (experiment config -> report
 directory), report (re-emit CSV from sweep results), inspect (dump diagrams
-as PGM images). A config file is the JSON form of a config class,
-``json.dumps(dataclasses.asdict(cfg))``: for sweep an ExperimentConfig, and
-sweep writes the config it ran as sweep_config.json, which ``--config`` reads
-back; for generate a NomaScenario, alone or as the "scenario" section. Each
-flag's dest is the name of the field it overrides.
+as PGM images). train and eval split with the one fixed seed 0, so eval's
+test split holds no training row. A config file is the JSON form of a config
+class, ``json.dumps(dataclasses.asdict(cfg))``: for sweep an ExperimentConfig,
+which a sweep writes as sweep_config.json when it starts, for ``--config`` to
+read back; for generate a NomaScenario, alone or as the "scenario" section.
+Each flag's dest is the name of the field it overrides.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -18,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import harness
@@ -79,7 +80,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     samples, _ = load_dataset(args.dataset)
-    split = split_dataset(samples, seed=args.split_seed)
+    split = split_dataset(samples, seed=0)
     model, history = train_model([(samples, split)], _overrides(TrainConfig(), args),
                                  model_seed=args.seed)
     save_model(model, args.out)
@@ -105,7 +106,7 @@ def _cmd_eval(args) -> int:
         raise DataFormatError(f"{args.dataset} holds {grid}x{grid} diagrams, but "
                               f"{args.model} takes {size}x{size}")
     if args.split == "test":
-        split = split_dataset(samples, seed=args.split_seed)
+        split = split_dataset(samples, seed=0)
         samples = [samples[i] for i in split.test]
     x, labels = diagram_matrix(samples)
     accuracy, confusion = evaluate(model.classify(x), labels)
@@ -134,8 +135,6 @@ def _cmd_sweep(args) -> int:
 
     table = run_sweep(cfg, out_dir=args.out, progress=progress)
     paths = emit_report(table, args.out)
-    with open(Path(args.out) / "sweep_config.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
@@ -210,14 +209,12 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", choices=["test", "all"], default="test")
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="run an SNR/factor sweep experiment")

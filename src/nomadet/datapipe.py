@@ -8,11 +8,11 @@ each in the batch form, (B, n) sample rows and (B,) noise scales, from seed
 to diagram: simulated by one ``generate_noma_frames`` call, denoised by one
 ``denoise_frames`` call if a requested kind needs it, binned by one
 ``density_grids`` call per kind and dropped before the next, so the working
-memory does not grow with samples_per_class. Kept rows become ``SignalFrame``
-objects, copied unless their chunk keeps every row, as a row view keeps its
-chunk alive. Each frame draws from its own generator in the one-frame order,
-so its bytes do not depend on its chunk. Frames arrive equalised by their
-exact fading coefficient, and denoising reads each frame's true
+memory does not grow with samples_per_class. Every kept row becomes a
+``SignalFrame`` that owns a copy of its samples, as a row view would keep
+its chunk alive. Each frame draws from its own generator in the one-frame
+order, so its bytes do not depend on its chunk. Frames arrive equalised by
+their exact fading coefficient, and denoising reads each frame's true
 ``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
@@ -114,10 +114,9 @@ def scenario_samples(scenario: NomaScenario, kinds, keep=None) -> tuple[dict, di
                 out += [LabeledSample(DensityDiagram(grid), label, seed, scenario.snr_db_near)
                         for seed, grid in zip(seeds, grids)]
             for kind, out in frames.items():
-                kept = [first + start + i in keep[kind] for i in range(len(seeds))]
-                copy = not all(kept)  # a row view would keep its whole chunk alive
-                out += [SignalFrame(row.copy() if copy else row, s)
-                        for row, s, k in zip(chunk[kind], scales.tolist(), kept) if k]
+                out += [SignalFrame(row.copy(), s)  # a row view would keep its chunk alive
+                        for i, (row, s) in enumerate(zip(chunk[kind], scales.tolist()))
+                        if first + start + i in keep[kind]]
             # held across the next simulation, the chunk slows it measurably
             del chunk, rows
     return samples, frames

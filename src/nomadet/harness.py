@@ -29,6 +29,7 @@ from .baseline import projection_classify
 from .datapipe import (derive_seed, scenario_samples, split_dataset, CLASS_ORDER,
                        MIN_SPLIT_SAMPLES)
 from .errors import DataFormatError
+from .fileio import atomic_write
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
 from .wavelet import check_frame_length
@@ -236,9 +237,9 @@ class _CellData:
     simulated. ``samples[kind]`` holds the cell's samples of each kind of
     frame that a CNN method of ``methods`` reads, in dataset order, and
     ``frames[kind]`` the frames behind its test split, in test order, for
-    the kinds a per-frame predictor reads, none of which keeps a frame
-    outside the test split alive: a cell of predictors alone bins no
-    diagram.
+    the kinds a per-frame predictor reads, each a copy that owns its
+    samples, so no frame outside the test split stays alive: a cell of
+    predictors alone bins no diagram.
     """
 
     def __init__(self, scenario: NomaScenario, methods):
@@ -267,7 +268,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
 
     Each finished row is appended to the journal and passed to ``progress``;
     a rerun with the same config digest skips rows already on disk; rows of
-    another config raise DataFormatError and stay untouched.
+    another config raise DataFormatError and stay untouched. Otherwise ``cfg``
+    is written to ``out_dir/sweep_config.json`` before the first row.
     """
     digest = json.dumps(asdict(cfg), sort_keys=True)
     out_dir = Path(out_dir)
@@ -279,6 +281,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
         if rows:
             raise DataFormatError(f"{out_dir} holds rows of another sweep config")
         kept = 0
+    with atomic_write(out_dir / "sweep_config.json") as fh:
+        fh.write(json.dumps(asdict(cfg), sort_keys=True, indent=2).encode("utf-8"))
     table = ResultTable(rows)
     done = {(row.factor, row.method, row.snr_db) for row in table.rows}
 

@@ -205,12 +205,3 @@ class ModulationNet:
 
     def classify(self, x: np.ndarray, batch_size: int = 8) -> np.ndarray:
         return self.predict(x, batch_size).argmax(axis=1)
-
-    def restore(self, snap: np.ndarray) -> None:
-        """Copy ``snap``, a copy of the ``state`` of a net of this
-        architecture, back into ``state``."""
-        if snap.shape != self.state.shape or snap.dtype != self.state.dtype:
-            raise ValueError(
-                f"snapshot of {snap.size} {snap.dtype} values does not fit the state of "
-                f"{self.state.size} {self.state.dtype} values")
-        np.copyto(self.state, snap)

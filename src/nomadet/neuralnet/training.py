@@ -168,5 +168,5 @@ def train(model: ModulationNet, train_split, val_split, cfg: TrainConfig):
             np.copyto(best_state, model.state)
         elif epoch - best_epoch >= cfg.patience:
             break
-    model.restore(best_state)
+    np.copyto(model.state, best_state)
     return history

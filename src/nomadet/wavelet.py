@@ -56,7 +56,6 @@ __all__ = [
     "dwt_multilevel",
     "idwt_multilevel",
     "soft_threshold",
-    "universal_threshold",
     "denoise_frame",
     "denoise_frames",
     "check_frame_length",
@@ -278,10 +277,6 @@ def soft_threshold(c, t) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
-def universal_threshold(n: int, sigma: float) -> float:
-    return float(sigma * np.sqrt(2.0 * np.log(n)))
-
-
 def _sure_rows(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Stein's-unbiased-risk-minimising threshold of each row of ``d``."""
     n = d.shape[1]
@@ -297,7 +292,7 @@ def _heursure_rows(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Heuristic SURE threshold of each row of ``d`` for its row's noise
     scale: 0 for a row that is all zero or whose scale is not positive."""
     rows, n = d.shape
-    t_unit = universal_threshold(n, 1.0)
+    t_unit = float(np.sqrt(2.0 * np.log(n)))
     crit = np.log2(n) ** 1.5 / np.sqrt(n)
     nonzero = d.any(axis=1)
     t = np.zeros(rows)

@@ -1,11 +1,13 @@
 """Command line round trip and exit codes."""
 
 import json
+import re
 import shutil
 
 import pytest
 
 from nomadet import cli
+from nomadet.datapipe import split_dataset
 from nomadet.errors import NumericError
 from nomadet.harness import ExperimentConfig
 from nomadet.neuralnet import ArchConfig, ModulationNet, save_model
@@ -26,12 +28,34 @@ def made(tmp_path_factory):
     return data, sweep
 
 
-def test_round_trip(tmp_path, capsys):
-    data, model = str(tmp_path / "d.nmd"), str(tmp_path / "m.nmdl")
-    assert cli.main(["generate", "--out", data, "--snr", "10", "--seed", "1", *TINY]) == 0
-    assert cli.main(["train", "--dataset", data, "--out", model, "--epochs", "1"]) == 0
+def test_round_trip(tmp_path, capsys, monkeypatch):
+    data, model, history = (str(tmp_path / name) for name in ("d.nmd", "m.nmdl", "h.csv"))
+    assert cli.main(["generate", "--out", data, "--snr", "10", "--seed", "1",
+                     "--near-scheme", "qam16", "--fading", "none", *TINY]) == 0
+    scenario = json.loads((tmp_path / "d.nmd.manifest.json").read_text())["scenario"]
+    assert (scenario["near_schemes"], scenario["fading"]) == (["qam16"], "none")
+
+    splits = []  # (seed, split) of every split_dataset call, in order
+
+    def recorded(samples, seed):
+        splits.append((seed, split_dataset(samples, seed)))
+        return splits[-1][1]
+    monkeypatch.setattr(cli, "split_dataset", recorded)
+    assert cli.main(["train", "--dataset", data, "--out", model, "--epochs", "2",
+                     "--history", history]) == 0
+    epochs = int(re.search(r"trained (\d+) epochs", capsys.readouterr().out)[1])
+    lines = (tmp_path / "h.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_accuracy"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(e) for e in range(epochs)]
     assert cli.main(["eval", "--model", model, "--dataset", data]) == 0
-    assert "accuracy:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "accuracy:" in out
+    (train_seed, train_split), (eval_seed, eval_split) = splits
+    assert train_seed == eval_seed == 0 and train_split == eval_split
+    assert f"samples: {len(eval_split.test)}\n" in out
+    assert cli.main(["eval", "--model", model, "--dataset", data, "--split", "all"]) == 0
+    assert "samples: 20\n" in capsys.readouterr().out  # 4 classes x 5
+    assert len(splits) == 2
     assert cli.main(["inspect", "--dataset", data, "--out", str(tmp_path / "pgm"),
                      "--limit", "3"]) == 0
     assert len(list((tmp_path / "pgm").glob("*.pgm"))) == 3
@@ -119,6 +143,18 @@ def test_negative_inspect_limit_is_a_usage_error(tmp_path, capsys):
 
 def test_bad_flag_is_a_usage_error(capsys):
     assert cli.main(["train", "--no-such-flag"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_seed_is_refused(tmp_path, capsys, made, command):
+    """train and eval split with one fixed seed, so that eval's test split
+    never holds a row the model trained on."""
+    model = tmp_path / "m.nmdl"
+    argv = {"train": ["--dataset", str(made[0]), "--out", str(model)],
+            "eval": ["--model", str(model), "--dataset", str(made[0])]}[command]
+    assert cli.main([command, *argv, "--split-seed", "1"]) == cli.EXIT_USAGE
+    assert "--split-seed" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
@@ -221,6 +257,31 @@ def test_sweep_config_alone_reruns_its_sweep(tmp_path, capsys, made):
     assert cli.main(["sweep", "--config", str(out / "sweep_config.json"), "--out", str(out)]) == 0
     assert "[sweep]" not in capsys.readouterr().out
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_interrupted_sweep_resumes_from_its_config_alone(tmp_path, capsys, monkeypatch):
+    argv = ["--seed", "2", "--methods", "projection_clustering",
+            "--snr-start", "0", "--snr-stop", "10", "--snr-step", "10", *TINY]
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    assert cli.main(["sweep", "--out", str(whole), *argv]) == 0
+    inner = cli.run_sweep
+
+    def stopped_after_one_row(cfg, out_dir, progress):
+        def interrupt(row):
+            progress(row)
+            raise KeyboardInterrupt
+        return inner(cfg, out_dir, progress=interrupt)
+    monkeypatch.setattr(cli, "run_sweep", stopped_after_one_row)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--out", str(cut), *argv])
+    monkeypatch.undo()
+    assert len((cut / "results.jsonl").read_text().splitlines()) == 2  # digest and one row
+    config = cut / "sweep_config.json"
+    assert config.read_bytes() == (whole / "sweep_config.json").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", str(config), "--out", str(cut)]) == 0
+    assert capsys.readouterr().out.count("[sweep]") == 1
+    assert (cut / "results.jsonl").read_bytes() == (whole / "results.jsonl").read_bytes()
 
 
 def test_sweep_without_config_needs_a_seed(tmp_path, capsys):

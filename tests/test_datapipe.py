@@ -91,13 +91,12 @@ class TestGenerateDataset:
             assert sample.diagram.grid.tobytes() == \
                 density_diagram(alone, scenario.grid_size).grid.tobytes()
 
-    def test_kept_rows_are_copies_unless_their_chunk_keeps_every_row(self):
+    def test_every_kept_row_is_a_copy(self):
         """``keep`` names dataset indices, label * samples_per_class + index.
         256-symbol frames come 128 to a chunk, so with 129 per class each
-        class is a chunk of 128 and a chunk of one. A chunk that keeps only
-        some rows copies them out, since a row view keeps its whole chunk
-        alive; one that keeps every row hands out views, as
-        ``generate_dataset(keep_frames=True)`` does for every chunk."""
+        class is a chunk of 128 and a chunk of one. A kept row is copied out
+        whether its chunk keeps some rows or every row, since a row view
+        keeps its whole chunk alive."""
         scenario = replace(quick_scenario(samples_per_class=129, seed=4),
                            symbols_per_frame=256)
         every = datapipe.scenario_samples(scenario, (), {"raw": range(4 * 129)})[1]["raw"]
@@ -111,10 +110,12 @@ class TestGenerateDataset:
         for index, frame in zip(kept, frames["raw"]):
             assert frame.samples.tobytes() == every[index].samples.tobytes()
             assert frame.noise_scale == every[index].noise_scale
-            assert (frame.samples.base is None) == (index in partial), index
-        assert all(frame.samples.base is not None for frame in every)
-        _, views = generate_dataset(scenario, denoise=False, keep_frames=True)
-        assert all(frame.samples.base is not None for frame in views)
+        _, dataset_frames = generate_dataset(scenario, denoise=False, keep_frames=True)
+        for mine, theirs in zip(dataset_frames, every, strict=True):
+            assert mine.samples.tobytes() == theirs.samples.tobytes()
+            assert mine.noise_scale == theirs.noise_scale
+        for frame in [*every, *frames["raw"], *dataset_frames]:
+            assert frame.samples.base is None
 
     def test_raw_mode_differs_from_denoised(self):
         scenario = quick_scenario(seed=2)

@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -317,11 +317,13 @@ def test_result_row_checks_its_own_numbers(change):
 def test_journal_of_another_config_is_kept(tmp_path):
     cfg = tiny_config(methods=(PROJECTION,))
     sweep(cfg, tmp_path)
-    journal = tmp_path / "results.jsonl"
-    whole = journal.read_bytes()
+    journal, config = tmp_path / "results.jsonl", tmp_path / "sweep_config.json"
+    whole, written = journal.read_bytes(), config.read_bytes()
+    assert written == json.dumps(asdict(cfg), sort_keys=True, indent=2).encode()
     with pytest.raises(DataFormatError, match="another sweep config"):
         run_sweep(replace(cfg, seed=3), tmp_path)
     assert journal.read_bytes() == whole
+    assert config.read_bytes() == written
 
 
 @pytest.mark.parametrize("section, name, value", [

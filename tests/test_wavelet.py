@@ -27,7 +27,7 @@ from nomadet import wavelet
 from nomadet.sigsim import ModScheme, NomaScenario, SignalFrame, generate_noma_frame
 from nomadet.wavelet import (SYM8_DEC_LO, _SYM8_DEC_HI, WaveletCoeffs, WaveletSpec,
                              _heursure_rows, _sure_rows, denoise_frame, dwt_multilevel,
-                             idwt_multilevel, soft_threshold, universal_threshold)
+                             idwt_multilevel, soft_threshold)
 from conftest import clean_noma_pair
 
 
@@ -521,7 +521,7 @@ class TestHeursure:
         d = rng.standard_normal(1000) * 5.0
         sigma = 0.2
         t = _heursure_rows(d[None], np.array([sigma]))[0]
-        assert t < universal_threshold(d.size, sigma)
+        assert t < sigma * np.sqrt(2.0 * np.log(d.size))  # the universal threshold
 
     def test_sure_threshold_on_pure_noise_is_aggressive(self):
         rng = np.random.default_rng(37)
