@@ -182,7 +182,6 @@ def _add_scenario_flags(p) -> None:
     p.add_argument("--symbols", dest="symbols_per_frame", type=int,
                    help="symbols per frame")
     p.add_argument("--grid", dest="grid_size", type=int, help="density grid size")
-    p.add_argument("--fading", choices=["rayleigh", "none"])
 
 
 def build_parser() -> _Parser:

@@ -11,9 +11,8 @@ to diagram: simulated by one ``generate_noma_frames`` call, denoised by one
 memory does not grow with samples_per_class. Every kept row becomes a
 ``SignalFrame`` that owns a copy of its samples, as a row view would keep
 its chunk alive. Each frame draws from its own generator in the one-frame
-order, so its bytes do not depend on its chunk. Frames arrive equalised by
-their exact fading coefficient, and denoising reads each frame's true
-``noise_scale``.
+order, so its bytes do not depend on its chunk. Denoising reads each
+frame's true ``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
 little-endian: sample count u32 | grid size N u16 | sha256 of the JSON

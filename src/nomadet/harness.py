@@ -51,8 +51,7 @@ class _Method(NamedTuple):
     predict: Callable | None = None  # (frame, scenario) -> far scheme; None trains a CNN
 
 
-# The simulator truths each method reads: all three read frames equalised by
-# the exact fading coefficient. Denoising reads each frame's true
+# The simulator truths each method reads: denoising reads each frame's true
 # ``noise_scale``, so the readers of denoised frames read it too. The
 # projection baseline also reads the scenario's ``near_schemes``. A predictor
 # looks its function up on this module at call time, where tracers patch it.

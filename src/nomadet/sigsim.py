@@ -2,11 +2,16 @@
 
 Generates per-user symbol streams (pi/2-BPSK, QPSK, QAM16, QAM64), allocates
 power with the fractional transmit power allocation rule, superposes the
-streams into one NOMA signal and runs it through a block-Rayleigh + AWGN
-channel as seen by the near user terminal, drawing every random number from
-the ``np.random.Generator`` that the caller passes as ``rng``. Power shares
-come from ``resolve_allocation`` alone, as a float64 array with the far user
-last and strictly largest, so the near user can cancel it first by SIC.
+streams into one NOMA signal and adds the near user terminal's AWGN,
+drawing every random number from the ``np.random.Generator`` that the caller
+passes as ``rng``. Power shares come from ``resolve_allocation`` alone, as a
+float64 array with the far user last and strictly largest, so the near user
+can cancel it first by SIC.
+
+The channel is AWGN at a per-frame SNR, with no fading and no equaliser: a
+frame's noise variance is its own superposed power, mean |clean|^2 over its
+samples, divided by 10^(snr_db_near/10), and its ``noise_scale`` is exactly
+the complex standard deviation of the noise that was added.
 
 Every scheme is a product of I and Q alphabets, stated once in the table
 ``_AXES``: Gray-ordered integer I levels, Q levels and a normaliser giving
@@ -20,10 +25,9 @@ signatures derive from the table.
 in the pipeline's batch form: (B, n) complex sample rows and their (B,)
 float64 noise scales, B set by the caller. Frame b draws from its own
 generator, in this order: each user's bits, near users first and the far
-user last, then its fading coefficient, then its noise. Modulation,
-superposition, fading, noise scaling and equalisation then run once over
-the (B, n) matrix. ``generate_noma_frame`` is its one-row case, and
-``modulate``, ``superpose`` and ``apply_channel`` run the same row
+user last, then its noise. Modulation, superposition and noise scaling then
+run once over the (B, n) matrix. ``generate_noma_frame`` is its one-row
+case, and ``modulate``, ``superpose`` and ``apply_channel`` run the same row
 arithmetic on one frame, so replaying a seed's draws through them rebuilds
 its frame byte for byte.
 """
@@ -111,9 +115,9 @@ _POINTS = {scheme: _points(scheme) for scheme in ModScheme}
 class SignalFrame:
     """A frame of complex baseband samples, one sample per transmitted symbol.
 
-    ``noise_scale`` is the realised post-equalization noise standard deviation
-    (complex, total over both axes), which denoising requires. Only
-    ``modulate`` and ``superpose`` leave it None.
+    ``noise_scale`` is the standard deviation of the added noise (complex,
+    total over both axes), which denoising requires. Only ``modulate`` and
+    ``superpose`` leave it None.
     """
 
     samples: np.ndarray
@@ -194,42 +198,25 @@ def _superposed(streams: list, ratios: np.ndarray) -> np.ndarray:
 
 def apply_channel(frame: SignalFrame, cfg: NomaScenario,
                   rng: np.random.Generator) -> SignalFrame:
-    """Block fading plus AWGN at the near receiver, then equalisation, over
-    the channel (``fading``, ``snr_db_near``) of the scenario ``cfg``.
-
-    One complex Gaussian CN(0,1) coefficient h is drawn per frame; the noise
-    variance is the measured faded-signal power divided by the linear SNR.
-    The output (and therefore the noise) is divided by h (perfect CSI), which
-    keeps constellation clusters axis aligned. The returned frame records the
-    realised complex noise standard deviation.
-    """
+    """``frame`` received over the AWGN channel of the scenario ``cfg``, at
+    its ``snr_db_near``, as a new frame that records its noise scale."""
     samples, scales = _received(frame.samples[None], cfg, [rng])
     return SignalFrame(samples[0], float(scales[0]))
 
 
 def _received(clean: np.ndarray, scenario: NomaScenario, rngs):
-    """The received (B, n) rows of the superposed rows ``clean`` and their
-    (B,) noise scales. Row b draws its fading coefficient h, then its noise,
-    from ``rngs[b]``; it is faded by h, given noise ``snr_db_near`` below its
-    faded power, and divided by h."""
-    noise = None if scenario.snr_db_near == np.inf else np.empty((2, *clean.shape))
-    h = np.ones((len(clean), 1), dtype=np.complex128)
+    """The received (B, n) rows of the superposed rows ``clean``, always a
+    new array, and their (B,) noise scales. Row b draws its noise from
+    ``rngs[b]``, ``snr_db_near`` below its own power."""
+    if scenario.snr_db_near == np.inf:
+        return clean.copy(), np.zeros(len(clean))
+    noise = np.empty((2, *clean.shape))
     for b, rng in enumerate(rngs):
-        if scenario.fading == "rayleigh":
-            h[b] = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-        if noise is not None:
-            rng.standard_normal(out=noise[0, b])
-            rng.standard_normal(out=noise[1, b])
-    faded = h * clean
-    if noise is None:
-        sigma2 = np.zeros(len(clean))
-        noisy = faded
-    else:
-        sig_power = np.mean(np.abs(faded) ** 2, axis=1)
-        sigma2 = sig_power / (10.0 ** (scenario.snr_db_near / 10.0))
-        noisy = faded + np.sqrt(sigma2 / 2.0)[:, None] * (noise[0] + 1j * noise[1])
-    # |h| by hypot, as abs() of a complex scalar; np.abs of an array rounds otherwise
-    return noisy / h, np.sqrt(sigma2) / np.hypot(h.real, h.imag)[:, 0]
+        rng.standard_normal(out=noise[0, b])
+        rng.standard_normal(out=noise[1, b])
+    sigma2 = np.mean(np.abs(clean) ** 2, axis=1) / (10.0 ** (scenario.snr_db_near / 10.0))
+    return (clean + np.sqrt(sigma2 / 2.0)[:, None] * (noise[0] + 1j * noise[1]),
+            np.sqrt(sigma2))
 
 
 @dataclass(frozen=True)
@@ -239,8 +226,8 @@ class NomaScenario:
     Users are ordered near-first, far-last everywhere (schemes, gains,
     power ratios). Power follows fractional power allocation over the SNR
     ladder: near user j sits at ``snr_db_near - j*NEAR_STEP_DB`` and the far
-    user at ``snr_db_near - delta_db``. ``apply_channel`` describes the
-    near user's channel.
+    user at ``snr_db_near - delta_db``. ``snr_db_near`` also sets the near
+    user's AWGN channel, which ``apply_channel`` applies.
     """
 
     near_schemes: tuple = (ModScheme.QPSK,)
@@ -248,7 +235,6 @@ class NomaScenario:
     snr_db_near: float = 16.0       # math.inf for no noise
     delta_db: float = 6.0
     alpha_fpc: float = 1.0
-    fading: str = "rayleigh"        # "rayleigh" (block) or "none"
     symbols_per_frame: int = 2000
     samples_per_class: int = 250
     grid_size: int = 100
@@ -266,8 +252,6 @@ class NomaScenario:
                             ("grid_size", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.fading not in ("rayleigh", "none"):
-            raise ValueError(f"fading must be 'rayleigh' or 'none', got {self.fading!r}")
         if not (np.isfinite(self.snr_db_near) or self.snr_db_near == np.inf):
             raise ValueError(f"snr_db_near must be finite or inf, got {self.snr_db_near}")
 

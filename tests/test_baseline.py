@@ -18,7 +18,7 @@ FINE = ClusterParams(neighborhood_radius=0.06)
 
 def noiseless_two_user(near, far, seed):
     scen = NomaScenario(near_schemes=(near,), far_scheme=far,
-                        snr_db_near=np.inf, fading="none", symbols_per_frame=2000)
+                        snr_db_near=np.inf, symbols_per_frame=2000)
     return generate_noma_frame(scen, rng=np.random.default_rng(seed)), scen
 
 

@@ -31,9 +31,9 @@ def made(tmp_path_factory):
 def test_round_trip(tmp_path, capsys, monkeypatch):
     data, model, history = (str(tmp_path / name) for name in ("d.nmd", "m.nmdl", "h.csv"))
     assert cli.main(["generate", "--out", data, "--snr", "10", "--seed", "1",
-                     "--near-scheme", "qam16", "--fading", "none", *TINY]) == 0
+                     "--near-scheme", "qam16", *TINY]) == 0
     scenario = json.loads((tmp_path / "d.nmd.manifest.json").read_text())["scenario"]
-    assert (scenario["near_schemes"], scenario["fading"]) == (["qam16"], "none")
+    assert scenario["near_schemes"] == ["qam16"]
 
     splits = []  # (seed, split) of every split_dataset call, in order
 
@@ -167,6 +167,59 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
                      ["generate", "--out", str(tmp_path / "d.nmd")]):
             assert cli.main([*argv, "--config", str(config)]) == cli.EXIT_USAGE
             assert key in capsys.readouterr().err
+
+
+def with_fading(blob: dict) -> dict:
+    """A config blob as it was written while scenarios had a ``fading`` field."""
+    return {**blob, "scenario": {**blob["scenario"], "fading": "rayleigh"}}
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_fading_flag_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), "--seed", "0", "--fading", "none",
+                     *TINY]) == cli.EXIT_USAGE
+    assert "--fading" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_config_with_fading_is_a_usage_error(tmp_path, capsys, made):
+    out = tmp_path / "sweep"
+    shutil.copytree(made[1], out)
+    config = out / "sweep_config.json"
+    config.write_text(json.dumps(with_fading(json.loads(config.read_text())),
+                                 sort_keys=True, indent=2))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "fading" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_manifest_with_fading_is_a_usage_error(tmp_path, capsys, made):
+    manifest = tmp_path / "old.nmd.manifest.json"
+    blob = json.loads((made[0].parent / (made[0].name + ".manifest.json")).read_text())
+    manifest.write_text(json.dumps(with_fading(blob), sort_keys=True, indent=2))
+    out = tmp_path / "new.nmd"
+    assert cli.main(["generate", "--config", str(manifest), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "fading" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_over_a_journal_with_fading_is_a_data_error(tmp_path, capsys, made):
+    # the journal and config the same sweep wrote while scenarios had a fading field
+    out = tmp_path / "sweep"
+    shutil.copytree(made[1], out)
+    journal, config = out / "results.jsonl", out / "sweep_config.json"
+    first, rows = journal.read_text().split("\n", 1)
+    digest = with_fading(json.loads(json.loads(first)["config_digest"]))
+    journal.write_text(json.dumps({"config_digest": json.dumps(digest, sort_keys=True)})
+                       + "\n" + rows)
+    config.write_text(json.dumps(digest, sort_keys=True, indent=2))
+    before = journal.read_bytes(), config.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["sweep", "--out", str(out), "--seed", "2", *SWEEP]) == cli.EXIT_DATA
+    assert "another sweep config" in capsys.readouterr().err
+    assert (journal.read_bytes(), config.read_bytes()) == before
 
 
 @pytest.mark.parametrize("argv, blob", [

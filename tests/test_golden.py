@@ -16,7 +16,7 @@ _SPEC.loader.exec_module(golden)
 def printed(numbers: dict, meta: dict, float64: list, float32: list) -> str:
     """A run's output in the script's own format."""
     lines = [golden.NUMBERS_HEADER, *(f"{k} {v}" for k, v in numbers.items()),
-             "# metadata", *(f"{k} {v}" for k, v in meta.items())]
+             golden.METADATA_HEADER, *(f"{k} {v}" for k, v in meta.items())]
     for dtype, losses in (("float64", float64), ("float32", float32)):
         lines.append(f"# loss curve, {dtype}, per step")
         lines += [f"loss.{dtype}.{step:02d} {loss!r}" for step, loss in enumerate(losses)]
@@ -38,13 +38,28 @@ def test_identical_runs_pass():
 
 def test_changed_artifacts_listed_and_float32_only_reported():
     current = printed({"sweep.rows": "aaaa", "train.checkpoint": "eeee", "inspect.pgm": "ffff"},
-                      {"generate.header": "0000", "src.lines": "2593"},  # not compared
+                      {"generate.header": "0000", "src.lines": "2593"},  # listed last
                       [1.3862943611198906 * (1 + 2e-14), 1.25, 0.5], [1.3862944, 1.26, 0.5])
     report, ok = golden.compare(current, SAVED)
     assert ok
     assert report[:2] == ["changed train.checkpoint", "changed inspect.pgm"]
     assert report[2].startswith("loss.float64 largest relative deviation 2e-14")
     assert report[3] == "loss.float32 largest relative deviation 0.008 (reported only)"
+
+
+def test_changed_metadata_listed_but_never_fails():
+    current = printed({"sweep.rows": "aaaa", "train.checkpoint": "bbbb", "inspect.pgm": "cccc"},
+                      {"generate.header": "0000", "generate.manifest": "1111",
+                       "src.lines": "2593"},
+                      [1.3862943611198906, 1.25, 0.5], [1.3862944, 1.25, 0.5])
+    report, ok = golden.compare(current, SAVED)
+    assert ok
+    assert report == ["no number-carrying artifact changed",
+                      "loss.float64 largest relative deviation 0 (limit 1e-09)",
+                      "loss.float32 largest relative deviation 0 (reported only)",
+                      "metadata changed generate.header",
+                      "metadata changed generate.manifest",
+                      "metadata changed src.lines"]
 
 
 @pytest.mark.parametrize("float64, shown", [

@@ -218,44 +218,51 @@ class TestSuperpose:
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        cfg = NomaScenario(fading="none", snr_db_near=np.inf)
+        cfg = NomaScenario(snr_db_near=np.inf)
         frame = SignalFrame(np.array([1 + 1j, -2j, 0.5]))
         out = apply_channel(frame, cfg, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out.samples, frame.samples)
         assert out.noise_scale == 0.0
+        # a new frame: writing to it leaves the sent frame as it was
+        assert not np.shares_memory(out.samples, frame.samples)
 
     def test_noise_power_matches_snr(self):
         # 0 dB on a unit-power input: measured noise power within 5%
         rng = np.random.default_rng(7)
         frame = SignalFrame(np.exp(1j * rng.uniform(0, 2 * np.pi, 100000)))
-        cfg = NomaScenario(fading="none", snr_db_near=0.0)
+        cfg = NomaScenario(snr_db_near=0.0)
         out = apply_channel(frame, cfg, rng=np.random.default_rng(99))
         noise_power = np.mean(np.abs(out.samples - frame.samples) ** 2)
         assert noise_power == pytest.approx(1.0, rel=0.05)
 
+    @pytest.mark.parametrize("snr", [-5.0, 30.0])
+    def test_noise_is_set_by_the_frames_own_power(self, snr):
+        # sigma^2 = mean|frame|^2 / 10^(snr/10), and the added noise is
+        # sigma/sqrt(2) times the generator's two normal rows: no channel gain
+        frame = SignalFrame(3.0 * np.exp(1j * np.linspace(0, 7, 200)))
+        out = apply_channel(frame, NomaScenario(snr_db_near=snr), rng=np.random.default_rng(21))
+        sigma = np.sqrt(np.mean(np.abs(frame.samples) ** 2) / 10.0 ** (snr / 10.0))
+        assert out.noise_scale == pytest.approx(sigma, rel=1e-12)
+        replay = np.random.default_rng(21)
+        noise = replay.standard_normal(200) + 1j * replay.standard_normal(200)
+        np.testing.assert_allclose(out.samples - frame.samples,
+                                   out.noise_scale / np.sqrt(2.0) * noise, rtol=1e-9, atol=1e-12)
+
     def test_fixed_seed_reproducible(self):
         frame = SignalFrame(np.ones(64, dtype=complex))
-        cfg = NomaScenario(fading="rayleigh", snr_db_near=10.0)
+        cfg = NomaScenario(snr_db_near=10.0)
         a = apply_channel(frame, cfg, rng=np.random.default_rng(1234))
         b = apply_channel(frame, cfg, rng=np.random.default_rng(1234))
         np.testing.assert_array_equal(a.samples, b.samples)
 
-    def test_equalize_cancels_fading_without_noise(self):
-        frame = SignalFrame(np.exp(1j * np.linspace(0, 5, 257)))
-        cfg = NomaScenario(fading="rayleigh", snr_db_near=np.inf)
-        out = apply_channel(frame, cfg, rng=np.random.default_rng(5))
-        err = np.max(np.abs(out.samples - frame.samples)) / np.max(np.abs(frame.samples))
-        assert err <= 1e-12
-
-    @pytest.mark.parametrize("channel", [{"fading": "bogus"}, {"snr_db_near": np.nan},
-                                         {"snr_db_near": -np.inf}],
-                             ids=["bogus_fading", "nan_snr", "minus_inf_snr"])
+    @pytest.mark.parametrize("channel", [{"snr_db_near": np.nan}, {"snr_db_near": -np.inf}],
+                             ids=["nan_snr", "minus_inf_snr"])
     def test_scenario_refuses_a_bad_channel_when_built(self, channel):
         with pytest.raises(ValueError, match=next(iter(channel))):
             NomaScenario(**channel)
 
     def test_scenario_is_its_own_channel_config(self):
-        scen = NomaScenario(fading="none", snr_db_near=np.inf)
+        scen = NomaScenario(snr_db_near=np.inf)
         assert scen.channel_config() is scen
 
 
@@ -320,7 +327,7 @@ def assert_same_bytes(got: SignalFrame, want: SignalFrame):
     assert np.float64(got.noise_scale).tobytes() == np.float64(want.noise_scale).tobytes()
 
 
-CHANNELS = [("rayleigh", 3.0), ("rayleigh", np.inf), ("none", 3.0), ("none", np.inf)]
+SNRS = [3.0, np.inf]
 
 
 class TestGenerateFrames:
@@ -331,9 +338,9 @@ class TestGenerateFrames:
     @pytest.mark.parametrize("far", ALL_SCHEMES, ids=str)
     @pytest.mark.parametrize("near", ALL_SCHEMES, ids=str)
     def test_every_scheme_pair_and_channel(self, near, far):
-        for fading, snr in CHANNELS:
-            scen = NomaScenario(near_schemes=(near,), far_scheme=far, fading=fading,
-                                snr_db_near=snr, symbols_per_frame=50)
+        for snr in SNRS:
+            scen = NomaScenario(near_schemes=(near,), far_scheme=far, snr_db_near=snr,
+                                symbols_per_frame=50)
             seeds = [7, 8, 9]
             for seed, frame in zip(seeds, batch_frames(scen, seeds)):
                 assert_same_bytes(frame, generate_noma_frame(scen, np.random.default_rng(seed)))
@@ -343,9 +350,9 @@ class TestGenerateFrames:
         (ModScheme.QAM16, ModScheme.PI_HALF_BPSK),
         (ModScheme.QAM64, ModScheme.QPSK, ModScheme.PI_HALF_BPSK),
     ], ids=["two_near", "three_near"])
-    @pytest.mark.parametrize("fading, snr", CHANNELS)
-    def test_several_near_users(self, near, fading, snr):
-        scen = NomaScenario(near_schemes=near, far_scheme=ModScheme.QAM16, fading=fading,
+    @pytest.mark.parametrize("snr", SNRS)
+    def test_several_near_users(self, near, snr):
+        scen = NomaScenario(near_schemes=near, far_scheme=ModScheme.QAM16,
                             snr_db_near=snr, delta_db=9.0, symbols_per_frame=64)
         for seed, frame in enumerate(batch_frames(scen, range(5))):
             assert_same_bytes(frame, generate_noma_frame(scen, np.random.default_rng(seed)))
@@ -355,17 +362,15 @@ class TestGenerateFrames:
         [frame] = batch_frames(table1_scenario, [11])
         assert_same_bytes(frame, replay(table1_scenario, 11))
 
-    @pytest.mark.parametrize("fading, draws", [("rayleigh", 2), ("none", 0)])
-    def test_no_noise_is_drawn_at_infinite_snr(self, fading, draws):
+    def test_no_noise_is_drawn_at_infinite_snr(self):
         scen = NomaScenario(near_schemes=(ModScheme.QAM64,), far_scheme=ModScheme.QPSK,
-                            fading=fading, snr_db_near=np.inf, symbols_per_frame=40)
+                            snr_db_near=np.inf, symbols_per_frame=40)
         rngs = [np.random.default_rng(s) for s in (3, 4)]
         _, scales = generate_noma_frames(scen, rngs)
         for seed, rng, scale in zip((3, 4), rngs, scales):
             assert scale == 0.0
-            # each user's bits, then h's two normals, and nothing more
+            # each user's bits, and nothing more
             expected = np.random.default_rng(seed)
             expected.integers(0, 2, size=40 * 6, dtype=np.uint8)
             expected.integers(0, 2, size=40 * 2, dtype=np.uint8)
-            expected.standard_normal(draws)
             assert rng.bit_generator.state == expected.bit_generator.state

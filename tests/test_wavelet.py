@@ -555,8 +555,7 @@ class TestDenoiseFrame:
         # far inside the 0.2 * norm distortion budget
         scen = NomaScenario(near_schemes=(ModScheme.QAM16,),
                             far_scheme=ModScheme.QAM64,
-                            snr_db_near=np.inf, fading="none",
-                            symbols_per_frame=2000)
+                            snr_db_near=np.inf, symbols_per_frame=2000)
         frame = generate_noma_frame(scen, rng=np.random.default_rng(2))
         assert frame.noise_scale == 0.0
         out = denoise_frame(frame)
@@ -600,7 +599,7 @@ class TestDenoiseFrame:
         # the module docstring's claim: the shares of a noise-free frame's
         # energy in the level-2 approximation, coarse and fine details
         scenario = NomaScenario(near_schemes=(ModScheme.QPSK,), far_scheme=far,
-                                snr_db_near=np.inf, fading="none", symbols_per_frame=1 << 14)
+                                snr_db_near=np.inf, symbols_per_frame=1 << 14)
         frame = generate_noma_frame(scenario, rng=np.random.default_rng(0))
         shares = []
         for x in (frame.samples.real, frame.samples.imag):

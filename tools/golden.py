@@ -50,10 +50,12 @@ unified, so it runs unchanged on older commits for comparison.
 
 With ``--against FILE``, where FILE holds the saved output of another
 commit's run, the output is followed by a comparison: each first-group
-artifact whose digest changed, and the largest relative deviation of each
-loss curve from the saved one. The exit code is 1 when the float64 curve
-deviates by more than 1e-9 at some step (or has another number of steps);
-the float32 deviation is printed only.
+artifact whose digest changed, the largest relative deviation of each loss
+curve from the saved one, and last each second-group line that changed,
+``src.lines`` included, as ``metadata changed NAME``. The exit code is 1
+when the float64 curve deviates by more than 1e-9 at some step (or has
+another number of steps); the float32 deviation and changed metadata are
+printed only.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from nomadet.wavelet import denoise_frame  # noqa: E402
 NMD1_HEADER = 44  # magic 4 + version 2 + count 4 + grid 2 + scenario digest 32
 NMDL_HEADER = 10  # magic 4 + version 2 + config length 4, then the config JSON
 NUMBERS_HEADER = "# number-carrying artifacts"
+METADATA_HEADER = "# metadata"
 FLOAT64_LOSS_LIMIT = 1e-9  # largest relative deviation per step
 
 
@@ -241,18 +244,25 @@ def _src_lines() -> int:
 
 
 def _parse(text: str) -> tuple[dict, dict]:
-    """First-group digests by name, and loss curves by dtype, of a printed run."""
-    numbers, curves, header = {}, {}, None
+    """Digests by name under each group header, and loss curves by dtype, of
+    a printed run."""
+    groups, curves, header = {NUMBERS_HEADER: {}, METADATA_HEADER: {}}, {}, None
     for line in text.splitlines():
         if line.startswith("#"):
             header = line
         elif line.startswith("loss."):
             name, value = line.split()
             curves.setdefault(name.split(".")[1], []).append(float(value))
-        elif line and header == NUMBERS_HEADER:
+        elif line and header in groups:
             name, digest = line.split()
-            numbers[name] = digest
-    return numbers, curves
+            groups[header][name] = digest
+    return groups, curves
+
+
+def _changed(now: dict, then: dict) -> list:
+    """Names whose digests differ, in ``now``'s order, then those only in ``then``."""
+    names = list(now) + [name for name in then if name not in now]
+    return [name for name in names if now.get(name) != then.get(name)]
 
 
 def _deviation(now: list, then: list) -> float:
@@ -265,12 +275,12 @@ def _deviation(now: list, then: list) -> float:
 
 def compare(current: str, saved: str) -> tuple[list, bool]:
     """Report lines comparing one printed run with a saved one, and whether
-    the float64 loss curve stays within ``FLOAT64_LOSS_LIMIT``."""
-    numbers, curves = _parse(current)
-    saved_numbers, saved_curves = _parse(saved)
-    names = list(numbers) + [name for name in saved_numbers if name not in numbers]
-    report = [f"changed {name}" for name in names
-              if numbers.get(name) != saved_numbers.get(name)]
+    the float64 loss curve stays within ``FLOAT64_LOSS_LIMIT``. Changed
+    metadata is listed too, but does not decide the outcome."""
+    groups, curves = _parse(current)
+    saved_groups, saved_curves = _parse(saved)
+    report = [f"changed {name}"
+              for name in _changed(groups[NUMBERS_HEADER], saved_groups[NUMBERS_HEADER])]
     if not report:
         report.append("no number-carrying artifact changed")
     float64 = _deviation(curves.get("float64", []), saved_curves.get("float64", []))
@@ -278,6 +288,8 @@ def compare(current: str, saved: str) -> tuple[list, bool]:
     report.append(f"loss.float64 largest relative deviation {float64:.3g} "
                   f"(limit {FLOAT64_LOSS_LIMIT:g})")
     report.append(f"loss.float32 largest relative deviation {float32:.3g} (reported only)")
+    report += [f"metadata changed {name}"
+               for name in _changed(groups[METADATA_HEADER], saved_groups[METADATA_HEADER])]
     return report, float64 <= FLOAT64_LOSS_LIMIT
 
 
@@ -322,7 +334,7 @@ def main() -> int:
         curves = {dtype: _loss_curve(den, dtype) for dtype in ("float64", "float32")}
     meta.append(("src.lines", str(_src_lines())))
     lines = [NUMBERS_HEADER, *(f"{name} {digest}" for name, digest in numbers),
-             "# metadata", *(f"{name} {digest}" for name, digest in meta)]
+             METADATA_HEADER, *(f"{name} {digest}" for name, digest in meta)]
     for dtype, losses in curves.items():
         lines.append(f"# loss curve, {dtype}, per step")
         lines += [f"loss.{dtype}.{step:02d} {loss!r}" for step, loss in enumerate(losses)]
