@@ -2,16 +2,13 @@
 
 Tensors have NCHW shapes, and every 4-D result is contiguous, in its
 input's dtype, in one of two layouts that its strides record: NCHW, or
-channels-last, whose (N, H, W, C) transpose is C-contiguous. A Conv2D
-returns its GEMM's channels-last rows through ``transpose(0, 3, 1, 2)``,
-input gradient included; only the one-channel stem conv writes NCHW.
-BatchNorm2D, ReLU and MaxPool2 keep their input's layout, and ReLU's
-gradient takes that of its forward input. So in a network everything past
-the stem stays channels-last, while the stem's batch norm, pool and ReLU
-stay NCHW, where 16 channels broadcast faster; a step's one conversion is
-the stem ReLU's backward, which multiplies the first block's gradient by its
-NCHW mask. MaxPool2's gradient is NCHW; GlobalAvgPool and Dense return
-C-contiguous (B, C) rows.
+channels-last, whose (N, H, W, C) transpose is C-contiguous. Conv2D and
+Stem return their GEMMs' channels-last rows through ``transpose(0, 3, 1,
+2)``, Conv2D's input gradient included. BatchNorm2D, ReLU and MaxPool2 keep
+their input's layout, and ReLU's gradient takes that of its forward input.
+So in a network every activation and gradient, from the stem's result on,
+is channels-last, and a step converts no layout. MaxPool2's gradient is
+NCHW; GlobalAvgPool and Dense return C-contiguous (B, C) rows.
 
 Every layer keeps what its backward pass needs only from a
 ``training=True`` forward; an eval forward drops it, so an inference model
@@ -20,14 +17,15 @@ single-writer: one forward/backward pair at a time per instance.
 
 Conv2D lowers convolution to GEMMs over im2col patch rows (Chellapilla et
 al. 2006), gathered channels-last so that each kernel row of a patch is one
-contiguous run (a one-channel stem gathers tap-major), one cache-sized chunk
-of samples at a time in forward, weight gradient and stride-1 input gradient
-alike, so only the padded input is kept (Cho & Brand, "MEC", 2017). The
-kernel is the GEMM's (k*k*C, O) matrix, so no product copies it. At stride 1
-the input gradient is the transposed convolution of the output gradient
-(Dumoulin & Visin 2016); at stride 2 it splits into the four sub-pixel
-convolutions that fill the input's four parity planes (Shi et al., CVPR
-2016). A first layer can skip it altogether.
+contiguous run, one cache-sized chunk of samples at a time in forward,
+weight gradient and stride-1 input gradient alike, so only the padded input
+is kept (Cho & Brand, "MEC", 2017). The kernel is the GEMM's (k*k*C, O)
+matrix, so no product copies it. At stride 1 the input gradient is the
+transposed convolution of the output gradient (Dumoulin & Visin 2016); at
+stride 2 it splits into the four sub-pixel convolutions that fill the
+input's four parity planes (Shi et al., CVPR 2016). Stem runs the first
+conv, batch norm (Ioffe & Szegedy, ICML 2015), 2x2 max pool and ReLU on the
+pooling phase planes of the conv output, keeping no full-size buffer.
 
 Buffers are freed at their last use (Chen et al., "Training Deep Nets with
 Sublinear Memory Cost", 2016). Every backward consumes its layer's cache:
@@ -36,11 +34,11 @@ the next training forward, and no activation outlives its step.
 BatchNorm2D and ReLU own the activation they are handed: they overwrite it
 and return it, in training and in eval. BatchNorm2D caches its centred
 input in a buffer of its own and builds its input gradient there. Conv2D,
-MaxPool2, GlobalAvgPool and Dense never write their input, and no backward
-writes its ``grad_out``, which a residual block hands to both its branches.
-So a caller hands each activation to exactly one layer and keeps no other
-reference to it; a network's input that reaches only a Conv2D stays as the
-caller passed it.
+MaxPool2, Stem, GlobalAvgPool and Dense never write their input, and no
+backward writes its ``grad_out``, which a residual block hands to both its
+branches. So a caller hands each activation to exactly one layer and keeps
+no other reference to it; a network's input, which reaches only the Stem,
+stays as the caller passed it.
 
 A layer's ``params``, ``buffers`` and ``grads`` entries are views of two flat
 buffers that a ``FlatState`` lays out: a network declares every layer's
@@ -56,7 +54,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "FlatState", "Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "GlobalAvgPool", "Dense",
+    "FlatState", "Conv2D", "BatchNorm2D", "ReLU", "MaxPool2", "Stem", "GlobalAvgPool", "Dense",
     "softmax", "softmax_cross_entropy", "he_uniform",
 ]
 
@@ -146,8 +144,9 @@ class Layer:
         yield from self.buffers.items()
 
 
-# Conv2D's forward, weight gradient and stride-1 input gradient lower about
-# this many bytes of patch rows at a time, so each chunk is multiplied from cache
+# Conv2D's forward, weight gradient and stride-1 input gradient, and Stem's
+# passes, lower about this many bytes of patch rows at a time, so each chunk
+# is multiplied from cache
 _CHUNK_BYTES = 1 << 20
 
 
@@ -197,17 +196,10 @@ class Conv2D(Layer):
     result. An unpadded 1x1 conv writes its one tap straight onto the pixels
     its stride reaches.
 
-    A one-channel stride-1 conv (the stem) would gather runs of only k values
-    that way, so it copies its windows tap-major, one sample's (k*k, OH*OW)
-    rows at a time in runs of OW values, for forward and weight gradient.
-    ``backward(..., input_grad=False)`` skips the input gradient for a
-    first layer, whose input needs none.
-
-    Every other GEMM writes channels-last rows: forward and input gradient
-    return that buffer as its NCHW-shaped ``transpose(0, 3, 1, 2)`` view,
-    and a channels-last ``grad_out`` is read in place, its bias gradient the
-    column sum of its (rows, O) matrix. The stem writes its output, and
-    reads its gradient, C-contiguous NCHW.
+    Every GEMM writes channels-last rows: forward and input gradient return
+    that buffer as its NCHW-shaped ``transpose(0, 3, 1, 2)`` view, and a
+    channels-last ``grad_out`` is read in place, its bias gradient the column
+    sum of its (rows, O) matrix.
 
     The kernel is a C-contiguous (k, k, C, O) buffer, the (k*k*C, O) matrix,
     and ``params["w"]`` is its (O, C, k, k) view: every product reads it, or
@@ -221,7 +213,6 @@ class Conv2D(Layer):
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride = kernel, stride
         self.pad = (kernel - 1) // 2
-        self.tap_major = in_ch == 1 and stride == 1
         shape, fan_in = (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel
         self._declare(store, dtype, params=[
             ("w", (kernel, kernel, in_ch, out_ch), lambda: he_uniform(shape, fan_in, rng),
@@ -238,42 +229,27 @@ class Conv2D(Layer):
             raise ValueError(
                 f"expected NCHW input with {self.in_ch} channels, got {x.shape}"
             )
-        k, O, w = self.kernel, self.out_ch, self.params["w"]
-        win = _windows(x.transpose(0, 2, 3, 1), k, self.stride, self.pad)
+        O = self.out_ch
+        win = _windows(x.transpose(0, 2, 3, 1), self.kernel, self.stride, self.pad)
         B, OH, OW = win.shape[:3]
-        if self.tap_major:
-            taps = win.transpose(0, 3, 4, 5, 1, 2)
-            out = np.empty((B, O, OH, OW), dtype=x.dtype)
-            for b in range(B):
-                np.matmul(w.reshape(O, -1), taps[b].reshape(k * k, -1), out=out[b].reshape(O, -1))
-            out += self.params["b"][:, None, None]
-        else:
-            kernel = w.transpose(2, 3, 1, 0).reshape(-1, O)
-            out = np.empty((B, OH, OW, O), dtype=x.dtype)
-            for c in _chunks(win):
-                np.matmul(win[c].reshape(-1, len(kernel)), kernel, out=out[c].reshape(-1, O))
-            out += self.params["b"]
-            out = out.transpose(0, 3, 1, 2)
+        kernel = self.params["w"].transpose(2, 3, 1, 0).reshape(-1, O)
+        out = np.empty((B, OH, OW, O), dtype=x.dtype)
+        for c in _chunks(win):
+            np.matmul(win[c].reshape(-1, len(kernel)), kernel, out=out[c].reshape(-1, O))
+        out += self.params["b"]
         self._cache = (win, x.shape) if training else None
-        return out
+        return out.transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xwin, (B, C, H, W) = self._take_cache()
         k, s, p = self.kernel, self.stride, self.pad
         O, OH, OW = grad_out.shape[1:]
         w = self.params["w"]
-        g_cl = grad_out.transpose(0, 2, 3, 1)
-        if self.tap_major:
-            g3 = np.ascontiguousarray(grad_out).reshape(B, O, -1)  # a no-op if NCHW
-            pairs = ((xwin[b].transpose(2, 3, 4, 0, 1).reshape(k * k, -1), g3[b].T)
-                     for b in range(B))
-            np.sum(g3, axis=(0, 2), out=self.grads["b"])
-        else:
-            g_cl = np.ascontiguousarray(g_cl)  # a no-op on a channels-last gradient
-            pairs = ((xwin[c].reshape(-1, k * k * C).T, g_cl[c].reshape(-1, O))
-                     for c in _chunks(xwin))
-            # the column sum as one BLAS product: a few times faster than np.sum(axis=0)
-            np.matmul(np.ones(B * OH * OW, g_cl.dtype), g_cl.reshape(-1, O), out=self.grads["b"])
+        g_cl = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))  # a no-op if channels-last
+        pairs = ((xwin[c].reshape(-1, k * k * C).T, g_cl[c].reshape(-1, O))
+                 for c in _chunks(xwin))
+        # the column sum as one BLAS product: a few times faster than np.sum(axis=0)
+        np.matmul(np.ones(B * OH * OW, g_cl.dtype), g_cl.reshape(-1, O), out=self.grads["b"])
         # the (k*k*C, O) kernel gradient in patch-row order, the layout of the kernel buffer
         gw = self.grads["w"].transpose(2, 3, 1, 0).reshape(-1, O)
         np.matmul(*next(pairs), out=gw)
@@ -282,8 +258,6 @@ class Conv2D(Layer):
             del rows, g  # free this chunk's patch rows before the next is copied
         del xwin, pairs  # the padded input's last use: free it before the input gradient
         self.has_grads = True
-        if not input_grad:
-            return None
         dtype = grad_out.dtype
         if s == 1:
             flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, C)
@@ -374,10 +348,7 @@ class BatchNorm2D(Layer):
             xc = x - mu.astype(x.dtype).reshape(1, -1, 1, 1)
             var = _channel_sums(xc, xc) / n
             invstd = 1.0 / np.sqrt(var + self.eps)
-            m = self.momentum if self._stats_seen else 0.0
-            self._stats_seen = True
-            self.buffers["running_mean"][...] = m * self.buffers["running_mean"] + (1.0 - m) * mu
-            self.buffers["running_var"][...] = m * self.buffers["running_var"] + (1.0 - m) * var
+            self._update_running(mu, var)
             self._cache = (xc, invstd)
             np.multiply(xc, (gamma * invstd.reshape(1, -1, 1, 1)).astype(x.dtype), out=x)
             shift = beta
@@ -389,6 +360,13 @@ class BatchNorm2D(Layer):
             x *= scale
         x += shift
         return x
+
+    def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Moves the running statistics toward a batch's mean and variance."""
+        m = self.momentum if self._stats_seen else 0.0
+        self._stats_seen = True
+        self.buffers["running_mean"][...] = m * self.buffers["running_mean"] + (1.0 - m) * mean
+        self.buffers["running_var"][...] = m * self.buffers["running_var"] + (1.0 - m) * var
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xc, invstd = self._take_cache()
@@ -466,6 +444,164 @@ class MaxPool2(Layer):
         for view, won in zip(self._taps(gx), masks):
             np.multiply(grad_out, won, out=view)
         return gx
+
+
+def _tap_rows(views):
+    """For each (k, k, ...) window view, its (k*k + 1, rows) tap-major patch
+    rows, closed by a row of ones for a kernel's constant row. The results
+    share one buffer, each dead once the next is made, so it stays cached."""
+    buffer = np.empty(0)
+    for view in views:
+        shape = (view.shape[0] * view.shape[1] + 1, math.prod(view.shape[2:]))
+        if buffer.size < math.prod(shape):
+            buffer = np.empty(math.prod(shape), view.dtype)
+        rows = buffer[:math.prod(shape)].reshape(shape)
+        rows[-1] = 1
+        np.copyto(rows[:-1].reshape(view.shape), view)
+        yield rows
+
+
+def _max_pool(z: np.ndarray, out: np.ndarray, first: np.ndarray | None = None) -> None:
+    """Writes into ``out`` the max of the four phase planes that make up the
+    rows of ``z``, and into ``first``, if given, the number of planes ahead
+    of the first that reaches it, in tie order."""
+    planes = z.reshape(4, -1, z.shape[-1])
+    pooled = out.reshape(planes.shape[1:])
+    np.maximum(np.maximum(planes[0], planes[1], out=pooled),
+               np.maximum(planes[2], planes[3]), out=pooled)
+    if first is not None:
+        ahead = first.reshape(pooled.shape)
+        later = planes[0] != pooled
+        np.copyto(ahead, later)
+        for plane in planes[1:3]:
+            later &= plane != pooled
+            ahead += later
+
+
+class Stem(Layer):
+    """Conv2D -> BatchNorm2D -> MaxPool2 -> ReLU as one layer that holds no
+    full-resolution activation or gradient.
+
+    ``conv`` (one input channel, stride 1) and ``bn`` own the tensors and
+    gradients; ``conv.forward`` still runs the conv alone. The conv output is
+    computed only in the four pooling phase planes, the pixels (2i + di,
+    2j + dj), a cache-sized chunk of samples at a time: tap-major patch rows,
+    closed by a row of ones, times a (k*k + 1, O) kernel give one GEMM's
+    channels-last rows, pooled element by element across the planes with
+    ties to the first maximum in MaxPool2's order (TL, TR, BL, BR). The
+    result is channels-last; its gradient may come in either layout.
+
+    Batch norm is a per-channel affine map. In eval it is folded into the
+    kernel. In training the stem pools ``sign(gamma) * z``, z the conv output
+    less its bias, since a window of a negative-gamma channel pools -z.
+    gamma = 0 counts as positive and routes to the first maximum of z, where
+    the layers would see a constant map and route to the top-left pixel. The
+    constant row subtracts the batch mean of z, which the patch sums give,
+    so the one-pass moments do not cancel. The moments and ``sum(z * patch)``
+    run over every conv output pixel, an odd trailing row and column
+    included; batch norm and the ReLU touch the pooled quarter only.
+
+    Backward sums batch norm's input gradient ``a * (g + k0 + k1 * (z -
+    mean))`` against each pixel's patch: the routed gradient times the
+    regathered patch rows, plus k0 times the patch sums and k1 times the
+    forward's centred product sums. The bias gradient is its analytic value
+    ``a * (sum(g) + k0 * n)``, about zero. The network's input needs no
+    gradient, so backward returns None.
+    """
+
+    def __init__(self, channels: int, kernel: int, *, rng: np.random.Generator,
+                 dtype=np.float32, store: FlatState | None = None):
+        super().__init__()
+        self.conv = Conv2D(1, channels, kernel, rng=rng, dtype=dtype, store=store)
+        self.bn = BatchNorm2D(channels, dtype, store=store)
+
+    @staticmethod
+    def _phases(win: np.ndarray, chunks: list[slice]) -> list[np.ndarray]:
+        """Per chunk, the (k, k, 2, 2, samples, OH // 2, OW // 2) view of the
+        (B, OH, OW, k, k) windows whose [u, v, di, dj, b, i, j] is tap (u, v)
+        of output pixel (2i + di, 2j + dj)."""
+        B, OH, OW, k = win.shape[:4]
+        planes = win[:, :OH // 2 * 2, :OW // 2 * 2].reshape(B, OH // 2, 2, OW // 2, 2, k, k)
+        return [planes[c].transpose(5, 6, 2, 4, 0, 1, 3) for c in chunks]
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        conv, bn = self.conv, self.bn
+        if x.ndim != 4 or x.shape[1] != 1:
+            raise ValueError(f"expected NCHW input with 1 channel, got {x.shape}")
+        if training and len(x) < 2:
+            raise ValueError("batch normalisation needs batch size >= 2 in training mode")
+        k, O, dtype = conv.kernel, conv.out_ch, x.dtype
+        win = _windows(x.transpose(0, 2, 3, 1), k, 1, conv.pad)[..., 0]
+        B, OH, OW = win.shape[:3]
+        if OH < 2 or OW < 2:
+            raise ValueError(f"conv output {OH}x{OW} too small for 2x2 pooling")
+        w = conv.params["w"].reshape(O, k * k).T
+        b, gamma, beta, running_mean, running_var = (v.astype(np.float64) for v in (
+            conv.params["b"], bn.params["gamma"], bn.params["beta"],
+            bn.buffers["running_mean"], bn.buffers["running_var"]))
+        chunks = _chunks(win)
+        out = np.empty((B, OH // 2, OW // 2, O), dtype)
+        self._cache = None
+        if not training:
+            scale = gamma / np.sqrt(running_var + bn.eps)
+            kernel = np.vstack([w * scale, (b - running_mean) * scale + beta]).astype(dtype)
+            for c, rows in zip(chunks, _tap_rows(self._phases(win, chunks))):
+                _max_pool(rows.T @ kernel, out[c])
+            return np.maximum(out, 0, out=out).transpose(0, 3, 1, 2)
+        n = B * OH * OW
+        # each tap's input summed over every output pixel, and so the batch mean of z
+        padded = np.pad(x[:, 0].sum(axis=0, dtype=np.float64), conv.pad)
+        patch_sums = np.lib.stride_tricks.sliding_window_view(padded, (OH, OW)).sum(axis=(2, 3))
+        patch_sums = patch_sums.reshape(-1, 1)
+        sign = np.where(gamma < 0, -1.0, 1.0)
+        shift = sign * (patch_sums[:, 0] @ w) / n
+        kernel = np.vstack([w * sign, -shift]).astype(dtype)
+        first = np.empty(out.shape, np.uint8)
+        sum_sq, sum_zp = np.zeros(O), np.zeros((k * k + 1, O))
+        rims = [win[:, -1]] if OH % 2 else []  # the odd trailing row and column
+        rims += [win[:, :OH // 2 * 2, -1]] if OW % 2 else []
+        views = self._phases(win, chunks) + [rim.transpose(2, 3, 0, 1) for rim in rims]
+        for i, rows in enumerate(_tap_rows(views)):
+            z = rows.T @ kernel
+            sum_sq += np.einsum("ro,ro->o", z, z)
+            sum_zp += rows @ z  # its last row sums z
+            if i < len(chunks):
+                _max_pool(z, out[chunks[i]], first[chunks[i]])
+        mean = sum_zp[-1] / n  # of sign * z - shift
+        var = np.maximum(sum_sq / n - mean ** 2, 0.0)
+        invstd = 1.0 / np.sqrt(var + bn.eps)
+        bn._update_running(sign * (shift + mean) + b, var)
+        centred = sign * (sum_zp[:-1] - patch_sums * mean)  # sum((z - mean(z)) * patch)
+        self._cache = (win, first, out, sign, mean, invstd, patch_sums, centred)
+        scale = np.abs(gamma) * invstd
+        y = out * scale.astype(dtype)
+        y += (beta - scale * mean).astype(dtype)
+        first |= (y <= 0).view(np.uint8) << 2
+        return np.maximum(y, 0, out=y).transpose(0, 3, 1, 2)
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        win, first, pooled, sign, mean, invstd, patch_sums, centred = self._take_cache()
+        conv, bn = self.conv, self.bn
+        B, OH, OW = win.shape[:3]
+        O, n = conv.out_ch, B * OH * OW
+        g = np.multiply(grad_out.transpose(0, 2, 3, 1), first < 4, out=np.empty_like(pooled))
+        sum_g = _channel_sums(g.transpose(0, 3, 1, 2))
+        sum_gm = _channel_sums(g.transpose(0, 3, 1, 2), pooled.transpose(0, 3, 1, 2))
+        grad_gamma = sign * invstd * (sum_gm - mean * sum_g)
+        np.copyto(bn.grads["gamma"], grad_gamma)
+        np.copyto(bn.grads["beta"], sum_g)
+        a = bn.params["gamma"] * invstd
+        k0, k1 = -sum_g / n, -invstd * grad_gamma / n
+        chunks, planes = _chunks(win), np.arange(4, dtype=np.uint8).reshape(4, 1, 1, 1, 1)
+        grad_rows = np.zeros((len(patch_sums), O))
+        for c, rows in zip(chunks, _tap_rows(self._phases(win, chunks))):
+            routed = g[c] * (first[c] == planes)  # each window's gradient on its first max
+            grad_rows += rows[:-1] @ routed.reshape(-1, O)
+        # the (k*k, O) kernel gradient in patch-row order, the layout of the kernel buffer
+        gw = conv.grads["w"].transpose(2, 3, 1, 0).reshape(-1, O)
+        np.copyto(gw, a * (grad_rows + k0 * patch_sums + k1 * centred))
+        np.copyto(conv.grads["b"], a * (sum_g + k0 * n))
+        conv.has_grads = bn.has_grads = True
 
 
 class GlobalAvgPool(Layer):

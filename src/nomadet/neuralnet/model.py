@@ -1,6 +1,7 @@
 """Residual network for density-diagram classification.
 
-Stage 1 is a baseline convolution (BN + 2x2 max pool + ReLU), stage 2 a
+Stage 1 is a baseline convolution (BN + 2x2 max pool + ReLU), run as one
+``Stem`` layer on the pooling phase planes of the conv output, stage 2 a
 string of residual blocks (a block that keeps its input's width keeps its
 shape, one that changes it halves the spatial extent with a strided 1x1
 shortcut), stage 3 global average pooling into a dense layer with one logit
@@ -15,7 +16,9 @@ lists are the one statement of layer order: ``ModulationNet.layers`` for the
 network, ``main`` and ``shortcut`` for each residual block. Forward is a fold
 over the lists, backward a fold over them in reverse, and ``leaf_layers`` a
 walk, which ``parameters`` and ``state_tensors`` (read by the optimiser and
-the checkpoint) extend to each tensor's dotted path, such as ``block0.conv1.w``.
+the checkpoint) extend to each tensor's dotted path, such as ``block0.conv1.w``;
+the stem's tensors keep the paths of its conv and batch norm, ``base_conv``
+and ``base_bn``.
 
 The layers are built in that order into one ``FlatState``, so the network's
 trainable state is two flat buffers in its dtype. ``state`` holds every
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (BatchNorm2D, Conv2D, Dense, FlatState, GlobalAvgPool,
-                     MaxPool2, ReLU, softmax)
+from .layers import (BatchNorm2D, Conv2D, Dense, FlatState, GlobalAvgPool, ReLU, Stem,
+                     softmax)
 
 __all__ = ["ArchConfig", "ResidualBlock", "ModulationNet", "NUM_CLASSES"]
 
@@ -132,17 +135,13 @@ class ModulationNet:
         rng = np.random.default_rng(seed)
         dtype = arch.np_dtype
         store = FlatState(dtype)
-        self.base_conv = Conv2D(1, arch.base_channels, arch.base_kernel, rng=rng, dtype=dtype,
-                                store=store)
-        base_bn = BatchNorm2D(arch.base_channels, dtype, store=store)
+        self.stem = Stem(arch.base_channels, arch.base_kernel, rng=rng, dtype=dtype, store=store)
+        self.base_conv = self.stem.conv
         widths = (arch.base_channels,) + arch.blocks
         self.blocks = [ResidualBlock(in_ch, ch, rng, dtype, store)
                        for in_ch, ch in zip(widths, arch.blocks)]
         self.layers = [
-            ("base_conv", self.base_conv),
-            ("base_bn", base_bn),
-            ("pool", MaxPool2()),
-            ("base_relu", ReLU()),
+            ("stem", self.stem),
             *((f"block{i}", block) for i, block in enumerate(self.blocks)),
             ("gap", GlobalAvgPool()),
             ("dense", Dense(widths[-1], NUM_CLASSES, rng=rng, dtype=dtype, store=store)),
@@ -159,10 +158,15 @@ class ModulationNet:
                 yield name, layer
 
     def state_tensors(self):
-        """All weights and batch-norm running statistics, in forward order."""
+        """All weights and batch-norm running statistics, in forward order,
+        each with the layer that owns it: the stem's belong to its conv and
+        batch norm, named ``base_conv`` and ``base_bn``."""
         for prefix, leaf in self.leaf_layers():
-            for key, value in leaf.state_tensors():
-                yield f"{prefix}.{key}", leaf, key, value
+            owners = ([("base_conv", leaf.conv), ("base_bn", leaf.bn)] if leaf is self.stem
+                      else [(prefix, leaf)])
+            for name, owner in owners:
+                for key, value in owner.state_tensors():
+                    yield f"{name}.{key}", owner, key, value
 
     def parameters(self):
         """The trainable entries of ``state_tensors``."""
@@ -180,19 +184,17 @@ class ModulationNet:
     def backward(self, grad_logits: np.ndarray) -> None:
         """Fill every layer's ``grads`` from the loss gradient wrt the logits.
 
-        The input diagrams are data, not parameters, so the first conv skips
-        its input gradient and nothing is returned.
+        The input diagrams are data, not parameters, so the stem returns no
+        input gradient, and nothing is returned.
         """
-        g = _backward(self.layers[1:], grad_logits)
-        self.base_conv.backward(g, input_grad=False)
+        _backward(self.layers, grad_logits)
 
     def predict(self, x: np.ndarray, batch_size: int = 8) -> np.ndarray:
         """Class distribution per input row (softmax over logits).
 
         The rows run through the network ``batch_size`` at a time, so memory
-        does not grow with the number of rows: a block's largest activation
-        is the stem's (batch_size, base_channels, n, n) output, about 5 MB for
-        8 float32 rows at n = 100. Larger blocks are no faster: the convs
+        does not grow with the number of rows: a block of 8 float32 rows at
+        n = 100 peaks at about 4 MB. Larger blocks are no faster: the convs
         multiply a few samples at a time whatever the block.
         """
         if batch_size < 1:

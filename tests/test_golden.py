@@ -75,6 +75,36 @@ def test_float64_deviation_beyond_limit_fails(float64, shown):
     assert report[1] == f"loss.float64 largest relative deviation {shown} (limit 1e-09)"
 
 
+def test_a_saved_comparison_is_refused_before_anything_is_built(tmp_path, monkeypatch, capsys):
+    """A saved ``--against`` run ends in its comparison report, whose loss
+    lines hold more than a name and a value."""
+    report, _ = golden.compare(SAVED, SAVED)
+    saved = tmp_path / "against.txt"
+    saved.write_text(SAVED + "# against parent.txt\n" + "\n".join(report) + "\n")
+
+    def build(*args):
+        raise AssertionError("built before the saved file was checked")
+
+    monkeypatch.setattr(golden, "_sweep", build)
+    with pytest.raises(SystemExit) as exit_:
+        golden.main(["--against", str(saved)])
+    assert exit_.value.code == 2
+    error = capsys.readouterr().err
+    line = len(SAVED.splitlines()) + 1
+    assert str(saved) in error and f"line {line} " in error and "# against parent.txt" in error
+
+
+@pytest.mark.parametrize("header, line", [
+    ("# loss curve, float64, per step", "loss.float64.00 nan-ish"),
+    (golden.NUMBERS_HEADER, "stray words here"),
+    (golden.METADATA_HEADER, "src.lines"),
+    (golden.NUMBERS_HEADER, "# against parent.txt"),
+])
+def test_parse_names_the_first_foreign_line(header, line):
+    with pytest.raises(ValueError, match=f"line 2 .*{line}"):
+        golden._parse(f"{header}\n{line}\n")
+
+
 def test_checkpoint_config_hashes_apart_from_its_tensors(tmp_path):
     path = tmp_path / "m.nmdl"
     save_model(ModulationNet(ArchConfig(input_size=8, base_channels=2, blocks=(2,)), seed=0),

@@ -21,4 +21,6 @@ def test_one_step_names_every_layer_once_in_a_known_layout(capsys):
     for name, forward_ms, backward_ms, *layouts in rows:
         assert float(forward_ms) >= 0 and float(backward_ms) >= 0
         assert len(layouts) == 2 and not any("other" in cell.split("/") for cell in layouts), name
+    # the stem is one row: a channels-last result and no input gradient
+    assert rows[0][0] == "stem" and rows[0][3:] == ["channels-last", "none"]
     assert lines[-1].split()[0] == "total"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nomadet.neuralnet import (Adam, ArchConfig, BatchNorm2D, Conv2D, Dense,
-                               GlobalAvgPool, MaxPool2, ModulationNet, ReLU,
+                               GlobalAvgPool, MaxPool2, ModulationNet, ReLU, Stem,
                                load_model, save_model, softmax, softmax_cross_entropy)
 from nomadet.neuralnet import layers
 from nomadet.neuralnet.layers import FlatState, Layer
@@ -129,7 +129,7 @@ class TestConv2D:
         (3, 3, 5, 1, "same", 7),
         (2, 3, 3, 1, "same", 6),    # more output than input channels
         (2, 3, 1, 2, "valid", 7),   # a widening block's strided 1x1 shortcut
-        (1, 4, 5, 1, "same", 8),    # one-channel stem, tap-major, with input gradient
+        (1, 4, 5, 1, "same", 8),    # one input channel, as the stem's conv
         (4, 3, 3, 2, "same", 7),    # strided 3x3 on an odd size
     ])
     def test_gradient_paths_match_finite_differences(self, in_ch, out_ch, kernel,
@@ -153,24 +153,11 @@ class TestConv2D:
             num = numeric_gradient(loss, conv.params[key])
             assert max_rel_error(conv.grads[key], num) <= 1e-6
 
-    def test_input_grad_false_fills_only_parameter_grads(self):
-        rng = RNG(24)
-        conv = Conv2D(1, 2, 5, rng=rng, dtype=np.float64)
-        x = rng.standard_normal((2, 1, 6, 6))
-        probe = rng.standard_normal((2, 2, 6, 6))
-        conv.forward(x, training=True)
-        full = conv.backward(probe)
-        grads = {key: value.copy() for key, value in conv.grads.items()}
-        assert full.shape == x.shape
-        conv.forward(x, training=True)
-        assert conv.backward(probe, input_grad=False) is None
-        for key, value in grads.items():
-            np.testing.assert_array_equal(conv.grads[key], value)
-
     def test_default_arch_convs_in_float32_match_float64(self):
-        """Every conv shape of DEFAULT_ARCH at batch 2: the float32 layer's
-        output and gradients agree with the float64 layer's to 1e-5 of the
-        largest float64 value, and its weight gradient is laid out as its kernel."""
+        """Every conv shape of DEFAULT_ARCH past the stem (``TestStem`` covers
+        its conv) at batch 2: the float32 layer's output and gradients agree
+        with the float64 layer's to 1e-5 of the largest float64 value, and its
+        weight gradient is laid out as its kernel."""
         model = ModulationNet(DEFAULT_ARCH, seed=0)
         shapes = {}
 
@@ -185,7 +172,7 @@ class TestConv2D:
             conv.forward = recording(conv.forward, name)
         n = DEFAULT_ARCH.input_size
         model.forward(np.zeros((1, 1, n, n), dtype=np.float32))
-        assert len(shapes) == len(convs) == 16
+        assert len(shapes) == len(convs) == 15
 
         def close(got, want):
             return np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
@@ -242,7 +229,7 @@ def einsum_weight_gradient(x, probe, k, stride, pad):
 
 
 CONV_PATHS = [
-    (1, 4, 5, 1),      # tap-major stem
+    (1, 4, 5, 1),      # one input channel, as the stem's conv
     (3, 4, 3, 1),
     (3, 4, 3, 2),
     (3, 4, 1, 2),      # strided 1x1 shortcut
@@ -471,13 +458,18 @@ class TestLayouts:
             assert allocated < x.nbytes / 4
 
 
+def model_convs(model: ModulationNet) -> list:
+    """(name, conv) of every Conv2D that owns a kernel of ``model``, the stem's included."""
+    return [(name[:-2], layer) for name, layer, key, _ in model.state_tensors()
+            if isinstance(layer, Conv2D) and key == "w"]
+
+
 class TestKernelLayout:
     """``params["w"]`` is an (O, C, k, k) view of the kernel buffer that the
     GEMMs read; everything that reads or writes it sees one array."""
 
     def test_every_conv_kernel_is_out_in_k_k(self):
-        convs = [layer for _, layer in ModulationNet(DEFAULT_ARCH, seed=0).leaf_layers()
-                 if isinstance(layer, Conv2D)]
+        convs = dict(model_convs(ModulationNet(DEFAULT_ARCH, seed=0))).values()
         assert len(convs) == 16
         for conv in convs:
             assert conv.params["w"].shape == (conv.out_ch, conv.in_ch, conv.kernel, conv.kernel)
@@ -492,7 +484,7 @@ class TestKernelLayout:
         optimiser = Adam(model)
         grads = model.grads.copy()
         optimiser.step()
-        convs = [(name, layer) for name, layer in model.leaf_layers() if isinstance(layer, Conv2D)]
+        convs = model_convs(model)
         assert len(convs) == 16
         for name, conv in convs:
             w, gw = conv.params["w"], conv.grads["w"]
@@ -709,10 +701,11 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.buffers["running_var"], var, rtol=1e-5)
 
     def test_default_arch_bns_in_float32_match_float64(self):
-        """Every BN shape of DEFAULT_ARCH at the training batch of 32: the
-        float32 layer's training output, gradients and running statistics
-        agree with the float64 layer's, every result stays float32, and the
-        batch statistics are within 1e-6 of a float64 two-pass reference."""
+        """Every BN shape of DEFAULT_ARCH past the stem at the training batch
+        of 32: the float32 layer's training output, gradients and running
+        statistics agree with the float64 layer's, every result stays
+        float32, and the batch statistics are within 1e-6 of a float64
+        two-pass reference."""
         model = ModulationNet(DEFAULT_ARCH, seed=0)
         shapes = {}
 
@@ -728,7 +721,7 @@ class TestBatchNorm:
             bn.forward = recording(bn.forward, name)
         n = DEFAULT_ARCH.input_size
         model.forward(np.zeros((1, 1, n, n), dtype=np.float32))
-        assert len(shapes) == len(bns) == 16
+        assert len(shapes) == len(bns) == 15
 
         def close(got, want):
             return np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
@@ -845,6 +838,127 @@ class TestSimpleLayers:
         for key in ("w", "b"):
             num = numeric_gradient(loss, dense.params[key])
             assert max_rel_error(dense.grads[key], num) <= 1e-7
+
+
+def stem_pair(kernel: int, channels: int, rng, dtype=np.float64):
+    """A Stem and the Conv2D -> BatchNorm2D -> MaxPool2 -> ReLU layers it
+    replaces, with the same random parameters, half the gammas negative."""
+    stem = Stem(channels, kernel, rng=RNG(0), dtype=dtype)
+    layers_ = [Conv2D(1, channels, kernel, rng=RNG(0), dtype=dtype),
+               BatchNorm2D(channels, dtype), MaxPool2(), ReLU()]
+    values = {"w": rng.standard_normal((channels, 1, kernel, kernel)),
+              "b": rng.standard_normal(channels),
+              "gamma": rng.uniform(0.5, 1.5, channels) * np.resize([1.0, -1.0], channels),
+              "beta": rng.standard_normal(channels)}
+    for layer in (stem.conv, stem.bn, *layers_[:2]):
+        for key, value in layer.params.items():
+            value[...] = values[key]
+    return stem, layers_
+
+
+class TestStem:
+    """The fused stem against the four layers it replaces, in float64."""
+
+    @staticmethod
+    def compare(stem, layers_, x, rng, tol=1e-12):
+        """One training step of each: output, gradients and running statistics."""
+        out = stem.forward(x.copy(), training=True)
+        want = x.copy()
+        for layer in layers_:
+            want = layer.forward(want, training=True)
+        np.testing.assert_allclose(out, want, rtol=0, atol=tol * np.abs(want).max())
+        probe = rng.standard_normal(out.shape)
+        assert stem.backward(channels_last(probe)) is None
+        g = probe
+        for layer in reversed(layers_):
+            g = layer.backward(g)
+        conv, bn = layers_[:2]
+        for got, ref in ((stem.conv.grads["w"], conv.grads["w"]),
+                         (stem.bn.grads["gamma"], bn.grads["gamma"]),
+                         (stem.bn.grads["beta"], bn.grads["beta"]),
+                         (stem.bn.buffers["running_mean"], bn.buffers["running_mean"]),
+                         (stem.bn.buffers["running_var"], bn.buffers["running_var"])):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
+        # batch norm cancels the bias: both gradients are rounding noise
+        scale = np.abs(conv.grads["w"]).max()
+        assert np.abs(stem.conv.grads["b"]).max() <= tol * scale
+        assert np.abs(conv.grads["b"]).max() <= 1e-9 * scale
+
+    # kernel, input side, batch, samples per chunk (None: the default chunks);
+    # odd kernels keep the input's side, the even one loses a row and column
+    @pytest.mark.parametrize("kernel, side, batch, per_chunk", [
+        (3, 10, 2, None),   # even conv output
+        (3, 11, 2, None),   # odd: a trailing row and column that only the statistics see
+        (5, 12, 7, None),
+        (5, 9, 7, 3),       # odd, in chunks of 3 + 3 + 1 samples
+        (4, 12, 7, 1),      # even kernel, odd conv output
+        (4, 11, 3, 2),      # even kernel, even conv output
+    ])
+    def test_matches_the_layers_over_two_steps_and_in_eval(
+            self, monkeypatch, kernel, side, batch, per_chunk):
+        """Each first sample has an all-zero top half, where every window of
+        conv outputs is an exact tie."""
+        rng = RNG(kernel + side + batch)
+        stem, layers_ = stem_pair(kernel, 6, rng)
+        if per_chunk:
+            out_side = side + 2 * stem.conv.pad - kernel + 1
+            sample_bytes = out_side ** 2 * kernel ** 2 * 8  # one sample's float64 windows
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", per_chunk * sample_bytes)
+        for _ in range(2):
+            x = rng.random((batch, 1, side, side))
+            x[0, 0, :side // 2] = 0.0
+            self.compare(stem, layers_, x, rng)
+        x = rng.random((batch, 1, side, side))
+        want = x.copy()
+        for layer in layers_:
+            want = layer.forward(want)
+        np.testing.assert_allclose(stem.forward(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_variance_does_not_cancel_when_the_mean_dwarfs_the_spread(self):
+        """The moments are summed about the batch mean, which the patch sums
+        give before any GEMM: about zero, float32 squares of z would cancel.
+        A 1x1 kernel pads nothing, so no zero border widens the spread."""
+        rng = RNG(48)
+        stem = Stem(4, 1, rng=rng)
+        x = (1000.0 + rng.random((4, 1, 20, 20))).astype(np.float32)
+        stem.forward(x, training=True)
+        w = stem.conv.params["w"].astype(np.float64)
+        z = einsum_correlation(x.astype(np.float64), w, np.zeros(4), 1, stem.conv.pad)
+        np.testing.assert_allclose(stem.bn.buffers["running_var"], z.var(axis=(0, 2, 3)),
+                                   rtol=1e-4)
+
+    @pytest.mark.parametrize("shape, training, error", [
+        ((1, 1, 8, 8), True, "batch size >= 2"),
+        ((2, 1, 1, 1), False, "1x1 too small for 2x2 pooling"),
+        ((2, 3, 8, 8), False, "1 channel"),
+    ])
+    def test_rejects_what_its_layers_reject(self, shape, training, error):
+        with pytest.raises(ValueError, match=error):
+            Stem(2, 3, rng=RNG(0)).forward(np.zeros(shape, np.float32), training)
+
+    def test_default_stem_in_float32_matches_float64(self):
+        """DEFAULT_ARCH's stem at the training batch of 32: float32 results
+        agree with float64 ones to 1e-5 of the largest float64 value."""
+        rng = RNG(47)
+        s32, _ = stem_pair(5, 16, rng, np.float32)
+        s64 = Stem(16, 5, rng=RNG(0), dtype=np.float64)
+        for part in ("conv", "bn"):
+            for key, value in getattr(s64, part).params.items():
+                value[...] = getattr(s32, part).params[key]
+        x = rng.random((32, 1, 100, 100)).astype(np.float32)
+        probe = rng.standard_normal((32, 16, 50, 50)).astype(np.float32)
+        outs = [stem.forward(x.astype(stem.conv.params["w"].dtype), training=True)
+                for stem in (s32, s64)]
+        for stem in (s32, s64):
+            stem.backward(probe.astype(stem.conv.params["w"].dtype))
+        pairs = [(outs[0], outs[1]), (s32.forward(x), s64.forward(x.astype(np.float64)))]
+        pairs += [(getattr(s32, part).grads[key], getattr(s64, part).grads[key])
+                  for part, key in (("conv", "w"), ("bn", "gamma"), ("bn", "beta"))]
+        pairs += [(s32.bn.buffers[key], s64.bn.buffers[key])
+                  for key in ("running_mean", "running_var")]
+        for got, want in pairs:
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 class TestSoftmaxCrossEntropy:
@@ -1000,7 +1114,7 @@ class TestModel:
     def test_default_shape_contract(self):
         shapes = dict(stage_shapes(ModulationNet(DEFAULT_ARCH, seed=0)))
         assert shapes["input"] == (1, 100, 100)
-        assert shapes["pool"] == (16, 50, 50)
+        assert shapes["stem"] == (16, 50, 50)
         assert shapes["block5"] == (128, 7, 7)
         assert shapes["dense"] == (4,)
         assert len(DEFAULT_ARCH.blocks) == 6
@@ -1014,15 +1128,15 @@ class TestModel:
         assert sizes == [25, 25, 13, 13, 7, 7]
 
     @pytest.mark.parametrize("arch, count",
-                             [(TINY_ARCH, 12), (replace(DEFAULT_ARCH, input_size=24), 48)],
+                             [(TINY_ARCH, 9), (replace(DEFAULT_ARCH, input_size=24), 45)],
                              ids=["tiny", "default_blocks"])
     def test_every_layer_result_has_its_named_layout(self, arch, count):
         """The module's layout contract, for every forward (train and eval)
         and backward result, each in the model's dtype and contiguous in
-        exactly the layout named here: the stem's results and gradients are
-        C-contiguous NCHW, the global pool's and dense layer's (B, C) results
-        C-contiguous rows, and every other result channels-last behind its
-        NCHW shape."""
+        exactly the layout named here: the global pool's and dense layer's
+        (B, C) results are C-contiguous rows, and every other result,
+        the stem's included, is channels-last behind its NCHW shape. The
+        stem returns no input gradient."""
         model = ModulationNet(arch, seed=3)
         seen = []
 
@@ -1034,8 +1148,6 @@ class TestModel:
             return call
 
         def named_layout(name, method):
-            if name in ("base_conv", "base_bn", "pool", "base_relu"):
-                return "NCHW"
             if name == "dense" or (name, method) == ("gap", "forward"):
                 return "rows"
             return "channels-last"
@@ -1052,7 +1164,7 @@ class TestModel:
         logits = model.forward(x, training=True)
         model.backward(np.full_like(logits, 0.1))
         for tag, out in seen:
-            if tag == ("base_conv", "backward"):
+            if tag == ("stem", "backward"):
                 assert out is None  # the input diagrams need no gradient
                 continue
             assert out.dtype == arch.np_dtype, tag
@@ -1062,6 +1174,26 @@ class TestModel:
             assert contiguous.flags.c_contiguous, tag
         calls = {tag for tag, _ in seen}
         assert calls == {(name, m) for name in layers for m in ("forward", "backward")}
+
+    @pytest.mark.parametrize("side", [12, 13], ids=["even", "odd"])
+    def test_parameter_gradients_match_finite_differences(self, side):
+        """Every parameter of a float64 network; on an odd grid the stem's
+        conv output keeps a trailing row and column that pooling crops and
+        only the batch statistics see."""
+        model = ModulationNet(replace(TINY_ARCH, input_size=side), seed=8)
+        rng = RNG(44)
+        x = rng.random((3, 1, side, side))
+        probe = rng.standard_normal((3, NUM_CLASSES))
+
+        def loss():
+            return float((model.forward(x, training=True) * probe).sum())
+
+        loss()
+        model.backward(probe)
+        analytic = model.grads.copy()
+        numeric = numeric_gradient(loss, model.state[:model.grads.size])
+        # the block conv biases' zero gradients read finite-difference round-off
+        assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_float32_training_step_keeps_every_tensor_float32(self):
         """A float64 channel sum that leaks into a layer's output or
@@ -1168,9 +1300,26 @@ class TestModel:
             tracemalloc.stop()
         assert kept <= 8e6
 
+    def test_training_step_peaks_below_75_mib(self):
+        """A default-net step at batch 32 and n = 100 peaks at about 68 MiB
+        above its start; with the stem's full-resolution conv, batch-norm and
+        pooling buffers it peaked at 87.4 MiB."""
+        model = ModulationNet(DEFAULT_ARCH, seed=0)
+        x = RNG(37).random((32, 1, 100, 100)).astype(np.float32)
+        targets = np.eye(NUM_CLASSES, dtype=np.float32)[RNG(38).integers(0, NUM_CLASSES, 32)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, grad = softmax_cross_entropy(model.forward(x, training=True), targets)
+            model.backward(grad)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 75 * 2 ** 20
+
     def test_predict_memory_does_not_grow_with_the_rows(self):
-        """64 rows at n = 100 run as blocks of 8; one block of 64 would hold a
-        41 MB stem output."""
+        """64 rows at n = 100 run as blocks of 8 and peak at about 4 MB; one
+        block of 64 peaks at about 27 MB."""
         model = ModulationNet(DEFAULT_ARCH, seed=0)
         x = RNG(39).random((64, 1, 100, 100)).astype(np.float32)
         tracemalloc.start()
@@ -1180,7 +1329,7 @@ class TestModel:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6
+        assert peak <= 8e6
 
     def test_parameter_count_pinned(self):
         model = ModulationNet(DEFAULT_ARCH, seed=0)

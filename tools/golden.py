@@ -55,7 +55,9 @@ curve from the saved one, and last each second-group line that changed,
 ``src.lines`` included, as ``metadata changed NAME``. The exit code is 1
 when the float64 curve deviates by more than 1e-9 at some step (or has
 another number of steps); the float32 deviation and changed metadata are
-printed only.
+printed only. FILE is read and checked before anything is built: one that
+is not a printed run, such as a saved comparison, exits 2 with a message
+that names it and its first foreign line.
 """
 
 from __future__ import annotations
@@ -245,17 +247,23 @@ def _src_lines() -> int:
 
 def _parse(text: str) -> tuple[dict, dict]:
     """Digests by name under each group header, and loss curves by dtype, of
-    a printed run."""
+    a printed run. A line that a printed run does not hold, such as one of
+    a comparison report, raises ValueError naming it."""
     groups, curves, header = {NUMBERS_HEADER: {}, METADATA_HEADER: {}}, {}, None
-    for line in text.splitlines():
-        if line.startswith("#"):
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if line in groups or line.startswith("# loss curve, "):
             header = line
-        elif line.startswith("loss."):
-            name, value = line.split()
-            curves.setdefault(name.split(".")[1], []).append(float(value))
-        elif line and header in groups:
-            name, digest = line.split()
-            groups[header][name] = digest
+        elif len(fields) == 2 and header in groups:
+            groups[header][fields[0]] = fields[1]
+        elif len(fields) == 2 and header is not None and fields[0].startswith("loss."):
+            try:
+                loss = float(fields[1])
+            except ValueError:
+                raise ValueError(f"line {number} holds no loss: {line!r}") from None
+            curves.setdefault(fields[0].split(".")[1], []).append(loss)
+        elif line:
+            raise ValueError(f"line {number} is not part of a printed run: {line!r}")
     return groups, curves
 
 
@@ -293,12 +301,18 @@ def compare(current: str, saved: str) -> tuple[list, bool]:
     return report, float64 <= FLOAT64_LOSS_LIMIT
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="saved output of another run to compare with")
-    args = parser.parse_args()
-    saved = args.against.read_text() if args.against else None
+    args = parser.parse_args(argv)
+    saved = None
+    if args.against:  # read and check it before building anything
+        try:
+            saved = args.against.read_text()
+            _parse(saved)
+        except (OSError, ValueError) as err:
+            parser.error(f"--against {args.against}: {err}")
     numbers, meta = [], []
     with tempfile.TemporaryDirectory(prefix="nomadet-golden-") as tmp:
         root = Path(tmp)

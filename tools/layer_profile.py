@@ -11,7 +11,8 @@ milliseconds over the steps, and the layout of what each call returned. A
 4-D result reads ``NCHW`` when it is C-contiguous, ``channels-last`` when
 its (N, H, W, C) transpose is, ``both`` when it is both (a 1x1 map or a
 single channel) and ``other`` otherwise. A 2-D result reads ``C-contiguous``
-or ``other``, and the stem's skipped input gradient reads ``none``.
+or ``other``, and the stem's absent input gradient reads ``none``. The stem
+(conv, batch norm, 2x2 max pool and ReLU) is one ``Stem`` layer, so one row.
 
 BLAS uses as many threads as the environment allows; set
 ``OPENBLAS_NUM_THREADS=1`` for the single-threaded timings the benchmark
