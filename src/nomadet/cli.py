@@ -25,7 +25,7 @@ from pathlib import Path
 from . import harness
 from .datapipe import generate_dataset, load_dataset, save_dataset, split_dataset
 from .density import write_pgm
-from .errors import DataFormatError, NomadetError, NumericError
+from .errors import DataFormatError, NomadetError, NumericError, checked_int
 from .harness import (ExperimentConfig, ResultTable, emit_report, evaluate,
                       diagram_matrix, read_journal, run_sweep, train_model,
                       desk_preset, full_preset, METHODS)
@@ -154,16 +154,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be at least 0, got {args.limit}")
+    limit = None if args.limit is None else checked_int("--limit", args.limit, 0)
     samples, _ = load_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    limit = args.limit if args.limit is not None else len(samples)
     for k, sample in enumerate(samples[:limit]):
         name = f"sample_{k:04d}_label{sample.label}.pgm"
         write_pgm(sample.diagram, out_dir / name)
-    print(f"wrote {min(limit, len(samples))} PGM images to {out_dir}")
+    print(f"wrote {len(samples[:limit])} PGM images to {out_dir}")
     return EXIT_OK
 
 

@@ -2,17 +2,17 @@
 
 Every sample is produced from a seed derived from (master seed, class,
 index), so any sample can be regenerated in isolation. ``scenario_samples``
-is the one place that chunks: it takes a class in chunks of about
-``_CHUNK_BYTES`` of complex samples (16 frames of 2000 symbols, 10 of 3000),
-each in the batch form, (B, n) sample rows and (B,) noise scales, from seed
-to diagram: simulated by one ``generate_noma_frames`` call, denoised by one
-``denoise_frames`` call if a requested kind needs it, binned by one
-``density_grids`` call per kind and dropped before the next, so the working
-memory does not grow with samples_per_class. Every kept row becomes a
-``SignalFrame`` that owns a copy of its samples, as a row view would keep
-its chunk alive. Each frame draws from its own generator in the one-frame
-order, so its bytes do not depend on its chunk. Denoising reads each
-frame's true ``noise_scale``.
+is the one place that chunks: it takes a class, or only its kept frames if
+no kind is binned, in chunks of about ``_CHUNK_BYTES`` of complex samples
+(16 frames of 2000 symbols, 10 of 3000), each in the batch form, (B, n)
+sample rows and (B,) noise scales, from seed to diagram: simulated by one
+``generate_noma_frames`` call, denoised by one ``denoise_frames`` call if a
+requested kind needs it, binned by one ``density_grids`` call per kind and
+dropped before the next, so the working memory does not grow with
+samples_per_class. Every kept row becomes a ``SignalFrame`` that owns a
+copy of its samples, as a row view would keep its chunk alive. Each frame
+draws from its own generator in the one-frame order, so its bytes do not
+depend on its chunk. Denoising reads each frame's true ``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
 little-endian: sample count u32 | grid size N u16 | sha256 of the JSON
@@ -98,12 +98,13 @@ def scenario_samples(scenario: NomaScenario, kinds, keep=None) -> tuple[dict, di
     if not {*samples, *frames} <= set(KINDS):
         raise ValueError(f"kinds must be among {KINDS}, got {kinds} and {list(frames)}")
     step = max(1, _CHUNK_BYTES // (16 * scenario.symbols_per_frame))
+    kept = None if samples else {i for kind in frames for i in keep[kind]}
     for label, far in enumerate(CLASS_ORDER):
         scen = replace(scenario, far_scheme=far)
         first = label * scenario.samples_per_class  # the class's first dataset index
-        for start in range(0, scenario.samples_per_class, step):
-            seeds = [derive_seed(scenario.seed, label, index) for index in
-                     range(start, min(start + step, scenario.samples_per_class))]
+        indices = [i for i in range(scenario.samples_per_class) if kept is None or first + i in kept]
+        for chunk_indices in (indices[at:at + step] for at in range(0, len(indices), step)):
+            seeds = [derive_seed(scenario.seed, label, index) for index in chunk_indices]
             rows, scales = generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])
             chunk = {"raw": rows}
             if "denoised" in samples or "denoised" in frames:
@@ -114,8 +115,8 @@ def scenario_samples(scenario: NomaScenario, kinds, keep=None) -> tuple[dict, di
                         for seed, grid in zip(seeds, grids)]
             for kind, out in frames.items():
                 out += [SignalFrame(row.copy(), s)  # a row view would keep its chunk alive
-                        for i, (row, s) in enumerate(zip(chunk[kind], scales.tolist()))
-                        if first + start + i in keep[kind]]
+                        for i, row, s in zip(chunk_indices, chunk[kind], scales.tolist())
+                        if first + i in keep[kind]]
             # held across the next simulation, the chunk slows it measurably
             del chunk, rows
     return samples, frames

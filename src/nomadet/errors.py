@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its config integer check."""
+
+import operator
 
 
 class NomadetError(Exception):
@@ -23,3 +25,14 @@ class TruncatedFileError(DataFormatError):
 
 class NumericError(NomadetError):
     """Training or evaluation produced non-finite numbers."""
+
+
+def checked_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int, if ``operator.index`` takes it and it is at least ``least``."""
+    try:
+        value = operator.index(value)  # a NumPy integer passes, a float does not
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value

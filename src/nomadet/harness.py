@@ -2,17 +2,20 @@
 
 ``_METHODS`` is the one table of methods: which frames each reads, raw or
 denoised, whether it trains a CNN on their diagrams or predicts each frame
-alone, and, in its comment, which simulator truths it reads. A (factor, SNR)
-cell simulates each frame once and builds only the samples its methods read,
-and the test split's frames its predictors read; a model's training and
-validation diagrams are copied once, from their rows. Every CNN model trains
-on a group of cells: by default each (factor value, SNR) cell is its own
-group; a pooled mode groups every SNR of a factor value. A method's model
-trains at its first row left to score in the group, so a resumed sweep
-trains only models that still have rows. Completed rows are flushed to the
-``results.jsonl`` journal in the sweep's output directory as it runs, so an
-interrupted sweep resumes from where it stopped. Results land in a
-ResultTable and are emitted as CSV accuracy curves plus confusion matrices.
+alone, and, in its comment, which simulator truths it reads. Only
+``_apply_factor`` reads a factor value: it labels a near scheme by its value
+(``qpsk``), any other by ``str(value)``, so a cell has one label however its
+config spelled it. A (factor, SNR) cell simulates each frame once and builds
+only the samples its methods read, and the test split's frames its
+predictors read, all that a cell of predictors simulates. A model's
+training and validation diagrams are copied once, from their rows. Every
+CNN model trains on a group of cells: by default each (factor value, SNR)
+cell is its own group; a pooled mode groups every SNR of a factor value. A
+method's model trains at its first row left to score in the group, so a
+resumed sweep trains only models that still have rows. Completed rows are
+flushed to the ``results.jsonl`` journal in the sweep's output directory as
+it runs, so an interrupted sweep resumes from where it stopped. Results
+land in a ResultTable, emitted as CSV accuracy curves and confusion matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .baseline import projection_classify
 from .datapipe import (derive_seed, scenario_samples, split_dataset, CLASS_ORDER,
                        MIN_SPLIT_SAMPLES)
-from .errors import DataFormatError
+from .errors import DataFormatError, checked_int
 from .fileio import atomic_write
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
 from .sigsim import ModScheme, NomaScenario, resolve_allocation
@@ -97,6 +100,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", checked_int("seed", self.seed))
         for name in ("snr_start", "snr_stop", "snr_step"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -107,24 +111,16 @@ class ExperimentConfig:
             raise ValueError("snr_start must not exceed snr_stop")
         if self.factor_name not in FACTORS:
             raise ValueError(f"factor must be one of {FACTORS}")
-        if self.factor_name != FACTOR_NONE and not self.factor_values:
-            raise ValueError("factor_values required when a factor axis is set")
-        if self.factor_name == FACTOR_NONE and self.factor_values:
-            raise ValueError("factor_values given without a factor axis")
+        if (self.factor_name == FACTOR_NONE) == bool(self.factor_values):
+            raise ValueError("factor_values must be given exactly when a factor axis is set")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; available: {METHODS}")
-        for name, labels in (("methods", self.methods),
-                             ("factor_values", [str(v) for v in self.factor_values])):
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"{name} repeat an entry: {list(labels)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "factor_values", tuple(self.factor_values))
-        scenario = self.scenario
-        if isinstance(scenario, dict):
-            scenario = NomaScenario(**scenario)
+        scenario = NomaScenario(**self.scenario) if isinstance(self.scenario, dict) else self.scenario
         object.__setattr__(self, "scenario", replace(
             scenario, seed=self.seed, snr_db_near=NomaScenario.snr_db_near,
             far_scheme=NomaScenario.far_scheme))
@@ -136,7 +132,11 @@ class ExperimentConfig:
         if len(CLASS_ORDER) * self.scenario.samples_per_class < MIN_SPLIT_SAMPLES:
             raise ValueError(f"samples_per_class must give at least {MIN_SPLIT_SAMPLES} "
                              f"samples over {len(CLASS_ORDER)} classes to split a cell")
-        for _, cell in self.factor_cells():
+        cells = [cell for _, cell in self.factor_cells()]  # "6" and 6.0 build one cell
+        for name, entries in (("methods", self.methods), ("factor_values", cells)):
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} repeat an entry: {list(getattr(self, name))}")
+        for cell in cells:
             resolve_allocation(cell)
 
     @property
@@ -147,26 +147,21 @@ class ExperimentConfig:
     def factor_cells(self) -> tuple:
         if self.factor_name == FACTOR_NONE:
             return (("default", self.scenario),)
-        cells = []
-        for value in self.factor_values:
-            cells.append((str(value), _apply_factor(self.scenario, self.factor_name, value)))
-        return tuple(cells)
+        return tuple(_apply_factor(self.scenario, self.factor_name, value)
+                     for value in self.factor_values)
 
 
-def _apply_factor(scenario: NomaScenario, name: str, value) -> NomaScenario:
+def _apply_factor(scenario: NomaScenario, name: str, value) -> tuple[str, NomaScenario]:
+    """The label and the scenario of one factor value, as the module docstring says."""
     if name == "near_scheme":
-        scheme = ModScheme.from_name(value) if isinstance(value, str) else value
-        return replace(scenario, near_schemes=(scheme,))
+        scheme = ModScheme.from_name(value)
+        return scheme.value, replace(scenario, near_schemes=(scheme,))
     if name == "user_count":
-        near = int(value) - 1
-        if not 1 <= near <= 3:
-            raise ValueError("user_count factor expects 2 to 4 total users")
-        return replace(scenario, near_schemes=(ModScheme.QPSK,) * near)
-    if name == "delta_db":
-        return replace(scenario, delta_db=float(value))
-    if name == "alpha_fpc":
-        return replace(scenario, alpha_fpc=float(value))
-    raise ValueError(f"unknown factor {name!r}")
+        users = float(value)
+        if users not in (2, 3, 4):
+            raise ValueError(f"user_count factor expects 2 to 4 total users, got {value!r}")
+        return str(value), replace(scenario, near_schemes=(ModScheme.QPSK,) * (int(users) - 1))
+    return str(value), replace(scenario, **{name: float(value)})  # delta_db or alpha_fpc
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ class _CellData:
     ``frames[kind]`` the frames behind its test split, in test order, for
     the kinds a per-frame predictor reads, each a copy that owns its
     samples, so no frame outside the test split stays alive: a cell of
-    predictors alone bins no diagram.
+    predictors alone simulates only those frames and bins no diagram.
     """
 
     def __init__(self, scenario: NomaScenario, methods):
@@ -266,9 +261,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
     """Full factor x SNR x method sweep, journaled to ``out_dir/results.jsonl``.
 
     Each finished row is appended to the journal and passed to ``progress``;
-    a rerun with the same config digest skips rows already on disk; rows of
-    another config raise DataFormatError and stay untouched. Otherwise ``cfg``
-    is written to ``out_dir/sweep_config.json`` before the first row.
+    a rerun with the same config digest skips rows already on disk. Rows of
+    another config, or a row whose (factor, method, SNR) this config does not
+    produce, raise DataFormatError and stay untouched. Otherwise ``cfg`` is
+    written to ``out_dir/sweep_config.json`` before the first row.
     """
     digest = json.dumps(asdict(cfg), sort_keys=True)
     out_dir = Path(out_dir)
@@ -280,29 +276,36 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
         if rows:
             raise DataFormatError(f"{out_dir} holds rows of another sweep config")
         kept = 0
+    done = {(row.factor, row.method, row.snr_db) for row in rows}
+    factors = cfg.factor_cells()
+    stray = done - {(label, m, snr) for label, _ in factors for m in cfg.methods
+                    for snr in cfg.snr_points}
+    if stray:  # rows of code that labelled the cells otherwise
+        raise DataFormatError(f"{journal_path} holds rows this config does not make: "
+                              f"{sorted(stray)}")
     with atomic_write(out_dir / "sweep_config.json") as fh:
         fh.write(json.dumps(asdict(cfg), sort_keys=True, indent=2).encode("utf-8"))
     table = ResultTable(rows)
-    done = {(row.factor, row.method, row.snr_db) for row in table.rows}
 
     with open(journal_path, "a", encoding="utf-8") as journal:
         journal.truncate(kept)
         if not kept:
             journal.write(json.dumps({"config_digest": digest}) + "\n")
             journal.flush()
-        for fi, (factor_label, scen_factor) in enumerate(cfg.factor_cells()):
-            pending = [si for si, snr in enumerate(cfg.snr_points)
-                       if any((factor_label, m, snr) not in done for m in cfg.methods)]
-            # a pooled model trains on every SNR cell, so all are built only
-            # when some CNN method of this factor value still has a row left
-            pool = cfg.pooled_training and any(
-                (factor_label, m, snr) not in done
-                for m in cfg.methods if not _METHODS[m].predict for snr in cfg.snr_points)
-            groups = [range(len(cfg.snr_points))] if pool else [[si] for si in pending]
+        for fi, (factor_label, scen_factor) in enumerate(factors):
+            # a cell is built for the methods with a row left in it; a pooled model
+            # trains on every SNR cell, so a CNN method with a row left is in all
+            trains = {m for m in cfg.methods if cfg.pooled_training and not _METHODS[m].predict
+                      and any((factor_label, m, snr) not in done for snr in cfg.snr_points)}
+            readers = {snr: [m for m in cfg.methods
+                             if m in trains or (factor_label, m, snr) not in done]
+                       for snr in cfg.snr_points}
+            groups = ([range(len(cfg.snr_points))] if trains else
+                      [[si] for si, snr in enumerate(cfg.snr_points) if readers[snr]])
             for group in groups:
                 cells = [_CellData(replace(scen_factor, snr_db_near=cfg.snr_points[si],
-                                           seed=derive_seed(cfg.seed, fi, si)), cfg.methods)
-                         for si in group]
+                                           seed=derive_seed(cfg.seed, fi, si)),
+                                   readers[cfg.snr_points[si]]) for si in group]
                 models = {}
                 for cell in cells:
                     snr = cell.scenario.snr_db_near
@@ -406,13 +409,9 @@ def emit_report(table: ResultTable, out_dir) -> list:
 
 def desk_preset() -> ExperimentConfig:
     """Small sweep for desk runs: 50 samples/class, 6 SNR points."""
-    scenario = NomaScenario(samples_per_class=50)
-    return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
-                            snr_step=6.0)
+    return ExperimentConfig(scenario=NomaScenario(samples_per_class=50), snr_step=6.0)
 
 
 def full_preset() -> ExperimentConfig:
     """The full evaluation grid: 250 samples/class, -10..20 dB step 2."""
-    scenario = NomaScenario(samples_per_class=250)
-    return ExperimentConfig(scenario=scenario, snr_start=-10.0, snr_stop=20.0,
-                            snr_step=2.0, methods=METHODS)
+    return ExperimentConfig(scenario=NomaScenario(samples_per_class=250), methods=METHODS)

@@ -8,7 +8,9 @@ Stem return their GEMMs' channels-last rows through ``transpose(0, 3, 1,
 their input's layout, and ReLU's gradient takes that of its forward input.
 So in a network every activation and gradient, from the stem's result on,
 is channels-last, and a step converts no layout. MaxPool2's gradient is
-NCHW; GlobalAvgPool and Dense return C-contiguous (B, C) rows.
+NCHW; GlobalAvgPool and Dense return C-contiguous (B, C) rows. Batch
+statistics are summed channels-last: in place in a network, and through
+one copy of an operand in any other layout.
 
 Every layer keeps what its backward pass needs only from a
 ``training=True`` forward; an eval forward drops it, so an inference model
@@ -291,23 +293,16 @@ class Conv2D(Layer):
 
 
 def _channel_sums(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sums over (N, H, W) of ``x``, or of ``x * y``, in float64,
-    read in place from either layout of ``x`` (``y`` in the same layout).
+    """Per-channel sums over (N, H, W) of ``x``, or of ``x * y``, in float64.
 
-    Each sample's sums are taken in ``x``'s dtype and added across samples in
-    float64. Channels-last, a sample's sums are one (1, HW) @ (HW, C) product
-    and its products one ``einsum``; C-contiguous NCHW, each (sample,
-    channel) row is one BLAS dot."""
+    Each operand is read channels-last: in place if it is, as in a network,
+    else through one copy. A sample's sums, one (1, HW) @ (HW, C) product or
+    one ``einsum``, are taken in ``x``'s dtype and added in float64."""
     B, C = x.shape[:2]
-    cl = x.transpose(0, 2, 3, 1)
-    if cl.flags.c_contiguous:
-        rows = cl.reshape(B, -1, C)
-        per_sample = (np.ones((1, rows.shape[1]), x.dtype) @ rows if y is None else
-                      np.einsum("bnc,bnc->bc", rows, y.transpose(0, 2, 3, 1).reshape(B, -1, C)))
-    else:
-        rows = x.reshape(B * C, 1, -1)
-        other = np.ones((1, rows.shape[2], 1), x.dtype) if y is None else y.reshape(B * C, -1, 1)
-        per_sample = rows @ other
+    rows = [np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(B, -1, C)
+            for a in (x, y) if a is not None]
+    per_sample = (np.ones((1, rows[0].shape[1]), x.dtype) @ rows[0] if y is None else
+                  np.einsum("bnc,bnc->bc", *rows))
     return per_sample.reshape(B, C).sum(axis=0, dtype=np.float64)
 
 

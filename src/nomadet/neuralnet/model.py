@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import checked_int
 from .layers import (BatchNorm2D, Conv2D, Dense, FlatState, GlobalAvgPool, ReLU, Stem,
                      softmax)
 
@@ -65,12 +66,9 @@ class ArchConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        object.__setattr__(self, "blocks", tuple(int(ch) for ch in self.blocks))
-        sizes = [("input_size", self.input_size), ("base_kernel", self.base_kernel),
-                 ("base_channels", self.base_channels), *(("blocks", ch) for ch in self.blocks)]
-        for name, value in sizes:
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("input_size", "base_kernel", "base_channels"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), 1))
+        object.__setattr__(self, "blocks", tuple(checked_int("blocks", c, 1) for c in self.blocks))
 
     @property
     def np_dtype(self):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericError
+from ..errors import NumericError, checked_int
 from .layers import softmax_cross_entropy
 from .model import NUM_CLASSES, ModulationNet
 
@@ -83,14 +83,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # batch normalisation needs two samples per batch
-        for name, least in (("batch_size", 2), ("max_epochs", 1)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name, least in (("batch_size", 2), ("max_epochs", 1), ("patience", 0), ("seed", None)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be at least 0, got {self.patience}")
 
 
 @dataclass(frozen=True)

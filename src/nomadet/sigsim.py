@@ -40,6 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import checked_int
+
 __all__ = [
     "ModScheme",
     "SignalFrame",
@@ -241,17 +243,14 @@ class NomaScenario:
     seed: int = 0
 
     def __post_init__(self):
-        near = tuple(s if isinstance(s, ModScheme) else ModScheme.from_name(s)
-                     for s in self.near_schemes)
+        near = tuple(map(ModScheme.from_name, self.near_schemes))
         if not 1 <= len(near) <= 3:
             raise ValueError("need 1 to 3 near user terminals")
         object.__setattr__(self, "near_schemes", near)
-        if not isinstance(self.far_scheme, ModScheme):
-            object.__setattr__(self, "far_scheme", ModScheme.from_name(self.far_scheme))
+        object.__setattr__(self, "far_scheme", ModScheme.from_name(self.far_scheme))
         for name, least in (("symbols_per_frame", 1), ("samples_per_class", 1),
-                            ("grid_size", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+                            ("grid_size", 2), ("seed", None)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         if not (np.isfinite(self.snr_db_near) or self.snr_db_near == np.inf):
             raise ValueError(f"snr_db_near must be finite or inf, got {self.snr_db_near}")
 

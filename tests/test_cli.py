@@ -9,9 +9,9 @@ import pytest
 from nomadet import cli
 from nomadet.datapipe import split_dataset
 from nomadet.errors import NumericError
-from nomadet.harness import ExperimentConfig
+from nomadet.harness import ExperimentConfig, run_sweep
 from nomadet.neuralnet import ArchConfig, ModulationNet, save_model
-from nomadet.sigsim import ModScheme
+from nomadet.sigsim import ModScheme, NomaScenario
 from conftest import FOREIGN_ARCHS, write_checkpoint_header
 
 TINY = ["--samples-per-class", "5", "--symbols", "256", "--grid", "16"]
@@ -224,6 +224,7 @@ def test_sweep_over_a_journal_with_fading_is_a_data_error(tmp_path, capsys, made
 
 @pytest.mark.parametrize("argv, blob", [
     (["generate"], {"scenario": {"near_schemes": ["qpsk7"]}}),
+    (["generate"], {"scenario": {"samples_per_class": 10.5}}),
     (["sweep", "--seed", "0"], {"train": {"max_epochs": 0}}),
     (["sweep", "--seed", "0"], {"train": {"batch_size": 1}}),
 ])
@@ -299,6 +300,22 @@ def test_written_sweep_config_resumes_its_sweep(tmp_path, capsys):
     assert cli.main([*argv, "--config", str(out / "sweep_config.json")]) == 0
     assert "[sweep]" not in capsys.readouterr().out
     assert (out / "results.jsonl").read_bytes() == journal
+
+
+def test_near_scheme_sweep_started_from_python_resumes_from_its_config(tmp_path, capsys):
+    """Its rows carry the labels that its sweep_config.json reads back."""
+    out = tmp_path / "sweep"
+    run_sweep(ExperimentConfig(
+        scenario=NomaScenario(samples_per_class=5, symbols_per_frame=256, grid_size=16),
+        snr_start=0.0, snr_stop=0.0, factor_name="near_scheme",
+        factor_values=(ModScheme.QPSK, ModScheme.QAM16), methods=("projection_clustering",),
+        seed=2), out)
+    journal = (out / "results.jsonl").read_bytes()
+    assert cli.main(["sweep", "--out", str(out), "--config", str(out / "sweep_config.json")]) == 0
+    assert "[sweep]" not in capsys.readouterr().out
+    assert (out / "results.jsonl").read_bytes() == journal
+    rows = (out / "accuracy_vs_snr.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["qam16", "qpsk"]
 
 
 def test_sweep_config_alone_reruns_its_sweep(tmp_path, capsys, made):

@@ -6,9 +6,11 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomadet import datapipe, harness, wavelet
-from nomadet.datapipe import CLASS_ORDER, LabeledSample, generate_dataset, split_dataset
+from nomadet.datapipe import (CLASS_ORDER, LabeledSample, derive_seed, generate_dataset,
+                              split_dataset)
 from nomadet.density import DensityDiagram
 from nomadet.errors import DataFormatError
 from nomadet.harness import ExperimentConfig, METHODS, emit_report, run_sweep
@@ -112,6 +114,30 @@ def test_predictor_only_cell_peaks_within_a_few_chunks_of_what_it_holds():
         tracemalloc.stop()
     assert len(cell.frames["denoised"]) == len(cell.split.test) == 80
     assert peak - held <= 12 * datapipe._CHUNK_BYTES
+
+
+def test_predictor_only_cell_simulates_each_test_frame_once_and_no_other(monkeypatch):
+    """Its frames are taken in chunks of the kept indices alone: here 3 a chunk."""
+    monkeypatch.setattr(datapipe, "_CHUNK_BYTES", 3 * 16 * SCENARIO.symbols_per_frame)
+    simulated = []
+    inner = datapipe.generate_noma_frames
+
+    def recorded(scenario, rngs):
+        rows, scales = inner(scenario, rngs)
+        simulated.extend(row.tobytes() for row in rows)
+        return rows, scales
+    monkeypatch.setattr(datapipe, "generate_noma_frames", recorded)
+    scenario = replace(SCENARIO, samples_per_class=20)
+    cell = harness._CellData(scenario, (PROJECTION,))
+    wanted = []
+    for i in cell.split.test:
+        label = cell.labels[i]
+        seed = derive_seed(scenario.seed, label, i - label * scenario.samples_per_class)
+        frame = generate_noma_frame(replace(scenario, far_scheme=CLASS_ORDER[label]),
+                                    rng=np.random.default_rng(seed))
+        wanted.append(frame.samples.tobytes())
+    assert len(cell.frames["denoised"]) == len(cell.split.test) == 16
+    assert sorted(simulated) == sorted(wanted)
 
 
 def diagram_parts(count, per_part=60, grid=12):
@@ -406,7 +432,7 @@ def test_sweep_of_short_frames_runs(tmp_path, methods, symbols):
 def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
                                                          method, trained):
     """A pooled model needs every SNR cell; the projection baseline needs only
-    the cell of its own row."""
+    the test split of its own row's cell."""
     cfg = tiny_config(pooled=True)
     table, _ = sweep(cfg, tmp_path)
     journal = tmp_path / "results.jsonl"
@@ -418,8 +444,9 @@ def test_pooled_resume_trains_only_models_with_rows_left(tmp_path, monkeypatch,
     resumed, computed = sweep(cfg, tmp_path)
     assert computed == 1
     assert len(calls) == trained
-    cells = len(cfg.snr_points) if trained else 1
-    assert sum(frames) == cells * 4 * SCENARIO.samples_per_class
+    n_test = json.loads(lines[dropped])["n_test"]
+    assert sum(frames) == (len(cfg.snr_points) * 4 * SCENARIO.samples_per_class if trained
+                           else n_test)
     assert len(resumed.rows) == len(table.rows)
     assert set(resumed.rows) == set(table.rows)
 
@@ -430,3 +457,88 @@ def test_per_cell_sweep_trains_each_model_before_its_row(tmp_path, monkeypatch):
     run_sweep(tiny_config(), tmp_path)
     assert calls == ["train", "evaluate", "train", "evaluate", "evaluate"] * 2
 
+
+def factor_config(name, values):
+    return replace(tiny_config((PROJECTION,)), factor_name=name, factor_values=values)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("near_scheme", ("qpsk", "QPSK")),
+    ("near_scheme", (ModScheme.QPSK, "qpsk")),
+    ("delta_db", (6, 6.0)),
+    ("user_count", (3, 3.0)),
+], ids=["two_spellings", "member_and_name", "int_and_float", "user_count_int_and_float"])
+def test_factor_values_that_build_one_cell_are_refused(name, values):
+    with pytest.raises(ValueError, match="factor_values repeat an entry"):
+        factor_config(name, values)
+
+
+# (the value a factor value means, one way to write it), for each factor
+SPELLINGS = {
+    "near_scheme": [(s, spelling) for s in ModScheme
+                    for spelling in (s, s.value, s.value.upper(), s.name)]
+    + [(ModScheme.QAM16, "16qam"), (ModScheme.QAM64, "64QAM"),
+       (ModScheme.PI_HALF_BPSK, "bpsk"), (ModScheme.QAM16, "QAM-16")],
+    "user_count": [(n, spelling) for n in (2, 3, 4)
+                   for spelling in (n, float(n), str(n), str(float(n)))],
+    "delta_db": [(3.0, 3), (3.0, 3.0), (3.0, "3"), (6.0, 6.0), (6.0, "6.0"), (9.5, 9.5),
+                 (9.5, "9.5")],
+    "alpha_fpc": [(1.0, 1), (1.0, 1.0), (1.0, "1"), (0.5, 0.5), (0.5, "0.5"), (0.25, 0.25)],
+}
+CELL_FIELDS = {
+    "near_scheme": lambda s: {"near_schemes": (s,)},
+    "user_count": lambda n: {"near_schemes": (ModScheme.QPSK,) * (n - 1)},
+    "delta_db": lambda d: {"delta_db": d},
+    "alpha_fpc": lambda a: {"alpha_fpc": a},
+}
+
+
+@pytest.mark.parametrize("name", SPELLINGS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_factor_cell_has_one_label_however_its_value_is_written(name, data):
+    """A config built from Python values and the one read back from its
+    sweep_config.json, as run_sweep writes it, give the same cells: the
+    same labels and the same scenarios. Two values that mean one cell are
+    refused, however they are written."""
+    drawn = data.draw(st.lists(st.sampled_from(SPELLINGS[name]), min_size=1, max_size=4))
+    meant = [m for m, _ in drawn]
+    if len(set(meant)) < len(meant):
+        with pytest.raises(ValueError, match="factor_values repeat an entry"):
+            factor_config(name, [spelling for _, spelling in drawn])
+        return
+    cfg = factor_config(name, [spelling for _, spelling in drawn])
+    back = ExperimentConfig(**json.loads(json.dumps(asdict(cfg), sort_keys=True, indent=2)))
+    assert back.factor_cells() == cfg.factor_cells()
+    assert cfg.factor_cells() == tuple(
+        (m.value if name == "near_scheme" else str(spelling),
+         replace(cfg.scenario, **CELL_FIELDS[name](m))) for m, spelling in drawn)
+
+
+def test_user_count_is_a_whole_number_of_users():
+    # int() once read 3.5 users as 3 and refused the string "3.0"
+    with pytest.raises(ValueError, match="2 to 4 total users, got 3.5"):
+        factor_config("user_count", (3.5,))
+    [(label, cell)] = factor_config("user_count", ("3.0",)).factor_cells()
+    assert label == "3.0" and cell.near_schemes == (ModScheme.QPSK,) * 2
+
+
+def test_journal_row_of_a_label_the_config_does_not_make_is_refused(tmp_path):
+    """Such a row, as code that labelled a near scheme ``ModScheme.QPSK``
+    wrote, is refused and kept, not duplicated under the config's label."""
+    cfg = factor_config("near_scheme", ("qpsk",))
+    run_sweep(cfg, tmp_path)
+    journal = tmp_path / "results.jsonl"
+    edited = journal.read_text().replace('"factor": "qpsk"', '"factor": "ModScheme.QPSK"')
+    journal.write_text(edited)
+    with pytest.raises(DataFormatError, match="does not make.*ModScheme.QPSK"):
+        run_sweep(cfg, tmp_path)
+    assert journal.read_text() == edited
+
+
+def test_experiment_seed_refuses_a_float_and_reads_a_numpy_integer():
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        replace(tiny_config(), seed=1.5)
+    cfg = replace(tiny_config(), seed=np.int64(3))
+    assert cfg.seed == cfg.scenario.seed == 3
+    assert json.loads(json.dumps(asdict(cfg)))["seed"] == 3

@@ -434,9 +434,11 @@ class TestLayouts:
     def test_channel_sums_read_either_layout_in_place(self, shape, layout, product):
         """float32 values, as the network sums them, against a float64 einsum.
         The values are positive, as in the variance's sum of squares: where
-        terms cancel, no float32 sum has a relative error bound. A 1x1 map's
-        per-sample sums are as large as the map itself, so the copy check
-        needs a map of several pixels."""
+        terms cancel, no float32 sum has a relative error bound. A
+        channels-last operand, as every one a network sums, is read in place;
+        NCHW is read through one copy, so only channels-last is held to the
+        in-place bound. A 1x1 map's per-sample sums are as large as the map
+        itself, so the copy check needs a map of several pixels."""
         rng = RNG(72)
         x64, y64 = 1.0 + rng.random(shape), 0.5 + rng.random(shape)
         store = np.copy if layout == "NCHW" else channels_last
@@ -454,7 +456,7 @@ class TestLayouts:
                 else np.einsum("bchw->c", exact[0]))
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-6)
-        if shape[2] * shape[3] > 1:
+        if layout == "channels-last" and shape[2] * shape[3] > 1:
             assert allocated < x.nbytes / 4
 
 
@@ -1033,6 +1035,19 @@ class TestArchConfig:
     def test_size_or_width_below_one_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             ArchConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("input_size", 16.0, "16.0"), ("base_kernel", 3.5, "3.5"), ("base_channels", 8.0, "8.0"),
+        ("blocks", (32, 32.7), "32.7"),
+    ])
+    def test_size_or_width_that_is_no_integer_is_named(self, field, value, shown):
+        # a width of 32.7 was once truncated to 32
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {shown}"):
+            ArchConfig(**{field: value})
+
+    def test_numpy_integer_sizes_are_read_as_ints(self):
+        arch = ArchConfig(input_size=np.int64(16), blocks=[np.int32(8), 8])
+        assert arch.blocks == (8, 8) and type(arch.input_size) is int
 
     def test_a_block_changes_shape_exactly_when_it_changes_width(self):
         # 8 -> 8 keeps, 8 -> 4 halves although it narrows, 4 -> 4 keeps

@@ -266,6 +266,16 @@ class TestApplyChannel:
         assert scen.channel_config() is scen
 
 
+class TestScenarioFields:
+    @pytest.mark.parametrize("field", ["symbols_per_frame", "samples_per_class", "grid_size",
+                                       "seed"])
+    def test_integer_field_refuses_a_float_and_reads_a_numpy_integer(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 10.5"):
+            NomaScenario(**{field: 10.5})
+        value = getattr(NomaScenario(**{field: np.int64(10)}), field)
+        assert value == 10 and type(value) is int  # JSON writes it
+
+
 class TestGenerateFrame:
     def test_structure_and_label(self):
         scen = NomaScenario(near_schemes=(ModScheme.QPSK,) * 3,

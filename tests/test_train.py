@@ -96,6 +96,15 @@ def per_tensor_adam(params, grads, m, v, t, lr):
         value[...] = value - lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience", "seed"])
+    def test_integer_field_refuses_a_float_and_reads_a_numpy_integer(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 10.5"):
+            TrainConfig(**{field: 10.5})
+        value = getattr(TrainConfig(**{field: np.int64(10)}), field)
+        assert value == 10 and type(value) is int  # JSON writes it
+
+
 class TestAdam:
     # 100 values split block0.conv1.w (288) across chunks; the default chunk
     # holds all of SMALL_ARCH's parameters at once
