@@ -81,8 +81,8 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     samples, _ = load_dataset(args.dataset)
     split = split_dataset(samples, seed=0)
-    model, history = train_model([(samples, split)], _overrides(TrainConfig(), args),
-                                 model_seed=args.seed)
+    cfg = _overrides(TrainConfig(), args)
+    model, history = train_model([(samples, split)], cfg, model_seed=args.seed)
     save_model(model, args.out)
     if args.history:
         with open(args.history, "w", encoding="utf-8", newline="") as fh:
@@ -92,7 +92,10 @@ def _cmd_train(args) -> int:
                 writer.writerow([row.epoch, f"{row.train_loss:.6f}",
                                  f"{row.val_accuracy:.6f}"])
     best = max(history, key=lambda r: r.val_accuracy)
-    print(f"trained {len(history)} epochs; best val accuracy "
+    why = ("validation accuracy reached 1.0" if best.val_accuracy == 1.0
+           else "max_epochs reached" if len(history) == cfg.max_epochs
+           else "patience ran out")
+    print(f"trained {len(history)} epochs ({why}); best val accuracy "
           f"{best.val_accuracy:.4f} at epoch {best.epoch}; saved {args.out}")
     return EXIT_OK
 

@@ -9,10 +9,10 @@ sample rows and (B,) noise scales, from seed to diagram: simulated by one
 ``generate_noma_frames`` call, denoised by one ``denoise_frames`` call if a
 requested kind needs it, binned by one ``density_grids`` call per kind and
 dropped before the next, so the working memory does not grow with
-samples_per_class. Every kept row becomes a ``SignalFrame`` that owns a
-copy of its samples, as a row view would keep its chunk alive. Each frame
-draws from its own generator in the one-frame order, so its bytes do not
-depend on its chunk. Denoising reads each frame's true ``noise_scale``.
+samples_per_class. Kept rows are copied into one array of their own, as a
+row view would keep its chunk alive. Each frame draws from its own
+generator in the one-frame order, so its bytes do not depend on its chunk.
+Denoising reads each frame's true ``noise_scale``.
 
 The container format ("NMD1") is a ``fileio`` frame whose body is,
 little-endian: sample count u32 | grid size N u16 | sha256 of the JSON
@@ -89,16 +89,20 @@ def derive_seed(master: int, *parts: int) -> int:
 def scenario_samples(scenario: NomaScenario, kinds, keep=None) -> tuple[dict, dict]:
     """For each kind of frame in ``kinds`` (``KINDS``: received, or
     denoised), the labelled samples of each far class in CLASS_ORDER in
-    dataset order, and for each kind in ``keep`` the frames behind the set of
-    dataset indices (label * samples_per_class + index) it maps to, in order:
-    two dicts keyed by kind. Per-sample seeds come from
-    derive_seed(scenario.seed, class, index)."""
+    dataset order, and for each kind in ``keep`` the (K, n) sample rows and
+    (K,) noise scales of the frames behind the dataset indices (label *
+    samples_per_class + index) it maps to, in order: two dicts keyed by kind.
+    Per-sample seeds come from derive_seed(scenario.seed, class, index)."""
     samples = {kind: [] for kind in kinds}
-    frames = {kind: [] for kind in keep or ()}
-    if not {*samples, *frames} <= set(KINDS):
-        raise ValueError(f"kinds must be among {KINDS}, got {kinds} and {list(frames)}")
+    every = set(range(len(CLASS_ORDER) * scenario.samples_per_class))
+    keep = {kind: set(indices) & every for kind, indices in (keep or {}).items()}
+    if not {*samples, *keep} <= set(KINDS):
+        raise ValueError(f"kinds must be among {KINDS}, got {kinds} and {list(keep)}")
+    frames = {kind: (np.empty((len(keep[kind]), scenario.symbols_per_frame), complex),
+                     np.empty(len(keep[kind]))) for kind in keep}
+    filled = dict.fromkeys(keep, 0)
     step = max(1, _CHUNK_BYTES // (16 * scenario.symbols_per_frame))
-    kept = None if samples else {i for kind in frames for i in keep[kind]}
+    kept = None if samples else {i for indices in keep.values() for i in indices}
     for label, far in enumerate(CLASS_ORDER):
         scen = replace(scenario, far_scheme=far)
         first = label * scenario.samples_per_class  # the class's first dataset index
@@ -107,16 +111,16 @@ def scenario_samples(scenario: NomaScenario, kinds, keep=None) -> tuple[dict, di
             seeds = [derive_seed(scenario.seed, label, index) for index in chunk_indices]
             rows, scales = generate_noma_frames(scen, [np.random.default_rng(s) for s in seeds])
             chunk = {"raw": rows}
-            if "denoised" in samples or "denoised" in frames:
+            if "denoised" in samples or "denoised" in keep:
                 chunk["denoised"] = denoise_frames(rows, scales)
             for kind, out in samples.items():
                 grids = density_grids(chunk[kind], scenario.grid_size)
                 out += [LabeledSample(DensityDiagram(grid), label, seed, scenario.snr_db_near)
                         for seed, grid in zip(seeds, grids)]
-            for kind, out in frames.items():
-                out += [SignalFrame(row.copy(), s)  # a row view would keep its chunk alive
-                        for i, row, s in zip(chunk_indices, chunk[kind], scales.tolist())
-                        if first + i in keep[kind]]
+            for kind, (out, out_scales) in frames.items():
+                picked = [j for j, i in enumerate(chunk_indices) if first + i in keep[kind]]
+                at = slice(filled[kind], filled[kind] + len(picked))
+                out[at], out_scales[at], filled[kind] = chunk[kind][picked], scales[picked], at.stop
             # held across the next simulation, the chunk slows it measurably
             del chunk, rows
     return samples, frames
@@ -126,11 +130,13 @@ def generate_dataset(scenario: NomaScenario, denoise: bool = True,
                      keep_frames: bool = False):
     """The one-kind case of ``scenario_samples``: the list of samples binned
     from denoised frames, or from the received frames with ``denoise`` off,
-    plus those frames when ``keep_frames`` is set."""
+    plus those frames, as ``SignalFrame`` views, when ``keep_frames`` is set."""
     kind = "denoised" if denoise else "raw"
     keep = {kind: range(len(CLASS_ORDER) * scenario.samples_per_class)} if keep_frames else None
     samples, frames = scenario_samples(scenario, (kind,), keep)
-    return (samples[kind], frames[kind]) if keep_frames else samples[kind]
+    if not keep_frames:
+        return samples[kind]
+    return samples[kind], [SignalFrame(row, s) for row, s in zip(*frames[kind])]
 
 
 def split_dataset(samples, seed: int) -> DatasetSplit:

@@ -1,18 +1,19 @@
 """Experiment engine: SNR sweeps over scenario factors and method comparison.
 
-``_METHODS`` is the one table of methods: which frames each reads, raw or
-denoised, whether it trains a CNN on their diagrams or predicts each frame
-alone, and, in its comment, which simulator truths it reads. Only
-``_apply_factor`` reads a factor value: it labels a near scheme by its value
-(``qpsk``), any other by ``str(value)``, so a cell has one label however its
-config spelled it. A (factor, SNR) cell simulates each frame once and builds
-only the samples its methods read, and the test split's frames its
-predictors read, all that a cell of predictors simulates. A model's
-training and validation diagrams are copied once, from their rows. Every
-CNN model trains on a group of cells: by default each (factor value, SNR)
-cell is its own group; a pooled mode groups every SNR of a factor value. A
-method's model trains at its first row left to score in the group, so a
-resumed sweep trains only models that still have rows. Completed rows are
+``_METHODS`` is the one table of methods, each scored through one path: it
+reads raw or denoised frames (its comment names the simulator truths read),
+and its ``fit(parts, train_cfg, seed)`` on a group of cells returns
+``scorer(cell, kind)``, the (F, 4) float64 class scores, in CLASS_ORDER,
+of the cell's test split, whose argmax labels the row. A CNN fits on the
+group's (samples, split) parts and scores the test diagrams; a ``rows``
+method, the projection baseline, fits on nothing and scores the test
+split's sample rows and noise scales. Only ``_apply_factor`` reads a factor
+value: it labels a near scheme by its value (``qpsk``), any other by
+``str(value)``, so a cell has one label however its config spelled it. A
+(factor, SNR) cell simulates each frame once and builds only what its
+methods read, a cell of ``rows`` methods only its test split. A method fits
+at its first row left to score in its group of cells, so a resumed sweep
+fits only methods that still have rows. Completed rows are
 flushed to the ``results.jsonl`` journal in the sweep's output directory as
 it runs, so an interrupted sweep resumes from where it stopped. Results
 land in a ResultTable, emitted as CSV accuracy curves and confusion matrices.
@@ -34,7 +35,7 @@ from .datapipe import (derive_seed, scenario_samples, split_dataset, CLASS_ORDER
 from .errors import DataFormatError, checked_int
 from .fileio import atomic_write
 from .neuralnet import ArchConfig, ModulationNet, TrainConfig, train
-from .sigsim import ModScheme, NomaScenario, resolve_allocation
+from .sigsim import ModScheme, NomaScenario, SignalFrame, resolve_allocation
 from .wavelet import check_frame_length
 # not called here: kept as attributes so that tracing wrappers installed on this
 # module (perfbench/spans.py) find every pipeline stage by the same name
@@ -50,21 +51,45 @@ __all__ = [
 
 
 class _Method(NamedTuple):
-    frames: str                      # the datapipe kind it reads: "raw" or "denoised"
-    predict: Callable | None = None  # (frame, scenario) -> far scheme; None trains a CNN
+    frames: str          # the datapipe kind it reads: "raw" or "denoised"
+    fit: Callable        # (parts, train_cfg, seed) -> scorer, as the module docstring says
+    rows: bool = False   # fits on nothing and scores the test split's rows, not diagrams
+
+
+def _fit_cnn(parts, train_cfg, seed):
+    """A net trained on the parts. It scores test diagrams by log probability
+    in float64, where no two probabilities tie; one that underflowed is -inf."""
+    model, _ = train_model(parts, train_cfg, seed)
+
+    def scores(cell, kind):
+        x = diagram_matrix([cell.samples[kind][i] for i in cell.split.test])[0]
+        with np.errstate(divide="ignore"):
+            return np.log(model.predict(x).astype(np.float64))
+    return scores
+
+
+def _projection_scores(cell, kind):
+    """1 for the far scheme that ``projection_classify`` picks on each test
+    row, 0 for the others. The classifier is looked up on this module at
+    call time, where tracers patch it, on a ``SignalFrame`` made for the call."""
+    rows, scales = cell.rows[kind]
+    picked = [CLASS_ORDER.index(projection_classify(
+        SignalFrame(row, scale), near_schemes=cell.scenario.near_schemes))
+        for row, scale in zip(rows, scales.tolist())]
+    return np.eye(len(CLASS_ORDER))[picked]
 
 
 # The simulator truths each method reads: denoising reads each frame's true
 # ``noise_scale``, so the readers of denoised frames read it too. The
-# projection baseline also reads the scenario's ``near_schemes``. A predictor
-# looks its function up on this module at call time, where tracers patch it.
+# projection baseline also reads the scenario's ``near_schemes``.
 _METHODS = {
-    "resnet_denoised": _Method("denoised"),
-    "resnet_raw": _Method("raw"),
-    "projection_clustering": _Method("denoised", lambda frame, scenario: projection_classify(
-        frame, near_schemes=scenario.near_schemes)),
+    "resnet_denoised": _Method("denoised", _fit_cnn),
+    "resnet_raw": _Method("raw", _fit_cnn),
+    "projection_clustering": _Method("denoised", lambda parts, train_cfg, seed:
+                                     _projection_scores, rows=True),
 }
-METHODS = tuple(_METHODS)
+# the paper's methods, which the golden and benchmark sweeps run; _METHODS may hold more
+METHODS = ("resnet_denoised", "resnet_raw", "projection_clustering")
 
 FACTOR_NONE = "none"
 FACTORS = (FACTOR_NONE, "near_scheme", "user_count", "delta_db", "alpha_fpc")
@@ -81,7 +106,7 @@ class ExperimentConfig:
     ``scenario.far_scheme`` and ``train.seed``, which the sweep sets per cell
     or model, are reset to their defaults. Construction checks each factor
     cell's power allocation, channel and size to split, and its frame length
-    if a method reads denoised frames. A model trains on one cell, with
+    if a method reads denoised frames. A method fits on one cell, with
     weights and batch order seeded by ``derive_seed(cell_seed, 1000 + mi)``
     and ``2000 + mi`` for the method at index ``mi``, or with
     ``pooled_training`` on every SNR cell of factor index ``fi``, seeded by
@@ -116,8 +141,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; available: {METHODS}")
+            if m not in _METHODS:
+                raise ValueError(f"unknown method {m!r}; available: {tuple(_METHODS)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "factor_values", tuple(self.factor_values))
         scenario = NomaScenario(**self.scenario) if isinstance(self.scenario, dict) else self.scenario
@@ -228,12 +253,10 @@ class _CellData:
 
     ``labels`` holds each sample's class in dataset order, which
     ``scenario_samples`` fixes, so ``split`` is drawn before any frame is
-    simulated. ``samples[kind]`` holds the cell's samples of each kind of
-    frame that a CNN method of ``methods`` reads, in dataset order, and
-    ``frames[kind]`` the frames behind its test split, in test order, for
-    the kinds a per-frame predictor reads, each a copy that owns its
-    samples, so no frame outside the test split stays alive: a cell of
-    predictors alone simulates only those frames and bins no diagram.
+    simulated. ``samples[kind]`` holds the samples, in dataset order, of
+    each kind of frame whose diagrams a method of ``methods`` reads, and
+    ``rows[kind]`` the (sample rows, noise scales) arrays of the test split,
+    in test order, of each kind a ``rows`` method reads.
     """
 
     def __init__(self, scenario: NomaScenario, methods):
@@ -243,9 +266,9 @@ class _CellData:
                        for _ in range(scenario.samples_per_class)]
         self.split = split_dataset([SimpleNamespace(label=label) for label in self.labels],
                                    seed=derive_seed(scenario.seed, 1))
-        self.samples, self.frames = scenario_samples(
-            scenario, {m.frames for m in reads if not m.predict},
-            {m.frames: set(self.split.test) for m in reads if m.predict})
+        self.samples, self.rows = scenario_samples(
+            scenario, {m.frames for m in reads if not m.rows},
+            {m.frames: set(self.split.test) for m in reads if m.rows})
 
 
 def train_model(parts, train_cfg: TrainConfig, model_seed: int):
@@ -293,9 +316,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
             journal.write(json.dumps({"config_digest": digest}) + "\n")
             journal.flush()
         for fi, (factor_label, scen_factor) in enumerate(factors):
-            # a cell is built for the methods with a row left in it; a pooled model
-            # trains on every SNR cell, so a CNN method with a row left is in all
-            trains = {m for m in cfg.methods if cfg.pooled_training and not _METHODS[m].predict
+            # a cell is built for the methods with a row left in it; a pooled method
+            # fits on every SNR cell, so one that reads diagrams with a row left is in all
+            trains = {m for m in cfg.methods if cfg.pooled_training and not _METHODS[m].rows
                       and any((factor_label, m, snr) not in done for snr in cfg.snr_points)}
             readers = {snr: [m for m in cfg.methods
                              if m in trains or (factor_label, m, snr) not in done]
@@ -306,15 +329,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
                 cells = [_CellData(replace(scen_factor, snr_db_near=cfg.snr_points[si],
                                            seed=derive_seed(cfg.seed, fi, si)),
                                    readers[cfg.snr_points[si]]) for si in group]
-                models = {}
+                scorers = {}
                 for cell in cells:
                     snr = cell.scenario.snr_db_near
                     for mi, method in enumerate(cfg.methods):
                         if (factor_label, method, snr) in done:
                             continue
-                        if not _METHODS[method].predict and method not in models:
-                            models[method] = _train_on_group(cfg, fi, mi, method, cells)
-                        row = _score_cell(factor_label, cell, method, models.get(method))
+                        if method not in scorers:
+                            scorers[method] = _fit_on_group(cfg, fi, mi, method, cells)
+                        row = _score_cell(factor_label, cell, method, scorers[method])
                         table.rows.append(row)
                         done.add((factor_label, method, snr))
                         journal.write(json.dumps(asdict(row), sort_keys=True) + "\n")
@@ -324,32 +347,28 @@ def run_sweep(cfg: ExperimentConfig, out_dir, progress=None) -> ResultTable:
     return table
 
 
-def _train_on_group(cfg, factor_index, method_index, method, cells) -> ModulationNet:
-    """``method``'s model trained on a group of cells, seeded as ExperimentConfig says."""
+def _fit_on_group(cfg, factor_index, method_index, method, cells):
+    """``method``'s scorer fitted on a group of cells, seeded as ExperimentConfig says."""
     if cfg.pooled_training:
         model_seed = derive_seed(cfg.seed, factor_index, 3000 + method_index)
         train_seed = derive_seed(model_seed, 1)
     else:
         model_seed = derive_seed(cells[0].scenario.seed, 1000 + method_index)
         train_seed = derive_seed(cells[0].scenario.seed, 2000 + method_index)
-    model, _ = train_model([(c.samples[_METHODS[method].frames], c.split) for c in cells],
-                           replace(cfg.train, seed=train_seed), model_seed)
-    return model
+    kind, fit, _ = _METHODS[method]  # samples None where no method bins the kind
+    return fit([(c.samples.get(kind), c.split) for c in cells],
+               replace(cfg.train, seed=train_seed), model_seed)
 
 
-def _score_cell(factor_label, cell, method, model) -> ResultRow:
-    """The result row of ``method`` on the cell's test split; ``model`` is
-    the trained net of a CNN method, None for a per-frame predictor."""
-    scenario = cell.scenario
-    kind, predict = _METHODS[method]
-    if predict:
-        predicted = [CLASS_ORDER.index(predict(frame, scenario)) for frame in cell.frames[kind]]
-    else:
-        test_samples = [cell.samples[kind][i] for i in cell.split.test]
-        predicted = model.classify(diagram_matrix(test_samples)[0])
+def _score_cell(factor_label, cell, method, scorer) -> ResultRow:
+    """The result row of ``method`` on the cell's test split: each frame is
+    labelled with the argmax of ``scorer``'s class scores."""
     labels = [cell.labels[i] for i in cell.split.test]
-    accuracy, confusion = evaluate(predicted, labels)
-    return ResultRow(snr_db=scenario.snr_db_near, factor=factor_label, method=method,
+    scores = scorer(cell, _METHODS[method].frames)
+    if scores.shape != (len(labels), len(CLASS_ORDER)):
+        raise ValueError(f"{method} scored {scores.shape}, not ({len(labels)}, {len(CLASS_ORDER)})")
+    accuracy, confusion = evaluate(scores.argmax(axis=1), labels)
+    return ResultRow(snr_db=cell.scenario.snr_db_near, factor=factor_label, method=method,
                      accuracy=accuracy, confusion=tuple(map(tuple, confusion.tolist())),
                      n_test=len(labels))
 
@@ -359,24 +378,28 @@ def read_journal(path):
 
     Rows are written and flushed one whole line at a time, so an interrupted
     sweep can tear only the final line: bytes after the last newline are
-    dropped. Damage anywhere else, a row that contradicts itself included,
-    raises DataFormatError naming the line.
+    dropped. Damage anywhere else, a row that contradicts itself or repeats
+    a (factor, method, SNR) included, raises DataFormatError naming the line.
     """
     blob = Path(path).read_bytes()
     kept = blob.rfind(b"\n") + 1
     lines = blob[:kept].decode("utf-8").splitlines()
     if not lines:
         return None, [], 0
-    rows = []
+    rows = {}
     for number, line in enumerate(lines, 1):
         try:
             if number == 1:
                 digest = json.loads(line)["config_digest"]
             elif line.strip():
-                rows.append(ResultRow.from_json(json.loads(line)))
+                row = ResultRow.from_json(json.loads(line))
+                key = (row.factor, row.method, row.snr_db)
+                if key in rows:
+                    raise ValueError(f"a second row of {row.factor} {row.method} {row.snr_db:g} dB")
+                rows[key] = row
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path} is damaged at line {number}: {exc}") from exc
-    return digest, rows, kept
+    return digest, list(rows.values()), kept
 
 
 def emit_report(table: ResultTable, out_dir) -> list:

@@ -122,8 +122,9 @@ def train(model: ModulationNet, train_split, val_split, cfg: TrainConfig):
     and reused every epoch, which keeps per-epoch losses comparable and the
     whole run bit-reproducible. A final minibatch of one sample joins the
     one before it, since batch normalisation needs two samples. The model
-    is left holding the weights of the best validation epoch; the per-epoch
-    history is returned.
+    is left holding the weights of the best validation epoch, the first of
+    the highest accuracy, so training stops at one of accuracy 1.0, or
+    ``patience`` epochs after the best; the per-epoch history is returned.
     """
     x_train, y_train = train_split
     x_val, y_val = val_split
@@ -159,10 +160,10 @@ def train(model: ModulationNet, train_split, val_split, cfg: TrainConfig):
         val_acc = accuracy(model, x_val, y_val)
         history.append(EpochStats(epoch, float(np.mean(losses)), val_acc))
         if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
+            best_acc, best_epoch = val_acc, epoch
             np.copyto(best_state, model.state)
-        elif epoch - best_epoch >= cfg.patience:
+        # no epoch beats one of accuracy 1.0; patience 0 stops where 1 does
+        if best_acc == 1.0 or epoch - best_epoch >= max(cfg.patience, 1):
             break
     np.copyto(model.state, best_state)
     return history

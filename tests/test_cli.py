@@ -10,7 +10,7 @@ from nomadet import cli
 from nomadet.datapipe import split_dataset
 from nomadet.errors import NumericError
 from nomadet.harness import ExperimentConfig, run_sweep
-from nomadet.neuralnet import ArchConfig, ModulationNet, save_model
+from nomadet.neuralnet import ArchConfig, EpochStats, ModulationNet, save_model
 from nomadet.sigsim import ModScheme, NomaScenario
 from conftest import FOREIGN_ARCHS, write_checkpoint_header
 
@@ -78,6 +78,20 @@ def assert_train_rejects(tmp_path, capsys, flag, value, field):
                      flag, value]) == cli.EXIT_USAGE
     assert field in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("accuracies, why", [
+    ([0.5, 1.0], "validation accuracy reached 1.0"),
+    ([0.5, 0.75, 0.75], "max_epochs reached"),
+    ([0.75, 0.5], "patience ran out"),
+], ids=["perfect", "max_epochs", "patience"])
+def test_train_says_why_it_stopped(tmp_path, capsys, monkeypatch, made, accuracies, why):
+    model = ModulationNet(ArchConfig(input_size=16), seed=0)
+    history = [EpochStats(epoch, 1.0, acc) for epoch, acc in enumerate(accuracies)]
+    monkeypatch.setattr(cli, "train_model", lambda parts, cfg, model_seed: (model, history))
+    assert cli.main(["train", "--dataset", str(made[0]), "--out", str(tmp_path / "m.nmdl"),
+                     "--epochs", "3", "--patience", "1"]) == 0
+    assert f"trained {len(accuracies)} epochs ({why}); " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, field", [("--epochs", "max_epochs"), ("--batch", "batch_size")])

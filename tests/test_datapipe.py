@@ -92,30 +92,32 @@ class TestGenerateDataset:
                 density_diagram(alone, scenario.grid_size).grid.tobytes()
 
     def test_every_kept_row_is_a_copy(self):
-        """``keep`` names dataset indices, label * samples_per_class + index.
-        256-symbol frames come 128 to a chunk, so with 129 per class each
-        class is a chunk of 128 and a chunk of one. A kept row is copied out
-        whether its chunk keeps some rows or every row, since a row view
-        keeps its whole chunk alive."""
+        """``keep`` names dataset indices, label * samples_per_class + index;
+        one past the dataset is ignored. 256-symbol frames come 128 to a
+        chunk, so with 129 per class each class is a chunk of 128 and a
+        chunk of one. Kept rows are copied into arrays of their own whether
+        their chunk keeps some rows or every row, since a row view keeps its
+        whole chunk alive."""
         scenario = replace(quick_scenario(samples_per_class=129, seed=4),
                            symbols_per_frame=256)
-        every = datapipe.scenario_samples(scenario, (), {"raw": range(4 * 129)})[1]["raw"]
+        every, every_scales = datapipe.scenario_samples(
+            scenario, (), {"raw": range(4 * 129)})[1]["raw"]
+        assert every.shape == (4 * 129, 256) and every_scales.shape == (4 * 129,)
         whole = set(range(128)) | {3 * 129 + 128}  # class 0's first chunk, class 3's last
         partial = {129 + 0, 129 + 127, 2 * 129 + 64}  # of class 1's first chunk, class 2's
-        samples, frames = datapipe.scenario_samples(scenario, ("raw",),
-                                                   {"raw": whole | partial})
+        samples, kept_rows = datapipe.scenario_samples(scenario, ("raw",),
+                                                      {"raw": whole | partial | {4 * 129}})
         assert len(samples["raw"]) == 4 * 129
         kept = sorted(whole | partial)
-        assert len(frames["raw"]) == len(kept)
-        for index, frame in zip(kept, frames["raw"]):
-            assert frame.samples.tobytes() == every[index].samples.tobytes()
-            assert frame.noise_scale == every[index].noise_scale
+        rows, scales = kept_rows["raw"]
+        assert rows.tobytes() == every[kept].tobytes()
+        assert scales.tolist() == every_scales[kept].tolist()
         _, dataset_frames = generate_dataset(scenario, denoise=False, keep_frames=True)
-        for mine, theirs in zip(dataset_frames, every, strict=True):
-            assert mine.samples.tobytes() == theirs.samples.tobytes()
-            assert mine.noise_scale == theirs.noise_scale
-        for frame in [*every, *frames["raw"], *dataset_frames]:
-            assert frame.samples.base is None
+        for mine, row, scale in zip(dataset_frames, every, every_scales.tolist(), strict=True):
+            assert mine.samples.tobytes() == row.tobytes()
+            assert mine.noise_scale == scale
+        for array in (every, every_scales, rows, scales):
+            assert array.base is None
 
     def test_raw_mode_differs_from_denoised(self):
         scenario = quick_scenario(seed=2)

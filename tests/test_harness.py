@@ -74,7 +74,7 @@ def test_cell_matches_generate_dataset():
     cell = harness._CellData(SCENARIO, METHODS)
     den = generate_dataset(SCENARIO)
     raw = generate_dataset(SCENARIO, denoise=False)
-    assert set(cell.samples) == {"raw", "denoised"} and set(cell.frames) == {"denoised"}
+    assert set(cell.samples) == {"raw", "denoised"} and set(cell.rows) == {"denoised"}
     for got, want in ((cell.samples["denoised"], den), (cell.samples["raw"], raw)):
         assert [(s.label, s.seed) for s in got] == [(s.label, s.seed) for s in want]
         assert cell.labels == [s.label for s in got]
@@ -84,20 +84,21 @@ def test_cell_matches_generate_dataset():
 
 
 def test_cell_keeps_copies_of_its_test_frames_only():
-    """A per-frame predictor reads only the test split, so a cell keeps
-    those frames alone, in test order, each owning its samples: a row view
-    would keep its whole chunk alive."""
+    """A row reader reads only the test split, so a cell keeps those frames'
+    rows and noise scales alone, in test order, in arrays of their own: a
+    row view would keep its whole chunk alive."""
     cell = harness._CellData(SCENARIO, METHODS)
-    frames = cell.frames["denoised"]
-    assert len(frames) == len(cell.split.test)
-    for frame, i in zip(frames, cell.split.test):
+    rows, scales = cell.rows["denoised"]
+    assert rows.shape == (len(cell.split.test), SCENARIO.symbols_per_frame)
+    assert scales.shape == (len(cell.split.test),)
+    assert rows.base is None and scales.base is None
+    for row, scale, i in zip(rows, scales.tolist(), cell.split.test):
         sample = cell.samples["denoised"][i]
         alone = denoise_frame(generate_noma_frame(
             replace(SCENARIO, far_scheme=CLASS_ORDER[sample.label]),
             rng=np.random.default_rng(sample.seed)))
-        assert frame.samples.base is None
-        assert frame.samples.tobytes() == alone.samples.tobytes()
-        assert frame.noise_scale == alone.noise_scale
+        assert row.tobytes() == alone.samples.tobytes()
+        assert scale == alone.noise_scale
 
 
 def test_predictor_only_cell_peaks_within_a_few_chunks_of_what_it_holds():
@@ -112,7 +113,7 @@ def test_predictor_only_cell_peaks_within_a_few_chunks_of_what_it_holds():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cell.frames["denoised"]) == len(cell.split.test) == 80
+    assert len(cell.rows["denoised"][0]) == len(cell.split.test) == 80
     assert peak - held <= 12 * datapipe._CHUNK_BYTES
 
 
@@ -136,7 +137,7 @@ def test_predictor_only_cell_simulates_each_test_frame_once_and_no_other(monkeyp
         frame = generate_noma_frame(replace(scenario, far_scheme=CLASS_ORDER[label]),
                                     rng=np.random.default_rng(seed))
         wanted.append(frame.samples.tobytes())
-    assert len(cell.frames["denoised"]) == len(cell.split.test) == 16
+    assert len(cell.rows["denoised"][0]) == len(cell.split.test) == 16
     assert sorted(simulated) == sorted(wanted)
 
 
@@ -393,6 +394,64 @@ def test_pooled_resume_does_not_retrain(tmp_path, monkeypatch):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         tiny_config(methods=("nearest_neighbour",))
+
+
+def fixed_scores(fits):
+    """A method's fit that records how many cells each fit reads and scores
+    every test frame QAM16."""
+    def fit(parts, train_cfg, seed):
+        fits.append(len(parts))
+        return lambda cell, kind: np.tile([0.0, 0.0, 1.0, 0.0], (len(cell.split.test), 1))
+    return fit
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["per_cell", "pooled"])
+def test_a_method_added_to_the_table_leaves_the_paper_rows_alone(tmp_path, monkeypatch, pooled):
+    """A method is one ``_METHODS`` entry, scored through the one path: a
+    fixed-score dummy after the paper's methods fits on each group of cells,
+    gets the rows its scores give, and leaves every paper row's bytes alone.
+    ``METHODS`` and the default methods stay the paper's."""
+    run_sweep(tiny_config(pooled=pooled), tmp_path / "paper")
+    fits = []
+    monkeypatch.setitem(harness._METHODS, "dummy", harness._Method("raw", fixed_scores(fits)))
+    table = run_sweep(tiny_config(methods=(*METHODS, "dummy"), pooled=pooled), tmp_path / "all")
+    assert METHODS == harness.METHODS == ("resnet_denoised", "resnet_raw", "projection_clustering")
+    assert ExperimentConfig().methods == (RESNET,)
+    with pytest.raises(ValueError, match="unknown method"):
+        tiny_config(methods=(*METHODS, "nearest_neighbour"))
+    assert fits == ([2] if pooled else [1, 1])
+    dummy = [row for row in table.rows if row.method == "dummy"]
+    assert [row.snr_db for row in dummy] == [0.0, 10.0]
+    for row in dummy:  # every frame read as QAM16: one test frame per class
+        assert row.confusion == ((0, 0, 1, 0),) * 4 and row.accuracy == 0.25
+
+    def paper_rows(name):
+        lines = (tmp_path / name / "results.jsonl").read_bytes().splitlines()[1:]
+        return [line for line in lines if b'"method": "dummy"' not in line]
+    assert len(paper_rows("paper")) == 2 * len(METHODS)
+    assert paper_rows("all") == paper_rows("paper")
+
+
+def test_scores_of_another_shape_are_refused(tmp_path, monkeypatch):
+    """A scorer gives one score per class for each test frame, or the row is refused."""
+    monkeypatch.setitem(harness._METHODS, "three", harness._Method(
+        "raw", lambda parts, train_cfg, seed: lambda cell, kind: np.zeros((4, 3))))
+    with pytest.raises(ValueError, match=r"three scored \(4, 3\), not \(4, 4\)"):
+        run_sweep(tiny_config(methods=("three",)), tmp_path)
+
+
+def test_repeated_journal_row_is_refused_by_line(tmp_path):
+    """Two rows of one (factor, method, SNR), as a hand edit can leave them,
+    are refused at the second, and the journal is kept."""
+    cfg = tiny_config(methods=(PROJECTION,))
+    sweep(cfg, tmp_path)
+    journal = tmp_path / "results.jsonl"
+    edited = journal.read_text() + journal.read_text().splitlines(keepends=True)[1]
+    journal.write_text(edited)
+    with pytest.raises(DataFormatError, match="damaged at line 4: a second row of default "
+                                              f"{PROJECTION} 0 dB"):
+        run_sweep(cfg, tmp_path)
+    assert journal.read_text() == edited
 
 
 def test_cells_too_small_to_split_are_refused_at_the_bound():

@@ -60,6 +60,27 @@ class TestTrainLoop:
         assert history[1].train_loss < history[0].train_loss
         assert accuracy(model, x, y) == 1.0
 
+    def test_perfect_validation_stops_with_the_state_of_a_full_patience_run(self, monkeypatch):
+        """An epoch replaces the best only with a higher validation accuracy,
+        so none can replace one of 1.0: the run stops there, with the state
+        of a run at patience = max_epochs, and a prefix of its history. That
+        run is made by reading every validation accuracy just below its value,
+        which keeps their order and never reaches 1.0."""
+        x, y = small_data(seed=3, per_class=4)
+        cfg = TrainConfig(max_epochs=40, patience=40, seed=7)  # 1.0 at epoch 30
+        stopped = ModulationNet(SMALL_ARCH, seed=6)
+        history = train(stopped, (x, y), (x, y), cfg)
+        assert 1 < len(history) < cfg.max_epochs
+        assert [h.val_accuracy == 1.0 for h in history] == [False] * (len(history) - 1) + [True]
+        inner = training.accuracy
+        monkeypatch.setattr(training, "accuracy", lambda *args: inner(*args) * (1 - 2 ** -20))
+        full = ModulationNet(SMALL_ARCH, seed=6)
+        full_history = train(full, (x, y), (x, y), cfg)
+        assert len(full_history) == cfg.max_epochs
+        assert [(h.epoch, h.train_loss) for h in history] == \
+               [(h.epoch, h.train_loss) for h in full_history[:len(history)]]
+        assert stopped.state.tobytes() == full.state.tobytes()
+
     def test_empty_split_rejected(self):
         x, y = small_data()
         model = ModulationNet(SMALL_ARCH, seed=4)

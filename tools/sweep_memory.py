@@ -12,17 +12,19 @@ which counts every numpy buffer:
     the methods at 10 dB (a cell's bytes depend on its sizes, not on its
     SNR). It prints the MiB the built cell holds and the peak MiB while it
     was built.
-  - ``train_model``: for the first CNN method, ``harness.train_model`` on a
-    group of K cells at the preset's first K SNR points (K = 1 is a
+  - ``train_model``: for the first method that fits on diagrams (a CNN), its
+    ``fit`` from ``harness._METHODS``, which calls ``harness.train_model``,
+    on a group of K cells at the preset's first K SNR points (K = 1 is a
     per-cell model, the preset's SNR count a pooled one), stopped where
     ``train()`` would start. It prints the MiB held at that point, the
     model's state included, and the peak MiB up to it, beside the MiB of the
     stacked training and validation matrices and of every diagram in the
     group. The group's cells are built before the measurement starts.
 
-A method set without a CNN method prints only the cell line. Each number is
-one deterministic measurement, not a timing, so one run suffices; the
-allocator's own page use (RSS) is not measured.
+A method set whose methods all read rows (the projection baseline) prints
+only the cell line. Each number is one deterministic measurement, not a
+timing, so one run suffices; the allocator's own page use (RSS) is not
+measured.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ def traced(build):
     return result, held / MIB, peak / MIB
 
 
-def train_inputs(parts, train_cfg) -> tuple[float, float, float]:
-    """``harness.train_model`` on (samples, split) parts up to its ``train()``
+def train_inputs(fit, parts, train_cfg) -> tuple[float, float, float]:
+    """A method's ``fit`` on (samples, split) parts up to its ``train()``
     call: the MiB held and the peak MiB there, and the MiB of the matrices
     it would train and validate on."""
     seen = {}
@@ -67,7 +69,7 @@ def train_inputs(parts, train_cfg) -> tuple[float, float, float]:
     inner, harness.train = harness.train, stop
     tracemalloc.start()
     try:
-        harness.train_model(parts, train_cfg, model_seed=0)
+        fit(parts, train_cfg, 0)
     finally:
         tracemalloc.stop()
         harness.train = inner
@@ -81,14 +83,14 @@ def measure(cfg, pool: int) -> list[str]:
     _, held, peak = traced(lambda: harness._CellData(
         replace(scenario, snr_db_near=CELL_SNR_DB, seed=derive_seed(cfg.seed, 0, 0)), methods))
     lines = [f"cell {CELL_SNR_DB:g} dB: held {held:.1f} MiB, peak {peak:.1f} MiB"]
-    cnn = [m for m in methods if not harness._METHODS[m].predict]
+    cnn = [m for m in methods if not harness._METHODS[m].rows]
     if cnn:
-        kind = harness._METHODS[cnn[0]].frames
+        kind, fit, _ = harness._METHODS[cnn[0]]
         cells = [harness._CellData(replace(scenario, snr_db_near=cfg.snr_points[si],
                                            seed=derive_seed(cfg.seed, 0, si)), cnn[:1])
                  for si in range(pool)]
         diagrams = sum(s.diagram.grid.nbytes for c in cells for s in c.samples[kind]) / MIB
-        held, peak, matrices = train_inputs([(c.samples[kind], c.split) for c in cells],
+        held, peak, matrices = train_inputs(fit, [(c.samples[kind], c.split) for c in cells],
                                             cfg.train)
         lines.append(f"train_model {cnn[0]}, {pool} cell(s): held {held:.1f} MiB, "
                      f"peak {peak:.1f} MiB (matrices {matrices:.1f} MiB, "
