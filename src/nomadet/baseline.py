@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sigsim import ModScheme, SignalFrame, axis_levels
+from .sigsim import ModScheme, SignalFrame, axis_levels, fold_pi_half
 
 __all__ = ["ClusterParams", "subtractive_cluster_count", "projection_classify",
            "axis_level_counts"]
@@ -148,8 +148,7 @@ _AXIS_SIGNATURE = {scheme: tuple(len(levels) for levels in axis_levels(scheme))
 
 def axis_level_counts(frame: SignalFrame) -> tuple[int, int]:
     """Cluster-centre counts on the folded I and Q projections."""
-    folded = frame.samples.copy()
-    folded[1::2] *= -1.0j
+    folded = fold_pi_half(frame.samples)
     return subtractive_cluster_count(folded.real), subtractive_cluster_count(folded.imag)
 
 

@@ -44,9 +44,9 @@ stays as the caller passed it.
 
 A layer's ``params``, ``buffers`` and ``grads`` entries are views of two flat
 buffers that a ``FlatState`` lays out: a network declares every layer's
-tensors in one of them, and a layer built without one gets its own. Every
-backward writes its parameter gradients in place, so a training step
-allocates no gradient.
+tensors in one of them, and a layer built without one gets its own. The
+gradients start at zero, and no flag tracks whether a backward has filled
+them: every backward overwrites its part in place, allocating no gradient.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class FlatState:
     fill)`` or ``(key, shape, fill, view)`` entries. ``allocate`` then
     places every parameter, then every running statistic, in declaration
     order in one ``state`` buffer, and the gradients in a ``grads`` buffer
-    with the layout of the parameter part, unset until each layer's first
-    backward fills its part (``Layer.has_grads``). Each entry of a layer's
+    with the layout of the parameter part, zero until a backward overwrites
+    it, so a step before any backward moves nothing. Each entry of a layer's
     ``params``, ``buffers`` and ``grads`` becomes a view of its C-contiguous
     ``shape`` slot, through ``view`` if given, and each value is set to its
     fill: a number, or a callable called at allocation, in declaration order.
@@ -96,7 +96,7 @@ class FlatState:
         entries = self._params + self._buffers
         sizes = [math.prod(shape) for _, _, shape, *_ in entries]
         state = np.empty(sum(sizes), self.dtype)
-        grads = np.empty(sum(sizes[:len(self._params)]), self.dtype)  # unset until a backward
+        grads = np.zeros(sum(sizes[:len(self._params)]), self.dtype)
         offset = 0
         for i, (layer, key, shape, fill, *view) in enumerate(entries):
             slot = slice(offset, offset + sizes[i])
@@ -113,16 +113,12 @@ class FlatState:
 
 
 class Layer:
-    """Common bookkeeping: ordered params/grads plus optional buffers.
-
-    ``has_grads`` turns true at the first backward that fills ``grads``.
-    """
+    """Common bookkeeping: ordered params/grads plus optional buffers."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
-        self.has_grads = False
         self._cache = None
 
     def _declare(self, store: FlatState | None, dtype, params=(), buffers=()) -> None:
@@ -259,7 +255,6 @@ class Conv2D(Layer):
             gw += rows @ g
             del rows, g  # free this chunk's patch rows before the next is copied
         del xwin, pairs  # the padded input's last use: free it before the input gradient
-        self.has_grads = True
         dtype = grad_out.dtype
         if s == 1:
             flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, C)
@@ -371,7 +366,6 @@ class BatchNorm2D(Layer):
         sum_gxc = _channel_sums(grad_out, xc)
         np.copyto(self.grads["gamma"], sum_gxc * invstd)
         np.copyto(self.grads["beta"], sum_g)
-        self.has_grads = True
         # gamma*invstd * (g - mean(g) - xc * invstd^2 * mean(g*xc)), built in
         # xc's buffer as a * (xc * k1 + g + k0)
         k1, k0, a = (v.astype(dtype).reshape(1, -1, 1, 1) for v in (
@@ -596,7 +590,6 @@ class Stem(Layer):
         gw = conv.grads["w"].transpose(2, 3, 1, 0).reshape(-1, O)
         np.copyto(gw, a * (grad_rows + k0 * patch_sums + k1 * centred))
         np.copyto(conv.grads["b"], a * (sum_g + k0 * n))
-        conv.has_grads = bn.has_grads = True
 
 
 class GlobalAvgPool(Layer):
@@ -631,7 +624,6 @@ class Dense(Layer):
         x = self._take_cache()
         np.matmul(x.T, grad_out, out=self.grads["w"])
         np.sum(grad_out, axis=0, out=self.grads["b"])
-        self.has_grads = True
         return grad_out @ self.params["w"].T
 
 

@@ -15,10 +15,9 @@ Each stage is one list of (name, layer) pairs in forward order, and these
 lists are the one statement of layer order: ``ModulationNet.layers`` for the
 network, ``main`` and ``shortcut`` for each residual block. Forward is a fold
 over the lists, backward a fold over them in reverse, and ``leaf_layers`` a
-walk, which ``parameters`` and ``state_tensors`` (read by the optimiser and
-the checkpoint) extend to each tensor's dotted path, such as ``block0.conv1.w``;
-the stem's tensors keep the paths of its conv and batch norm, ``base_conv``
-and ``base_bn``.
+walk, which ``state_tensors`` (read by the checkpoint) extends to each
+tensor's dotted path, such as ``block0.conv1.w``; the stem's tensors keep
+the paths of its conv and batch norm, ``base_conv`` and ``base_bn``.
 
 The layers are built in that order into one ``FlatState``, so the network's
 trainable state is two flat buffers in its dtype. ``state`` holds every
@@ -165,12 +164,6 @@ class ModulationNet:
             for name, owner in owners:
                 for key, value in owner.state_tensors():
                     yield f"{name}.{key}", owner, key, value
-
-    def parameters(self):
-        """The trainable entries of ``state_tensors``."""
-        for name, layer, key, value in self.state_tensors():
-            if key in layer.params:
-                yield name, layer, key, value
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=self.arch.np_dtype)

@@ -30,7 +30,8 @@ _CHUNK_ELEMENTS = 1 << 16
 
 
 class Adam:
-    """Adam over the model's flat buffers; ``m``, ``v`` and ``t`` are its whole state."""
+    """Adam over the model's flat buffers; ``m``, ``v`` and ``t`` are its whole state.
+    Gradients start at zero, so a step before any backward only counts ``t``."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -40,12 +41,8 @@ class Adam:
         self.t = 0
         self.m, self.v = np.zeros((2, model.grads.size), model.grads.dtype)
         self._scratch = np.empty((2, min(_CHUNK_ELEMENTS, model.grads.size)), model.grads.dtype)
-        self._owners = [(name, layer) for name, layer, _, _ in model.parameters()]
 
     def step(self) -> None:
-        for name, layer in self._owners:
-            if not layer.has_grads:
-                raise RuntimeError(f"no gradient for parameter {name}")
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bias1 = 1.0 - b1 ** self.t

@@ -17,9 +17,9 @@ Every scheme is a product of I and Q alphabets, stated once in the table
 ``_AXES``: Gray-ordered integer I levels, Q levels and a normaliser giving
 unit average energy. A bit group's I bits (first) and Q bits index the
 levels and the symbol is ``(I + 1j*Q) / normaliser``; pi/2-BPSK is listed
-unrotated (I = 1, -1; Q = 0) and its odd symbols are turned by pi/2. Bits
-per symbol, ``axis_levels`` and the projection baseline's per-axis
-signatures derive from the table.
+unrotated (I = 1, -1; Q = 0) and its odd symbols are turned by pi/2, which
+``fold_pi_half`` undoes. Bits per symbol, ``axis_levels`` and the
+projection baseline's per-axis signatures derive from the table.
 
 ``generate_noma_frames`` simulates a batch of frames, one generator each,
 in the pipeline's batch form: (B, n) complex sample rows and their (B,)
@@ -48,6 +48,7 @@ __all__ = [
     "NomaScenario",
     "modulate",
     "axis_levels",
+    "fold_pi_half",
     "superpose",
     "apply_channel",
     "generate_noma_frame",
@@ -143,6 +144,14 @@ def axis_levels(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
     """
     i_levels, q_levels, norm = _AXES[scheme]
     return i_levels / norm, q_levels / norm
+
+
+def fold_pi_half(samples) -> np.ndarray:
+    """A copy of (..., n) complex sample rows with every odd-index sample turned by
+    -pi/2: pi/2-BPSK becomes BPSK on I, and a square scheme keeps its level sets."""
+    folded = np.array(samples, dtype=complex)
+    folded[..., 1::2] *= -1.0j
+    return folded
 
 
 def modulate(bits, scheme: ModScheme) -> SignalFrame:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nomadet import sigsim
 from nomadet.sigsim import (ModScheme, NomaScenario, SignalFrame,
-                            apply_channel, axis_levels, generate_noma_frame,
+                            apply_channel, axis_levels, fold_pi_half, generate_noma_frame,
                             generate_noma_frames, modulate, resolve_allocation,
                             superpose)
 
@@ -109,6 +109,32 @@ class TestModulate:
         nearest = np.isclose(dist, dist[off_diagonal].min()) & off_diagonal
         for i, j in zip(*np.nonzero(nearest)):
             assert bin(int(i) ^ int(j)).count("1") == 1, (groups[i], groups[j])
+
+
+class TestFoldPiHalf:
+    def test_noise_free_pi_half_bpsk_folds_onto_the_real_axis(self):
+        bits = np.random.default_rng(5).integers(0, 2, 101, dtype=np.uint8)
+        samples = modulate(bits, ModScheme.PI_HALF_BPSK).samples
+        kept = samples.copy()
+        folded = fold_pi_half(samples)
+        assert np.all(folded.imag == 0.0)
+        assert np.array_equal(folded.real, 1.0 - 2.0 * bits)
+        assert samples.tobytes() == kept.tobytes()  # the input is not written
+
+    @pytest.mark.parametrize("scheme", [ModScheme.QPSK, ModScheme.QAM16, ModScheme.QAM64],
+                             ids=str)
+    def test_square_schemes_keep_their_level_sets(self, scheme):
+        # every point at an even and at an odd index, in a (2, n) batch
+        groups = all_bit_groups(scheme)
+        bits = np.concatenate([groups, groups[:1], groups, groups[:1]]).reshape(2, -1)
+        samples = np.array([modulate(row, scheme).samples for row in bits])
+        folded = fold_pi_half(samples)
+        for part, levels in zip((folded.real, folded.imag), axis_levels(scheme)):
+            # the fold keeps the modulated levels bit for bit, and those are
+            # axis_levels up to one rounding: a QAM64 point divides by a
+            # complex norm, which numpy does through a reciprocal
+            assert np.array_equal(np.unique(part), np.unique(samples.real))
+            np.testing.assert_allclose(np.unique(part), np.sort(levels), rtol=3e-16, atol=0)
 
 
 class TestSchemeNames:

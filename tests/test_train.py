@@ -7,9 +7,9 @@ import pytest
 
 from nomadet.errors import (BadMagicError, DataFormatError, TruncatedFileError,
                             VersionMismatchError)
-from nomadet.neuralnet import (Adam, ArchConfig, ModulationNet, TrainConfig,
-                               accuracy, load_model, save_model, softmax_cross_entropy,
-                               train, training)
+from nomadet.neuralnet import (Adam, ArchConfig, BatchNorm2D, Conv2D, Dense, ModulationNet,
+                               Stem, TrainConfig, accuracy, load_model, save_model,
+                               softmax_cross_entropy, train, training)
 from conftest import (DEFAULT_ARCH, FOREIGN_ARCHS, flat_entry, synthetic_diagram_set,
                       write_checkpoint_header)
 
@@ -135,7 +135,7 @@ class TestAdam:
         monkeypatch.setattr(training, "_CHUNK_ELEMENTS", chunk)
         model = ModulationNet(replace(SMALL_ARCH, dtype=dtype), seed=3)
         optimiser = Adam(model, 1e-2)
-        named = list(model.parameters())
+        named = [entry for entry in model.state_tensors() if entry[2] in entry[1].params]
         params = {name: value.copy() for name, _, _, value in named}
         m = {name: np.zeros_like(value) for name, value in params.items()}
         v = {name: np.zeros_like(value) for name, value in params.items()}
@@ -154,15 +154,25 @@ class TestAdam:
                     assert got.tobytes() == ref[name].tobytes(), (t, name)
         assert optimiser.t == 3
 
-    def test_step_before_any_backward_names_a_parameter(self):
-        """Gradient storage exists from construction, but no step may read
-        it before a backward has filled it."""
+    def test_step_before_any_backward_moves_no_weight(self):
+        """Gradients start at zero, and a zero gradient leaves Adam's moments
+        at zero, so the step only counts itself."""
         model = ModulationNet(SMALL_ARCH, seed=0)
+        assert not model.grads.any()
         optimiser = Adam(model)
         state = model.state.copy()
-        with pytest.raises(RuntimeError, match="no gradient for parameter base_conv.w"):
-            optimiser.step()
-        assert optimiser.t == 0 and model.state.tobytes() == state.tobytes()
+        optimiser.step()
+        assert optimiser.t == 1 and model.state.tobytes() == state.tobytes()
+        assert not optimiser.m.any() and not optimiser.v.any()
+
+    def test_a_layer_built_alone_starts_with_zero_gradients(self):
+        rng = np.random.default_rng(0)
+        layers = [Conv2D(2, 3, 3, rng=rng), BatchNorm2D(3), Stem(4, 3, rng=rng),
+                  Dense(4, 2, rng=rng)]
+        for layer in layers:
+            owners = (layer.conv, layer.bn) if isinstance(layer, Stem) else (layer,)
+            grads = [g for owner in owners for g in owner.grads.values()]
+            assert grads and not any(g.any() for g in grads), type(layer).__name__
 
 
 class TestCheckpoint:
